@@ -26,8 +26,8 @@ from .experiments import (ExperimentReport, gamma_limsup_experiment,
 from .families import (FamilyMember, MoscoFamily, constant_family,
                        eventually_decreasing, family_logsumexp_to_max,
                        family_penalty_to_indicator, permutation_vectors)
-from .minimize import (MinimizeConfig, MinimizeResult, StepRule,
-                       closed_form_value, minimize_action)
+from .minimize import (MinimizeConfig, MinimizeResult, closed_form_value,
+                       minimize_action)
 from .minnorm import (hull_projection, hull_projection_with_gap,
                       min_norm_point, min_norm_point_with_gap)
 from .oracle import GridSpec, grid_oracle, speed_quantization_bias
@@ -62,7 +62,6 @@ __all__ = [
     "ResolventSlopeEstimate",
     "SolverError",
     "SquaredDistance",
-    "StepRule",
     "VerifyReport",
     "alt_action",
     "closed_form_value",

@@ -10,6 +10,7 @@ any check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,21 +25,10 @@ from .errors import ActionLabError, ConfigError
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
                           slope_semicontinuity_table)
-from .minimize import MinimizeConfig, StepRule, minimize_action
+from .minimize import MinimizeConfig, minimize_action
 from .verify import SCOPES, verify_suite
 
 _EXPERIMENTS = ("resolvent", "value", "limsup", "slope_lsc")
-
-
-def _point(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _points(text: str) -> list[list[float]]:
-    return [_point(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
 def _floats(text: str) -> list[float]:
@@ -46,6 +36,10 @@ def _floats(text: str) -> list[float]:
         return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _points(text: str) -> list[list[float]]:
+    return [_floats(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
 def _load_json(path: str):
@@ -87,17 +81,23 @@ def _family(args, config: dict):
 
 
 def _minimize_config(args, config: dict) -> MinimizeConfig:
-    section = dict(config.get("minimize", {}))
+    section = config.get("minimize", {})
+    if not isinstance(section, dict):
+        raise ConfigError("the 'minimize' config section must be an object")
+    section = dict(section)
+    known = [field.name for field in dataclasses.fields(MinimizeConfig)]
+    unknown = sorted(section.keys() - known)
+    if unknown:
+        raise ConfigError("unknown minimize setting "
+                          f"{', '.join(map(repr, unknown))}; "
+                          f"expected one of {', '.join(known)}")
     for key, attr in (("N", "n"), ("max_iters", "max_iters"),
-                      ("grad_tol", "grad_tol"), ("fd_scale", "fd_scale"),
-                      ("preconditioner", "preconditioner")):
+                      ("grad_tol", "grad_tol")):
         v = getattr(args, attr, None)
         if v is not None:
             section[key] = v
     if getattr(args, "tau_schedule", None) is not None:
         section["tau_schedule"] = _floats(args.tau_schedule)
-    if "step_rule" in section and isinstance(section["step_rule"], dict):
-        section["step_rule"] = StepRule(**section["step_rule"])
     return MinimizeConfig(**section)
 
 
@@ -239,15 +239,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv-dir", default=".", help="directory for CSV output")
         p.add_argument("--function", help="JSON file with a function descriptor")
 
+    def minimize_flags(p):
+        p.add_argument("--n", type=int, help="interior resolution N")
+        p.add_argument("--tau-schedule", help="comma-separated decreasing taus")
+        p.add_argument("--max-iters", type=int)
+        p.add_argument("--grad-tol", type=float)
+
     p = sub.add_parser("prox", help="resolvent, envelope, and gradient at a point")
     common(p)
     p.add_argument("--tau", type=float)
-    p.add_argument("--point", type=_point)
+    p.add_argument("--point", type=_floats)
     p.set_defaults(handler=_cmd_prox)
 
     p = sub.add_parser("slope", help="metric slope at a point")
     common(p)
-    p.add_argument("--point", type=_point)
+    p.add_argument("--point", type=_floats)
     p.set_defaults(handler=_cmd_slope)
 
     p = sub.add_parser("interpolate", help="constructed path between endpoints "
@@ -255,22 +261,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--tau", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--x0", type=_point)
-    p.add_argument("--xd", type=_point)
+    p.add_argument("--x0", type=_floats)
+    p.add_argument("--xd", type=_floats)
     p.add_argument("--samples", type=int)
     p.set_defaults(handler=_cmd_interpolate)
 
     p = sub.add_parser("minimize", help="endpoint-constrained action descent")
     common(p)
     p.add_argument("--delta", type=float)
-    p.add_argument("--x0", type=_point)
-    p.add_argument("--xd", type=_point)
-    p.add_argument("--n", type=int, help="interior resolution N")
-    p.add_argument("--tau-schedule", help="comma-separated decreasing taus")
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--grad-tol", type=float)
-    p.add_argument("--fd-scale", type=float)
-    p.add_argument("--preconditioner", choices=("kinetic", "identity"))
+    p.add_argument("--x0", type=_floats)
+    p.add_argument("--xd", type=_floats)
+    minimize_flags(p)
     p.set_defaults(handler=_cmd_minimize)
 
     p = sub.add_parser("gamma", help="family convergence experiments")
@@ -284,12 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated points, e.g. '-1;0.5;2'")
     p.add_argument("--gamma-csv", help="CSV path for the base curve")
     p.add_argument("--gamma-intervals", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tau-schedule")
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--grad-tol", type=float)
-    p.add_argument("--fd-scale", type=float)
-    p.add_argument("--preconditioner", choices=("kinetic", "identity"))
+    minimize_flags(p)
     p.set_defaults(handler=_cmd_gamma)
 
     p = sub.add_parser("verify", help="run the seeded invariant suite")

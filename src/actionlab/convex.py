@@ -76,10 +76,10 @@ class ConvexFunction:
     def value_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def slope_many(self, X: np.ndarray, active_tol: float = ACTIVE_TOL) -> np.ndarray:
+    def slope_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def subgradient_many(self, X: np.ndarray, active_tol: float = ACTIVE_TOL) -> np.ndarray:
+    def subgradient_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def prox_many(self, tau: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +135,10 @@ class Quadratic(ConvexFunction):
     def value_many(self, X):
         return 0.5 * np.einsum("ki,ij,kj->k", X, self.Q, X) + X @ self.b + self.c
 
-    def subgradient_many(self, X, active_tol=ACTIVE_TOL):
+    def subgradient_many(self, X):
         return X @ self.Q + self.b
 
-    def slope_many(self, X, active_tol=ACTIVE_TOL):
+    def slope_many(self, X):
         return np.linalg.norm(self.subgradient_many(X), axis=1)
 
     def prox_many(self, tau, X):
@@ -172,15 +172,15 @@ class MaxLinear(ConvexFunction):
     def value_many(self, X):
         return (X @ self.vectors.T).max(axis=1)
 
-    def _actives(self, X, active_tol):
+    def _actives(self, X):
         dots = X @ self.vectors.T
         fvals = dots.max(axis=1)
-        eta = active_tol * (1.0 + np.abs(fvals))
+        eta = ACTIVE_TOL * (1.0 + np.abs(fvals))
         return dots >= (fvals - eta)[:, None]
 
-    def subgradient_many(self, X, active_tol=ACTIVE_TOL):
+    def subgradient_many(self, X):
         A = self.vectors
-        active = self._actives(X, active_tol)
+        active = self._actives(X)
         out = np.empty((X.shape[0], self.dim))
         counts = active.sum(axis=1)
         single = counts == 1
@@ -190,8 +190,8 @@ class MaxLinear(ConvexFunction):
             out[i] = min_norm_point(A[active[i]])
         return out
 
-    def slope_many(self, X, active_tol=ACTIVE_TOL):
-        return np.linalg.norm(self.subgradient_many(X, active_tol), axis=1)
+    def slope_many(self, X):
+        return np.linalg.norm(self.subgradient_many(X), axis=1)
 
     def prox_many(self, tau, X):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
@@ -251,10 +251,10 @@ class LogSumExp(ConvexFunction):
         lse = m + np.log(np.exp(s - m[:, None]).sum(axis=1))
         return self.epsilon * (lse - np.log(self.vectors.shape[0]))
 
-    def subgradient_many(self, X, active_tol=ACTIVE_TOL):
+    def subgradient_many(self, X):
         return self._weights(X) @ self.vectors
 
-    def slope_many(self, X, active_tol=ACTIVE_TOL):
+    def slope_many(self, X):
         return np.linalg.norm(self.subgradient_many(X), axis=1)
 
     def _hessian_many(self, X):
@@ -317,10 +317,10 @@ class Indicator(ConvexFunction):
     def value_many(self, X):
         return np.where(self.region.contains_many(X), 0.0, np.inf)
 
-    def slope_many(self, X, active_tol=ACTIVE_TOL):
+    def slope_many(self, X):
         return np.where(self.region.contains_many(X), 0.0, np.inf)
 
-    def subgradient_many(self, X, active_tol=ACTIVE_TOL):
+    def subgradient_many(self, X):
         inside = self.region.contains_many(X)
         if not inside.all():
             raise OutsideDomainError("minimal subgradient undefined outside the region")
@@ -355,10 +355,10 @@ class SquaredDistance(ConvexFunction):
     def value_many(self, X):
         return self.weight * self.region.distance_many(X) ** 2
 
-    def subgradient_many(self, X, active_tol=ACTIVE_TOL):
+    def subgradient_many(self, X):
         return 2.0 * self.weight * (X - self.region.project_many(X))
 
-    def slope_many(self, X, active_tol=ACTIVE_TOL):
+    def slope_many(self, X):
         return 2.0 * self.weight * self.region.distance_many(X)
 
     def prox_many(self, tau, X):
@@ -405,16 +405,16 @@ def moreau_gradient(f: ConvexFunction, tau: float, x) -> np.ndarray:
     return prox(f, tau, x).moreau_gradient
 
 
-def min_norm_subgradient(f: ConvexFunction, x, *, active_tol: float = ACTIVE_TOL) -> np.ndarray:
+def min_norm_subgradient(f: ConvexFunction, x) -> np.ndarray:
     """Minimal-norm element of the subdifferential; raises outside its domain."""
     x = as_point(x, f.dim)
-    return f.subgradient_many(x[None, :], active_tol)[0]
+    return f.subgradient_many(x[None, :])[0]
 
 
-def slope(f: ConvexFunction, x, *, active_tol: float = ACTIVE_TOL) -> float:
+def slope(f: ConvexFunction, x) -> float:
     """Metric slope |grad f|(x) = |min-norm subgradient|, +inf outside the domain."""
     x = as_point(x, f.dim)
-    return float(f.slope_many(x[None, :], active_tol)[0])
+    return float(f.slope_many(x[None, :])[0])
 
 
 def sampled_slope_lower_bound(f: ConvexFunction, x, samples) -> float:
@@ -458,6 +458,9 @@ def resolvent_slope(f: ConvexFunction, x, *, tau0: float = 1.0,
     divergence (slope +inf).
     """
     x = as_point(x, f.dim)
+    levels = int(levels)
+    if levels < 4:
+        raise ConfigError("levels must be at least 4")
     if f.lam < 0:
         tau0 = min(float(tau0), 0.45 / (-f.lam))
     taus = tau0 * 0.5 ** np.arange(levels)

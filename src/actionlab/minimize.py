@@ -6,41 +6,27 @@ The discretized objective on a uniform grid with pinned endpoints is
 
 with phi_tau = |envelope gradient|^2 evaluated at chord midpoints m_i through
 the resolvent, and tau run through a decreasing continuation schedule with
-warm starts.  Descent is Armijo-backtracked gradient descent; by default the
-descent direction is preconditioned with the fixed tridiagonal kinetic Hessian
-(a Sobolev gradient - plain Euclidean descent needs O(N^2) iterations on this
-functional), with "identity" available to disable that.
+warm starts.  Descent is Armijo-backtracked and preconditioned with the fixed
+kinetic Hessian (2/dt) tridiag(-1, 2, -1) (a Sobolev gradient - plain
+Euclidean descent needs O(N^2) iterations on this functional), inverted in
+closed form through its discrete Green's function.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .action import Path, discrete_action
 from .convex import ConvexFunction, Indicator, as_point
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 
 DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
-
-
-@dataclass(frozen=True)
-class StepRule:
-    """Armijo backtracking parameters."""
-
-    initial: float = 1.0
-    shrink: float = 0.5
-    decrease: float = 1e-4
-
-    def __post_init__(self):
-        if not (self.initial > 0 and np.isfinite(self.initial)):
-            raise ConfigError("initial step must be positive")
-        if not (0 < self.shrink < 1):
-            raise ConfigError("shrink factor must lie in (0, 1)")
-        if not (0 < self.decrease < 1):
-            raise ConfigError("sufficient-decrease constant must lie in (0, 1)")
+_FD_SCALE = 1e-5        # relative step of the finite-difference slope gradient
+_STEP_INITIAL = 1.0     # Armijo backtracking: first trial step,
+_STEP_SHRINK = 0.5      # its shrink factor,
+_STEP_DECREASE = 1e-4   # and the sufficient-decrease constant
 
 
 @dataclass(frozen=True)
@@ -49,9 +35,6 @@ class MinimizeConfig:
     tau_schedule: tuple[float, ...] | None = None
     max_iters: int = 600
     grad_tol: float = 1e-5
-    step_rule: StepRule = field(default_factory=StepRule)
-    preconditioner: str = "kinetic"
-    fd_scale: float = 1e-5
 
     def __post_init__(self):
         if int(self.N) < 1:
@@ -69,10 +52,6 @@ class MinimizeConfig:
         object.__setattr__(self, "max_iters", int(self.max_iters))
         if not (self.grad_tol > 0):
             raise ConfigError("grad_tol must be positive")
-        if self.preconditioner not in ("kinetic", "identity"):
-            raise ConfigError("preconditioner must be 'kinetic' or 'identity'")
-        if not (0 < self.fd_scale < 1e-2):
-            raise ConfigError("fd_scale must be a small positive number")
 
     def schedule_for(self, delta: float, lam: float) -> tuple[float, ...]:
         if self.tau_schedule is not None:
@@ -98,13 +77,12 @@ class _Objective:
     """Discretized smoothed action over the interior nodes, endpoints pinned."""
 
     def __init__(self, f: ConvexFunction, tau: float, x0: np.ndarray,
-                 xd: np.ndarray, dt: float, fd_scale: float):
+                 xd: np.ndarray, dt: float):
         self.f = f
         self.tau = tau
         self.x0 = x0
         self.xd = xd
         self.dt = dt
-        self.fd_scale = fd_scale
 
     def full_nodes(self, Z: np.ndarray) -> np.ndarray:
         return np.concatenate([self.x0[None, :], Z, self.xd[None, :]], axis=0)
@@ -134,7 +112,7 @@ class _Objective:
     def _phi_gradient(self, P: np.ndarray) -> np.ndarray:
         """Central finite difference of the squared envelope gradient."""
         k, d = P.shape
-        h = self.fd_scale * (1.0 + np.linalg.norm(P, axis=1))
+        h = _FD_SCALE * (1.0 + np.linalg.norm(P, axis=1))
         stacked = np.empty((2 * d * k, d))
         for j in range(d):
             plus = P.copy()
@@ -155,22 +133,24 @@ class _Objective:
         return self.value(Z), self.kinetic_gradient(Z) + self.slope_part_gradient(Z)
 
 
-def _kinetic_precond(n_interior: int, dt: float):
-    ab = np.zeros((2, n_interior))
-    ab[0, 1:] = -2.0 / dt
-    ab[1, :] = 4.0 / dt
-    factor = cholesky_banded(ab, lower=False)
+def _kinetic_solve(G: np.ndarray, dt: float) -> np.ndarray:
+    """Solve (2/dt) tridiag(-1, 2, -1) U = G column-wise in O(n).
 
-    def solve(G: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((factor, False), G)
+    With T = tridiag(-1, 2, -1) of size n, the discrete Green's function is
+    (T^-1)_ij = min(i, j) (n + 1 - max(i, j)) / (n + 1) for 1-based i, j, so
+    U_i = (dt/2) [(n+1-i) sum_{j<=i} j G_j + i sum_{j>i} (n+1-j) G_j] / (n+1).
+    """
+    n = G.shape[0]
+    i = np.arange(1.0, n + 1.0)[:, None]
+    below = np.cumsum(i * G, axis=0)
+    above = np.zeros_like(G)
+    above[:-1] = np.cumsum(((n + 1.0 - i) * G)[:0:-1], axis=0)[::-1]
+    return (0.5 * dt / (n + 1.0)) * ((n + 1.0 - i) * below + i * above)
 
-    return solve
 
-
-def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, precond,
+def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
            trace: list | None = None) -> tuple[np.ndarray, int, bool]:
-    rule = cfg.step_rule
-    alpha = rule.initial
+    alpha = _STEP_INITIAL
     energy, grad = obj.value_and_grad(Z)
     if trace is not None:
         trace.append(energy)
@@ -180,7 +160,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, precond,
         if np.abs(grad).max() <= cfg.grad_tol:
             hit_tol = True
             break
-        direction = precond(grad) if precond is not None else grad
+        direction = _kinetic_solve(grad, obj.dt)
         decrease = float((grad * direction).sum())
         if decrease <= 0.0:
             direction = grad
@@ -190,10 +170,10 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, precond,
         for _ls in range(60):
             candidate = Z - step * direction
             cand_energy = obj.value(candidate)
-            if cand_energy <= energy - rule.decrease * step * decrease:
+            if cand_energy <= energy - _STEP_DECREASE * step * decrease:
                 trial = candidate
                 break
-            step *= rule.shrink
+            step *= _STEP_SHRINK
         if trial is None:
             break  # no descent representable at this precision
         Z = trial
@@ -201,7 +181,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, precond,
         energy, grad = obj.value_and_grad(Z)
         if trace is not None:
             trace.append(energy)
-        alpha = min(step / rule.shrink, rule.initial)
+        alpha = min(step / _STEP_SHRINK, _STEP_INITIAL)
     return Z, accepted, hit_tol
 
 
@@ -235,18 +215,14 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     if isinstance(f, Indicator):
         Z = f.region.project_many(Z)
 
-    precond = None
-    if cfg.preconditioner == "kinetic" and n >= 2:
-        precond = _kinetic_precond(n - 1, dt)
-
     total_iters = 0
     converged = True
     obj = None
     for tau in schedule:
-        obj = _Objective(f, tau, x0, xd, dt, cfg.fd_scale)
+        obj = _Objective(f, tau, x0, xd, dt)
         if n >= 2:
             trace = [] if stage_traces is not None else None
-            Z, accepted, hit = _stage(obj, Z, cfg, precond, trace)
+            Z, accepted, hit = _stage(obj, Z, cfg, trace)
             if stage_traces is not None:
                 stage_traces.append(trace)
             total_iters += accepted

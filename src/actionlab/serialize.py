@@ -9,6 +9,7 @@ loads); the action functional is extended-real, so this is deliberate.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 
@@ -33,6 +34,15 @@ def loads(text: str):
     return json.loads(text)
 
 
+@contextlib.contextmanager
+def _missing_key(what: str):
+    """Report a KeyError from a document lookup as a ConfigError naming the key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} document is missing {exc.args[0]!r}") from None
+
+
 def region_to_dict(region: ConvexRegion) -> dict:
     if isinstance(region, Ball):
         return {"type": "ball", "center": region.center.tolist(),
@@ -45,6 +55,7 @@ def region_to_dict(region: ConvexRegion) -> dict:
     raise ConfigError(f"unknown region {type(region).__name__}")
 
 
+@_missing_key("region")
 def region_from_dict(doc: dict) -> ConvexRegion:
     try:
         kind = doc["type"]
@@ -82,6 +93,7 @@ def function_to_dict(f: ConvexFunction) -> dict:
     return {"kind": kind, "lambda": float(f.lam), "params": params}
 
 
+@_missing_key("function")
 def function_from_dict(doc: dict) -> ConvexFunction:
     """Rebuild a function, cross-checking the declared modulus.
 
@@ -118,6 +130,7 @@ def function_from_dict(doc: dict) -> ConvexFunction:
     return f
 
 
+@_missing_key("family")
 def family_from_dict(doc: dict):
     """Build a family from {"builder": ..., ...} (see the CLI docs)."""
     from .families import (constant_family, family_logsumexp_to_max,

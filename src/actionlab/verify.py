@@ -21,7 +21,8 @@ import numpy as np
 
 from . import serialize
 from .action import (Path, alt_action, coarsened_interpolation_bound,
-                     discrete_action, interpolation_bound, interpolation_path,
+                     discrete_action, dubois_reymond_residual,
+                     interpolation_bound, interpolation_path,
                      recovery_action_bound, recovery_path, recovery_tolerance,
                      upper_gradient_quadrature_bound, upper_gradient_residual)
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
@@ -495,7 +496,7 @@ def kinetic_gradient_failures(rng, trials: int) -> list[dict]:
         x0 = rng.normal(size=d)
         xd = rng.normal(size=d)
         dt = 1.0 / n
-        obj = _Objective(f, 0.3, x0, xd, dt, 1e-5)
+        obj = _Objective(f, 0.3, x0, xd, dt)
         Z = rng.normal(size=(n - 1, d))
         G = obj.kinetic_gradient(Z)
         h = 1e-6
@@ -521,7 +522,7 @@ def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dic
         x0 = _sample_domain_x(rng, f)
         xd = _sample_domain_x(rng, f)
         tau = max(0.1, _sample_tau(rng, f))
-        obj = _Objective(f, tau, x0, xd, 1.0 / n, 1e-5)
+        obj = _Objective(f, tau, x0, xd, 1.0 / n)
         s = np.linspace(0.0, 1.0, n + 1)[1:-1]
         Z = x0[None, :] + s[:, None] * (xd - x0)[None, :] \
             + rng.normal(size=(n - 1, f.dim)) * 0.1
@@ -569,12 +570,10 @@ def dubois_reymond_minimizer_failures() -> list[dict]:
     """Converged smooth minimizers nearly conserve |v|^2 - slope^2."""
     f = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
     res = minimize_action(f, [1.0], [2.0], 1.0, MinimizeConfig(N=256))
-    path = res.path
-    v = path.velocities
-    s = f.slope_many(path.chord_midpoints)
-    e = np.einsum("ij,ij->i", v, v) - s ** 2
-    residual = float(np.abs(e - e.mean()).max())
-    allowed = 0.05 * (1.0 + abs(float(e.mean())))
+    residual = dubois_reymond_residual(f, res.path)
+    # the exact minimizer cosh t + b sinh t conserves |v|^2 - slope^2 = b^2 - 1
+    b = (2.0 - math.cosh(1.0)) / math.sinh(1.0)
+    allowed = 0.05 * (1.0 + abs(b * b - 1.0))
     if residual <= allowed:
         return []
     return [_fail(f, residual=residual, allowed=allowed,

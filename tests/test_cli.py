@@ -237,3 +237,17 @@ def test_value_experiment_ok_at_default_settings(capsys, family_file, tmp_path):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["flags"] == []
+
+
+@pytest.mark.parametrize("key", ["fd_step", "fd_scale", "preconditioner",
+                                 "step_rule"])
+def test_unknown_minimize_key_is_a_clean_error(capsys, quad_file, tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"minimize": {"N": 16, key: 1e-5}}))
+    code, _, err = run(capsys, ["minimize", "--function", quad_file,
+                                "--config", str(cfg), "--delta", "1",
+                                "--x0", "1", "--xd", "2",
+                                "--csv-dir", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert repr(key) in err

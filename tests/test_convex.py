@@ -9,8 +9,8 @@ from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
                               SquaredDistance, evaluate, min_norm_subgradient,
                               moreau_gradient, prox, resolvent_slope,
                               sampled_slope_lower_bound, slope)
-from actionlab.errors import (DimensionMismatchError, InadmissibleTauError,
-                              OutsideDomainError)
+from actionlab.errors import (ConfigError, DimensionMismatchError,
+                              InadmissibleTauError, OutsideDomainError)
 from actionlab.sets import Ball, Box, Halfspace
 
 
@@ -171,6 +171,13 @@ def test_resolvent_slope_fallback_agrees():
     assert est.monotone
     assert not est.diverged
     assert est.value == pytest.approx(slope(f, x), rel=1e-4)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 3])
+def test_resolvent_slope_needs_four_levels(levels):
+    with pytest.raises(ConfigError, match="levels"):
+        resolvent_slope(Quadratic(np.array([[1.0]]), np.zeros(1)), [1.0],
+                        levels=levels)
 
 
 def test_resolvent_slope_diverges_outside_domain():

@@ -1,14 +1,21 @@
+import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
+import actionlab
 from actionlab.action import dubois_reymond_residual
 from actionlab.convex import Indicator, Quadratic
 from actionlab.errors import ConfigError
-from actionlab.minimize import (MinimizeConfig, StepRule, closed_form_value,
-                                minimize_action)
+from actionlab.minimize import (MinimizeConfig, _kinetic_solve,
+                                closed_form_value, minimize_action)
 from actionlab.sets import Ball
 
 HALF_SQ = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
@@ -88,12 +95,16 @@ def test_non_convergence_reported_not_raised():
     assert np.isfinite(res.value_true)
 
 
-def test_identity_preconditioner_agrees_on_small_problem():
-    kin = minimize_action(HALF_SQ, [0.5], [1.0], 0.5, MinimizeConfig(N=24))
-    idn = minimize_action(HALF_SQ, [0.5], [1.0], 0.5,
-                          MinimizeConfig(N=24, preconditioner="identity",
-                                         max_iters=3000))
-    assert idn.value_true == pytest.approx(kin.value_true, rel=1e-3)
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 511])
+def test_kinetic_solve_matches_banded_cholesky(n):
+    dt = 0.7 / (n + 1)
+    G = np.random.default_rng(n).normal(size=(n, 2))
+    ab = np.zeros((2, n))
+    ab[0, 1:] = -2.0 / dt
+    ab[1, :] = 4.0 / dt
+    want = cho_solve_banded((cholesky_banded(ab), False), G)
+    got = _kinetic_solve(G, dt)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_indicator_path_stays_feasible():
@@ -131,10 +142,22 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MinimizeConfig(N=0)
     with pytest.raises(ConfigError):
-        MinimizeConfig(preconditioner="sobolev2")
-    with pytest.raises(ConfigError):
         MinimizeConfig(tau_schedule=(0.1, 0.1))
     with pytest.raises(ConfigError):
-        StepRule(shrink=1.5)
-    with pytest.raises(ConfigError):
         minimize_action(HALF_SQ, [0.0], [1.0], -1.0)
+
+
+def test_minimize_config_fields():
+    assert [f.name for f in dataclasses.fields(MinimizeConfig)] == [
+        "N", "tau_schedule", "max_iters", "grad_tol"]
+
+
+def test_import_does_not_load_scipy():
+    code = ("import actionlab, sys; assert not any(m == 'scipy' "
+            "or m.startswith('scipy.') for m in sys.modules)")
+    # the subprocess imports the same package this test run imported
+    src = str(pathlib.Path(actionlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

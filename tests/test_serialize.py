@@ -178,3 +178,29 @@ def test_family_from_dict_builders():
         family_from_dict({"builder": "mystery"})
     with pytest.raises(ConfigError):
         family_from_dict({})
+
+
+BALL = {"type": "ball", "center": [0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize("parse, doc, missing", [
+    (function_from_dict, {"kind": "quadratic", "params": {"Q": [[1.0]]}}, "b"),
+    (function_from_dict, {"kind": "max_linear", "params": {}}, "vectors"),
+    (function_from_dict, {"kind": "log_sum_exp",
+                          "params": {"vectors": [[1.0]]}}, "epsilon"),
+    (function_from_dict, {"kind": "indicator", "params": {}}, "region"),
+    (function_from_dict, {"kind": "squared_distance",
+                          "params": {"region": BALL}}, "weight"),
+    (region_from_dict, {"type": "ball", "center": [0.0]}, "radius"),
+    (region_from_dict, {"type": "box", "lo": [0.0]}, "hi"),
+    (region_from_dict, {"type": "halfspace", "normal": [1.0]}, "offset"),
+    (family_from_dict, {"builder": "logsumexp_to_max", "vectors": [[1.0]],
+                        "x0": [0.0], "x1": [1.0]}, "epsilons"),
+    (family_from_dict, {"builder": "penalty_to_indicator", "region": BALL,
+                        "x0": [0.0], "x1": [0.5]}, "penalties"),
+    (family_from_dict, {"builder": "constant", "x0": [0.0], "x1": [1.0]},
+     "function"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_missing_parameter_is_a_config_error(parse, doc, missing):
+    with pytest.raises(ConfigError, match=repr(missing)):
+        parse(doc)

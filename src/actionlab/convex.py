@@ -149,9 +149,69 @@ class Quadratic(ConvexFunction):
         return Y, residual
 
 
+def _hull_2d(A: np.ndarray) -> np.ndarray:
+    """Counter-clockwise vertices of conv{rows of A} by Andrew's monotone chain.
+
+    Returns one row for a point hull, two for a segment (all rows collinear)
+    and three or more for a polygon; collinear boundary points are dropped.
+    """
+    # distinct rows sorted by x, then y (np.unique(axis=0) would import numpy.ma)
+    pts = sorted(set(map(tuple, A.tolist())))
+    if len(pts) <= 2:
+        return np.array(pts)
+
+    def turns_left(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0.0
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and not turns_left(out[-2], out[-1], p):
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(reversed(pts))
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _project_hull_2d(H: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Rows of Z projected onto the hull with counter-clockwise vertices H.
+
+    A row on the left of every edge of a polygon is its own projection; any
+    other row goes to the nearest of its clamped projections onto the edges.
+    """
+    if H.shape[0] == 1:
+        return np.repeat(H, Z.shape[0], axis=0)
+    ends = np.roll(H, -1, axis=0) if H.shape[0] > 2 else H[1:]
+    best = np.full(Z.shape[0], np.inf)
+    proj = np.empty_like(Z)
+    inside = np.full(Z.shape[0], H.shape[0] > 2)
+    for a, b in zip(H, ends):
+        e = b - a
+        W = Z - a
+        t = np.clip((W @ e) / (e @ e), 0.0, 1.0)
+        P = a + t[:, None] * e
+        D = Z - P
+        dist = np.einsum("ij,ij->i", D, D)
+        closer = dist < best
+        best[closer] = dist[closer]
+        proj[closer] = P[closer]
+        inside &= e[0] * W[:, 1] - e[1] * W[:, 0] >= 0.0
+    proj[inside] = Z[inside]
+    return proj
+
+
 @dataclass(frozen=True)
 class MaxLinear(ConvexFunction):
-    """f(x) = max_i <a_i, x>, the support function of conv{a_i}; lambda = 0."""
+    """f(x) = max_i <a_i, x>, the support function of conv{a_i}; lambda = 0.
+
+    The resolvent goes through the projection onto conv{a_i}: a clip in one
+    dimension, a closed-form projection onto the hull built at construction
+    in two, and Wolfe's min-norm point per row in three or more.  The
+    minimal-norm subgradient at ties uses Wolfe in every dimension.
+    """
 
     vectors: np.ndarray
 
@@ -164,6 +224,8 @@ class MaxLinear(ConvexFunction):
         if not np.all(np.isfinite(A)):
             raise ConfigError("vectors must be finite")
         object.__setattr__(self, "vectors", _frozen(A))
+        if A.shape[1] == 2:
+            object.__setattr__(self, "_hull", _frozen(_hull_2d(A)))
 
     @property
     def dim(self) -> int:
@@ -202,6 +264,12 @@ class MaxLinear(ConvexFunction):
             hi = float(A.max())
             proj = np.clip(Z, lo, hi)
             gaps = np.zeros(X.shape[0])
+        elif self.dim == 2:
+            proj = _project_hull_2d(self._hull, Z)
+            # Wolfe's exit gap |q|^2 - min_i <a_i - z, q> with q = p - z
+            Q = proj - Z
+            qq = np.einsum("ij,ij->i", Q, Q)
+            gaps = qq - ((Q @ A.T).min(axis=1) - np.einsum("ij,ij->i", Z, Q))
         else:
             proj = np.empty_like(Z)
             gaps = np.empty(X.shape[0])

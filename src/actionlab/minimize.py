@@ -29,6 +29,14 @@ _STEP_SHRINK = 0.5      # its shrink factor,
 _STEP_DECREASE = 1e-4   # and the sufficient-decrease constant
 
 
+def _parse(convert, value, name: str, what: str):
+    """convert(value), or a ConfigError naming the setting when that fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MinimizeConfig:
     N: int = 256
@@ -37,21 +45,26 @@ class MinimizeConfig:
     grad_tol: float = 1e-5
 
     def __post_init__(self):
-        if int(self.N) < 1:
+        N = _parse(int, self.N, "N", "an integer")
+        if N < 1:
             raise ConfigError("N must be at least 1")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", N)
         if self.tau_schedule is not None:
-            sched = tuple(float(t) for t in self.tau_schedule)
+            sched = _parse(lambda v: tuple(float(t) for t in v), self.tau_schedule,
+                           "tau_schedule", "a list of numbers")
             if len(sched) == 0 or any(t <= 0 for t in sched):
                 raise ConfigError("tau schedule must be nonempty and positive")
             if any(b >= a for a, b in zip(sched, sched[1:])):
                 raise ConfigError("tau schedule must be strictly decreasing")
             object.__setattr__(self, "tau_schedule", sched)
-        if int(self.max_iters) < 1:
+        max_iters = _parse(int, self.max_iters, "max_iters", "an integer")
+        if max_iters < 1:
             raise ConfigError("max_iters must be positive")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        if not (self.grad_tol > 0):
+        object.__setattr__(self, "max_iters", max_iters)
+        grad_tol = _parse(float, self.grad_tol, "grad_tol", "a number")
+        if not (grad_tol > 0):
             raise ConfigError("grad_tol must be positive")
+        object.__setattr__(self, "grad_tol", grad_tol)
 
     def schedule_for(self, delta: float, lam: float) -> tuple[float, ...]:
         if self.tau_schedule is not None:
@@ -190,10 +203,12 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
                     stage_traces: list | None = None) -> MinimizeResult:
     """Minimize the smoothed action over paths from x0 to xd on [0, delta].
 
-    Runs the tau-continuation schedule with warm starts; never raises on
-    non-convergence (the flag is returned instead).  Endpoints of the returned
-    path are bit-equal to the inputs.  For indicator functions the initial
-    segment and the final iterate are projected node-wise into the region.
+    Runs the tau-continuation schedule with warm starts.  Running out of
+    iterations is not an error (converged=False is returned instead), but a
+    resolvent solver failure, such as a stalled smoothed-max Newton solve,
+    propagates as SolverError.  Endpoints of the returned path are bit-equal
+    to the inputs.  For indicator functions the initial segment and the final
+    iterate are projected node-wise into the region.
     When stage_traces is a list, one list of accepted objective values is
     appended per continuation stage (descent audits hook in here).
     """

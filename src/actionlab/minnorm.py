@@ -8,6 +8,11 @@ The exit is certified: for any hull point x and the optimum x*,
 
 In dimension one the hull is an interval and the answer is the exact clip of
 the origin into [min a_i, max a_i]; the iteration only runs for d >= 2.
+
+Callers: `MaxLinear.prox_many` projects row by row through Wolfe for d >= 3
+only (d = 2 has a closed-form hull projection in `convex.py`),
+`MaxLinear.subgradient_many` resolves ties through it in every dimension, and
+`verify` uses it as the independent oracle of the Moreau decomposition check.
 """
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -105,6 +106,8 @@ def function_from_dict(doc: dict) -> ConvexFunction:
         params = doc["params"]
     except (TypeError, KeyError):
         raise ConfigError("function document needs 'kind' and 'params'") from None
+    if not isinstance(params, Mapping):
+        raise ConfigError("function 'params' must be an object")
     if kind == "quadratic":
         f = Quadratic(np.asarray(params["Q"], dtype=float),
                       np.asarray(params["b"], dtype=float),

@@ -251,3 +251,17 @@ def test_unknown_minimize_key_is_a_clean_error(capsys, quad_file, tmp_path, key)
     assert code == 2
     assert err.startswith("error:")
     assert repr(key) in err
+
+
+@pytest.mark.parametrize("key", ["N", "max_iters"])
+def test_non_integer_minimize_setting_is_a_clean_error(capsys, quad_file, tmp_path,
+                                                       key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"minimize": {key: "abc"}}))
+    code, _, err = run(capsys, ["minimize", "--function", quad_file,
+                                "--config", str(cfg), "--delta", "1",
+                                "--x0", "1", "--xd", "2",
+                                "--csv-dir", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert key in err

@@ -11,6 +11,8 @@ from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
                               sampled_slope_lower_bound, slope)
 from actionlab.errors import (ConfigError, DimensionMismatchError,
                               InadmissibleTauError, OutsideDomainError)
+from actionlab.minimize import MinimizeConfig, minimize_action
+from actionlab.minnorm import hull_projection_with_gap
 from actionlab.sets import Ball, Box, Halfspace
 
 
@@ -222,3 +224,92 @@ def test_lambda_convexity_along_segments(seed):
     rhs = ((1.0 - t) * evaluate(f, x) + t * evaluate(f, y)
            - 0.5 * f.lam * t * (1.0 - t) * float(np.sum((x - y) ** 2)))
     assert lhs <= rhs + 1e-8 * (1.0 + abs(rhs))
+
+
+TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])
+
+
+def nnls_projection(A, z):
+    """Projection of z onto conv{rows of A} from one NNLS solve.
+
+    With P = A - z, min over u >= 0 of |P^T u|^2 + (sum(u) - 1)^2 is attained
+    at u = s w with w minimizing |P^T w| over the simplex, so P^T u / sum(u)
+    is the minimum-norm point of conv{p_i} and z plus it is the projection.
+    """
+    from scipy.optimize import nnls
+
+    P = np.asarray(A, dtype=float) - z
+    M = np.vstack([P.T, np.ones(P.shape[0])])
+    rhs = np.zeros(M.shape[0])
+    rhs[-1] = 1.0
+    u, _ = nnls(M, rhs)
+    return z + (P.T @ u) / u.sum()
+
+
+def _hull_cases():
+    rng = np.random.default_rng(11)
+    thin = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-6]])
+    inside = [TRIANGLE.mean(axis=0), [0.1, 0.1], [0.2, -0.1]]
+    on_edge = [[0.5, 0.5], [0.25, -0.25], [-0.25, 0.25]]
+    cases = {
+        "random": (rng.normal(size=(7, 2)), rng.normal(size=(40, 2)) * 3.0),
+        "duplicated": (np.vstack([TRIANGLE, TRIANGLE[:2], TRIANGLE[:1]]),
+                       rng.normal(size=(40, 2)) * 2.0),
+        "collinear": (np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 0.5], [-1.0, -0.5]]),
+                      rng.normal(size=(40, 2)) * 2.0),
+        "point": (np.tile([[0.3, -0.2]], (4, 1)), rng.normal(size=(10, 2))),
+        "inside-edge-vertex": (TRIANGLE, np.vstack([inside, on_edge, TRIANGLE])),
+        "thin": (thin, np.vstack([rng.normal(size=(40, 2)),
+                                  [[1.0 + 1e-3, 5e-7], [1.0, 2e-6], [0.5, 1e-7]]])),
+    }
+    # on the thin triangle Wolfe exits with gaps near 5e-13, which certify
+    # its own answer only to sqrt(gap) ~ 7e-7; it is held to that there
+    return [pytest.param(A, Z, name != "thin", id=name)
+            for name, (A, Z) in cases.items()]
+
+
+@pytest.mark.parametrize("A, Z, wolfe_exact", _hull_cases())
+@pytest.mark.parametrize("tau", [0.5, 0.03])
+def test_maxlinear_2d_prox_matches_wolfe_and_nnls(A, Z, wolfe_exact, tau):
+    f = MaxLinear(A)
+    X = tau * Z
+    Y, residual = f.prox_many(tau, X)
+    for x, y, z in zip(X, Y, Z):
+        np.testing.assert_allclose(y, x - tau * nnls_projection(A, z),
+                                   rtol=0.0, atol=1e-10)
+        wolfe, gap = hull_projection_with_gap(A, z)
+        slack = 0.0 if wolfe_exact else tau * math.sqrt(gap)
+        np.testing.assert_allclose(y, x - tau * wolfe, rtol=0.0,
+                                   atol=1e-10 + slack)
+    bound = 1e-6 * tau * (1.0 + np.linalg.norm(X, axis=1) / tau)
+    assert np.all(residual <= bound)
+
+
+def test_maxlinear_2d_hull_degenerate_cases():
+    square = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5],
+                       [0.5, 0.0]])
+    np.testing.assert_array_equal(MaxLinear(square)._hull,
+                                  [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    line = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(MaxLinear(line)._hull, [[0.0, 0.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(MaxLinear([[0.3, -0.2]] * 3)._hull, [[0.3, -0.2]])
+
+
+def test_maxlinear_2d_prox_keeps_rows_inside_the_hull():
+    f = MaxLinear(TRIANGLE)
+    Z = np.array([[0.1, 0.1], [0.5, 0.5], [1.0, 0.0]])  # inside, edge, vertex
+    Y, residual = f.prox_many(0.5, 0.5 * Z)
+    np.testing.assert_allclose(Y, 0.0, atol=1e-15)
+    assert np.all(residual <= 1e-12)
+
+
+def test_maxlinear_2d_minimize_avoids_per_row_wolfe(monkeypatch):
+    import actionlab.convex as convex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("2-d resolvent fell back to per-row Wolfe")
+
+    monkeypatch.setattr(convex, "hull_projection_with_gap", refuse)
+    res = minimize_action(MaxLinear(TRIANGLE), [-1.0, 0.0], [1.0, 0.5], 1.0,
+                          MinimizeConfig(N=16))
+    assert np.isfinite(res.value_true)

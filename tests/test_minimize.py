@@ -12,8 +12,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import actionlab
 from actionlab.action import dubois_reymond_residual
-from actionlab.convex import Indicator, Quadratic
-from actionlab.errors import ConfigError
+from actionlab.convex import Indicator, LogSumExp, Quadratic
+from actionlab.errors import ConfigError, SolverError
 from actionlab.minimize import (MinimizeConfig, _kinetic_solve,
                                 closed_form_value, minimize_action)
 from actionlab.sets import Ball
@@ -145,6 +145,21 @@ def test_config_validation():
         MinimizeConfig(tau_schedule=(0.1, 0.1))
     with pytest.raises(ConfigError):
         minimize_action(HALF_SQ, [0.0], [1.0], -1.0)
+
+
+@pytest.mark.parametrize("field", ["N", "max_iters", "grad_tol", "tau_schedule"])
+@pytest.mark.parametrize("bad", ["abc", None])
+def test_config_rejects_non_numbers(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        MinimizeConfig(**{field: bad if field != "tau_schedule" else [bad]})
+
+
+def test_stalled_resolvent_raises_solver_error():
+    # at epsilon = 1e-4 the smoothed-max Newton solve stalls inside the first
+    # stage; the failure propagates instead of becoming converged=False
+    f = LogSumExp(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]), 1e-4)
+    with pytest.raises(SolverError, match="Newton stalled"):
+        minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=64))
 
 
 def test_minimize_config_fields():

@@ -185,6 +185,7 @@ BALL = {"type": "ball", "center": [0.0], "radius": 1.0}
 
 @pytest.mark.parametrize("parse, doc, missing", [
     (function_from_dict, {"kind": "quadratic", "params": {"Q": [[1.0]]}}, "b"),
+    (function_from_dict, {"kind": "quadratic", "params": [1]}, "params"),
     (function_from_dict, {"kind": "max_linear", "params": {}}, "vectors"),
     (function_from_dict, {"kind": "log_sum_exp",
                           "params": {"vectors": [[1.0]]}}, "epsilon"),

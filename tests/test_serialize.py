@@ -185,7 +185,6 @@ BALL = {"type": "ball", "center": [0.0], "radius": 1.0}
 
 @pytest.mark.parametrize("parse, doc, missing", [
     (function_from_dict, {"kind": "quadratic", "params": {"Q": [[1.0]]}}, "b"),
-    (function_from_dict, {"kind": "quadratic", "params": [1]}, "params"),
     (function_from_dict, {"kind": "max_linear", "params": {}}, "vectors"),
     (function_from_dict, {"kind": "log_sum_exp",
                           "params": {"vectors": [[1.0]]}}, "epsilon"),
@@ -201,6 +200,7 @@ BALL = {"type": "ball", "center": [0.0], "radius": 1.0}
                         "x0": [0.0], "x1": [0.5]}, "penalties"),
     (family_from_dict, {"builder": "constant", "x0": [0.0], "x1": [1.0]},
      "function"),
+    (function_from_dict, {"kind": "quadratic", "params": [1]}, "params"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_missing_parameter_is_a_config_error(parse, doc, missing):
     with pytest.raises(ConfigError, match=repr(missing)):

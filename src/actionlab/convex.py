@@ -85,6 +85,15 @@ class ConvexFunction:
     def prox_many(self, tau: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def envelope_sq_gradient_many(self, tau: float, X: np.ndarray,
+                                  Y: np.ndarray) -> np.ndarray:
+        """Gradient of phi_tau = |grad f_tau|^2 at rows X with resolvents Y.
+
+        With G = (X - Y)/tau = grad f_tau, grad phi_tau = (2/tau)(I - DJ_tau) G,
+        where the resolvent Jacobian DJ_tau is symmetric.
+        """
+        raise NotImplementedError
+
     def value(self, x) -> float:
         return float(self.value_many(_batch(x, self.dim))[0])
 
@@ -147,6 +156,11 @@ class Quadratic(ConvexFunction):
         Y = np.linalg.solve(A, rhs.T).T
         residual = np.linalg.norm(Y @ A.T - rhs, axis=1)
         return Y, residual
+
+    def envelope_sq_gradient_many(self, tau, X, Y):
+        G = (X - Y) / tau
+        A = np.eye(self.dim) + tau * self.Q
+        return (2.0 / tau) * (G - np.linalg.solve(A, G.T).T)
 
 
 def _hull_2d(A: np.ndarray) -> np.ndarray:
@@ -279,6 +293,41 @@ class MaxLinear(ConvexFunction):
         residual = tau * np.sqrt(np.maximum(gaps, 0.0))
         return Y, residual
 
+    def envelope_sq_gradient_many(self, tau, X, Y):
+        # G = (X - Y)/tau is the hull projection p of z = X/tau, and DJ_tau is
+        # I - DP(z), so the gradient is (2/tau) DP(z) G.  DP(z) projects onto
+        # the face exposed by q = z - p: I inside the hull, 0 at a vertex.
+        A = self.vectors
+        G = (X - Y) / tau
+        Z = X / tau
+        Q = Z - G
+        qn = np.linalg.norm(Q, axis=1)
+        # q is rounding noise, not a direction, for rows inside the hull
+        outside = qn > ACTIVE_TOL * (1.0 + np.linalg.norm(Z, axis=1))
+        DG = G.copy()
+        U = Q[outside] / qn[outside, None]
+        if self.dim == 1:
+            DG[outside] = 0.0
+        elif self.dim == 2:
+            # two hull vertices active on q expose an edge, tangent to q
+            H = self._hull
+            s = U @ H.T
+            tol = ACTIVE_TOL * (1.0 + np.abs(H).max())
+            edge = (s >= s.max(axis=1, keepdims=True) - tol).sum(axis=1) >= 2
+            T = np.stack([-U[:, 1], U[:, 0]], axis=1)
+            along = np.where(edge, np.einsum("ij,ij->i", T, G[outside]), 0.0)
+            DG[outside] = along[:, None] * T
+        else:
+            tol = ACTIVE_TOL * (1.0 + np.abs(A).max())
+            for i, u in zip(np.where(outside)[0], U):
+                s = A @ u
+                face = A[s >= s.max() - tol]
+                # orthonormal basis of the face's directions a_j - a_0
+                _, sv, Vt = np.linalg.svd(face[1:] - face[0], full_matrices=False)
+                V = Vt[sv > tol]
+                DG[i] = V.T @ (V @ G[i])
+        return (2.0 / tau) * DG
+
 
 @dataclass(frozen=True)
 class LogSumExp(ConvexFunction):
@@ -367,6 +416,11 @@ class LogSumExp(ConvexFunction):
                 f"after {_NEWTON_CAP} iterations")
         return Y, rnorm
 
+    def envelope_sq_gradient_many(self, tau, X, Y):
+        G = (X - Y) / tau
+        M = np.eye(self.dim)[None] + tau * self._hessian_many(Y)
+        return (2.0 / tau) * (G - np.linalg.solve(M, G[..., None])[..., 0])
+
 
 @dataclass(frozen=True)
 class Indicator(ConvexFunction):
@@ -396,6 +450,10 @@ class Indicator(ConvexFunction):
 
     def prox_many(self, tau, X):
         return self.region.project_many(X), np.zeros(X.shape[0])
+
+    def envelope_sq_gradient_many(self, tau, X, Y):
+        # the projection's Jacobian kills the normal direction X - Y
+        return (2.0 / tau**2) * (X - Y)
 
 
 @dataclass(frozen=True)
@@ -433,6 +491,11 @@ class SquaredDistance(ConvexFunction):
         s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
         Y = X + s * (self.region.project_many(X) - X)
         return Y, np.zeros(X.shape[0])
+
+    def envelope_sq_gradient_many(self, tau, X, Y):
+        # DJ_tau = (1 - s) I + s DP, and DP kills the normal direction X - Y
+        s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
+        return (2.0 * s / tau**2) * (X - Y)
 
 
 KINDS = (Quadratic, MaxLinear, LogSumExp, Indicator, SquaredDistance)

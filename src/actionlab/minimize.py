@@ -10,6 +10,11 @@ warm starts.  Descent is Armijo-backtracked and preconditioned with the fixed
 kinetic Hessian (2/dt) tridiag(-1, 2, -1) (a Sobolev gradient - plain
 Euclidean descent needs O(N^2) iterations on this functional), inverted in
 closed form through its discrete Green's function.
+
+The gradient of phi_tau is exact, (2/tau)(I - DJ_tau) grad f_tau from each
+kind's `envelope_sq_gradient_many`, and reuses the midpoint resolvents that
+the accepted line-search trial computed for its value: one resolvent batch
+per trial point, none for the gradient.
 """
 from __future__ import annotations
 
@@ -23,7 +28,6 @@ from .convex import ConvexFunction, Indicator, as_point
 from .errors import ConfigError
 
 DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
-_FD_SCALE = 1e-5        # relative step of the finite-difference slope gradient
 _STEP_INITIAL = 1.0     # Armijo backtracking: first trial step,
 _STEP_SHRINK = 0.5      # its shrink factor,
 _STEP_DECREASE = 1e-4   # and the sufficient-decrease constant
@@ -100,50 +104,32 @@ class _Objective:
     def full_nodes(self, Z: np.ndarray) -> np.ndarray:
         return np.concatenate([self.x0[None, :], Z, self.xd[None, :]], axis=0)
 
-    def envelope_sq(self, P: np.ndarray) -> np.ndarray:
-        Y, _ = self.f.prox_many(self.tau, P)
-        G = (P - Y) / self.tau
-        return np.einsum("ij,ij->i", G, G)
-
-    def value(self, Z: np.ndarray) -> float:
+    def evaluate(self, Z: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """Objective value at Z, with the midpoints and their resolvents."""
         X = self.full_nodes(Z)
         diffs = np.diff(X, axis=0)
         kinetic = float(np.einsum("ij,ij->i", diffs, diffs).sum()) / self.dt
         mids = 0.5 * (X[:-1] + X[1:])
-        return kinetic + self.dt * float(self.envelope_sq(mids).sum())
+        Y, _ = self.f.prox_many(self.tau, mids)
+        G = (mids - Y) / self.tau
+        phi = np.einsum("ij,ij->i", G, G)
+        return kinetic + self.dt * float(phi.sum()), (mids, Y)
+
+    def value(self, Z: np.ndarray) -> float:
+        return self.evaluate(Z)[0]
 
     def kinetic_gradient(self, Z: np.ndarray) -> np.ndarray:
         X = self.full_nodes(Z)
         return (2.0 / self.dt) * (2.0 * X[1:-1] - X[:-2] - X[2:])
 
-    def slope_part_gradient(self, Z: np.ndarray) -> np.ndarray:
-        X = self.full_nodes(Z)
-        mids = 0.5 * (X[:-1] + X[1:])
-        dphi = self._phi_gradient(mids)
-        return self.dt * 0.5 * (dphi[:-1] + dphi[1:])
-
-    def _phi_gradient(self, P: np.ndarray) -> np.ndarray:
-        """Central finite difference of the squared envelope gradient."""
-        k, d = P.shape
-        h = _FD_SCALE * (1.0 + np.linalg.norm(P, axis=1))
-        stacked = np.empty((2 * d * k, d))
-        for j in range(d):
-            plus = P.copy()
-            plus[:, j] += h
-            minus = P.copy()
-            minus[:, j] -= h
-            stacked[2 * j * k:(2 * j + 1) * k] = plus
-            stacked[(2 * j + 1) * k:(2 * j + 2) * k] = minus
-        phi = self.envelope_sq(stacked)
-        out = np.empty_like(P)
-        for j in range(d):
-            fp = phi[2 * j * k:(2 * j + 1) * k]
-            fm = phi[(2 * j + 1) * k:(2 * j + 2) * k]
-            out[:, j] = (fp - fm) / (2.0 * h)
-        return out
+    def gradient(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Exact gradient at Z from the (midpoints, resolvents) of evaluate(Z)."""
+        dphi = self.f.envelope_sq_gradient_many(self.tau, *resolved)
+        return self.kinetic_gradient(Z) + self.dt * 0.5 * (dphi[:-1] + dphi[1:])
 
     def value_and_grad(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.value(Z), self.kinetic_gradient(Z) + self.slope_part_gradient(Z)
+        energy, resolved = self.evaluate(Z)
+        return energy, self.gradient(Z, resolved)
 
 
 def _kinetic_solve(G: np.ndarray, dt: float) -> np.ndarray:
@@ -182,7 +168,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
         trial = None
         for _ls in range(60):
             candidate = Z - step * direction
-            cand_energy = obj.value(candidate)
+            cand_energy, resolved = obj.evaluate(candidate)
             if cand_energy <= energy - _STEP_DECREASE * step * decrease:
                 trial = candidate
                 break
@@ -191,7 +177,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
             break  # no descent representable at this precision
         Z = trial
         accepted += 1
-        energy, grad = obj.value_and_grad(Z)
+        energy, grad = cand_energy, obj.gradient(Z, resolved)
         if trace is not None:
             trace.append(energy)
         alpha = min(step / _STEP_SHRINK, _STEP_INITIAL)

@@ -123,7 +123,7 @@ def min_norm_point_with_gap(points, *, gap_tol: float | None = None,
     if scale2 == 0.0:
         return np.zeros(d), 0.0
     if gap_tol is None:
-        gap_tol = 1e-12 * (1.0 + scale2)
+        gap_tol = 1e-14 * (1.0 + scale2)
     if max_iter is None:
         max_iter = 100 + 16 * m
     x, gap, _ = _wolfe(P, gap_tol, max_iter)

@@ -155,11 +155,28 @@ def test_config_rejects_non_numbers(field, bad):
 
 
 def test_stalled_resolvent_raises_solver_error():
-    # at epsilon = 1e-4 the smoothed-max Newton solve stalls inside the first
+    # at epsilon = 1e-6 the smoothed-max Newton solve stalls inside the first
     # stage; the failure propagates instead of becoming converged=False
-    f = LogSumExp(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]), 1e-4)
+    f = LogSumExp(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]), 1e-6)
     with pytest.raises(SolverError, match="Newton stalled"):
         minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=64))
+
+
+def test_each_prox_batch_is_one_row_per_chord(monkeypatch):
+    # value and gradient share one resolvent batch at the N chord midpoints;
+    # a finite-difference gradient would send 2 d N rows at once
+    sizes = []
+    prox_many = LogSumExp.prox_many
+
+    def counting(self, tau, X):
+        sizes.append(X.shape[0])
+        return prox_many(self, tau, X)
+
+    monkeypatch.setattr(LogSumExp, "prox_many", counting)
+    f = LogSumExp(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]), 0.1)
+    res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=48))
+    assert res.converged
+    assert sizes and set(sizes) == {48}
 
 
 def test_minimize_config_fields():

@@ -10,8 +10,10 @@ f(J_tau(x)) + |x - J_tau(x)|^2/(2 tau) and its gradient is (x - J_tau(x))/tau.
 
 Values of +inf are legal (indicator outside its region) and propagate through
 arithmetic; operations that need a finite subgradient raise instead.  Batched
-`*_many` methods take (k, d) arrays and are the primitives; the free functions
-at the bottom are the scalar-call surface.
+`*_many` methods take (k, d) arrays and are the primitives; `prox_many` takes
+tau as a scalar or as a (k,) array with one tau per row, so a sweep over
+(tau, x) pairs is one call.  The free functions at the bottom are the
+scalar-call surface.
 """
 from __future__ import annotations
 
@@ -58,6 +60,29 @@ def _batch(X, dim: int) -> np.ndarray:
     return arr
 
 
+def _tau_number(tau) -> float:
+    try:
+        return float(tau)
+    except (TypeError, ValueError):
+        raise InadmissibleTauError(f"tau must be a number, got {tau!r}") from None
+
+
+def _row_taus(tau, k: int):
+    """tau shaped to broadcast against k rows: a float for one tau, a (k, 1)
+    column for one tau per row."""
+    try:
+        t = np.asarray(tau, dtype=float)
+    except (TypeError, ValueError):
+        raise InadmissibleTauError(f"tau must be a number or an array of numbers, "
+                                   f"got {tau!r}") from None
+    if t.ndim == 0:
+        return float(t)
+    if t.shape != (k,):
+        raise DimensionMismatchError(
+            f"tau has shape {t.shape}, expected a scalar or ({k},) for {k} rows")
+    return t[:, None]
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
@@ -82,7 +107,16 @@ class ConvexFunction:
     def subgradient_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def prox_many(self, tau: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def prox_many(self, tau, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Resolvents J_tau of the rows of X and a solver residual per row.
+
+        tau is a scalar or a (k,) array giving row i its own tau; the
+        built-in kinds shape it for broadcasting with `_row_taus`.
+        Subclasses, including those handed to
+        `verify_suite(extra_functions=...)`, must accept both, because the
+        verify checks resolve a whole sample block of (tau, x) pairs in one
+        call.
+        """
         raise NotImplementedError
 
     def envelope_sq_gradient_many(self, tau: float, X: np.ndarray,
@@ -98,7 +132,7 @@ class ConvexFunction:
         return float(self.value_many(_batch(x, self.dim))[0])
 
     def require_admissible(self, tau: float, *, envelope_lipschitz: bool = False) -> float:
-        tau = float(tau)
+        tau = _tau_number(tau)
         if not (np.isfinite(tau) and tau > 0.0):
             raise InadmissibleTauError("tau must be positive and finite")
         if 1.0 + tau * self.lam <= 1e-12:
@@ -112,7 +146,11 @@ class ConvexFunction:
 
 @dataclass(frozen=True)
 class Quadratic(ConvexFunction):
-    """f(x) = 0.5 <Qx, x> + <b, x> + c with symmetric Q; lambda = min eig(Q)."""
+    """f(x) = 0.5 <Qx, x> + <b, x> + c with symmetric Q; lambda = min eig(Q).
+
+    Q = V diag(w) V^T is eigendecomposed once at construction, so
+    (I + tau Q)^-1 = V diag(1/(1 + tau w)) V^T costs no solve for any tau.
+    """
 
     Q: np.ndarray
     b: np.ndarray
@@ -135,7 +173,10 @@ class Quadratic(ConvexFunction):
         object.__setattr__(self, "Q", _frozen(Q))
         object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "lam", float(np.linalg.eigvalsh(Q).min()))
+        w, V = np.linalg.eigh(Q)
+        object.__setattr__(self, "_w", _frozen(w))
+        object.__setattr__(self, "_V", _frozen(V))
+        object.__setattr__(self, "lam", float(w.min()))
 
     @property
     def dim(self) -> int:
@@ -150,17 +191,20 @@ class Quadratic(ConvexFunction):
     def slope_many(self, X):
         return np.linalg.norm(self.subgradient_many(X), axis=1)
 
+    def _inverse_apply(self, t, R):
+        # rows of R times (I + t Q)^-1, t a scalar or a (k, 1) column
+        V = self._V
+        return ((R @ V) / (1.0 + t * self._w)) @ V.T
+
     def prox_many(self, tau, X):
-        A = np.eye(self.dim) + tau * self.Q
-        rhs = X - tau * self.b
-        Y = np.linalg.solve(A, rhs.T).T
-        residual = np.linalg.norm(Y @ A.T - rhs, axis=1)
+        t = _row_taus(tau, X.shape[0])
+        Y = self._inverse_apply(t, X - t * self.b)
+        residual = np.linalg.norm(Y + t * self.subgradient_many(Y) - X, axis=1)
         return Y, residual
 
     def envelope_sq_gradient_many(self, tau, X, Y):
         G = (X - Y) / tau
-        A = np.eye(self.dim) + tau * self.Q
-        return (2.0 / tau) * (G - np.linalg.solve(A, G.T).T)
+        return (2.0 / tau) * (G - self._inverse_apply(tau, G))
 
 
 def _hull_2d(A: np.ndarray) -> np.ndarray:
@@ -224,7 +268,9 @@ class MaxLinear(ConvexFunction):
     The resolvent goes through the projection onto conv{a_i}: a clip in one
     dimension, a closed-form projection onto the hull built at construction
     in two, and Wolfe's min-norm point per row in three or more.  The
-    minimal-norm subgradient at ties uses Wolfe in every dimension.
+    minimal-norm subgradient at a tie of two vectors is the closed-form
+    projection of the origin onto their segment; ties of three or more go
+    through Wolfe.
     """
 
     vectors: np.ndarray
@@ -262,7 +308,15 @@ class MaxLinear(ConvexFunction):
         single = counts == 1
         if single.any():
             out[single] = A[np.argmax(active[single], axis=1)]
-        for i in np.where(~single)[0]:
+        pair = counts == 2
+        if pair.any():
+            # origin projected onto [a, b]: a + t(b - a), t = -<a, b-a>/|b-a|^2
+            ia, ib = np.nonzero(active[pair])[1].reshape(-1, 2).T
+            a, e = A[ia], A[ib] - A[ia]
+            ee = np.einsum("ij,ij->i", e, e)
+            t = -np.einsum("ij,ij->i", a, e) / np.where(ee > 0.0, ee, 1.0)
+            out[pair] = a + np.clip(t, 0.0, 1.0)[:, None] * e
+        for i in np.where(counts > 2)[0]:
             out[i] = min_norm_point(A[active[i]])
         return out
 
@@ -272,7 +326,8 @@ class MaxLinear(ConvexFunction):
     def prox_many(self, tau, X):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
         A = self.vectors
-        Z = X / tau
+        t = _row_taus(tau, X.shape[0])
+        Z = X / t
         if self.dim == 1:
             lo = float(A.min())
             hi = float(A.max())
@@ -289,8 +344,8 @@ class MaxLinear(ConvexFunction):
             gaps = np.empty(X.shape[0])
             for i in range(X.shape[0]):
                 proj[i], gaps[i] = hull_projection_with_gap(A, Z[i])
-        Y = X - tau * proj
-        residual = tau * np.sqrt(np.maximum(gaps, 0.0))
+        Y = X - t * proj
+        residual = (t * np.sqrt(np.maximum(gaps, 0.0))[:, None])[:, 0]
         return Y, residual
 
     def envelope_sq_gradient_many(self, tau, X, Y):
@@ -384,9 +439,10 @@ class LogSumExp(ConvexFunction):
     def prox_many(self, tau, X):
         # damped Newton on r(y) = y + tau*grad f(y) - x; I + tau*Hess is SPD
         d = self.dim
+        t = _row_taus(tau, X.shape[0])
         Y = X.copy()
         target = _NEWTON_TOL * (1.0 + np.linalg.norm(X, axis=1))
-        r = Y + tau * self.subgradient_many(Y) - X
+        r = Y + t * self.subgradient_many(Y) - X
         rnorm = np.linalg.norm(r, axis=1)
         eye = np.eye(d)
         for _ in range(_NEWTON_CAP):
@@ -395,19 +451,20 @@ class LogSumExp(ConvexFunction):
                 break
             Ya = Y[active]
             ra = r[active]
-            M = eye[None] + tau * self._hessian_many(Ya)
+            ta = t[active] if isinstance(t, np.ndarray) else t
+            M = eye[None] + np.reshape(ta, (-1, 1, 1)) * self._hessian_many(Ya)
             step = np.linalg.solve(M, -ra[..., None])[..., 0]
             alpha = np.ones(Ya.shape[0])
             base = np.linalg.norm(ra, axis=1)
             for _ls in range(50):
                 trial = Ya + alpha[:, None] * step
-                rt = trial + tau * self.subgradient_many(trial) - X[active]
+                rt = trial + ta * self.subgradient_many(trial) - X[active]
                 ok = np.linalg.norm(rt, axis=1) <= (1.0 - 1e-4 * alpha) * base
                 if ok.all():
                     break
                 alpha[~ok] *= 0.5
             Y[active] = Ya + alpha[:, None] * step
-            r[active] = Y[active] + tau * self.subgradient_many(Y[active]) - X[active]
+            r[active] = Y[active] + ta * self.subgradient_many(Y[active]) - X[active]
             rnorm[active] = np.linalg.norm(r[active], axis=1)
         else:
             worst = float(rnorm.max())
@@ -449,6 +506,7 @@ class Indicator(ConvexFunction):
         return np.zeros_like(X)
 
     def prox_many(self, tau, X):
+        _row_taus(tau, X.shape[0])  # tau-free; a misshaped tau still fails
         return self.region.project_many(X), np.zeros(X.shape[0])
 
     def envelope_sq_gradient_many(self, tau, X, Y):
@@ -488,7 +546,8 @@ class SquaredDistance(ConvexFunction):
         return 2.0 * self.weight * self.region.distance_many(X)
 
     def prox_many(self, tau, X):
-        s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
+        t = _row_taus(tau, X.shape[0])
+        s = 2.0 * self.weight * t / (1.0 + 2.0 * self.weight * t)
         Y = X + s * (self.region.project_many(X) - X)
         return Y, np.zeros(X.shape[0])
 
@@ -583,22 +642,23 @@ def resolvent_slope(f: ConvexFunction, x, *, tau0: float = 1.0,
     """Slope via the envelope-gradient limit |x - J_tau(x)|/tau as tau -> 0.
 
     Evaluates the quotient on the halving schedule tau0 * 2^-k (tau0 shrunk
-    when lambda < 0 so every step is admissible), audits that the profile is
-    nondecreasing as tau falls, and returns the last value plus a first-order
-    Richardson correction.  A persistently doubling profile is reported as a
-    divergence (slope +inf).
+    when lambda < 0 so every step is admissible) in one resolvent batch,
+    audits that the profile is nondecreasing as tau falls, and returns the
+    last value plus a first-order Richardson correction.  A persistently
+    doubling profile is reported as a divergence (slope +inf).  A tau0 that
+    is not a positive finite number raises `InadmissibleTauError`.
     """
     x = as_point(x, f.dim)
     levels = int(levels)
     if levels < 4:
         raise ConfigError("levels must be at least 4")
+    tau0 = _tau_number(tau0)
     if f.lam < 0:
-        tau0 = min(float(tau0), 0.45 / (-f.lam))
+        tau0 = min(tau0, 0.45 / (-f.lam))
+    tau0 = f.require_admissible(tau0)
     taus = tau0 * 0.5 ** np.arange(levels)
-    profile = np.empty(levels)
-    for k, tau in enumerate(taus):
-        Y, _ = f.prox_many(float(tau), x[None, :])
-        profile[k] = np.linalg.norm(x - Y[0]) / tau
+    Y, _ = f.prox_many(taus, np.repeat(x[None, :], levels, axis=0))
+    profile = np.linalg.norm(x - Y, axis=1) / taus
     monotone = bool(np.all(np.diff(profile) >= -1e-8 * (1.0 + profile[:-1])))
     scale = 1.0 + float(np.linalg.norm(x))
     # |x - J_tau(x)| halves per level when the quotient converges and stalls

@@ -11,7 +11,8 @@ the origin into [min a_i, max a_i]; the iteration only runs for d >= 2.
 
 Callers: `MaxLinear.prox_many` projects row by row through Wolfe for d >= 3
 only (d = 2 has a closed-form hull projection in `convex.py`),
-`MaxLinear.subgradient_many` resolves ties through it in every dimension, and
+`MaxLinear.subgradient_many` resolves ties of three or more vectors through
+it (a two-vector tie is a closed-form segment projection), and
 `verify` uses it as the independent oracle of the Moreau decomposition check.
 """
 from __future__ import annotations

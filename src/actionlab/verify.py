@@ -37,7 +37,7 @@ from .families import (constant_family, family_logsumexp_to_max,
 from .minimize import MinimizeConfig, _Objective, minimize_action
 from .minnorm import hull_projection
 from .oracle import GridSpec, grid_oracle, speed_quantization_bias
-from .sets import Ball, Box, Halfspace, project
+from .sets import Ball, Box, Halfspace
 
 SCOPES = ("convex", "action", "minimize", "gamma")
 
@@ -149,26 +149,40 @@ def _smooth_pool(rng) -> list[ConvexFunction]:
     return pool
 
 
-def _sample_tau(rng, f: ConvexFunction) -> float:
-    t = float(np.exp(rng.uniform(np.log(0.05), np.log(1.5))))
+def _sample_taus(rng, f: ConvexFunction, n: int) -> np.ndarray:
+    t = np.exp(rng.uniform(np.log(0.05), np.log(1.5), size=n))
     if f.lam < 0:
-        t = min(t, 0.45 / (-f.lam))
+        t = np.minimum(t, 0.45 / (-f.lam))
     return t
 
 
+def _sample_xs(rng, f: ConvexFunction, n: int, scale: float = 1.5) -> np.ndarray:
+    return rng.normal(size=(n, f.dim)) * scale
+
+
+def _sample_domain_xs(rng, f: ConvexFunction, n: int,
+                      scale: float = 1.5) -> np.ndarray:
+    X = _sample_xs(rng, f, n, scale)
+    if isinstance(f, Indicator):
+        X = f.region.project_many(X)
+        if isinstance(f.region, Halfspace):
+            # the wall projection can overshoot by an ulp; step inside
+            normal = f.region.normal
+            step = 1e-9 * (1.0 + np.linalg.norm(X, axis=1)) / np.linalg.norm(normal)
+            X = X - step[:, None] * normal
+    return X
+
+
+def _sample_tau(rng, f: ConvexFunction) -> float:
+    return float(_sample_taus(rng, f, 1)[0])
+
+
 def _sample_x(rng, f: ConvexFunction, scale: float = 1.5) -> np.ndarray:
-    return rng.normal(size=f.dim) * scale
+    return _sample_xs(rng, f, 1, scale)[0]
 
 
 def _sample_domain_x(rng, f: ConvexFunction, scale: float = 1.5) -> np.ndarray:
-    x = _sample_x(rng, f, scale)
-    if isinstance(f, Indicator):
-        x = project(f.region, x)
-        if isinstance(f.region, Halfspace):
-            # the wall projection can overshoot by an ulp; step inside
-            n = f.region.normal
-            x = x - (1e-9 * (1.0 + np.linalg.norm(x)) / np.linalg.norm(n)) * n
-    return x
+    return _sample_domain_xs(rng, f, 1, scale)[0]
 
 
 def _random_path(rng, f: ConvexFunction, segments: int = 48,
@@ -194,103 +208,110 @@ def envelope_identity_failures(f: ConvexFunction, rng, trials: int) -> list[dict
     sampled competitor does better."""
     fails = []
     rel = 1e-6 if isinstance(f, LogSumExp) else 1e-9
-    for _ in range(trials):
-        tau = _sample_tau(rng, f)
-        x = _sample_x(rng, f)
-        r = prox(f, tau, x)
-        direct = f.value(r.resolvent_point) + float(
-            np.sum((x - r.resolvent_point) ** 2)) / (2.0 * tau)
-        allowed = rel * (1.0 + abs(direct)) + 10.0 * r.solver_residual
-        err = abs(r.envelope_value - direct)
-        if not (err <= allowed):
-            fails.append(_fail(f, tau=tau, x=x, error=err, allowed=allowed))
-            continue
-        slack = rel * (1.0 + abs(r.envelope_value)) + 10.0 * r.solver_residual
-        for k in range(8):
-            step = (0.03, 0.3, 1.0)[k % 3]
-            y = r.resolvent_point + rng.normal(size=f.dim) * step
-            cand = f.value(y) + float(np.sum((y - x) ** 2)) / (2.0 * tau)
-            if cand < r.envelope_value - slack:
-                fails.append(_fail(f, tau=tau, x=x, competitor=y,
-                                   competitor_value=cand,
-                                   envelope=r.envelope_value))
-                break
+    taus = _sample_taus(rng, f, trials)
+    X = _sample_xs(rng, f, trials)
+    steps = np.resize([0.03, 0.3, 1.0], 8)
+    C = rng.normal(size=(trials, 8, f.dim)) * steps[:, None]
+    Y, res = f.prox_many(taus, X)
+    fy = f.value_many(Y)
+    # the envelope through its gradient, against the defining expression
+    G = (X - Y) / taus[:, None]
+    envelope = fy + 0.5 * taus * np.einsum("ij,ij->i", G, G)
+    direct = fy + np.sum((X - Y) ** 2, axis=1) / (2.0 * taus)
+    allowed = rel * (1.0 + np.abs(direct)) + 10.0 * res
+    err = np.abs(envelope - direct)
+    slack = rel * (1.0 + np.abs(envelope)) + 10.0 * res
+    C += Y[:, None, :]
+    cand = (f.value_many(C.reshape(-1, f.dim)).reshape(trials, 8)
+            + np.sum((C - X[:, None, :]) ** 2, axis=2) / (2.0 * taus[:, None]))
+    beaten = cand < (envelope - slack)[:, None]
+    for i in range(trials):
+        if not (err[i] <= allowed[i]):
+            fails.append(_fail(f, tau=taus[i], x=X[i], error=err[i],
+                               allowed=allowed[i]))
+        elif beaten[i].any():
+            k = int(np.argmax(beaten[i]))
+            fails.append(_fail(f, tau=taus[i], x=X[i], competitor=C[i, k],
+                               competitor_value=cand[i, k],
+                               envelope=envelope[i]))
     return fails
 
 
 def tilted_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """The envelope gradient at x + tau*g(x) reproduces g(x) on the domain."""
     fails = []
-    for _ in range(trials):
-        tau = _sample_tau(rng, f)
-        x = _sample_domain_x(rng, f)
-        g = min_norm_subgradient(f, x)
-        r = prox(f, tau, x + tau * g)
-        err = float(np.linalg.norm(r.moreau_gradient - g))
-        allowed = 1e-8 * (1.0 + float(np.linalg.norm(g))) \
-            + 10.0 * r.solver_residual / tau
-        if not (err <= allowed):
-            fails.append(_fail(f, tau=tau, x=x, g=g, error=err, allowed=allowed))
+    taus = _sample_taus(rng, f, trials)
+    X = _sample_domain_xs(rng, f, trials)
+    G = f.subgradient_many(X)
+    T = X + taus[:, None] * G
+    Y, res = f.prox_many(taus, T)
+    err = np.linalg.norm((T - Y) / taus[:, None] - G, axis=1)
+    allowed = 1e-8 * (1.0 + np.linalg.norm(G, axis=1)) + 10.0 * res / taus
+    for i in np.where(~(err <= allowed))[0]:
+        fails.append(_fail(f, tau=taus[i], x=X[i], g=G[i], error=err[i],
+                           allowed=allowed[i]))
     return fails
 
 
 def slope_chain_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """slope(J(x)) <= |x-J(x)|/tau <= slope(x)/(1+lambda*tau)."""
     fails = []
-    for _ in range(trials):
-        tau = _sample_tau(rng, f)
-        x = _sample_x(rng, f)
-        r = prox(f, tau, x)
-        m = float(np.linalg.norm(x - r.resolvent_point)) / tau
-        s_res = slope(f, r.resolvent_point)
-        s_x = slope(f, x)
-        tol = 1e-8 * (1.0 + m) + 10.0 * r.solver_residual / tau
-        if s_res > m + tol:
-            fails.append(_fail(f, tau=tau, x=x, kind="left",
-                               slope_at_resolvent=s_res, ratio=m, allowed=m + tol))
-        rhs = s_x / (1.0 + f.lam * tau)
-        if m > rhs + tol:
-            fails.append(_fail(f, tau=tau, x=x, kind="right",
-                               ratio=m, slope_at_x=s_x, allowed=rhs + tol))
+    taus = _sample_taus(rng, f, trials)
+    X = _sample_xs(rng, f, trials)
+    Y, res = f.prox_many(taus, X)
+    m = np.linalg.norm(X - Y, axis=1) / taus
+    s_res = f.slope_many(Y)
+    s_x = f.slope_many(X)
+    tol = 1e-8 * (1.0 + m) + 10.0 * res / taus
+    rhs = s_x / (1.0 + f.lam * taus)
+    left = s_res > m + tol
+    right = m > rhs + tol
+    for i in np.where(left | right)[0]:
+        if left[i]:
+            fails.append(_fail(f, tau=taus[i], x=X[i], kind="left",
+                               slope_at_resolvent=s_res[i], ratio=m[i],
+                               allowed=m[i] + tol[i]))
+        if right[i]:
+            fails.append(_fail(f, tau=taus[i], x=X[i], kind="right", ratio=m[i],
+                               slope_at_x=s_x[i], allowed=rhs[i] + tol[i]))
     return fails
+
+
+def _pair_resolvents(f: ConvexFunction, rng, trials: int):
+    """Sampled (tau, x, y) triples with |x - y| >= 1e-6 and both resolvents."""
+    taus = _sample_taus(rng, f, trials)
+    X = _sample_xs(rng, f, trials)
+    Yp = _sample_xs(rng, f, trials)
+    dist = np.linalg.norm(X - Yp, axis=1)
+    keep = dist >= 1e-6
+    taus, X, Yp, dist = taus[keep], X[keep], Yp[keep], dist[keep]
+    J, res = f.prox_many(np.concatenate([taus, taus]), np.vstack([X, Yp]))
+    k = X.shape[0]
+    return taus, X, Yp, dist, J[:k], J[k:], res[:k] + res[k:]
 
 
 def resolvent_lipschitz_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     fails = []
-    for _ in range(trials):
-        tau = _sample_tau(rng, f)
-        x = _sample_x(rng, f)
-        y = _sample_x(rng, f)
-        dist = float(np.linalg.norm(x - y))
-        if dist < 1e-6:
-            continue
-        rx = prox(f, tau, x)
-        ry = prox(f, tau, y)
-        ratio = float(np.linalg.norm(rx.resolvent_point - ry.resolvent_point)) / dist
-        allowed = 1.0 / (1.0 + f.lam * tau) + 1e-8 \
-            + (rx.solver_residual + ry.solver_residual) / dist
-        if not (ratio <= allowed):
-            fails.append(_fail(f, tau=tau, x=x, y=y, ratio=ratio, allowed=allowed))
+    taus, X, Yp, dist, Jx, Jy, res = _pair_resolvents(f, rng, trials)
+    ratio = np.linalg.norm(Jx - Jy, axis=1) / dist
+    allowed = 1.0 / (1.0 + f.lam * taus) + 1e-8 + res / dist
+    for i in np.where(~(ratio <= allowed))[0]:
+        fails.append(_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i],
+                           allowed=allowed[i]))
     return fails
 
 
 def envelope_gradient_lipschitz_failures(f: ConvexFunction, rng,
                                          trials: int) -> list[dict]:
     fails = []
-    for _ in range(trials):
-        tau = _sample_tau(rng, f)  # keeps 1 + tau*lam >= 0.55
-        x = _sample_x(rng, f)
-        y = _sample_x(rng, f)
-        dist = float(np.linalg.norm(x - y))
-        if dist < 1e-6:
-            continue
-        rx = prox(f, tau, x)
-        ry = prox(f, tau, y)
-        ratio = float(np.linalg.norm(rx.moreau_gradient - ry.moreau_gradient)) / dist
-        allowed = 3.0 / tau + 1e-8 \
-            + (rx.solver_residual + ry.solver_residual) / (tau * dist)
-        if not (ratio <= allowed):
-            fails.append(_fail(f, tau=tau, x=x, y=y, ratio=ratio, allowed=allowed))
+    # _sample_taus keeps 1 + tau*lam >= 0.55
+    taus, X, Yp, dist, Jx, Jy, res = _pair_resolvents(f, rng, trials)
+    t = taus[:, None]
+    ratio = np.linalg.norm((X - Jx) / t - (Yp - Jy) / t, axis=1) / dist
+    allowed = 3.0 / taus + 1e-8 + res / (taus * dist)
+    for i in np.where(~(ratio <= allowed))[0]:
+        fails.append(_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i],
+                           allowed=allowed[i]))
     return fails
 
 
@@ -316,25 +337,25 @@ def slope_tau_monotonicity_failures(f: ConvexFunction, rng,
     The correction factor is forced by the resolvent's Lipschitz constant;
     quadratics whose curvature sits exactly at lambda make it an equality.
     For lambda >= 0 the corrected statement implies the plain one, so the
-    raw quotient is monotone there as well.
+    raw quotient is monotone there as well.  Each trial halves tau0 six
+    times; all 6*trials resolvents are one batch.
     """
     fails = []
-    for _ in range(trials):
-        tau0 = _sample_tau(rng, f)
-        x = _sample_x(rng, f)
-        prev = None
-        prev_res = 0.0
-        for k in range(6):
-            tau = tau0 * 0.5 ** k
-            r = prox(f, tau, x)
-            m = (1.0 + f.lam * tau) \
-                * float(np.linalg.norm(x - r.resolvent_point)) / tau
-            if prev is not None:
-                tol = 1e-8 * (1.0 + prev) + 10.0 * (prev_res + r.solver_residual) / tau
-                if m < prev - tol:
-                    fails.append(_fail(f, tau=tau, x=x, ratio=m, previous=prev))
-                    break
-            prev, prev_res = m, r.solver_residual
+    tau0 = _sample_taus(rng, f, trials)
+    X = _sample_xs(rng, f, trials)
+    T = tau0[:, None] * 0.5 ** np.arange(6)
+    Xr = np.repeat(X, 6, axis=0)
+    Y, res = f.prox_many(T.ravel(), Xr)
+    dist = np.linalg.norm(Xr - Y, axis=1).reshape(trials, 6)
+    M = (1.0 + f.lam * T) * dist / T
+    R = res.reshape(trials, 6)
+    prev, cur = M[:, :-1], M[:, 1:]
+    tol = 1e-8 * (1.0 + prev) + 10.0 * (R[:, :-1] + R[:, 1:]) / T[:, 1:]
+    drop = cur < prev - tol
+    for i in np.where(drop.any(axis=1))[0]:
+        k = int(np.argmax(drop[i]))  # the first non-monotone level
+        fails.append(_fail(f, tau=T[i, k + 1], x=X[i], ratio=cur[i, k],
+                           previous=prev[i, k]))
     return fails
 
 

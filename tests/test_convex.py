@@ -325,6 +325,7 @@ def _gradient_cases():
         "indicator-halfspace": Indicator(Halfspace([1.0, -2.0], 0.3)),
         "squared_distance-ball": SquaredDistance(Ball([0.1, 0.2], 1.0), 1.5),
         "squared_distance-box": SquaredDistance(Box([-1.0, -0.5], [1.0, 0.5]), 0.7),
+        "log_sum_exp-eps0.08": LogSumExp(rng.normal(size=(3, 2)), 0.08),
     }
     return [pytest.param(f, id=name) for name, f in cases.items()]
 
@@ -353,3 +354,96 @@ def test_envelope_sq_gradient_matches_central_differences(f):
         fd[:, j] = (phi(X + step) - phi(X - step)) / (2.0 * h)
     err = np.abs(grad - fd).max(axis=1)
     assert np.all(err <= 1e-6 * (1.0 + np.abs(fd).max(axis=1)))
+
+
+@pytest.mark.parametrize("f", _gradient_cases())
+def test_prox_many_per_row_tau_matches_scalar_calls(f):
+    rng = np.random.default_rng(3)
+    taus = np.exp(rng.uniform(np.log(0.05), np.log(1.5), size=40))
+    if f.lam < 0:
+        taus = np.minimum(taus, 0.45 / (-f.lam))
+    X = 1.5 * rng.normal(size=(40, f.dim))
+    Y, res = f.prox_many(taus, X)
+    assert Y.shape == X.shape and res.shape == (40,)
+    for tau, x, y, r in zip(taus, X, Y, res):
+        y1, r1 = f.prox_many(float(tau), x[None, :])
+        np.testing.assert_allclose(y, y1[0], rtol=1e-13, atol=1e-13)
+        # a residual can be the root of a gap at rounding level, so compare
+        # squares against the rounding floor of |x|^2
+        np.testing.assert_allclose(r**2, r1[0]**2, rtol=1e-13,
+                                   atol=1e-14 * (1.0 + x @ x))
+
+
+@pytest.mark.parametrize("f", _gradient_cases())
+def test_bad_tau_is_an_admissibility_or_shape_error(f):
+    x = np.zeros(f.dim)
+    for tau in ("abc", None, [0.1, 0.2]):
+        with pytest.raises(InadmissibleTauError):
+            prox(f, tau, x)
+    X = np.zeros((3, f.dim))
+    for taus in (np.full(2, 0.1), np.full(4, 0.1), np.full((3, 1), 0.1)):
+        with pytest.raises(DimensionMismatchError, match="tau"):
+            f.prox_many(taus, X)
+
+
+@pytest.mark.parametrize("f", [MaxLinear([[1.0], [-1.0]]),
+                               Quadratic([[1.0]], [0.0])], ids=["abs", "quadratic"])
+@pytest.mark.parametrize("tau0", [-1.0, 0.0, math.nan, math.inf, "abc"])
+def test_resolvent_slope_rejects_bad_tau0(f, tau0):
+    with pytest.raises(InadmissibleTauError):
+        resolvent_slope(f, [1.0], tau0=tau0)
+
+
+def test_resolvent_slope_is_one_resolvent_batch(monkeypatch):
+    calls = []
+    prox_many = Quadratic.prox_many
+
+    def counting(self, tau, X):
+        calls.append(X.shape[0])
+        return prox_many(self, tau, X)
+
+    monkeypatch.setattr(Quadratic, "prox_many", counting)
+    est = resolvent_slope(Quadratic([[-0.5]], [0.2]), [1.0], tau0=3.0)
+    assert calls == [13]
+    assert est.taus[0] == pytest.approx(0.9)  # shrunk to 0.45 / |lambda|
+    assert est.value == pytest.approx(0.3, rel=1e-3)
+
+
+def _two_way_ties(A, rng, count):
+    """Rows x at which exactly two vectors of A attain max_i <a_i, x>."""
+    rows, pairs = [], []
+    while len(rows) < count:
+        x = rng.normal(size=A.shape[1])
+        i, j = np.argsort(A @ x)[-2:]
+        e = A[i] - A[j]
+        x = x - (e @ x) / (e @ e) * e
+        dots = A @ x
+        others = np.delete(dots, [i, j])
+        if dots[i] - others.max() > 1e-3:
+            rows.append(x)
+            pairs.append((i, j))
+    return np.array(rows), pairs
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_two_vector_tie_subgradient_is_closed_form(d, monkeypatch):
+    import actionlab.convex as convex
+    from actionlab.minnorm import min_norm_point
+
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(5, d))
+    X, pairs = _two_way_ties(A, rng, 60)
+    f = MaxLinear(A)
+    # duplicated vectors tie too; their segment is a point
+    e = np.eye(d)
+    dup = MaxLinear(np.vstack([e[0], e[0], e[1]]))
+
+    def refuse(P):
+        raise AssertionError(f"Wolfe called on {len(P)} vectors")
+
+    monkeypatch.setattr(convex, "min_norm_point", refuse)
+    G = f.subgradient_many(X)
+    for g, (i, j) in zip(G, pairs):
+        np.testing.assert_allclose(g, min_norm_point(A[[i, j]]), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(dup.subgradient_many((e[0] - e[1])[None, :]),
+                                  e[:1])

@@ -3,7 +3,12 @@ import pytest
 
 from actionlab.convex import Quadratic
 from actionlab.errors import ConfigError
-from actionlab.verify import SCOPES, verify_suite
+from actionlab.verify import (SCOPES, envelope_gradient_lipschitz_failures,
+                              envelope_identity_failures,
+                              resolvent_lipschitz_failures,
+                              slope_chain_failures,
+                              slope_tau_monotonicity_failures,
+                              tilted_gradient_failures, verify_suite)
 
 
 def test_full_suite_is_clean_at_seed_zero():
@@ -68,3 +73,42 @@ def test_same_seed_same_report():
     a = verify_suite("convex", seed=5, samples=3).to_dict()
     b = verify_suite("convex", seed=5, samples=3).to_dict()
     assert a == b
+
+
+def test_convex_checks_keep_their_default_sample_counts():
+    """14 pool functions (3 for the max-linear pool) times each check's
+    default per-function count."""
+    report = verify_suite("convex", seed=0)
+    assert {c.name: c.samples for c in report.checks} == {
+        "envelope_identity": 350,
+        "tilted_gradient_identity": 350,
+        "slope_chain": 420,
+        "resolvent_lipschitz": 350,
+        "envelope_gradient_lipschitz": 350,
+        "moreau_decomposition": 90,
+        "slope_tau_monotonicity": 112,
+        "sampled_lower_bound": 280,
+    }
+
+
+@pytest.mark.parametrize("helper, rows_per_trial", [
+    (envelope_identity_failures, 1),
+    (tilted_gradient_failures, 1),
+    (slope_chain_failures, 1),
+    (resolvent_lipschitz_failures, 2),
+    (envelope_gradient_lipschitz_failures, 2),
+    (slope_tau_monotonicity_failures, 6),
+])
+def test_batched_check_resolves_every_sample_in_one_call(helper, rows_per_trial,
+                                                         monkeypatch):
+    calls = []
+    prox_many = Quadratic.prox_many
+
+    def counting(self, tau, X):
+        calls.append(X.shape[0])
+        return prox_many(self, tau, X)
+
+    monkeypatch.setattr(Quadratic, "prox_many", counting)
+    f = Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2]))
+    assert helper(f, np.random.default_rng(0), 17) == []
+    assert calls == [17 * rows_per_trial]

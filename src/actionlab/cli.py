@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.set_defaults(handler=_cmd_interpolate)
 
-    p = sub.add_parser("minimize", help="endpoint-constrained action descent")
+    p = sub.add_parser("minimize", help="endpoint-constrained action minimization")
     common(p)
     p.add_argument("--delta", type=float)
     p.add_argument("--x0", type=_floats)

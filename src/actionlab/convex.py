@@ -67,20 +67,30 @@ def _tau_number(tau) -> float:
         raise InadmissibleTauError(f"tau must be a number, got {tau!r}") from None
 
 
-def _row_taus(tau, k: int):
+def _check_admissible(t, lam: float) -> None:
+    """Raise InadmissibleTauError unless every tau in t (a number or an array)
+    is positive and finite with 1 + tau*lambda > 1e-12."""
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise InadmissibleTauError("tau must be positive and finite")
+    bad = np.atleast_1d(t)[np.atleast_1d(1.0 + t * lam <= 1e-12)]
+    if bad.size:
+        raise InadmissibleTauError(
+            f"tau={bad[0]} violates 1 + tau*lambda > 0 for lambda={lam}")
+
+
+def _row_taus(tau, k: int, lam: float):
     """tau shaped to broadcast against k rows: a float for one tau, a (k, 1)
-    column for one tau per row."""
+    column for one tau per row.  Every tau must be admissible for lambda."""
     try:
         t = np.asarray(tau, dtype=float)
     except (TypeError, ValueError):
         raise InadmissibleTauError(f"tau must be a number or an array of numbers, "
                                    f"got {tau!r}") from None
-    if t.ndim == 0:
-        return float(t)
-    if t.shape != (k,):
+    if t.ndim != 0 and t.shape != (k,):
         raise DimensionMismatchError(
             f"tau has shape {t.shape}, expected a scalar or ({k},) for {k} rows")
-    return t[:, None]
+    _check_admissible(t, lam)
+    return float(t) if t.ndim == 0 else t[:, None]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -119,12 +129,15 @@ class ConvexFunction:
         """
         raise NotImplementedError
 
-    def envelope_sq_gradient_many(self, tau: float, X: np.ndarray,
-                                  Y: np.ndarray) -> np.ndarray:
-        """Gradient of phi_tau = |grad f_tau|^2 at rows X with resolvents Y.
+    def envelope_hessian_many(self, tau: float, X: np.ndarray,
+                              Y: np.ndarray) -> np.ndarray:
+        """Hessian K = (I - DJ_tau)/tau of the envelope f_tau at rows X with
+        resolvents Y, one symmetric (d, d) block per row.
 
-        With G = (X - Y)/tau = grad f_tau, grad phi_tau = (2/tau)(I - DJ_tau) G,
-        where the resolvent Jacobian DJ_tau is symmetric.
+        It is the one derivative route of the smoothed action: with
+        G = (X - Y)/tau = grad f_tau, phi_tau = |G|^2 has gradient 2 K G, and
+        2 K^T K is its (Gauss-Newton) Hessian.  Where the resolvent is not
+        differentiable K is one of its one-sided values.
         """
         raise NotImplementedError
 
@@ -133,11 +146,7 @@ class ConvexFunction:
 
     def require_admissible(self, tau: float, *, envelope_lipschitz: bool = False) -> float:
         tau = _tau_number(tau)
-        if not (np.isfinite(tau) and tau > 0.0):
-            raise InadmissibleTauError("tau must be positive and finite")
-        if 1.0 + tau * self.lam <= 1e-12:
-            raise InadmissibleTauError(
-                f"tau={tau} violates 1 + tau*lambda > 0 for lambda={self.lam}")
+        _check_admissible(tau, self.lam)
         if envelope_lipschitz and 1.0 + tau * self.lam < 0.5 - 1e-12:
             raise InadmissibleTauError(
                 f"tau={tau} violates (1 + tau*lambda)^-1 <= 2 for lambda={self.lam}")
@@ -197,14 +206,16 @@ class Quadratic(ConvexFunction):
         return ((R @ V) / (1.0 + t * self._w)) @ V.T
 
     def prox_many(self, tau, X):
-        t = _row_taus(tau, X.shape[0])
+        t = _row_taus(tau, X.shape[0], self.lam)
         Y = self._inverse_apply(t, X - t * self.b)
         residual = np.linalg.norm(Y + t * self.subgradient_many(Y) - X, axis=1)
         return Y, residual
 
-    def envelope_sq_gradient_many(self, tau, X, Y):
-        G = (X - Y) / tau
-        return (2.0 / tau) * (G - self._inverse_apply(tau, G))
+    def envelope_hessian_many(self, tau, X, Y):
+        # (I - (I + tau Q)^-1)/tau = V diag(w / (1 + tau w)) V^T, the same per row
+        V = self._V
+        K = (V * (self._w / (1.0 + tau * self._w))) @ V.T
+        return np.broadcast_to(K, (X.shape[0],) + K.shape)
 
 
 def _hull_2d(A: np.ndarray) -> np.ndarray:
@@ -326,7 +337,7 @@ class MaxLinear(ConvexFunction):
     def prox_many(self, tau, X):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
         A = self.vectors
-        t = _row_taus(tau, X.shape[0])
+        t = _row_taus(tau, X.shape[0], self.lam)
         Z = X / t
         if self.dim == 1:
             lo = float(A.min())
@@ -348,31 +359,36 @@ class MaxLinear(ConvexFunction):
         residual = (t * np.sqrt(np.maximum(gaps, 0.0))[:, None])[:, 0]
         return Y, residual
 
-    def envelope_sq_gradient_many(self, tau, X, Y):
+    def envelope_hessian_many(self, tau, X, Y):
         # G = (X - Y)/tau is the hull projection p of z = X/tau, and DJ_tau is
-        # I - DP(z), so the gradient is (2/tau) DP(z) G.  DP(z) projects onto
-        # the face exposed by q = z - p: I inside the hull, 0 at a vertex.
-        A = self.vectors
-        G = (X - Y) / tau
-        Z = X / tau
-        Q = Z - G
+        # I - DP(z), so K = DP(z)/tau.  DP(z) projects onto the face exposed
+        # by q = z - p = Y/tau: I inside the hull, 0 at a vertex.
+        k, d = X.shape
+        Q = Y / tau
         qn = np.linalg.norm(Q, axis=1)
         # q is rounding noise, not a direction, for rows inside the hull
-        outside = qn > ACTIVE_TOL * (1.0 + np.linalg.norm(Z, axis=1))
-        DG = G.copy()
+        outside = qn > ACTIVE_TOL * (1.0 + np.linalg.norm(X / tau, axis=1))
+        P = np.zeros((k, d, d))
+        P[~outside] = np.eye(d)
         U = Q[outside] / qn[outside, None]
-        if self.dim == 1:
-            DG[outside] = 0.0
-        elif self.dim == 2:
-            # two hull vertices active on q expose an edge, tangent to q
+        if d == 2 and self._hull.shape[0] > 1:
+            # the exposed face is an edge when the better neighbour of the
+            # top hull vertex ties with it; DP is then its tangent's projector
             H = self._hull
+            h = H.shape[0]
             s = U @ H.T
+            top = np.argmax(s, axis=1)
+            rows = np.arange(U.shape[0])
+            after, before = (top + 1) % h, (top - 1) % h
+            nb = np.where(s[rows, after] >= s[rows, before], after, before)
             tol = ACTIVE_TOL * (1.0 + np.abs(H).max())
-            edge = (s >= s.max(axis=1, keepdims=True) - tol).sum(axis=1) >= 2
-            T = np.stack([-U[:, 1], U[:, 0]], axis=1)
-            along = np.where(edge, np.einsum("ij,ij->i", T, G[outside]), 0.0)
-            DG[outside] = along[:, None] * T
-        else:
+            edge = s[rows, nb] >= s[rows, top] - tol
+            T = H[nb] - H[top]
+            T /= np.linalg.norm(T, axis=1, keepdims=True)
+            P[outside] = np.where(edge[:, None, None],
+                                  T[:, :, None] * T[:, None, :], 0.0)
+        elif d >= 3:
+            A = self.vectors
             tol = ACTIVE_TOL * (1.0 + np.abs(A).max())
             for i, u in zip(np.where(outside)[0], U):
                 s = A @ u
@@ -380,8 +396,8 @@ class MaxLinear(ConvexFunction):
                 # orthonormal basis of the face's directions a_j - a_0
                 _, sv, Vt = np.linalg.svd(face[1:] - face[0], full_matrices=False)
                 V = Vt[sv > tol]
-                DG[i] = V.T @ (V @ G[i])
-        return (2.0 / tau) * DG
+                P[i] = V.T @ V
+        return P / tau
 
 
 @dataclass(frozen=True)
@@ -439,7 +455,7 @@ class LogSumExp(ConvexFunction):
     def prox_many(self, tau, X):
         # damped Newton on r(y) = y + tau*grad f(y) - x; I + tau*Hess is SPD
         d = self.dim
-        t = _row_taus(tau, X.shape[0])
+        t = _row_taus(tau, X.shape[0], self.lam)
         Y = X.copy()
         target = _NEWTON_TOL * (1.0 + np.linalg.norm(X, axis=1))
         r = Y + t * self.subgradient_many(Y) - X
@@ -473,10 +489,10 @@ class LogSumExp(ConvexFunction):
                 f"after {_NEWTON_CAP} iterations")
         return Y, rnorm
 
-    def envelope_sq_gradient_many(self, tau, X, Y):
-        G = (X - Y) / tau
-        M = np.eye(self.dim)[None] + tau * self._hessian_many(Y)
-        return (2.0 / tau) * (G - np.linalg.solve(M, G[..., None])[..., 0])
+    def envelope_hessian_many(self, tau, X, Y):
+        # (I - (I + tau H)^-1)/tau = (I + tau H)^-1 H, H = grad^2 f(Y)
+        H = self._hessian_many(Y)
+        return np.linalg.solve(np.eye(self.dim)[None] + tau * H, H)
 
 
 @dataclass(frozen=True)
@@ -506,12 +522,11 @@ class Indicator(ConvexFunction):
         return np.zeros_like(X)
 
     def prox_many(self, tau, X):
-        _row_taus(tau, X.shape[0])  # tau-free; a misshaped tau still fails
+        _row_taus(tau, X.shape[0], self.lam)  # tau-free; a bad tau still fails
         return self.region.project_many(X), np.zeros(X.shape[0])
 
-    def envelope_sq_gradient_many(self, tau, X, Y):
-        # the projection's Jacobian kills the normal direction X - Y
-        return (2.0 / tau**2) * (X - Y)
+    def envelope_hessian_many(self, tau, X, Y):
+        return (np.eye(self.dim) - self.region.project_jacobian_many(X)) / tau
 
 
 @dataclass(frozen=True)
@@ -546,15 +561,15 @@ class SquaredDistance(ConvexFunction):
         return 2.0 * self.weight * self.region.distance_many(X)
 
     def prox_many(self, tau, X):
-        t = _row_taus(tau, X.shape[0])
+        t = _row_taus(tau, X.shape[0], self.lam)
         s = 2.0 * self.weight * t / (1.0 + 2.0 * self.weight * t)
         Y = X + s * (self.region.project_many(X) - X)
         return Y, np.zeros(X.shape[0])
 
-    def envelope_sq_gradient_many(self, tau, X, Y):
-        # DJ_tau = (1 - s) I + s DP, and DP kills the normal direction X - Y
+    def envelope_hessian_many(self, tau, X, Y):
+        # DJ_tau = (1 - s) I + s DP
         s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
-        return (2.0 * s / tau**2) * (X - Y)
+        return (s / tau) * (np.eye(self.dim) - self.region.project_jacobian_many(X))
 
 
 KINDS = (Quadratic, MaxLinear, LogSumExp, Indicator, SquaredDistance)
@@ -616,16 +631,22 @@ def sampled_slope_lower_bound(f: ConvexFunction, x, samples) -> float:
     Y = _batch(samples, f.dim)
     if Y.shape[0] == 0:
         raise ConfigError("need at least one sample point")
-    diffs = Y - x
-    dists = np.linalg.norm(diffs, axis=1)
-    if np.any(dists == 0.0):
+    if np.any(np.linalg.norm(Y - x, axis=1) == 0.0):
         raise ConfigError("sample points must differ from x")
-    fx = f.value(x)
-    if not np.isfinite(fx):
-        return np.inf
-    numer = fx - f.value_many(Y) + 0.5 * f.lam * dists**2
-    quotients = np.maximum(numer, 0.0) / dists
-    return float(quotients.max())
+    return float(_slope_lower_bounds(f, x[None, :], Y[None])[0])
+
+
+def _slope_lower_bounds(f: ConvexFunction, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """`sampled_slope_lower_bound` for each row x of X (k, d) with its own
+    sample points S[i] (k, m, d), from one value_many call; +inf where f(x)
+    is infinite."""
+    k, m, d = S.shape
+    values = f.value_many(np.concatenate([X, S.reshape(k * m, d)]))
+    fx, fy = values[:k], values[k:].reshape(k, m)
+    finite = np.isfinite(fx)
+    dists = np.linalg.norm(S - X[:, None], axis=2)
+    numer = np.where(finite, fx, 0.0)[:, None] - fy + 0.5 * f.lam * dists**2
+    return np.where(finite, (np.maximum(numer, 0.0) / dists).max(axis=1), np.inf)
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,34 @@ The discretized objective on a uniform grid with pinned endpoints is
 
     E_tau(x_1..x_{N-1}) = sum |x_{i+1} - x_i|^2 / dt + dt * sum phi_tau(m_i),
 
-with phi_tau = |envelope gradient|^2 evaluated at chord midpoints m_i through
-the resolvent, and tau run through a decreasing continuation schedule with
-warm starts.  Descent is Armijo-backtracked and preconditioned with the fixed
-kinetic Hessian (2/dt) tridiag(-1, 2, -1) (a Sobolev gradient - plain
-Euclidean descent needs O(N^2) iterations on this functional), inverted in
-closed form through its discrete Green's function.
+with phi_tau = |grad f_tau|^2 evaluated at chord midpoints m_i through the
+resolvent, and tau run through a decreasing continuation schedule with warm
+starts.
 
-The gradient of phi_tau is exact, (2/tau)(I - DJ_tau) grad f_tau from each
-kind's `envelope_sq_gradient_many`, and reuses the midpoint resolvents that
-the accepted line-search trial computed for its value: one resolvent batch
-per trial point, none for the gradient.
+Each step is damped Gauss-Newton, the minimum action method of E, Ren and
+Vanden-Eijnden (2004) in the semismooth setting of Qi and Sun (1993).  With
+K_i = grad^2 f_tau(m_i) from the kind's `envelope_hessian_many` and
+G_i = grad f_tau(m_i), phi_tau has gradient 2 K_i G_i and Hessian 2 K_i^T K_i.
+That drops the derivative of K, which vanishes for quadratics and for
+piecewise-affine resolvents (max_linear, and indicator and squared_distance on
+boxes and halfspaces); on a ball and for log_sum_exp the step is Gauss-Newton
+rather than Newton.  The Hessian of E_tau is then the kinetic part
+(2/dt) tridiag(-1, 2, -1) plus (dt/2) K_i^T K_i on the four blocks that
+chord i couples: block tridiagonal and positive definite, solved by block
+cyclic reduction.  K is computed once per accepted iterate
+from the midpoint resolvents of its line-search trial, so each trial costs one
+resolvent batch and nothing else.  Armijo backtracking starts from the full
+Newton step.  A stage stops when the Newton decrement g^T H^-1 g falls to
+grad_tol^2 * max(|xd - x0|^2/delta, E_tau), a rule that does not depend on the
+scale of the problem.
+
+For max_linear the slope jumps across kinks, which the smoothed minimizer
+approaches but does not rest on.  After the last stage each midpoint's active
+face is read from its resolvent, and the kinetic energy is minimized with every
+midpoint held on its face (the slope is constant on a face, so this is the
+true discrete problem for that face set).  The result is kept when it lowers
+the true action, and the step repeats with every run of pinned midpoints
+grown by one chord at each end until the action stops dropping.
 """
 from __future__ import annotations
 
@@ -24,13 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Path, discrete_action
-from .convex import ConvexFunction, Indicator, as_point
+from .convex import ConvexFunction, Indicator, MaxLinear, as_point
 from .errors import ConfigError
 
 DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
-_STEP_INITIAL = 1.0     # Armijo backtracking: first trial step,
-_STEP_SHRINK = 0.5      # its shrink factor,
-_STEP_DECREASE = 1e-4   # and the sufficient-decrease constant
+_STEP_SHRINK = 0.5      # Armijo backtracking from the full Newton step: shrink
+_STEP_DECREASE = 1e-4   # factor and sufficient-decrease constant
+_DENSE_SIZE = 32        # block cyclic reduction solves densely at n*d <= this
+_FACE_PENALTY = 1e3     # kink-face polish: multiplier-method penalty factor,
+_FACE_ROUNDS = 8        # its rounds per solve,
+_FACE_PASSES = 64       # and identify-then-solve passes
 
 
 def _parse(convert, value, name: str, what: str):
@@ -43,6 +63,12 @@ def _parse(convert, value, name: str, what: str):
 
 @dataclass(frozen=True)
 class MinimizeConfig:
+    """Resolution N (intervals), tau continuation schedule (None for the
+    default scaled to delta), max_iters accepted steps per stage, and the
+    dimensionless stopping tolerance grad_tol: a stage stops once the Newton
+    decrement g^T H^-1 g is at most grad_tol^2 times the larger of the straight
+    segment's kinetic energy |xd - x0|^2/delta and the current objective."""
+
     N: int = 256
     tau_schedule: tuple[float, ...] | None = None
     max_iters: int = 600
@@ -104,6 +130,10 @@ class _Objective:
     def full_nodes(self, Z: np.ndarray) -> np.ndarray:
         return np.concatenate([self.x0[None, :], Z, self.xd[None, :]], axis=0)
 
+    def midpoints(self, Z: np.ndarray) -> np.ndarray:
+        X = self.full_nodes(Z)
+        return 0.5 * (X[:-1] + X[1:])
+
     def evaluate(self, Z: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """Objective value at Z, with the midpoints and their resolvents."""
         X = self.full_nodes(Z)
@@ -122,66 +152,200 @@ class _Objective:
         X = self.full_nodes(Z)
         return (2.0 / self.dt) * (2.0 * X[1:-1] - X[:-2] - X[2:])
 
-    def gradient(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Exact gradient at Z from the (midpoints, resolvents) of evaluate(Z)."""
-        dphi = self.f.envelope_sq_gradient_many(self.tau, *resolved)
-        return self.kinetic_gradient(Z) + self.dt * 0.5 * (dphi[:-1] + dphi[1:])
+    def system(self, Z: np.ndarray, dphi: np.ndarray, S: np.ndarray):
+        """Gradient and Hessian of kinetic + dt sum_i phi(m_i) at Z, from the
+        gradient dphi (N, d) and Hessian S (N, d, d) of phi at each midpoint.
+
+        The Hessian comes as its diagonal blocks (N-1, d, d) and the blocks
+        coupling interior node j to j+1 (N-2, d, d).
+        """
+        dt = self.dt
+        grad = self.kinetic_gradient(Z) + 0.5 * dt * (dphi[:-1] + dphi[1:])
+        eye = np.eye(Z.shape[1])
+        diag = (4.0 / dt) * eye + 0.25 * dt * (S[:-1] + S[1:])
+        off = -(2.0 / dt) * eye + 0.25 * dt * S[1:-1]
+        return grad, diag, off
+
+    def newton_system(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
+        """Exact gradient and Gauss-Newton Hessian blocks at Z from the
+        (midpoints, resolvents) of evaluate(Z)."""
+        mids, Y = resolved
+        K = self.f.envelope_hessian_many(self.tau, mids, Y)
+        G = (mids - Y) / self.tau
+        dphi = 2.0 * np.einsum("kij,kj->ki", K, G)
+        S = 2.0 * np.einsum("kij,kil->kjl", K, K)
+        return self.system(Z, dphi, S)
 
     def value_and_grad(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
         energy, resolved = self.evaluate(Z)
-        return energy, self.gradient(Z, resolved)
+        return energy, self.newton_system(Z, resolved)[0]
 
 
-def _kinetic_solve(G: np.ndarray, dt: float) -> np.ndarray:
-    """Solve (2/dt) tridiag(-1, 2, -1) U = G column-wise in O(n).
+def _solve_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[k]^-1 B[k] per block; 1x1 and 2x2 blocks in closed form, which is
+    several times faster than a batched LAPACK call on blocks this small."""
+    d = A.shape[-1]
+    if d == 1:
+        return B / A
+    if d == 2:
+        a, b, c, e = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+        adj = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
+        return (adj / (a * e - b * c)[:, None, None]) @ B
+    return np.linalg.solve(A, B)
 
-    With T = tridiag(-1, 2, -1) of size n, the discrete Green's function is
-    (T^-1)_ij = min(i, j) (n + 1 - max(i, j)) / (n + 1) for 1-based i, j, so
-    U_i = (dt/2) [(n+1-i) sum_{j<=i} j G_j + i sum_{j>i} (n+1-j) G_j] / (n+1).
+
+def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
+                             rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric block-tridiagonal system with diagonal blocks diag
+    (n, d, d) and off[j] (n-1, d, d) the block coupling unknown j to j+1 (its
+    transpose couples j+1 to j), for rhs (n, d).
+
+    Block cyclic reduction: each level eliminates the odd unknowns with one
+    batched solve of their diagonal blocks, leaving a block-tridiagonal system
+    in the even ones; once n*d <= _DENSE_SIZE it solves densely.
     """
-    n = G.shape[0]
-    i = np.arange(1.0, n + 1.0)[:, None]
-    below = np.cumsum(i * G, axis=0)
-    above = np.zeros_like(G)
-    above[:-1] = np.cumsum(((n + 1.0 - i) * G)[:0:-1], axis=0)[::-1]
-    return (0.5 * dt / (n + 1.0)) * ((n + 1.0 - i) * below + i * above)
+    n, d = rhs.shape
+    if n * d <= _DENSE_SIZE:
+        A = np.zeros((n, d, n, d))
+        j = np.arange(n)
+        A[j, :, j, :] = diag
+        A[j[:-1], :, j[1:], :] = off
+        A[j[1:], :, j[:-1], :] = off.transpose(0, 2, 1)
+        return np.linalg.solve(A.reshape(n * d, n * d), rhs.reshape(n * d)).reshape(n, d)
+    n_odd = n // 2
+    n_even = n - n_odd
+    left = off[0::2]                    # couples odd unknown 2o+1 to 2o
+    right = np.zeros((n_odd, d, d))     # couples it to 2o+2 (none for the
+    right[:n_even - 1] = off[1::2]      # last odd unknown when n is even)
+    # odd unknown 2o+1 is w - Wl x_{2o} - Wr x_{2o+2}, W = [Wl | Wr | w]
+    W = _solve_blocks(diag[1::2], np.concatenate(
+        [left.transpose(0, 2, 1), right, rhs[1::2, :, None]], axis=2))
+    # substituted into the even rows beside it: 2e+1 on the right of even e
+    # (e < n_odd) and 2e+1 on the left of even e+1 (e < n_even - 1)
+    LW = left @ W
+    RW = right[:n_even - 1].transpose(0, 2, 1) @ W[:n_even - 1]
+    red_diag = diag[0::2].copy()
+    red_rhs = rhs[0::2].copy()
+    red_diag[:n_odd] -= LW[..., :d]
+    red_rhs[:n_odd] -= LW[..., 2 * d]
+    red_diag[1:] -= RW[..., d:2 * d]
+    red_rhs[1:] -= RW[..., 2 * d]
+    even = _block_tridiagonal_solve(red_diag, -LW[:n_even - 1, :, d:2 * d], red_rhs)
+    beside = np.zeros((n_odd, 2 * d))
+    beside[:, :d] = even[:n_odd]
+    beside[:n_even - 1, d:] = even[1:]
+    x = np.empty_like(rhs)
+    x[0::2] = even
+    x[1::2] = W[..., 2 * d] - (W[..., :2 * d] @ beside[..., None])[..., 0]
+    return x
 
 
 def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
            trace: list | None = None) -> tuple[np.ndarray, int, bool]:
-    alpha = _STEP_INITIAL
-    energy, grad = obj.value_and_grad(Z)
+    energy, resolved = obj.evaluate(Z)
     if trace is not None:
         trace.append(energy)
+    disp = obj.xd - obj.x0
+    segment = float(disp @ disp) / (obj.dt * (Z.shape[0] + 1))
     accepted = 0
-    hit_tol = False
     for _ in range(cfg.max_iters):
-        if np.abs(grad).max() <= cfg.grad_tol:
-            hit_tol = True
-            break
-        direction = _kinetic_solve(grad, obj.dt)
-        decrease = float((grad * direction).sum())
-        if decrease <= 0.0:
-            direction = grad
-            decrease = float((grad * grad).sum())
-        step = alpha
-        trial = None
+        grad, diag, off = obj.newton_system(Z, resolved)
+        direction = _block_tridiagonal_solve(diag, off, grad)
+        decrement = float((grad * direction).sum())
+        if decrement <= cfg.grad_tol**2 * max(segment, energy):
+            return Z, accepted, True
+        step = 1.0
         for _ls in range(60):
             candidate = Z - step * direction
-            cand_energy, resolved = obj.evaluate(candidate)
-            if cand_energy <= energy - _STEP_DECREASE * step * decrease:
-                trial = candidate
+            cand_energy, cand_resolved = obj.evaluate(candidate)
+            # a step too short to change the energy is no progress, even
+            # when the Armijo bound rounds to the energy itself
+            if cand_energy < energy and \
+                    cand_energy <= energy - _STEP_DECREASE * step * decrement:
                 break
             step *= _STEP_SHRINK
-        if trial is None:
+        else:
             break  # no descent representable at this precision
-        Z = trial
+        Z, energy, resolved = candidate, cand_energy, cand_resolved
         accepted += 1
-        energy, grad = cand_energy, obj.gradient(Z, resolved)
         if trace is not None:
             trace.append(energy)
-        alpha = min(step / _STEP_SHRINK, _STEP_INITIAL)
-    return Z, accepted, hit_tol
+    return Z, accepted, False
+
+
+def _face_projectors(obj: _Objective, Z: np.ndarray) -> np.ndarray:
+    """Per midpoint of Z, the projector onto the directions its max_linear
+    resolvent pins: the midpoint lies on its face exactly when P m = 0."""
+    _, (mids, Y) = obj.evaluate(Z)
+    return obj.tau * obj.f.envelope_hessian_many(obj.tau, mids, Y)
+
+
+def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Interior nodes of least kinetic energy with every midpoint on its face,
+    P_i m_i = 0, from the method of multipliers.
+
+    Each round minimizes kinetic + dt kappa sum |P_i m_i + U_i|^2 exactly (it
+    is quadratic, so one block-tridiagonal solve) and adds the violation P m
+    to the multipliers U.  The stiffest pattern of violations, alternating
+    along a run of N pinned midpoints, costs about N^2 times the kinetic
+    stiffness 1/dt^2, so kappa = _FACE_PENALTY N^2/dt^2 cuts the violation by
+    a factor of several hundred per round.
+    """
+    kappa = _FACE_PENALTY * (P.shape[0] / obj.dt)**2
+    S = 2.0 * kappa * P
+    U = np.zeros((P.shape[0], P.shape[1]))
+    scale = 1.0 + float(np.abs(obj.full_nodes(Z)).max())
+    for _ in range(_FACE_ROUNDS):
+        R = np.einsum("kij,kj->ki", P, obj.midpoints(Z)) + U
+        grad, diag, off = obj.system(Z, 2.0 * kappa * R, S)
+        Z = Z - _block_tridiagonal_solve(diag, off, grad)
+        V = np.einsum("kij,kj->ki", P, obj.midpoints(Z))
+        U = U + V
+        if np.abs(V).max() <= 1e-15 * scale:
+            break
+    return Z
+
+
+def _next_faces(P: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Face projectors of the next polish pass: every run of chords pinned by
+    P grows by one chord at each end into chords pinned less, and a chord
+    takes its projector in seen (read from the resolvents) where that one
+    pins more."""
+    rank = np.trace(P, axis1=1, axis2=2)
+    G = P.copy()
+    from_left = rank[:-1] > rank[1:] + 0.5
+    G[1:][from_left] = P[:-1][from_left]
+    from_right = rank[1:] > rank[:-1] + 0.5
+    G[:-1][from_right] = P[1:][from_right]
+    more = np.trace(seen, axis1=1, axis2=2) > np.trace(G, axis1=1, axis2=2) + 0.5
+    G[more] = seen[more]
+    return G
+
+
+def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Z moved onto the max_linear faces its midpoints' resolvents identify.
+
+    Passes repeat while the true action drops, each on the face set of the
+    last one grown by `_next_faces`: a smoothed minimizer slows down near a
+    kink and reaches it late, so the faces it identifies make too short a
+    rest there.
+    """
+    def true_value(Z):
+        return discrete_action(obj.f, Path(times, obj.full_nodes(Z))).total
+
+    best = true_value(Z)
+    P = _face_projectors(obj, Z)
+    for _ in range(_FACE_PASSES):
+        cand = _on_faces(obj, Z, P)
+        value = true_value(cand)
+        if not value < best:
+            break
+        Z, best = cand, value
+        P_next = _next_faces(P, _face_projectors(obj, Z))
+        if np.allclose(P_next, P, rtol=0.0, atol=1e-9):
+            break
+        P = P_next
+    return Z
 
 
 def minimize_action(f: ConvexFunction, x0, xd, delta: float,
@@ -194,7 +358,9 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     resolvent solver failure, such as a stalled smoothed-max Newton solve,
     propagates as SolverError.  Endpoints of the returned path are bit-equal
     to the inputs.  For indicator functions the initial segment and the final
-    iterate are projected node-wise into the region.
+    iterate are projected node-wise into the region; for max_linear the final
+    iterate is moved onto the kink faces its midpoints identify when that
+    lowers the true action.
     When stage_traces is a list, one list of accepted objective values is
     appended per continuation stage (descent audits hook in here).
     """
@@ -230,6 +396,8 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
             converged = converged and hit
     if isinstance(f, Indicator) and n >= 2:
         Z = f.region.project_many(Z)
+    if isinstance(f, MaxLinear) and n >= 2:
+        Z = _polish_on_faces(obj, Z, times)
 
     nodes = np.concatenate([x0[None, :], Z, xd[None, :]], axis=0)
     path = Path(times, nodes)

@@ -52,6 +52,18 @@ class Ball:
         scale = np.where(dist > self.radius, self.radius / safe, 1.0)
         return self.center + diff * scale
 
+    def project_jacobian_many(self, X: np.ndarray) -> np.ndarray:
+        """Jacobian of the projection per row: I inside, and
+        (radius/dist)(I - u u^T) outside, u the unit direction from the center."""
+        diff = X - self.center
+        dist = np.linalg.norm(diff, axis=-1)
+        out = dist > self.radius
+        J = np.broadcast_to(np.eye(self.dim), X.shape + (self.dim,)).copy()
+        U = diff[out] / dist[out, None]
+        J[out] = (self.radius / dist[out])[:, None, None] * (
+            np.eye(self.dim) - U[:, :, None] * U[:, None, :])
+        return J
+
     def distance_many(self, X: np.ndarray) -> np.ndarray:
         dist = np.linalg.norm(X - self.center, axis=-1)
         return np.maximum(dist - self.radius, 0.0)
@@ -79,6 +91,12 @@ class Box:
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self.lo, self.hi)
+
+    def project_jacobian_many(self, X: np.ndarray) -> np.ndarray:
+        """Jacobian of the projection per row: 1 on the diagonal for each
+        coordinate inside its interval, 0 for a clamped one."""
+        inside = (X >= self.lo) & (X <= self.hi)
+        return np.eye(self.dim) * inside[:, None, :]
 
     def distance_many(self, X: np.ndarray) -> np.ndarray:
         return np.linalg.norm(X - self.project_many(X), axis=-1)
@@ -121,6 +139,13 @@ class Halfspace:
         nn = self.normal @ self.normal
         corr = np.where(move, np.maximum(resid, 0.0) + 2.0 * margin, 0.0)
         return X - (corr / nn)[..., None] * self.normal
+
+    def project_jacobian_many(self, X: np.ndarray) -> np.ndarray:
+        """Jacobian of the projection per row: I inside, I - n n^T/|n|^2
+        outside."""
+        n = self.normal
+        out = X @ n > self.offset
+        return np.eye(self.dim) - out[:, None, None] * (np.outer(n, n) / (n @ n))
 
     def distance_many(self, X: np.ndarray) -> np.ndarray:
         excess = np.maximum(X @ self.normal - self.offset, 0.0)

@@ -193,18 +193,21 @@ def test_criterion_3_interpolation_bounds():
 
 
 def test_criterion_4_oracle_agreement():
-    """Three independent routes to the minimal action agree: descent vs the
-    transcendental 1-d value (1%), descent vs |dx|^2/delta in the free case
-    (0.1%), and descent vs the layered grid relaxation within 5% plus the
-    speed-quantization allowance on ten fixed instances."""
+    """Three independent routes to the minimal action agree: the minimizer vs
+    the transcendental 1-d value (1%), the minimizer vs |dx|^2/delta in the
+    free case (0.1%), and the minimizer vs the layered grid relaxation within
+    5% plus the speed-quantization allowance on ten fixed instances.  Every
+    solve reaches its stopping rule."""
     res = minimize_action(Quadratic(np.array([[1.0]]), np.zeros(1), 0.0),
                           [1.0], [2.0], 1.0, MinimizeConfig(N=256))
     want = closed_form_value("quadratic_1d", a=1.0, b=2.0, delta=1.0)
+    assert res.converged
     assert res.value_true == pytest.approx(want, rel=1e-2)
 
     zero2 = Quadratic(np.zeros((2, 2)), np.zeros(2), 0.0)
     free = minimize_action(zero2, [0.0, 1.0], [2.0, -1.0], 0.7,
                            MinimizeConfig(N=64))
+    assert free.converged
     assert free.value_true == pytest.approx(
         closed_form_value("free", delta=0.7, displacement=[2.0, -2.0]),
         rel=1e-3)
@@ -237,6 +240,7 @@ def test_criterion_4_oracle_agreement():
     for f, x0, xd, grid, steps, reach, n in instances:
         mres = minimize_action(f, x0, xd, 1.0,
                                MinimizeConfig(N=n, max_iters=200))
+        assert mres.converged, type(f).__name__
         g = grid_oracle(f, x0, xd, 1.0, grid, steps, reach=reach)
         bias = speed_quantization_bias(grid, steps, 1.0)
         tol = 0.05 * max(abs(mres.value_true), 0.1) + bias

@@ -332,7 +332,8 @@ def _gradient_cases():
 
 @pytest.mark.parametrize("f", _gradient_cases())
 def test_envelope_sq_gradient_matches_central_differences(f):
-    """grad |(x - J_tau(x))/tau|^2 against central differences of that value."""
+    """grad |(x - J_tau(x))/tau|^2 = 2 K G, with K from envelope_hessian_many,
+    against central differences of that value."""
     tau = 0.3
     rng = np.random.default_rng(f.dim)
     # max-linear rows at hull scale land inside, on faces and at vertices
@@ -345,7 +346,8 @@ def test_envelope_sq_gradient_matches_central_differences(f):
         return np.einsum("ij,ij->i", G, G)
 
     Y, _ = f.prox_many(tau, X)
-    grad = f.envelope_sq_gradient_many(tau, X, Y)
+    K = f.envelope_hessian_many(tau, X, Y)
+    grad = 2.0 * np.einsum("kij,kj->ki", K, (X - Y) / tau)
     h = 1e-6 * (1.0 + np.abs(X).max(axis=1))
     fd = np.empty_like(X)
     for j in range(f.dim):
@@ -354,6 +356,58 @@ def test_envelope_sq_gradient_matches_central_differences(f):
         fd[:, j] = (phi(X + step) - phi(X - step)) / (2.0 * h)
     err = np.abs(grad - fd).max(axis=1)
     assert np.all(err <= 1e-6 * (1.0 + np.abs(fd).max(axis=1)))
+
+
+@pytest.mark.parametrize("f", [p for p in _gradient_cases()
+                               if p.id.startswith(("quadratic", "log_sum_exp",
+                                                   "squared_distance"))])
+def test_envelope_hessian_matches_central_differences(f):
+    """K = grad^2 f_tau against central differences of (x - J_tau(x))/tau
+    for the smooth kinds, whose envelope gradient is differentiable
+    everywhere."""
+    tau = 0.3
+    rng = np.random.default_rng(f.dim + 10)
+    X = 2.0 * rng.normal(size=(100, f.dim))
+
+    def grad_env(P):
+        return (P - f.prox_many(tau, P)[0]) / tau
+
+    Y, _ = f.prox_many(tau, X)
+    K = f.envelope_hessian_many(tau, X, Y)
+    assert K.shape == (100, f.dim, f.dim)
+    np.testing.assert_allclose(K, K.transpose(0, 2, 1), atol=1e-12)
+    h = 1e-6 * (1.0 + np.abs(X).max(axis=1, keepdims=True))
+    for j in range(f.dim):
+        step = np.zeros_like(X)
+        step[:, j:j + 1] = h
+        fd = (grad_env(X + step) - grad_env(X - step)) / (2.0 * h)
+        err = np.abs(K[:, :, j] - fd).max(axis=1)
+        assert np.all(err <= 1e-6 * (1.0 + np.abs(fd).max(axis=1)))
+
+
+@pytest.mark.parametrize("f", _gradient_cases())
+def test_prox_many_rejects_inadmissible_tau_per_row(f):
+    """Every row's tau obeys require_admissible's rule: positive, finite and
+    1 + tau*lambda > 0."""
+    X = np.zeros((3, f.dim))
+    bad = [0.0, -2.0, math.nan, math.inf]
+    if f.lam < 0:
+        bad.append(-1.0 / f.lam)
+    for tau in bad:
+        with pytest.raises(InadmissibleTauError):
+            f.prox_many(tau, X)
+        with pytest.raises(InadmissibleTauError):
+            f.prox_many(np.array([0.5, tau, 0.5]), X)
+
+
+def test_prox_many_inadmissible_tau_examples():
+    with pytest.raises(InadmissibleTauError):
+        MaxLinear([[1.0], [-1.0]]).prox_many(np.array([0.0, -2.0]),
+                                             np.array([[1.0], [1.0]]))
+    with pytest.raises(InadmissibleTauError, match="lambda"):
+        Quadratic([[-1.0]], [0.0]).prox_many(1.0, np.array([[1.0]]))
+    with pytest.raises(InadmissibleTauError):
+        Quadratic([[1.0]], [0.0]).prox_many(-1.0, np.array([[1.0]]))
 
 
 @pytest.mark.parametrize("f", _gradient_cases())

@@ -8,17 +8,18 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import solve_banded
 
 import actionlab
 from actionlab.action import dubois_reymond_residual
-from actionlab.convex import Indicator, LogSumExp, Quadratic
+from actionlab.convex import Indicator, LogSumExp, MaxLinear, Quadratic
 from actionlab.errors import ConfigError, SolverError
-from actionlab.minimize import (MinimizeConfig, _kinetic_solve,
+from actionlab.minimize import (MinimizeConfig, _block_tridiagonal_solve,
                                 closed_form_value, minimize_action)
 from actionlab.sets import Ball
 
 HALF_SQ = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
+TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])
 
 
 def test_free_case_exact():
@@ -95,16 +96,39 @@ def test_non_convergence_reported_not_raised():
     assert np.isfinite(res.value_true)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 511])
-def test_kinetic_solve_matches_banded_cholesky(n):
+@pytest.mark.parametrize("curved", [True, False], ids=["K", "K0"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 255, 511])
+def test_block_tridiagonal_solve_matches_banded(n, d, curved):
+    """Block cyclic reduction against a banded LU solve of the same
+    Gauss-Newton Hessian, below and above the dense base case; K = 0 is the
+    kinetic part alone."""
+    rng = np.random.default_rng(100 * n + d)
     dt = 0.7 / (n + 1)
-    G = np.random.default_rng(n).normal(size=(n, 2))
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -2.0 / dt
-    ab[1, :] = 4.0 / dt
-    want = cho_solve_banded((cholesky_banded(ab), False), G)
-    got = _kinetic_solve(G, dt)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    K = rng.normal(size=(n + 1, d, d)) * 3.0 if curved else np.zeros((n + 1, d, d))
+    S = 2.0 * np.einsum("kij,kil->kjl", K, K)
+    eye = np.eye(d)
+    diag = (4.0 / dt) * eye + 0.25 * dt * (S[:-1] + S[1:])
+    off = -(2.0 / dt) * eye + 0.25 * dt * S[1:-1]
+    b = rng.normal(size=(n, d))
+    # the same matrix in LAPACK banded storage: bandwidth 2d - 1 each side
+    A = np.zeros((n * d, n * d))
+    for j in range(n):
+        A[j * d:(j + 1) * d, j * d:(j + 1) * d] = diag[j]
+        if j + 1 < n:
+            A[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = off[j]
+            A[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = off[j].T
+    u = 2 * d - 1
+    ab = np.zeros((2 * u + 1, n * d))
+    for k in range(-u, u + 1):
+        diagonal = np.diagonal(A, k)
+        if k >= 0:
+            ab[u - k, k:] = diagonal
+        else:
+            ab[u - k, :k] = diagonal
+    want = solve_banded((u, u), ab, b.reshape(-1)).reshape(n, d)
+    got = _block_tridiagonal_solve(diag, off, b)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
 
 
 def test_indicator_path_stays_feasible():
@@ -155,11 +179,11 @@ def test_config_rejects_non_numbers(field, bad):
 
 
 def test_stalled_resolvent_raises_solver_error():
-    # at epsilon = 1e-6 the smoothed-max Newton solve stalls inside the first
-    # stage; the failure propagates instead of becoming converged=False
-    f = LogSumExp(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]), 1e-6)
+    # at epsilon = 1e-6 the smoothed-max Newton solve stalls on this input;
+    # the failure is raised, never returned as a large residual
+    f = LogSumExp(TRIANGLE, 1e-6)
     with pytest.raises(SolverError, match="Newton stalled"):
-        minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=64))
+        f.prox_many(0.5, np.array([[1.1210097302308488, 1.3931429698157909]]))
 
 
 def test_each_prox_batch_is_one_row_per_chord(monkeypatch):
@@ -193,3 +217,74 @@ def test_import_does_not_load_scipy():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# one solve per row of the minimizer table in ROADMAP.md; each must reach
+# the stopping rule at default settings
+def test_triangle_converges():
+    f = MaxLinear(TRIANGLE)
+    for n in (32, 48):
+        res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=n))
+        assert res.converged, n
+
+
+def test_abs_rests_on_the_kink():
+    # exact value: move at unit speed to 0, rest there for delta - 2, move on
+    f = MaxLinear([[1.0], [-1.0]])
+    res = minimize_action(f, [-1.0], [1.0], 3.0)
+    assert res.converged
+    assert res.value_true == pytest.approx(4.0, rel=1e-2)
+    assert res.value_smoothed <= res.value_true + 1e-9
+
+
+def test_huge_quadratic_converges():
+    # the relative error is the discretization error of N = 256 (1.0e-6),
+    # the same at every scale
+    errors = []
+    for s in (1.0, 1e8):
+        res = minimize_action(HALF_SQ, [-s], [s], 1.0)
+        assert res.converged
+        want = closed_form_value("quadratic_1d", a=-s, b=s, delta=1.0)
+        errors.append(res.value_true / want - 1.0)
+    assert abs(errors[1]) <= 2e-6
+    assert errors[1] == pytest.approx(errors[0], rel=1e-6)
+
+
+def test_max_linear_3d_converges():
+    f = MaxLinear([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                   [-0.5, -0.5, -0.5]])
+    res = minimize_action(f, [-1.0, 0.0, 0.2], [1.0, 0.5, -0.3], 1.0,
+                          MinimizeConfig(N=16))
+    assert res.converged
+
+
+def test_sharp_log_sum_exp_converges():
+    f = LogSumExp(TRIANGLE, 1e-4)
+    res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=64))
+    assert res.converged
+
+
+def test_stopping_rule_is_scale_free():
+    counts = []
+    for s in (1.0, 1e4, 1e8):
+        res = minimize_action(HALF_SQ, [-s], [s], 1.0)
+        assert res.converged
+        counts.append(res.iterations)
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_accepted_steps_strictly_lower_the_energy():
+    # conv{a_i} excludes the origin here, so the smoothed slope term has
+    # convex kinks that stall Newton; a step whose energy only rounds to the
+    # Armijo bound is no progress and must end the stage, not count as one
+    f = MaxLinear([[0.8938456004516719, 1.0454923240383853],
+                   [0.9325435340039069, -0.5309482177187937],
+                   [0.07840434194680262, -0.16578081897935465],
+                   [1.788574787967336, 0.17969620192256117]])
+    traces = []
+    res = minimize_action(f, [2.574371999123929, 1.168256330997083],
+                          [-0.45743934920147433, -1.0212353227381723], 3.0,
+                          MinimizeConfig(N=32), stage_traces=traces)
+    for trace in traces:
+        assert all(b < a for a, b in zip(trace, trace[1:]))
+    assert res.iterations < 100

@@ -6,6 +6,7 @@ from actionlab.errors import ConfigError
 from actionlab.verify import (SCOPES, envelope_gradient_lipschitz_failures,
                               envelope_identity_failures,
                               resolvent_lipschitz_failures,
+                              sampled_lower_bound_failures,
                               slope_chain_failures,
                               slope_tau_monotonicity_failures,
                               tilted_gradient_failures, verify_suite)
@@ -112,3 +113,23 @@ def test_batched_check_resolves_every_sample_in_one_call(helper, rows_per_trial,
     f = Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2]))
     assert helper(f, np.random.default_rng(0), 17) == []
     assert calls == [17 * rows_per_trial]
+
+
+def test_sampled_lower_bound_is_one_value_and_one_slope_call(monkeypatch):
+    calls = []
+    value_many, slope_many = Quadratic.value_many, Quadratic.slope_many
+
+    def counting_value(self, X):
+        calls.append(("value", X.shape[0]))
+        return value_many(self, X)
+
+    def counting_slope(self, X):
+        calls.append(("slope", X.shape[0]))
+        return slope_many(self, X)
+
+    monkeypatch.setattr(Quadratic, "value_many", counting_value)
+    monkeypatch.setattr(Quadratic, "slope_many", counting_slope)
+    f = Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2]))
+    assert sampled_lower_bound_failures(f, np.random.default_rng(0), 17) == []
+    # the 17 points and their 4 samples each, then the 17 slopes
+    assert calls == [("value", 17 * 5), ("slope", 17)]

@@ -17,6 +17,7 @@ scalar-call surface.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,14 @@ def _tau_number(tau) -> float:
 def _check_admissible(t, lam: float) -> None:
     """Raise InadmissibleTauError unless every tau in t (a number or an array)
     is positive and finite with 1 + tau*lambda > 1e-12."""
+    if isinstance(t, float):
+        # one tau, checked without numpy's per-call overhead
+        if not (math.isfinite(t) and t > 0.0):
+            raise InadmissibleTauError("tau must be positive and finite")
+        if 1.0 + t * lam <= 1e-12:
+            raise InadmissibleTauError(
+                f"tau={t} violates 1 + tau*lambda > 0 for lambda={lam}")
+        return
     if not np.all(np.isfinite(t) & (t > 0.0)):
         raise InadmissibleTauError("tau must be positive and finite")
     bad = np.atleast_1d(t)[np.atleast_1d(1.0 + t * lam <= 1e-12)]
@@ -81,6 +90,10 @@ def _check_admissible(t, lam: float) -> None:
 def _row_taus(tau, k: int, lam: float):
     """tau shaped to broadcast against k rows: a float for one tau, a (k, 1)
     column for one tau per row.  Every tau must be admissible for lambda."""
+    if isinstance(tau, (int, float)):
+        tau = float(tau)
+        _check_admissible(tau, lam)
+        return tau
     try:
         t = np.asarray(tau, dtype=float)
     except (TypeError, ValueError):
@@ -91,6 +104,23 @@ def _row_taus(tau, k: int, lam: float):
             f"tau has shape {t.shape}, expected a scalar or ({k},) for {k} rows")
     _check_admissible(t, lam)
     return float(t) if t.ndim == 0 else t[:, None]
+
+
+def _solve_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[k]^-1 B[k] per block; 1x1 and 2x2 blocks in closed form, which is
+    several times faster than a batched LAPACK call on blocks this small."""
+    d = A.shape[-1]
+    if d == 1:
+        return B / A
+    if d == 2:
+        a, b, c, e = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+        adj = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
+        return (adj / (a * e - b * c)[:, None, None]) @ B
+    return np.linalg.solve(A, B)
+
+
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", R, R))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -250,25 +280,25 @@ def _project_hull_2d(H: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
     A row on the left of every edge of a polygon is its own projection; any
     other row goes to the nearest of its clamped projections onto the edges.
+    All edges are handled at once, one (rows, edges) array per coordinate.
     """
     if H.shape[0] == 1:
         return np.repeat(H, Z.shape[0], axis=0)
-    ends = np.roll(H, -1, axis=0) if H.shape[0] > 2 else H[1:]
-    best = np.full(Z.shape[0], np.inf)
-    proj = np.empty_like(Z)
-    inside = np.full(Z.shape[0], H.shape[0] > 2)
-    for a, b in zip(H, ends):
-        e = b - a
-        W = Z - a
-        t = np.clip((W @ e) / (e @ e), 0.0, 1.0)
-        P = a + t[:, None] * e
-        D = Z - P
-        dist = np.einsum("ij,ij->i", D, D)
-        closer = dist < best
-        best[closer] = dist[closer]
-        proj[closer] = P[closer]
-        inside &= e[0] * W[:, 1] - e[1] * W[:, 0] >= 0.0
-    proj[inside] = Z[inside]
+    a = H if H.shape[0] > 2 else H[:1]
+    e = (np.roll(H, -1, axis=0) if H.shape[0] > 2 else H[1:]) - a
+    W0 = Z[:, :1] - a[:, 0]
+    W1 = Z[:, 1:] - a[:, 1]
+    t = np.clip((W0 * e[:, 0] + W1 * e[:, 1]) / (e * e).sum(axis=1), 0.0, 1.0)
+    P0 = a[:, 0] + t * e[:, 0]
+    P1 = a[:, 1] + t * e[:, 1]
+    D0 = Z[:, :1] - P0
+    D1 = Z[:, 1:] - P1
+    rows = np.arange(Z.shape[0])
+    nearest = np.argmin(D0 * D0 + D1 * D1, axis=1)
+    proj = np.stack([P0[rows, nearest], P1[rows, nearest]], axis=1)
+    if H.shape[0] > 2:
+        inside = (e[:, 0] * W1 - e[:, 1] * W0 >= 0.0).all(axis=1)
+        proj[inside] = Z[inside]
     return proj
 
 
@@ -402,7 +432,20 @@ class MaxLinear(ConvexFunction):
 
 @dataclass(frozen=True)
 class LogSumExp(ConvexFunction):
-    """f(x) = eps * log( (1/m) sum_i exp(<a_i, x>/eps) ); smooth, lambda = 0."""
+    """f(x) = eps * log( (1/m) sum_i exp(<a_i, x>/eps) ); smooth, lambda = 0.
+
+    It is the smoothing of max_i <a_i, x> with the same vectors, and its
+    resolvent lies within sqrt(tau eps log m) of that max-linear resolvent.
+    The resolvent is damped Newton on r(y) = y + tau grad f(y) - x started
+    there: from the closed-form max-linear resolvent in one and two dimensions
+    (a clip, or the projection onto the hull built at construction), from x in
+    three or more.  A row stops when |r| <= 1e-11 (1 + |x|) or when its step
+    no longer moves y by more than rounding; near a kink at small eps the
+    slope of r is of order tau |A|^2 / eps, so the reachable |r| can be above
+    the target there.  The returned residual is |r| itself: tau f(y) +
+    |y - x|^2/2 is 1-strongly convex and r is its gradient, so |r| bounds
+    |y - J_tau(x)|.
+    """
 
     vectors: np.ndarray
     epsilon: float
@@ -419,6 +462,12 @@ class LogSumExp(ConvexFunction):
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive")
+        if A.shape[1] == 2:
+            object.__setattr__(self, "_hull", _frozen(_hull_2d(A)))
+        # rows a_i a_i^T, flattened, so the Hessian's first term is a matmul
+        m, d = A.shape
+        object.__setattr__(self, "_outer", _frozen(
+            (A[:, :, None] * A[:, None, :]).reshape(m, d * d)))
 
     @property
     def dim(self) -> int:
@@ -445,54 +494,81 @@ class LogSumExp(ConvexFunction):
     def slope_many(self, X):
         return np.linalg.norm(self.subgradient_many(X), axis=1)
 
-    def _hessian_many(self, X):
-        A = self.vectors
-        W = self._weights(X)
-        G = W @ A
-        H = np.einsum("km,md,me->kde", W, A, A) - np.einsum("kd,ke->kde", G, G)
+    def _hessian_many(self, W):
+        # grad^2 f = (A^T diag(w) A - g g^T)/eps from the softmax weights W
+        d = self.dim
+        G = W @ self.vectors
+        H = (W @ self._outer).reshape(-1, d, d) - G[:, :, None] * G[:, None, :]
         return H / self.epsilon
 
+    def _max_linear_start(self, t, X):
+        # J_tau of max_i <a_i, .>: x - tau * proj_{conv a_i}(x / tau)
+        A = self.vectors
+        if self.dim == 1:
+            return X - t * np.clip(X / t, A.min(), A.max())
+        if self.dim == 2:
+            return X - t * _project_hull_2d(self._hull, X / t)
+        return X.copy()
+
     def prox_many(self, tau, X):
-        # damped Newton on r(y) = y + tau*grad f(y) - x; I + tau*Hess is SPD
-        d = self.dim
+        A = self.vectors
         t = _row_taus(tau, X.shape[0], self.lam)
-        Y = X.copy()
-        target = _NEWTON_TOL * (1.0 + np.linalg.norm(X, axis=1))
-        r = Y + t * self.subgradient_many(Y) - X
-        rnorm = np.linalg.norm(r, axis=1)
-        eye = np.eye(d)
+        per_row = isinstance(t, np.ndarray)
+        Y = self._max_linear_start(t, X)
+        W = self._weights(Y)
+        R = Y + t * (W @ A) - X
+        res = _row_norms(R)
+        target = _NEWTON_TOL * (1.0 + _row_norms(X))
+        eye = np.eye(self.dim)
+        live = np.flatnonzero(res > target)
         for _ in range(_NEWTON_CAP):
-            active = rnorm > target
-            if not active.any():
+            if live.size == 0:
                 break
-            Ya = Y[active]
-            ra = r[active]
-            ta = t[active] if isinstance(t, np.ndarray) else t
-            M = eye[None] + np.reshape(ta, (-1, 1, 1)) * self._hessian_many(Ya)
-            step = np.linalg.solve(M, -ra[..., None])[..., 0]
-            alpha = np.ones(Ya.shape[0])
-            base = np.linalg.norm(ra, axis=1)
-            for _ls in range(50):
-                trial = Ya + alpha[:, None] * step
-                rt = trial + ta * self.subgradient_many(trial) - X[active]
-                ok = np.linalg.norm(rt, axis=1) <= (1.0 - 1e-4 * alpha) * base
-                if ok.all():
+            y, x, rn = Y[live], X[live], res[live]
+            tl = t[live] if per_row else t
+            M = eye + np.reshape(tl, (-1, 1, 1)) * self._hessian_many(W[live])
+            step = _solve_blocks(M, -R[live, :, None])[..., 0]
+            snorm = _row_norms(step)
+            # a step within rounding of y cannot lower |r|: such a row is at
+            # the floating-point floor and stops with its residual
+            floor = 1e-15 * (1.0 + _row_norms(y))
+            alpha = np.ones(live.size)
+            trial = y + step
+            Wt = self._weights(trial)
+            rt = trial + tl * (Wt @ A) - x
+            rtn = _row_norms(rt)
+            ok = rtn <= (1.0 - 1e-4) * rn
+            back = np.flatnonzero(~ok & (0.5 * snorm > floor))
+            # halve the step of each row without sufficient decrease; every
+            # trial costs one softmax pass over its rows, and the floor test
+            # ends the halving first unless |step| > 1e3 (1 + |y|)
+            for _ls in range(60):
+                if back.size == 0:
                     break
-                alpha[~ok] *= 0.5
-            Y[active] = Ya + alpha[:, None] * step
-            r[active] = Y[active] + ta * self.subgradient_many(Y[active]) - X[active]
-            rnorm[active] = np.linalg.norm(r[active], axis=1)
-        else:
-            worst = float(rnorm.max())
+                alpha[back] *= 0.5
+                tb = tl[back] if per_row else t
+                trial[back] = y[back] + alpha[back, None] * step[back]
+                Wt[back] = self._weights(trial[back])
+                rt[back] = trial[back] + tb * (Wt[back] @ A) - x[back]
+                rtn[back] = _row_norms(rt[back])
+                ok[back] = rtn[back] <= (1.0 - 1e-4 * alpha[back]) * rn[back]
+                back = back[~ok[back] & (0.5 * alpha[back] * snorm[back] > floor[back])]
+            ok &= snorm > floor
+            acc = live[ok]
+            Y[acc], W[acc], R[acc], res[acc] = trial[ok], Wt[ok], rt[ok], rtn[ok]
+            # converged rows and rows at the floor leave; a row still
+            # backtracking after 60 halvings stays
+            live = np.concatenate([acc[rtn[ok] > target[acc]], live[back]])
+        if live.size:
             raise SolverError(
-                f"smoothed-max resolvent Newton stalled at residual {worst:.3e} "
-                f"after {_NEWTON_CAP} iterations")
-        return Y, rnorm
+                f"smoothed-max resolvent Newton stalled at residual "
+                f"{float(res[live].max()):.3e} after {_NEWTON_CAP} iterations")
+        return Y, res
 
     def envelope_hessian_many(self, tau, X, Y):
         # (I - (I + tau H)^-1)/tau = (I + tau H)^-1 H, H = grad^2 f(Y)
-        H = self._hessian_many(Y)
-        return np.linalg.solve(np.eye(self.dim)[None] + tau * H, H)
+        H = self._hessian_many(self._weights(Y))
+        return _solve_blocks(np.eye(self.dim) + tau * H, H)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Path, discrete_action
-from .convex import ConvexFunction, Indicator, MaxLinear, as_point
+from .convex import ConvexFunction, Indicator, MaxLinear, _solve_blocks, as_point
 from .errors import ConfigError
 
 DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
@@ -179,19 +179,6 @@ class _Objective:
     def value_and_grad(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
         energy, resolved = self.evaluate(Z)
         return energy, self.newton_system(Z, resolved)[0]
-
-
-def _solve_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[k]^-1 B[k] per block; 1x1 and 2x2 blocks in closed form, which is
-    several times faster than a batched LAPACK call on blocks this small."""
-    d = A.shape[-1]
-    if d == 1:
-        return B / A
-    if d == 2:
-        a, b, c, e = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-        adj = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
-        return (adj / (a * e - b * c)[:, None, None]) @ B
-    return np.linalg.solve(A, B)
 
 
 def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
@@ -355,8 +342,8 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
 
     Runs the tau-continuation schedule with warm starts.  Running out of
     iterations is not an error (converged=False is returned instead), but a
-    resolvent solver failure, such as a stalled smoothed-max Newton solve,
-    propagates as SolverError.  Endpoints of the returned path are bit-equal
+    resolvent solver failure (a resolvent iteration that runs out of its
+    iteration cap) propagates as SolverError.  Endpoints of the returned path are bit-equal
     to the inputs.  For indicator functions the initial segment and the final
     iterate are projected node-wise into the region; for max_linear the final
     iterate is moved onto the kink faces its midpoints identify when that

@@ -318,11 +318,13 @@ def envelope_gradient_lipschitz_failures(f: ConvexFunction, rng,
 def moreau_decomposition_failures(f: MaxLinear, rng, trials: int) -> list[dict]:
     """x = J_tau(x) + tau * proj_hull(x / tau) for max-linear functions."""
     fails = []
-    for _ in range(trials):
-        tau = _sample_tau(rng, f)
-        x = _sample_x(rng, f)
-        r = prox(f, tau, x)
-        rebuilt = r.resolvent_point + tau * hull_projection(f.vectors, x / tau)
+    # per-trial draws in the order of one-at-a-time sampling, one resolvent batch
+    draws = [(_sample_tau(rng, f), _sample_x(rng, f)) for _ in range(trials)]
+    taus = np.array([tau for tau, _ in draws])
+    X = np.array([x for _, x in draws])
+    Y, _ = f.prox_many(taus, X)
+    for tau, x, y in zip(taus, X, Y):
+        rebuilt = y + tau * hull_projection(f.vectors, x / tau)
         err = float(np.linalg.norm(rebuilt - x))
         allowed = 1e-9 * (1.0 + float(np.linalg.norm(x)))
         if not (err <= allowed):

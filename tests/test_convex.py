@@ -501,3 +501,64 @@ def test_two_vector_tie_subgradient_is_closed_form(d, monkeypatch):
         np.testing.assert_allclose(g, min_norm_point(A[[i, j]]), rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(dup.subgradient_many((e[0] - e[1])[None, :]),
                                   e[:1])
+
+
+SMOOTHED_MAX_VECTORS = {1: np.array([[1.0], [-0.5], [2.0]]), 2: TRIANGLE}
+
+
+def _lse_residual(A, eps, tau, X, Y):
+    """|y + tau grad f(y) - x| per row, with the softmax written out here."""
+    S = Y @ A.T / eps
+    W = np.exp(S - S.max(axis=1, keepdims=True))
+    grad = (W / W.sum(axis=1, keepdims=True)) @ A
+    return np.linalg.norm(Y + tau * grad - X, axis=1)
+
+
+@pytest.mark.parametrize("tau", [0.004, 0.1, 0.5])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("d", [1, 2])
+def test_small_epsilon_resolvent_fuzz(d, eps, tau):
+    """The smoothed-max resolvent never raises at small eps; its residual is
+    |y + tau grad f(y) - x|, and that bounds the distance to the max-linear
+    resolvent beyond sqrt(tau eps log m) (the prox objective is 1-strongly
+    convex).  Down to eps = 1e-4 the residual reaches 1e-10 (1 + |x|)."""
+    A = SMOOTHED_MAX_VECTORS[d]
+    rng = np.random.default_rng([d, int(-math.log10(eps)), int(1000 * tau)])
+    X = 2.0 * rng.normal(size=(2000, d))
+    Y, res = LogSumExp(A, eps).prox_many(tau, X)
+    scale = 1.0 + np.linalg.norm(X, axis=1)
+    np.testing.assert_allclose(res, _lse_residual(A, eps, tau, X, Y),
+                               rtol=0.0, atol=1e-14 * float(scale.max()))
+    sharp, _ = MaxLinear(A).prox_many(tau, X)
+    bound = math.sqrt(tau * eps * math.log(A.shape[0])) + res
+    assert np.all(np.linalg.norm(Y - sharp, axis=1) <= bound)
+    if eps >= 1e-4:
+        assert np.all(res <= 1e-10 * scale)
+
+
+def test_smoothed_max_resolvent_iterations(monkeypatch):
+    """One Hessian per Newton iteration, at most 12 of them on 2000 triangle
+    rows at eps = 1e-4, and one softmax pass per line-search trial: after the
+    pass at the starting points no point goes through the softmax twice, so
+    the accepted trial's pass is the one reused.  (Starting points repeat:
+    every x with x/tau inside the hull starts at 0.)"""
+    f = LogSumExp(TRIANGLE, 1e-4)
+    X = 2.0 * np.random.default_rng(0).normal(size=(2000, 2))
+    hessians, passes = [], []
+    hessian_many, weights = LogSumExp._hessian_many, LogSumExp._weights
+
+    def counting_hessian(self, W):
+        hessians.append(W.shape[0])
+        return hessian_many(self, W)
+
+    def recording_weights(self, P):
+        passes.append(P.copy())
+        return weights(self, P)
+
+    monkeypatch.setattr(LogSumExp, "_hessian_many", counting_hessian)
+    monkeypatch.setattr(LogSumExp, "_weights", recording_weights)
+    f.prox_many(0.5, X)
+    assert 1 <= len(hessians) <= 12
+    assert passes[0].shape == X.shape
+    points = np.concatenate([np.unique(passes[0], axis=0)] + passes[1:])
+    assert np.unique(points, axis=0).shape[0] == points.shape[0]

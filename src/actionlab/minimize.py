@@ -343,11 +343,11 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     Runs the tau-continuation schedule with warm starts.  Running out of
     iterations is not an error (converged=False is returned instead), but a
     resolvent solver failure (a resolvent iteration that runs out of its
-    iteration cap) propagates as SolverError.  Endpoints of the returned path are bit-equal
-    to the inputs.  For indicator functions the initial segment and the final
-    iterate are projected node-wise into the region; for max_linear the final
-    iterate is moved onto the kink faces its midpoints identify when that
-    lowers the true action.
+    iteration cap) propagates as SolverError.  Endpoints of the returned path
+    are bit-equal to the inputs.  For indicator functions the initial segment
+    and the final iterate are projected node-wise into the region; for
+    max_linear the final iterate is moved onto the kink faces its midpoints
+    identify when that lowers the true action.
     When stage_traces is a list, one list of accepted objective values is
     appended per continuation stage (descent audits hook in here).
     """

@@ -147,7 +147,8 @@ class ConvexFunction:
     def subgradient_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def prox_many(self, tau, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def prox_many(self, tau, X: np.ndarray,
+                  start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Resolvents J_tau of the rows of X and a solver residual per row.
 
         tau is a scalar or a (k,) array giving row i its own tau; the
@@ -156,6 +157,13 @@ class ConvexFunction:
         `verify_suite(extra_functions=...)`, must accept both, because the
         verify checks resolve a whole sample block of (tau, x) pairs in one
         call.
+
+        start, when given, is a (k, d) guess of the resolvents.  A kind whose
+        resolvent is iterative begins there instead of at its own cold start,
+        with the same stop rule and residual, so the answer agrees with the
+        cold one to within the two residuals; kinds with a closed-form
+        resolvent ignore it.  Subclasses must accept the keyword, because
+        `minimize_action` passes it on every line-search trial.
         """
         raise NotImplementedError
 
@@ -235,7 +243,8 @@ class Quadratic(ConvexFunction):
         V = self._V
         return ((R @ V) / (1.0 + t * self._w)) @ V.T
 
-    def prox_many(self, tau, X):
+    def prox_many(self, tau, X, start=None):
+        X = _batch(X, self.dim)
         t = _row_taus(tau, X.shape[0], self.lam)
         Y = self._inverse_apply(t, X - t * self.b)
         residual = np.linalg.norm(Y + t * self.subgradient_many(Y) - X, axis=1)
@@ -364,8 +373,9 @@ class MaxLinear(ConvexFunction):
     def slope_many(self, X):
         return np.linalg.norm(self.subgradient_many(X), axis=1)
 
-    def prox_many(self, tau, X):
+    def prox_many(self, tau, X, start=None):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
+        X = _batch(X, self.dim)
         A = self.vectors
         t = _row_taus(tau, X.shape[0], self.lam)
         Z = X / t
@@ -439,12 +449,14 @@ class LogSumExp(ConvexFunction):
     The resolvent is damped Newton on r(y) = y + tau grad f(y) - x started
     there: from the closed-form max-linear resolvent in one and two dimensions
     (a clip, or the projection onto the hull built at construction), from x in
-    three or more.  A row stops when |r| <= 1e-11 (1 + |x|) or when its step
-    no longer moves y by more than rounding; near a kink at small eps the
-    slope of r is of order tau |A|^2 / eps, so the reachable |r| can be above
-    the target there.  The returned residual is |r| itself: tau f(y) +
-    |y - x|^2/2 is 1-strongly convex and r is its gradient, so |r| bounds
-    |y - J_tau(x)|.
+    three or more, or from the caller's `start` when one is given (the
+    minimizer passes each line-search trial the first-order prediction of its
+    resolvents from the last accepted iterate).  A row stops when
+    |r| <= 1e-11 (1 + |x|) or when its step no longer moves y by more than
+    rounding; near a kink at small eps the slope of r is of order
+    tau |A|^2 / eps, so the reachable |r| can be above the target there.
+    The returned residual is |r| itself: tau f(y) + |y - x|^2/2 is 1-strongly
+    convex and r is its gradient, so |r| bounds |y - J_tau(x)|.
     """
 
     vectors: np.ndarray
@@ -510,11 +522,18 @@ class LogSumExp(ConvexFunction):
             return X - t * _project_hull_2d(self._hull, X / t)
         return X.copy()
 
-    def prox_many(self, tau, X):
+    def prox_many(self, tau, X, start=None):
         A = self.vectors
+        X = _batch(X, self.dim)
         t = _row_taus(tau, X.shape[0], self.lam)
         per_row = isinstance(t, np.ndarray)
-        Y = self._max_linear_start(t, X)
+        if start is None:
+            Y = self._max_linear_start(t, X)
+        else:
+            Y = _batch(start, self.dim).copy()
+            if Y.shape != X.shape:
+                raise DimensionMismatchError(
+                    f"start has shape {Y.shape}, expected {X.shape}")
         W = self._weights(Y)
         R = Y + t * (W @ A) - X
         res = _row_norms(R)
@@ -597,7 +616,8 @@ class Indicator(ConvexFunction):
             raise OutsideDomainError("minimal subgradient undefined outside the region")
         return np.zeros_like(X)
 
-    def prox_many(self, tau, X):
+    def prox_many(self, tau, X, start=None):
+        X = _batch(X, self.dim)
         _row_taus(tau, X.shape[0], self.lam)  # tau-free; a bad tau still fails
         return self.region.project_many(X), np.zeros(X.shape[0])
 
@@ -636,7 +656,8 @@ class SquaredDistance(ConvexFunction):
     def slope_many(self, X):
         return 2.0 * self.weight * self.region.distance_many(X)
 
-    def prox_many(self, tau, X):
+    def prox_many(self, tau, X, start=None):
+        X = _batch(X, self.dim)
         t = _row_taus(tau, X.shape[0], self.lam)
         s = 2.0 * self.weight * t / (1.0 + 2.0 * self.weight * t)
         Y = X + s * (self.region.project_many(X) - X)

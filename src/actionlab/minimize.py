@@ -20,7 +20,11 @@ rather than Newton.  The Hessian of E_tau is then the kinetic part
 chord i couples: block tridiagonal and positive definite, solved by block
 cyclic reduction.  K is computed once per accepted iterate
 from the midpoint resolvents of its line-search trial, so each trial costs one
-resolvent batch and nothing else.  Armijo backtracking starts from the full
+resolvent batch and nothing else.  That batch starts from the first-order
+prediction Y - s (I - tau K) dM of its resolvents, with Y those of the
+accepted iterate and dM the midpoints of the step s D; the iterative
+log_sum_exp resolvent then takes fewer Newton iterations, and the closed-form
+kinds ignore the start.  Armijo backtracking starts from the full
 Newton step.  A stage stops when the Newton decrement g^T H^-1 g falls to
 grad_tol^2 * max(|xd - x0|^2/delta, E_tau), a rule that does not depend on the
 scale of the problem.
@@ -134,13 +138,15 @@ class _Objective:
         X = self.full_nodes(Z)
         return 0.5 * (X[:-1] + X[1:])
 
-    def evaluate(self, Z: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """Objective value at Z, with the midpoints and their resolvents."""
+    def evaluate(self, Z: np.ndarray, start: np.ndarray | None = None
+                 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """Objective value at Z, with the midpoints and their resolvents;
+        start, when given, is a guess of those resolvents."""
         X = self.full_nodes(Z)
         diffs = np.diff(X, axis=0)
         kinetic = float(np.einsum("ij,ij->i", diffs, diffs).sum()) / self.dt
         mids = 0.5 * (X[:-1] + X[1:])
-        Y, _ = self.f.prox_many(self.tau, mids)
+        Y, _ = self.f.prox_many(self.tau, mids, start=start)
         G = (mids - Y) / self.tau
         phi = np.einsum("ij,ij->i", G, G)
         return kinetic + self.dt * float(phi.sum()), (mids, Y)
@@ -168,13 +174,14 @@ class _Objective:
 
     def newton_system(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
         """Exact gradient and Gauss-Newton Hessian blocks at Z from the
-        (midpoints, resolvents) of evaluate(Z)."""
+        (midpoints, resolvents) of evaluate(Z), and the envelope Hessians K
+        at the midpoints."""
         mids, Y = resolved
         K = self.f.envelope_hessian_many(self.tau, mids, Y)
         G = (mids - Y) / self.tau
         dphi = 2.0 * np.einsum("kij,kj->ki", K, G)
         S = 2.0 * np.einsum("kij,kil->kjl", K, K)
-        return self.system(Z, dphi, S)
+        return (*self.system(Z, dphi, S), K)
 
     def value_and_grad(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
         energy, resolved = self.evaluate(Z)
@@ -228,7 +235,9 @@ def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
 
 
 def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
-           trace: list | None = None) -> tuple[np.ndarray, int, bool]:
+           trace: list | None = None) -> tuple[np.ndarray, int, bool, float]:
+    """Gauss-Newton steps on obj from Z: the last iterate, its accepted step
+    count, whether it met the stopping rule, and its energy."""
     energy, resolved = obj.evaluate(Z)
     if trace is not None:
         trace.append(energy)
@@ -236,15 +245,21 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
     segment = float(disp @ disp) / (obj.dt * (Z.shape[0] + 1))
     accepted = 0
     for _ in range(cfg.max_iters):
-        grad, diag, off = obj.newton_system(Z, resolved)
+        grad, diag, off, K = obj.newton_system(Z, resolved)
         direction = _block_tridiagonal_solve(diag, off, grad)
         decrement = float((grad * direction).sum())
         if decrement <= cfg.grad_tol**2 * max(segment, energy):
-            return Z, accepted, True
+            return Z, accepted, True, energy
+        # a trial moves the midpoints by -step dM and, to first order, their
+        # resolvents Y by -step DJ dM with DJ = I - tau K
+        D = np.pad(direction, ((1, 1), (0, 0)))
+        dM = 0.5 * (D[:-1] + D[1:])
+        dY = dM - obj.tau * np.einsum("kij,kj->ki", K, dM)
+        Y = resolved[1]
         step = 1.0
         for _ls in range(60):
             candidate = Z - step * direction
-            cand_energy, cand_resolved = obj.evaluate(candidate)
+            cand_energy, cand_resolved = obj.evaluate(candidate, Y - step * dY)
             # a step too short to change the energy is no progress, even
             # when the Armijo bound rounds to the energy itself
             if cand_energy < energy and \
@@ -257,7 +272,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
         accepted += 1
         if trace is not None:
             trace.append(energy)
-    return Z, accepted, False
+    return Z, accepted, False, energy
 
 
 def _face_projectors(obj: _Objective, Z: np.ndarray) -> np.ndarray:
@@ -372,23 +387,27 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     total_iters = 0
     converged = True
     obj = None
+    value_smoothed = None   # the last stage's energy, while Z is its iterate
     for tau in schedule:
         obj = _Objective(f, tau, x0, xd, dt)
         if n >= 2:
             trace = [] if stage_traces is not None else None
-            Z, accepted, hit = _stage(obj, Z, cfg, trace)
+            Z, accepted, hit, value_smoothed = _stage(obj, Z, cfg, trace)
             if stage_traces is not None:
                 stage_traces.append(trace)
             total_iters += accepted
             converged = converged and hit
     if isinstance(f, Indicator) and n >= 2:
         Z = f.region.project_many(Z)
+        value_smoothed = None
     if isinstance(f, MaxLinear) and n >= 2:
         Z = _polish_on_faces(obj, Z, times)
+        value_smoothed = None
 
     nodes = np.concatenate([x0[None, :], Z, xd[None, :]], axis=0)
     path = Path(times, nodes)
-    value_smoothed = obj.value(Z) if obj is not None else math.nan
+    if value_smoothed is None:
+        value_smoothed = obj.value(Z) if obj is not None else math.nan
     value_true = discrete_action(f, path).total
     return MinimizeResult(
         path=path,

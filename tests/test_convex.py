@@ -10,7 +10,8 @@ from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
                               moreau_gradient, prox, resolvent_slope,
                               sampled_slope_lower_bound, slope)
 from actionlab.errors import (ConfigError, DimensionMismatchError,
-                              InadmissibleTauError, OutsideDomainError)
+                              InadmissibleTauError, OutsideDomainError,
+                              SolverError)
 from actionlab.minimize import MinimizeConfig, minimize_action
 from actionlab.minnorm import hull_projection_with_gap
 from actionlab.sets import Ball, Box, Halfspace
@@ -429,6 +430,23 @@ def test_prox_many_per_row_tau_matches_scalar_calls(f):
 
 
 @pytest.mark.parametrize("f", _gradient_cases())
+def test_prox_many_validates_points(f):
+    """A nested list is converted; a wrong width and a non-finite row raise
+    the package's errors, not a bare AttributeError or ValueError."""
+    X = 0.7 * np.random.default_rng(f.dim).normal(size=(3, f.dim))
+    Y, res = f.prox_many(0.5, X)
+    Yl, resl = f.prox_many(0.5, X.tolist())
+    np.testing.assert_array_equal(Yl, Y)
+    np.testing.assert_array_equal(resl, res)
+    for wrong in (np.zeros(f.dim + 1), np.zeros((3, f.dim + 1)), [[0.0] * (f.dim + 1)]):
+        with pytest.raises(DimensionMismatchError):
+            f.prox_many(0.5, wrong)
+    X[1, 0] = math.nan
+    with pytest.raises(OutsideDomainError):
+        f.prox_many(0.5, X)
+
+
+@pytest.mark.parametrize("f", _gradient_cases())
 def test_bad_tau_is_an_admissibility_or_shape_error(f):
     x = np.zeros(f.dim)
     for tau in ("abc", None, [0.1, 0.2]):
@@ -562,3 +580,59 @@ def test_smoothed_max_resolvent_iterations(monkeypatch):
     assert passes[0].shape == X.shape
     points = np.concatenate([np.unique(passes[0], axis=0)] + passes[1:])
     assert np.unique(points, axis=0).shape[0] == points.shape[0]
+
+
+SMOOTHED_MAX_3D = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                            [-0.5, -0.5, -0.5]])
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_smoothed_max_resolvent_is_start_independent(d, eps, monkeypatch):
+    """prox_many from a start agrees with the cold prox_many within the two
+    residuals (each |r| bounds the distance to J_tau(x)) from starts at the
+    answer, near it and 10 units away; a start at the answer takes no Newton
+    iteration."""
+    A = SMOOTHED_MAX_3D if d == 3 else SMOOTHED_MAX_VECTORS[d]
+    f = LogSumExp(A, eps)
+    tau = 0.5
+    rng = np.random.default_rng([d, int(-math.log10(eps))])
+    X = 2.0 * rng.normal(size=(200, d))
+    Y0, res0 = f.prox_many(tau, X)
+    scale = 1.0 + np.linalg.norm(X, axis=1)
+    U = rng.normal(size=X.shape)
+    starts = {"answer": Y0, "near": Y0 + 1e-3 * rng.normal(size=X.shape),
+              "far": Y0 + 10.0 * U / np.linalg.norm(U, axis=1, keepdims=True)}
+    hessians = []
+    hessian_many = LogSumExp._hessian_many
+
+    def counting(self, W):
+        hessians.append(W.shape[0])
+        return hessian_many(self, W)
+
+    monkeypatch.setattr(LogSumExp, "_hessian_many", counting)
+    for name, start in starts.items():
+        hessians.clear()
+        Y, res = f.prox_many(tau, X, start=start)
+        if name == "answer":
+            assert hessians == []
+        np.testing.assert_allclose(res, _lse_residual(A, eps, tau, X, Y),
+                                   rtol=0.0, atol=1e-14 * float(scale.max()))
+        # the residuals are rounded too, by about an ulp of |x|
+        assert np.all(np.linalg.norm(Y - Y0, axis=1)
+                      <= res + res0 + 1e-15 * scale), name
+    with pytest.raises(DimensionMismatchError):
+        f.prox_many(tau, X, start=Y0[:-1])
+    with pytest.raises(OutsideDomainError):
+        f.prox_many(tau, X, start=np.full_like(Y0, math.nan))
+
+
+@pytest.mark.xfail(raises=SolverError, strict=True,
+                   reason="in d >= 3 the Newton solve starts cold from x, and "
+                          "its |r|-damped steps crawl to the iteration cap")
+def test_smoothed_max_3d_cold_start_stall():
+    f = LogSumExp([[-0.394, 0.085, -0.262], [0.789, -2.896, -1.798],
+                   [-2.209, 1.427, 0.835]], 0.000277)
+    x = [-1.945, 2.219, -0.731]
+    _, res = f.prox_many(1.548, [x])
+    assert res[0] <= 1e-10 * (1.0 + np.linalg.norm(x))

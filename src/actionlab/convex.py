@@ -106,21 +106,47 @@ def _row_taus(tau, k: int, lam: float):
     return float(t) if t.ndim == 0 else t[:, None]
 
 
-def _solve_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[k]^-1 B[k] per block; 1x1 and 2x2 blocks in closed form, which is
-    several times faster than a batched LAPACK call on blocks this small."""
+def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """A[k]^-1 B[k] per block, or A[k]^-1 when B is None; 1x1 and 2x2 blocks
+    in closed form, which is several times faster than a batched LAPACK call
+    on blocks this small."""
     d = A.shape[-1]
     if d == 1:
-        return B / A
+        return 1.0 / A if B is None else B / A
     if d == 2:
         a, b, c, e = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
         adj = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
-        return (adj / (a * e - b * c)[:, None, None]) @ B
-    return np.linalg.solve(A, B)
+        inv = adj / (a * e - b * c)[:, None, None]
+        return inv if B is None else inv @ B
+    return np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
 
 
 def _row_norms(R: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", R, R))
+
+
+def _wolfe_rows(A: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of the rows of Z onto conv{rows of A}, one Wolfe solve per
+    row, and their exit gaps."""
+    proj = np.empty_like(Z)
+    gaps = np.empty(Z.shape[0])
+    for i in range(Z.shape[0]):
+        proj[i], gaps[i] = hull_projection_with_gap(A, Z[i])
+    return proj, gaps
+
+
+def _region_curvature(region: ConvexRegion, X: np.ndarray,
+                      scale: float) -> np.ndarray | None:
+    """Curvature blocks of |scale (x - P x)|^2 at the rows of X, P the
+    projection onto region: its Hessian is 2 scale^2 (I - DP), which exceeds
+    2 K^2 = 2 scale^2 (I - DP)^2 by 2 C with C = scale^2 (I - DP) DP.  On a
+    ball that is scale^2 (rho - r)(r/rho^2)(I - u u^T) outside (rho = |x - c|,
+    u = (x - c)/rho) and 0 inside; a box's or halfspace's DP is a projector,
+    so C = 0 there and the result is None."""
+    if not isinstance(region, Ball):
+        return None
+    J = region.project_jacobian_many(X)
+    return scale * scale * (J - J @ J)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -173,11 +199,24 @@ class ConvexFunction:
         resolvents Y, one symmetric (d, d) block per row.
 
         It is the one derivative route of the smoothed action: with
-        G = (X - Y)/tau = grad f_tau, phi_tau = |G|^2 has gradient 2 K G, and
-        2 K^T K is its (Gauss-Newton) Hessian.  Where the resolvent is not
-        differentiable K is one of its one-sided values.
+        G = (X - Y)/tau = grad f_tau, phi_tau = |G|^2 has gradient 2 K G and
+        Hessian 2 K^2 + 2 C, with C from `envelope_curvature_many` (0 where
+        that returns None).  Where the resolvent is not differentiable K is
+        one of its one-sided values.
         """
         raise NotImplementedError
+
+    def envelope_curvature_many(self, tau: float, X: np.ndarray,
+                                Y: np.ndarray) -> np.ndarray | None:
+        """Curvature blocks C = sum_j G_j grad^2 (d_j f_tau) at rows X with
+        resolvents Y and G = (X - Y)/tau, one symmetric (d, d) block per row,
+        so that phi_tau = |G|^2 has Hessian 2 K^2 + 2 C.
+
+        None means C = 0: K is constant near every row, as it is for a
+        quadratic and wherever the resolvent is piecewise affine, so the
+        Gauss-Newton Hessian 2 K^2 is already exact.
+        """
+        return None
 
     def value(self, x) -> float:
         return float(self.value_many(_batch(x, self.dim))[0])
@@ -391,10 +430,7 @@ class MaxLinear(ConvexFunction):
             qq = np.einsum("ij,ij->i", Q, Q)
             gaps = qq - ((Q @ A.T).min(axis=1) - np.einsum("ij,ij->i", Z, Q))
         else:
-            proj = np.empty_like(Z)
-            gaps = np.empty(X.shape[0])
-            for i in range(X.shape[0]):
-                proj[i], gaps[i] = hull_projection_with_gap(A, Z[i])
+            proj, gaps = _wolfe_rows(A, Z)
         Y = X - t * proj
         residual = (t * np.sqrt(np.maximum(gaps, 0.0))[:, None])[:, 0]
         return Y, residual
@@ -447,13 +483,13 @@ class LogSumExp(ConvexFunction):
     It is the smoothing of max_i <a_i, x> with the same vectors, and its
     resolvent lies within sqrt(tau eps log m) of that max-linear resolvent.
     The resolvent is damped Newton on r(y) = y + tau grad f(y) - x started
-    there: from the closed-form max-linear resolvent in one and two dimensions
-    (a clip, or the projection onto the hull built at construction), from x in
-    three or more, or from the caller's `start` when one is given (the
-    minimizer passes each line-search trial the first-order prediction of its
-    resolvents from the last accepted iterate).  A row stops when
-    |r| <= 1e-11 (1 + |x|) or when its step no longer moves y by more than
-    rounding; near a kink at small eps the slope of r is of order
+    there: from the max-linear resolvent (a clip in one dimension, the
+    projection onto the hull built at construction in two, Wolfe's min-norm
+    point per row in three or more), or from the caller's `start` when one is
+    given (the minimizer passes each line-search trial the first-order
+    prediction of its resolvents from the last accepted iterate).  A row
+    stops when |r| <= 1e-11 (1 + |x|) or when its step no longer moves y by
+    more than rounding; near a kink at small eps the slope of r is of order
     tau |A|^2 / eps, so the reachable |r| can be above the target there.
     The returned residual is |r| itself: tau f(y) + |y - x|^2/2 is 1-strongly
     convex and r is its gradient, so |r| bounds |y - J_tau(x)|.
@@ -520,7 +556,7 @@ class LogSumExp(ConvexFunction):
             return X - t * np.clip(X / t, A.min(), A.max())
         if self.dim == 2:
             return X - t * _project_hull_2d(self._hull, X / t)
-        return X.copy()
+        return X - t * _wolfe_rows(A, X / t)[0]
 
     def prox_many(self, tau, X, start=None):
         A = self.vectors
@@ -589,6 +625,17 @@ class LogSumExp(ConvexFunction):
         H = self._hessian_many(self._weights(Y))
         return _solve_blocks(np.eye(self.dim) + tau * H, H)
 
+    def envelope_curvature_many(self, tau, X, Y):
+        # grad f_tau(x) = grad f(J_tau x) with DJ_tau = B = (I + tau H)^-1, so
+        # C = B T[B G] B, T[z] = D^3 f(Y)[z] = sum_j w_j ((v_j . z)/eps^2)
+        # v_j v_j^T with v_j = a_j - g, the third cumulant of the softmax.
+        # With u_j = B v_j that is sum_j w_j ((u_j . G)/eps^2) u_j u_j^T.
+        W = self._weights(Y)
+        B = _solve_blocks(np.eye(self.dim) + tau * self._hessian_many(W))
+        U = (self.vectors - (W @ self.vectors)[:, None, :]) @ B  # rows u_j
+        c = W * (U @ ((X - Y) / tau)[:, :, None])[..., 0] / self.epsilon**2
+        return U.transpose(0, 2, 1) @ (c[:, :, None] * U)
+
 
 @dataclass(frozen=True)
 class Indicator(ConvexFunction):
@@ -623,6 +670,9 @@ class Indicator(ConvexFunction):
 
     def envelope_hessian_many(self, tau, X, Y):
         return (np.eye(self.dim) - self.region.project_jacobian_many(X)) / tau
+
+    def envelope_curvature_many(self, tau, X, Y):
+        return _region_curvature(self.region, X, 1.0 / tau)
 
 
 @dataclass(frozen=True)
@@ -667,6 +717,10 @@ class SquaredDistance(ConvexFunction):
         # DJ_tau = (1 - s) I + s DP
         s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
         return (s / tau) * (np.eye(self.dim) - self.region.project_jacobian_many(X))
+
+    def envelope_curvature_many(self, tau, X, Y):
+        s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
+        return _region_curvature(self.region, X, s / tau)
 
 
 KINDS = (Quadratic, MaxLinear, LogSumExp, Indicator, SquaredDistance)

@@ -8,24 +8,31 @@ with phi_tau = |grad f_tau|^2 evaluated at chord midpoints m_i through the
 resolvent, and tau run through a decreasing continuation schedule with warm
 starts.
 
-Each step is damped Gauss-Newton, the minimum action method of E, Ren and
+Each step is damped Newton, the minimum action method of E, Ren and
 Vanden-Eijnden (2004) in the semismooth setting of Qi and Sun (1993).  With
 K_i = grad^2 f_tau(m_i) from the kind's `envelope_hessian_many` and
-G_i = grad f_tau(m_i), phi_tau has gradient 2 K_i G_i and Hessian 2 K_i^T K_i.
-That drops the derivative of K, which vanishes for quadratics and for
-piecewise-affine resolvents (max_linear, and indicator and squared_distance on
-boxes and halfspaces); on a ball and for log_sum_exp the step is Gauss-Newton
-rather than Newton.  The Hessian of E_tau is then the kinetic part
-(2/dt) tridiag(-1, 2, -1) plus (dt/2) K_i^T K_i on the four blocks that
-chord i couples: block tridiagonal and positive definite, solved by block
-cyclic reduction.  K is computed once per accepted iterate
-from the midpoint resolvents of its line-search trial, so each trial costs one
-resolvent batch and nothing else.  That batch starts from the first-order
-prediction Y - s (I - tau K) dM of its resolvents, with Y those of the
-accepted iterate and dM the midpoints of the step s D; the iterative
-log_sum_exp resolvent then takes fewer Newton iterations, and the closed-form
-kinds ignore the start.  Armijo backtracking starts from the full
-Newton step.  A stage stops when the Newton decrement g^T H^-1 g falls to
+G_i = grad f_tau(m_i), phi_tau has gradient 2 K_i G_i and Hessian
+2 K_i^2 + 2 C_i, where C_i = sum_j G_ij grad^2 (d_j f_tau)(m_i) comes from
+`envelope_curvature_many`.  C vanishes for quadratics and for piecewise-affine
+resolvents (max_linear, and indicator and squared_distance on boxes and
+halfspaces); those kinds return None, and their step is Gauss-Newton, which is
+exact for them.  For log_sum_exp and ball regions K varies and C does not
+vanish; with it the step is exact Newton, which converges quadratically near
+the minimizer where Gauss-Newton converges only linearly.  The Hessian of E_tau
+is the kinetic part (2/dt) tridiag(-1, 2, -1) plus (dt/4) times the slope
+Hessian of chord i on the four blocks that chord couples: block tridiagonal,
+and solved by block cyclic reduction.  The Gauss-Newton Hessian is positive
+definite by construction; the Newton one need not be (C of log_sum_exp is
+indefinite), so the reduction tests its pivots, and an iteration whose Newton
+Hessian is not positive definite takes the Gauss-Newton step instead.  K and
+C are computed once per accepted iterate from the midpoint resolvents of its
+line-search trial, so each trial costs one resolvent batch and nothing else.
+That batch starts from the first-order prediction Y - s (I - tau K) dM of its
+resolvents, with Y those of the accepted iterate and dM the midpoints of the
+step s D; the iterative log_sum_exp resolvent then takes fewer Newton
+iterations, and the closed-form kinds ignore the start.  Armijo backtracking
+starts from the full step.  A stage stops when the decrement g^T H^-1 g, in
+the Hessian that made the step, falls to
 grad_tol^2 * max(|xd - x0|^2/delta, E_tau), a rule that does not depend on the
 scale of the problem.
 
@@ -173,23 +180,45 @@ class _Objective:
         return grad, diag, off
 
     def newton_system(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
-        """Exact gradient and Gauss-Newton Hessian blocks at Z from the
-        (midpoints, resolvents) of evaluate(Z), and the envelope Hessians K
-        at the midpoints."""
+        """Derivatives of the objective at Z from the (midpoints, resolvents)
+        of evaluate(Z): the exact gradient, the Gauss-Newton Hessian blocks
+        (diag, off) from 2 K^2, the exact Newton blocks from 2 K^2 + 2 C
+        (None when the kind's `envelope_curvature_many` gives C = 0, so
+        Gauss-Newton is exact), and the envelope Hessians K at the
+        midpoints."""
         mids, Y = resolved
         K = self.f.envelope_hessian_many(self.tau, mids, Y)
         G = (mids - Y) / self.tau
         dphi = 2.0 * np.einsum("kij,kj->ki", K, G)
         S = 2.0 * np.einsum("kij,kil->kjl", K, K)
-        return (*self.system(Z, dphi, S), K)
+        grad, diag, off = self.system(Z, dphi, S)
+        C = self.f.envelope_curvature_many(self.tau, mids, Y)
+        newton = None
+        if C is not None:
+            # the slope Hessian S + 2 C enters the blocks as S does, times dt/4
+            newton = (diag + 0.5 * self.dt * (C[:-1] + C[1:]),
+                      off + 0.5 * self.dt * C[1:-1])
+        return grad, (diag, off), newton, K
 
     def value_and_grad(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
         energy, resolved = self.evaluate(Z)
         return energy, self.newton_system(Z, resolved)[0]
 
 
-def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
-                             rhs: np.ndarray) -> np.ndarray:
+def _definite_blocks(A: np.ndarray) -> bool:
+    """Whether every symmetric block A[k] is positive definite: by its
+    leading minors for 1x1 and 2x2 blocks, by its eigenvalues above."""
+    d = A.shape[-1]
+    if d == 1:
+        return bool((A[:, 0, 0] > 0.0).all())
+    if d == 2:
+        a = A[:, 0, 0]
+        return bool(((a > 0.0) & (a * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0] > 0.0)).all())
+    return bool((np.linalg.eigvalsh(A)[:, 0] > 0.0).all())
+
+
+def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
+                             definite: bool = False) -> np.ndarray | None:
     """Solve the symmetric block-tridiagonal system with diagonal blocks diag
     (n, d, d) and off[j] (n-1, d, d) the block coupling unknown j to j+1 (its
     transpose couples j+1 to j), for rhs (n, d).
@@ -197,6 +226,12 @@ def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
     Block cyclic reduction: each level eliminates the odd unknowns with one
     batched solve of their diagonal blocks, leaving a block-tridiagonal system
     in the even ones; once n*d <= _DENSE_SIZE it solves densely.
+
+    With definite set, the solve also tests that the matrix is positive
+    definite and returns None when it is not.  A level's matrix is positive
+    definite exactly when the odd unknowns' diagonal blocks and the reduced
+    system, their Schur complement, are; so each level tests those blocks and
+    the dense base case tests by Cholesky.
     """
     n, d = rhs.shape
     if n * d <= _DENSE_SIZE:
@@ -205,7 +240,15 @@ def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
         A[j, :, j, :] = diag
         A[j[:-1], :, j[1:], :] = off
         A[j[1:], :, j[:-1], :] = off.transpose(0, 2, 1)
-        return np.linalg.solve(A.reshape(n * d, n * d), rhs.reshape(n * d)).reshape(n, d)
+        A = A.reshape(n * d, n * d)
+        if definite:
+            try:
+                np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                return None
+        return np.linalg.solve(A, rhs.reshape(n * d)).reshape(n, d)
+    if definite and not _definite_blocks(diag[1::2]):
+        return None
     n_odd = n // 2
     n_even = n - n_odd
     left = off[0::2]                    # couples odd unknown 2o+1 to 2o
@@ -224,7 +267,10 @@ def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
     red_rhs[:n_odd] -= LW[..., 2 * d]
     red_diag[1:] -= RW[..., d:2 * d]
     red_rhs[1:] -= RW[..., 2 * d]
-    even = _block_tridiagonal_solve(red_diag, -LW[:n_even - 1, :, d:2 * d], red_rhs)
+    even = _block_tridiagonal_solve(red_diag, -LW[:n_even - 1, :, d:2 * d], red_rhs,
+                                    definite)
+    if even is None:
+        return None
     beside = np.zeros((n_odd, 2 * d))
     beside[:, :d] = even[:n_odd]
     beside[:n_even - 1, d:] = even[1:]
@@ -236,8 +282,14 @@ def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
 
 def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
            trace: list | None = None) -> tuple[np.ndarray, int, bool, float]:
-    """Gauss-Newton steps on obj from Z: the last iterate, its accepted step
-    count, whether it met the stopping rule, and its energy."""
+    """Damped Newton steps on obj from Z: the last iterate, its accepted step
+    count, whether it met the stopping rule, and its energy.
+
+    Each step solves the exact Newton system when the kind gives a curvature
+    term and that Hessian is positive definite; otherwise (no term, or a
+    Hessian whose step need not descend) it solves the Gauss-Newton system,
+    positive definite by construction.  The stop measures the decrement in
+    whichever Hessian made the step."""
     energy, resolved = obj.evaluate(Z)
     if trace is not None:
         trace.append(energy)
@@ -245,8 +297,12 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
     segment = float(disp @ disp) / (obj.dt * (Z.shape[0] + 1))
     accepted = 0
     for _ in range(cfg.max_iters):
-        grad, diag, off, K = obj.newton_system(Z, resolved)
-        direction = _block_tridiagonal_solve(diag, off, grad)
+        grad, gauss_newton, newton, K = obj.newton_system(Z, resolved)
+        direction = None
+        if newton is not None:
+            direction = _block_tridiagonal_solve(*newton, grad, definite=True)
+        if direction is None:
+            direction = _block_tridiagonal_solve(*gauss_newton, grad)
         decrement = float((grad * direction).sum())
         if decrement <= cfg.grad_tol**2 * max(segment, energy):
             return Z, accepted, True, energy

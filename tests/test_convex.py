@@ -10,8 +10,7 @@ from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
                               moreau_gradient, prox, resolvent_slope,
                               sampled_slope_lower_bound, slope)
 from actionlab.errors import (ConfigError, DimensionMismatchError,
-                              InadmissibleTauError, OutsideDomainError,
-                              SolverError)
+                              InadmissibleTauError, OutsideDomainError)
 from actionlab.minimize import MinimizeConfig, minimize_action
 from actionlab.minnorm import hull_projection_with_gap
 from actionlab.sets import Ball, Box, Halfspace
@@ -386,6 +385,67 @@ def test_envelope_hessian_matches_central_differences(f):
         assert np.all(err <= 1e-6 * (1.0 + np.abs(fd).max(axis=1)))
 
 
+def _curvature_cases():
+    rng = np.random.default_rng(7)
+    cases = {f"log_sum_exp-{d}d-eps{eps:g}": LogSumExp(rng.normal(size=(4, d)), eps)
+             for d in (1, 2, 3) for eps in (0.3, 1e-2, 1e-3)}
+    cases["indicator-ball"] = Indicator(Ball([0.1, 0.2], 1.0))
+    cases["squared_distance-ball"] = SquaredDistance(Ball([0.1, 0.2], 1.0), 1.5)
+    cases["squared_distance-ball-3d"] = SquaredDistance(Ball([0.0, 0.3, -0.2], 0.8), 0.4)
+    return [pytest.param(f, id=name) for name, f in cases.items()]
+
+
+@pytest.mark.parametrize("f", _curvature_cases())
+def test_envelope_curvature_completes_the_slope_hessian(f):
+    """2 K^2 + 2 C, with C from envelope_curvature_many, is the Hessian of
+    phi_tau = |grad f_tau|^2: it matches central differences of the exact
+    gradient 2 K G, on ball regions at points inside and outside."""
+    tau = 0.3
+    rng = np.random.default_rng(f.dim + 20)
+    X = 2.0 * rng.normal(size=(200, f.dim))
+    if isinstance(f, (Indicator, SquaredDistance)):
+        inside = f.region.contains_many(X)
+        assert inside.any() and not inside.all()
+
+    def grad_phi(P):
+        Y, _ = f.prox_many(tau, P)
+        K = f.envelope_hessian_many(tau, P, Y)
+        return 2.0 * np.einsum("kij,kj->ki", K, (P - Y) / tau)
+
+    Y, _ = f.prox_many(tau, X)
+    K = f.envelope_hessian_many(tau, X, Y)
+    C = f.envelope_curvature_many(tau, X, Y)
+    assert C.shape == (200, f.dim, f.dim)
+    hess = 2.0 * K @ K + 2.0 * C
+    h = 1e-6 * (1.0 + np.abs(X).max(axis=1, keepdims=True))
+    for j in range(f.dim):
+        step = np.zeros_like(X)
+        step[:, j:j + 1] = h
+        fd = (grad_phi(X + step) - grad_phi(X - step)) / (2.0 * h)
+        err = np.abs(hess[:, :, j] - fd).max(axis=1)
+        assert np.all(err <= 1e-5 * (1.0 + np.abs(fd).max(axis=1)))
+
+
+@pytest.mark.parametrize("f", [
+    Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.1, -0.2]),
+    MaxLinear([[1.0], [-0.5], [2.0]]),
+    MaxLinear(TRIANGLE),
+    MaxLinear([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, -0.5, 0.5]]),
+    Indicator(Box([-1.0, -0.5], [1.0, 0.5])),
+    Indicator(Halfspace([1.0, -2.0], 0.3)),
+    SquaredDistance(Box([-1.0, -0.5], [1.0, 0.5]), 0.7),
+    SquaredDistance(Halfspace([1.0, -2.0], 0.3), 0.7),
+], ids=["quadratic", "max_linear-1d", "max_linear-2d", "max_linear-3d",
+        "indicator-box", "indicator-halfspace", "squared_distance-box",
+        "squared_distance-halfspace"])
+def test_envelope_curvature_is_none_where_gauss_newton_is_exact(f):
+    # K is piecewise constant for these kinds, so C = 0 and the minimizer
+    # keeps its Gauss-Newton step
+    X = 2.0 * np.random.default_rng(0).normal(size=(20, f.dim))
+    Y, _ = f.prox_many(0.3, X)
+    assert f.envelope_curvature_many(0.3, X, Y) is None
+
+
 @pytest.mark.parametrize("f", _gradient_cases())
 def test_prox_many_rejects_inadmissible_tau_per_row(f):
     """Every row's tau obeys require_admissible's rule: positive, finite and
@@ -627,10 +687,9 @@ def test_smoothed_max_resolvent_is_start_independent(d, eps, monkeypatch):
         f.prox_many(tau, X, start=np.full_like(Y0, math.nan))
 
 
-@pytest.mark.xfail(raises=SolverError, strict=True,
-                   reason="in d >= 3 the Newton solve starts cold from x, and "
-                          "its |r|-damped steps crawl to the iteration cap")
 def test_smoothed_max_3d_cold_start_stall():
+    # from x, the |r|-damped Newton steps crawled to the iteration cap on this
+    # input; from the per-row max-linear resolvent it reaches the target
     f = LogSumExp([[-0.394, 0.085, -0.262], [0.789, -2.896, -1.798],
                    [-2.209, 1.427, 0.835]], 0.000277)
     x = [-1.945, 2.219, -0.731]

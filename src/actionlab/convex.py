@@ -125,16 +125,6 @@ def _row_norms(R: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", R, R))
 
 
-def _wolfe_rows(A: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections of the rows of Z onto conv{rows of A}, one Wolfe solve per
-    row, and their exit gaps."""
-    proj = np.empty_like(Z)
-    gaps = np.empty(Z.shape[0])
-    for i in range(Z.shape[0]):
-        proj[i], gaps[i] = hull_projection_with_gap(A, Z[i])
-    return proj, gaps
-
-
 def _region_curvature(region: ConvexRegion, X: np.ndarray,
                       scale: float) -> np.ndarray | None:
     """Curvature blocks of |scale (x - P x)|^2 at the rows of X, P the
@@ -350,31 +340,51 @@ def _project_hull_2d(H: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return proj
 
 
+def _set_vectors(f) -> np.ndarray:
+    """Validate the vectors of a max-linear or smoothed-max kind as a finite
+    nonempty (m, d) array (a 1-D array is m vectors in one dimension), freeze
+    them, and build the hull that d = 2 projects onto."""
+    A = np.asarray(f.vectors, dtype=float)
+    if A.ndim == 1:
+        A = A[:, None]
+    if A.ndim != 2 or A.shape[0] == 0:
+        raise ConfigError("vectors must be a nonempty (m, d) array")
+    if not np.all(np.isfinite(A)):
+        raise ConfigError("vectors must be finite")
+    object.__setattr__(f, "vectors", _frozen(A))
+    if A.shape[1] == 2:
+        object.__setattr__(f, "_hull", _frozen(_hull_2d(A)))
+    return A
+
+
+def _hull_projection(f, Z):
+    """Rows of Z projected onto conv{f.vectors} and Wolfe's exit gaps: a clip
+    in one dimension and the closed form onto f's hull in two (gaps None), one
+    batched Wolfe solve in three or more."""
+    A = f.vectors
+    if f.dim == 1:
+        return np.clip(Z, float(A.min()), float(A.max())), None
+    if f.dim == 2:
+        return _project_hull_2d(f._hull, Z), None
+    return hull_projection_with_gap(A, Z)
+
+
 @dataclass(frozen=True)
 class MaxLinear(ConvexFunction):
     """f(x) = max_i <a_i, x>, the support function of conv{a_i}; lambda = 0.
 
     The resolvent goes through the projection onto conv{a_i}: a clip in one
     dimension, a closed-form projection onto the hull built at construction
-    in two, and Wolfe's min-norm point per row in three or more.  The
-    minimal-norm subgradient at a tie of two vectors is the closed-form
-    projection of the origin onto their segment; ties of three or more go
-    through Wolfe.
+    in two, and one batched Wolfe solve over all rows in three or more
+    (`minnorm`).  The minimal-norm subgradient at a tie of two vectors is the
+    closed-form projection of the origin onto their segment; all ties of
+    three or more are one masked min-norm call.
     """
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.vectors, dtype=float)
-        if A.ndim == 1:
-            A = A[:, None]
-        if A.ndim != 2 or A.shape[0] == 0:
-            raise ConfigError("vectors must be a nonempty (m, d) array")
-        if not np.all(np.isfinite(A)):
-            raise ConfigError("vectors must be finite")
-        object.__setattr__(self, "vectors", _frozen(A))
-        if A.shape[1] == 2:
-            object.__setattr__(self, "_hull", _frozen(_hull_2d(A)))
+        _set_vectors(self)
 
     @property
     def dim(self) -> int:
@@ -405,8 +415,9 @@ class MaxLinear(ConvexFunction):
             ee = np.einsum("ij,ij->i", e, e)
             t = -np.einsum("ij,ij->i", a, e) / np.where(ee > 0.0, ee, 1.0)
             out[pair] = a + np.clip(t, 0.0, 1.0)[:, None] * e
-        for i in np.where(counts > 2)[0]:
-            out[i] = min_norm_point(A[active[i]])
+        ties = counts > 2
+        if ties.any():
+            out[ties] = min_norm_point(A, mask=active[ties])
         return out
 
     def slope_many(self, X):
@@ -415,25 +426,18 @@ class MaxLinear(ConvexFunction):
     def prox_many(self, tau, X, start=None):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
         X = _batch(X, self.dim)
-        A = self.vectors
         t = _row_taus(tau, X.shape[0], self.lam)
         Z = X / t
+        proj, gaps = _hull_projection(self, Z)
         if self.dim == 1:
-            lo = float(A.min())
-            hi = float(A.max())
-            proj = np.clip(Z, lo, hi)
             gaps = np.zeros(X.shape[0])
         elif self.dim == 2:
-            proj = _project_hull_2d(self._hull, Z)
             # Wolfe's exit gap |q|^2 - min_i <a_i - z, q> with q = p - z
             Q = proj - Z
             qq = np.einsum("ij,ij->i", Q, Q)
-            gaps = qq - ((Q @ A.T).min(axis=1) - np.einsum("ij,ij->i", Z, Q))
-        else:
-            proj, gaps = _wolfe_rows(A, Z)
+            gaps = qq - ((Q @ self.vectors.T).min(axis=1) - np.einsum("ij,ij->i", Z, Q))
         Y = X - t * proj
-        residual = (t * np.sqrt(np.maximum(gaps, 0.0))[:, None])[:, 0]
-        return Y, residual
+        return Y, (t * np.sqrt(np.maximum(gaps, 0.0))[:, None])[:, 0]
 
     def envelope_hessian_many(self, tau, X, Y):
         # G = (X - Y)/tau is the hull projection p of z = X/tau, and DJ_tau is
@@ -466,13 +470,18 @@ class MaxLinear(ConvexFunction):
         elif d >= 3:
             A = self.vectors
             tol = ACTIVE_TOL * (1.0 + np.abs(A).max())
-            for i, u in zip(np.where(outside)[0], U):
-                s = A @ u
-                face = A[s >= s.max() - tol]
-                # orthonormal basis of the face's directions a_j - a_0
-                _, sv, Vt = np.linalg.svd(face[1:] - face[0], full_matrices=False)
-                V = Vt[sv > tol]
-                P[i] = V.T @ V
+            s = U @ A.T
+            face = s >= s.max(axis=1, keepdims=True) - tol
+            # each row's face directions a_j - a_0 as rows, zero-padded to the
+            # widest face: zero rows change neither the singular values nor
+            # the right singular vectors of the nonzero ones
+            order = np.argsort(~face, axis=1, kind="stable")[
+                :, :int(face.sum(axis=1).max(initial=1))]
+            E = np.where(np.take_along_axis(face, order, axis=1)[:, :, None],
+                         A[order] - A[order[:, :1]], 0.0)
+            _, sv, Vt = np.linalg.svd(E, full_matrices=False)
+            V = Vt * (sv > tol)[:, :, None]
+            P[outside] = V.transpose(0, 2, 1) @ V
         return P / tau
 
 
@@ -483,14 +492,13 @@ class LogSumExp(ConvexFunction):
     It is the smoothing of max_i <a_i, x> with the same vectors, and its
     resolvent lies within sqrt(tau eps log m) of that max-linear resolvent.
     The resolvent is damped Newton on r(y) = y + tau grad f(y) - x started
-    there: from the max-linear resolvent (a clip in one dimension, the
-    projection onto the hull built at construction in two, Wolfe's min-norm
-    point per row in three or more), or from the caller's `start` when one is
-    given (the minimizer passes each line-search trial the first-order
-    prediction of its resolvents from the last accepted iterate).  A row
-    stops when |r| <= 1e-11 (1 + |x|) or when its step no longer moves y by
-    more than rounding; near a kink at small eps the slope of r is of order
-    tau |A|^2 / eps, so the reachable |r| can be above the target there.
+    there: from the max-linear resolvent (see `MaxLinear`), or from the
+    caller's `start` when one is given (the minimizer passes each line-search
+    trial the first-order prediction of its resolvents from the last accepted
+    iterate).  A row stops when |r| <= 1e-11 (1 + |x|) or when its step no
+    longer moves y by more than rounding; near a kink at small eps the slope
+    of r is of order tau |A|^2 / eps, so the reachable |r| can be above the
+    target there.
     The returned residual is |r| itself: tau f(y) + |y - x|^2/2 is 1-strongly
     convex and r is its gradient, so |r| bounds |y - J_tau(x)|.
     """
@@ -499,19 +507,10 @@ class LogSumExp(ConvexFunction):
     epsilon: float
 
     def __post_init__(self):
-        A = np.asarray(self.vectors, dtype=float)
-        if A.ndim == 1:
-            A = A[:, None]
-        if A.ndim != 2 or A.shape[0] == 0:
-            raise ConfigError("vectors must be a nonempty (m, d) array")
-        if not np.all(np.isfinite(A)):
-            raise ConfigError("vectors must be finite")
-        object.__setattr__(self, "vectors", _frozen(A))
+        A = _set_vectors(self)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive")
-        if A.shape[1] == 2:
-            object.__setattr__(self, "_hull", _frozen(_hull_2d(A)))
         # rows a_i a_i^T, flattened, so the Hessian's first term is a matmul
         m, d = A.shape
         object.__setattr__(self, "_outer", _frozen(
@@ -549,22 +548,13 @@ class LogSumExp(ConvexFunction):
         H = (W @ self._outer).reshape(-1, d, d) - G[:, :, None] * G[:, None, :]
         return H / self.epsilon
 
-    def _max_linear_start(self, t, X):
-        # J_tau of max_i <a_i, .>: x - tau * proj_{conv a_i}(x / tau)
-        A = self.vectors
-        if self.dim == 1:
-            return X - t * np.clip(X / t, A.min(), A.max())
-        if self.dim == 2:
-            return X - t * _project_hull_2d(self._hull, X / t)
-        return X - t * _wolfe_rows(A, X / t)[0]
-
     def prox_many(self, tau, X, start=None):
         A = self.vectors
         X = _batch(X, self.dim)
         t = _row_taus(tau, X.shape[0], self.lam)
         per_row = isinstance(t, np.ndarray)
         if start is None:
-            Y = self._max_linear_start(t, X)
+            Y = X - t * _hull_projection(self, X / t)[0]
         else:
             Y = _batch(start, self.dim).copy()
             if Y.shape != X.shape:

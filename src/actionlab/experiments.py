@@ -17,7 +17,7 @@ import numpy as np
 from .action import discrete_action, recovery_action_bound, recovery_path, \
     recovery_tolerance
 from .action import Path
-from .convex import as_point, prox, slope
+from .convex import as_point, slope
 from .errors import ConfigError
 from .families import MoscoFamily, eventually_decreasing
 from .minimize import MinimizeConfig, minimize_action
@@ -59,36 +59,30 @@ def resolvent_convergence_table(family: MoscoFamily, tau: float,
                                 probes) -> ExperimentReport:
     """Gaps |J_{f_h,tau}(p) - J_{f,tau}(p)| per (member, probe).
 
-    Each probe's gap column is audited for eventual decrease; final gaps per
-    probe land in the metadata.
+    All probes go through one resolvent batch per member and one for the
+    limit.  Each probe's gap column is audited for eventual decrease; final
+    gaps per probe land in the metadata.
     """
     pts = _check_probes(family, probes)
     tau = family.limit.function.require_admissible(tau)
     for mem in family.members:
         mem.function.require_admissible(tau)
 
-    limit_points = [prox(family.limit.function, tau, p).resolvent_point
-                    for p in pts]
-    rows = []
-    gaps_by_probe: list[list[float]] = [[] for _ in pts]
-    for h, mem in enumerate(family.members):
-        for j, p in enumerate(pts):
-            r = prox(mem.function, tau, p)
-            gap = float(np.linalg.norm(r.resolvent_point - limit_points[j]))
-            gaps_by_probe[j].append(gap)
-            rows.append({"member": h, "probe": j, "gap": gap})
-
-    flags = []
-    for j, gaps in enumerate(gaps_by_probe):
-        if not eventually_decreasing(gaps):
-            flags.append(f"resolvent gap not eventually decreasing at probe {j}")
+    P = np.array(pts)
+    limit_points, _ = family.limit.function.prox_many(tau, P)
+    Y = np.array([mem.function.prox_many(tau, P)[0] for mem in family.members])
+    gaps = np.linalg.norm(Y - limit_points, axis=2).tolist()  # [member][probe]
+    rows = [{"member": h, "probe": j, "gap": g}
+            for h, member_gaps in enumerate(gaps) for j, g in enumerate(member_gaps)]
+    flags = [f"resolvent gap not eventually decreasing at probe {j}"
+             for j, col in enumerate(zip(*gaps)) if not eventually_decreasing(col)]
 
     metadata = {
         "label": family.label,
         "members": family.size,
         "tau": tau,
         "probes": [p.tolist() for p in pts],
-        "final_gaps": [g[-1] for g in gaps_by_probe],
+        "final_gaps": gaps[-1],
     }
     limit_row = {"resolvents": [q.tolist() for q in limit_points]}
     return ExperimentReport("resolvent", tuple(rows), limit_row, metadata,

@@ -1,19 +1,19 @@
-"""Minimum-norm point of a convex hull of finitely many vectors.
+"""Minimum-norm points of convex hulls of finitely many vectors, many at once.
 
-Wolfe's algorithm: maintain a corral of hull vertices, repeatedly solve the
-affine minimum-norm subproblem over the corral, and add the most improving
-vertex until the duality gap |x|^2 - min_i <p_i, x> certifies optimality.
-The exit is certified: for any hull point x and the optimum x*,
-|x - x*|^2 <= |x|^2 - min_i <p_i, x>.
-
-In dimension one the hull is an interval and the answer is the exact clip of
-the origin into [min a_i, max a_i]; the iteration only runs for d >= 2.
-
-Callers: `MaxLinear.prox_many` projects row by row through Wolfe for d >= 3
-only (d = 2 has a closed-form hull projection in `convex.py`),
-`MaxLinear.subgradient_many` resolves ties of three or more vectors through
-it (a two-vector tie is a closed-form segment projection), and
-`verify` uses it as the independent oracle of the Moreau decomposition check.
+Wolfe's algorithm (Wolfe 1976, Math. Programming 11): keep a corral of hull
+vertices, solve the affine minimum-norm subproblem over it, and add the most
+improving vertex until the gap |x|^2 - min_i <p_i, x> certifies the point:
+for any hull point x and the optimum x*, |x - x*|^2 <= that gap.  All rows
+run in lockstep, each on the points an optional (k, m) mask allows it, with
+a padded corral of at most d + 1 indices; each minor cycle solves the corral
+systems of its rows with one batched `np.linalg.solve`.  A row leaves at gap
+<= 1e-14 (1 + max_j |p_j|^2), when its most improving vertex is already in
+its corral (stalled at noise level), or at the iteration cap, with the gap
+of its final point.  In one dimension the answer is the exact clip of the
+origin into the interval.  Callers: `MaxLinear.prox_many` and the start of
+`LogSumExp.prox_many` for d >= 3, all ties of three or more vectors in
+`MaxLinear.subgradient_many` (one masked call), and `verify`'s Moreau
+decomposition oracle, whose d <= 2 functions resolve in closed form.
 """
 from __future__ import annotations
 
@@ -36,119 +36,137 @@ def _as_points(points) -> np.ndarray:
     return P
 
 
-def _affine_coeffs(A: np.ndarray) -> np.ndarray:
-    """Coefficients of the min-norm point of the affine hull of the rows of A.
-
-    Solves  G a + nu 1 = 0, sum(a) = 1  with G = A A^T via least squares so
-    rank-deficient corrals (duplicated or affinely dependent rows) stay stable.
-    """
-    k = A.shape[0]
-    if k == 1:
-        return np.ones(1)
-    G = A @ A.T
-    M = np.zeros((k + 1, k + 1))
-    M[:k, :k] = G
-    M[:k, k] = 1.0
-    M[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol[:k]
-
-
-def _wolfe(P: np.ndarray, gap_tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
-    m = P.shape[0]
-    norms2 = np.einsum("ij,ij->i", P, P)
-    start = int(np.argmin(norms2))
-    corral = [start]
-    weights = np.ones(1)
-    x = P[start].copy()
-
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        dots = P @ x
-        xx = float(x @ x)
-        j = int(np.argmin(dots))
-        gap = xx - float(dots[j])
-        if gap <= gap_tol or j in corral:
-            # optimal, or numerically stalled with the gap at noise level
-            return x, max(gap, 0.0), iters
-        corral.append(j)
-        weights = np.append(weights, 0.0)
-
-        while True:
-            A = P[corral]
-            alpha = _affine_coeffs(A)
-            if np.all(alpha > _COEFF_TOL):
-                weights = alpha / alpha.sum()
-                x = weights @ A
-                break
-            blocking = np.where(alpha <= _COEFF_TOL)[0]
-            denom = weights[blocking] - alpha[blocking]
-            ratios = np.where(denom > 0, weights[blocking] / np.where(denom > 0, denom, 1.0), 1.0)
-            theta = min(1.0, float(ratios.min()))
-            weights = (1.0 - theta) * weights + theta * alpha
-            weights = np.maximum(weights, 0.0)
-            keep = weights > _DROP_TOL
-            if keep.all():
-                keep[int(np.argmin(weights))] = False
-            if not keep.any():
-                keep[int(np.argmax(weights))] = True
-            corral = [corral[i] for i in range(len(corral)) if keep[i]]
-            weights = weights[keep]
-            weights = weights / weights.sum()
-            x = weights @ P[corral]
-
-    dots = P @ x
-    gap = float(x @ x) - float(dots.min())
-    return x, max(gap, 0.0), iters
+def _affine_weights(Pc: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Weights a, sum(a) = 1, of the min-norm point of each corral's affine
+    hull: Pc (n, s, d) holds the corral points, zero in slots `used` leaves
+    out, where identity rows pad the KKT system [G 1; 1^T 0] (G = Pc Pc^T,
+    scaled to a unit diagonal maximum).  Singular systems (duplicated or
+    affinely dependent points) take the least-squares solution."""
+    n, s, _ = Pc.shape
+    G = Pc @ Pc.transpose(0, 2, 1)
+    scale = G.diagonal(axis1=1, axis2=2).max(axis=1)
+    M = np.zeros((n, s + 1, s + 1))
+    M[:, :s, :s] = G / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    M[:, :s, s] = M[:, s, :s] = used
+    diag = np.arange(s)
+    M[:, diag, diag] += ~used
+    rhs = np.zeros((n, s + 1, 1))
+    rhs[:, s] = 1.0
+    try:
+        sol = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full_like(rhs, np.nan)
+    bad = ~np.isfinite(sol).all(axis=(1, 2))
+    if bad.any():
+        sol[bad] = np.linalg.pinv(M[bad]) @ rhs[bad]
+    return sol[:, :s, 0]
 
 
-def min_norm_point_with_gap(points, *, gap_tol: float | None = None,
-                            max_iter: int | None = None) -> tuple[np.ndarray, float]:
-    """Minimum-norm point of conv{points} plus the certified duality gap."""
-    P = _as_points(points)
-    m, d = P.shape
+def _min_norm_rows(A: np.ndarray, Z: np.ndarray, mask=None, gap_tol=None,
+                   max_iter=None) -> tuple[np.ndarray, np.ndarray]:
+    """Min-norm points q_i of conv{a_j - z_i : mask[i, j]} and their gaps."""
+    (k, d), m = Z.shape, A.shape[0]
+    mask = np.ones((k, m), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != (k, m) or not mask.any(axis=1).all():
+        raise ConfigError(f"mask must be a ({k}, {m}) boolean array "
+                          "allowing a point in every row")
     if d == 1:
-        lo = float(P.min())
-        hi = float(P.max())
-        if lo <= 0.0 <= hi:
-            val = 0.0
-        else:
-            val = lo if lo > 0.0 else hi
-        return np.array([val]), 0.0
-    if m == 1:
-        return P[0].copy(), 0.0
-    scale2 = float(np.einsum("ij,ij->i", P, P).max())
-    if scale2 == 0.0:
-        return np.zeros(d), 0.0
-    if gap_tol is None:
-        gap_tol = 1e-14 * (1.0 + scale2)
-    if max_iter is None:
-        max_iter = 100 + 16 * m
-    x, gap, _ = _wolfe(P, gap_tol, max_iter)
-    return x, gap
+        Q = A[:, 0] - Z
+        lo = np.where(mask, Q, np.inf).min(axis=1)
+        hi = np.where(mask, Q, -np.inf).max(axis=1)
+        q = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
+        return q[:, None], np.zeros(k)
+
+    def improving(rows, X):
+        # the gap |x|^2 - min_j <a_j - z, x> and the vertex attaining it
+        dots = np.where(mask[rows], X @ A.T, np.inf) - np.einsum(
+            "ij,ij->i", X, Z[rows])[:, None]
+        j = dots.argmin(axis=1)
+        return np.einsum("ij,ij->i", X, X) - dots[np.arange(rows.size), j], j
+
+    norms2 = (np.einsum("ij,ij->i", A, A) - 2.0 * (Z @ A.T)
+              + np.einsum("ij,ij->i", Z, Z)[:, None])
+    far = np.maximum(np.where(mask, norms2, 0.0).max(axis=1), 0.0)
+    tol = 1e-14 * (1.0 + far) if gap_tol is None else np.full(k, float(gap_tol))
+    S = min(m, d + 1)
+    idx = np.zeros((k, S), dtype=np.intp)
+    idx[:, 0] = np.where(mask, norms2, np.inf).argmin(axis=1)
+    used = np.arange(S) == np.zeros((k, 1))  # corral slots in use
+    W = used * 1.0
+    X = A[idx[:, 0]] - Z
+    gaps = np.zeros(k)
+    live = np.arange(k)
+    for _ in range(100 + 16 * m if max_iter is None else max_iter):
+        gaps[live], j = improving(live, X[live])
+        u = used[live]
+        seen = ((idx[live] == j[:, None]) & u).any(axis=1)
+        go = (gaps[live] > tol[live]) & ~seen & ~u.all(axis=1)
+        live, j = live[go], j[go]
+        if live.size == 0:
+            break
+        free = used[live].argmin(axis=1)
+        idx[live, free] = j
+        used[live, free] = True
+        rows = live
+        while rows.size:
+            # move each row's weights toward its affine minimizer until one
+            # reaches zero and drop that vertex (the smallest weight if
+            # rounding keeps all positive); rows with none blocking are done
+            s = S - int(used[rows].any(axis=0)[::-1].argmax())  # slots in use
+            u = used[rows, :s]
+            Pc = np.where(u[:, :, None], A[idx[rows, :s]] - Z[rows, None, :], 0.0)
+            a = _affine_weights(Pc, u)
+            w = W[rows, :s]
+            blocking = u & (a <= _COEFF_TOL)
+            step = blocking & (w > a)
+            ratio = np.where(step, w, np.inf) / np.where(step, w - a, 1.0)
+            theta = np.minimum(1.0, ratio.min(axis=1))[:, None]
+            w = np.maximum((1.0 - theta) * w + theta * a, 0.0)
+            keep = u & (w > _DROP_TOL)
+            blocked = blocking.any(axis=1)
+            full = blocked & (keep == u).all(axis=1)
+            keep[full, np.where(u, w, np.inf)[full].argmin(axis=1)] = False
+            w = np.where(keep, w, 0.0)
+            W[rows, :s] = w = w / w.sum(axis=1, keepdims=True)
+            used[rows, :s] = keep
+            X[rows] = np.einsum("ns,nsd->nd", w, Pc)
+            rows = rows[blocked]
+    if live.size:
+        gaps[live] = improving(live, X[live])[0]  # the cap's honest gap
+    return X, np.maximum(gaps, 0.0)
 
 
-def min_norm_point(points, *, gap_tol: float | None = None,
-                   max_iter: int | None = None) -> np.ndarray:
-    x, _ = min_norm_point_with_gap(points, gap_tol=gap_tol, max_iter=max_iter)
-    return x
-
-
-def hull_projection_with_gap(points, z) -> tuple[np.ndarray, float]:
-    """Projection of z onto conv{points}: z + argmin |q| over conv{points - z}."""
+def min_norm_point_with_gap(points, *, mask=None, gap_tol: float | None = None,
+                            max_iter: int | None = None):
+    """Minimum-norm point of conv{points} plus the certified duality gap;
+    with a (k, m) boolean `mask`, (k, d) points and (k,) gaps, row i over the
+    points that mask[i] allows."""
     P = _as_points(points)
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        z = z[None]
-    if z.shape != (P.shape[1],):
-        raise ConfigError("projection target has the wrong dimension")
-    q, gap = min_norm_point_with_gap(P - z)
-    return z + q, gap
+    k = 1 if mask is None else np.atleast_2d(mask).shape[0]
+    Q, gaps = _min_norm_rows(P, np.zeros((k, P.shape[1])), mask, gap_tol, max_iter)
+    return (Q[0], float(gaps[0])) if mask is None else (Q, gaps)
 
 
-def hull_projection(points, z) -> np.ndarray:
-    p, _ = hull_projection_with_gap(points, z)
-    return p
+def min_norm_point(points, **options) -> np.ndarray:
+    return min_norm_point_with_gap(points, **options)[0]
+
+
+def hull_projection_with_gap(points, z, *, mask=None):
+    """Projection of z onto conv{points}: z + argmin |q| over conv{points - z}.
+
+    z is one point (d,) or a batch (k, d); a batch gives (k, d) projections
+    and (k,) gaps, and may take a (k, m) boolean `mask` of the points each
+    row projects onto.
+    """
+    P = _as_points(points)
+    single = np.ndim(z) <= 1
+    Z = np.atleast_2d(np.asarray(z, dtype=float))
+    if Z.ndim != 2 or Z.shape[1] != P.shape[1] or not np.all(np.isfinite(Z)):
+        raise ConfigError("projection target must be finite, of the hull's dimension")
+    Q, gaps = _min_norm_rows(P, Z, mask if mask is None else np.atleast_2d(mask))
+    Y = Z + Q
+    return (Y[0], float(gaps[0])) if single else (Y, gaps)
+
+
+def hull_projection(points, z, **options) -> np.ndarray:
+    return hull_projection_with_gap(points, z, **options)[0]

@@ -317,19 +317,17 @@ def envelope_gradient_lipschitz_failures(f: ConvexFunction, rng,
 
 def moreau_decomposition_failures(f: MaxLinear, rng, trials: int) -> list[dict]:
     """x = J_tau(x) + tau * proj_hull(x / tau) for max-linear functions."""
-    fails = []
-    # per-trial draws in the order of one-at-a-time sampling, one resolvent batch
+    # per-trial draws in the order of one-at-a-time sampling, then one
+    # resolvent batch and one oracle batch
     draws = [(_sample_tau(rng, f), _sample_x(rng, f)) for _ in range(trials)]
     taus = np.array([tau for tau, _ in draws])
     X = np.array([x for _, x in draws])
     Y, _ = f.prox_many(taus, X)
-    for tau, x, y in zip(taus, X, Y):
-        rebuilt = y + tau * hull_projection(f.vectors, x / tau)
-        err = float(np.linalg.norm(rebuilt - x))
-        allowed = 1e-9 * (1.0 + float(np.linalg.norm(x)))
-        if not (err <= allowed):
-            fails.append(_fail(f, tau=tau, x=x, error=err, allowed=allowed))
-    return fails
+    t = taus[:, None]
+    err = np.linalg.norm(Y + t * hull_projection(f.vectors, X / t) - X, axis=1)
+    allowed = 1e-9 * (1.0 + np.linalg.norm(X, axis=1))
+    return [_fail(f, tau=taus[i], x=X[i], error=err[i], allowed=allowed[i])
+            for i in np.where(~(err <= allowed))[0]]
 
 
 def slope_tau_monotonicity_failures(f: ConvexFunction, rng,

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
-                              SquaredDistance, evaluate, min_norm_subgradient,
+from actionlab.convex import (ACTIVE_TOL, Indicator, LogSumExp, MaxLinear,
+                              Quadratic, SquaredDistance, evaluate,
+                              min_norm_subgradient,
                               moreau_gradient, prox, resolvent_slope,
                               sampled_slope_lower_bound, slope)
 from actionlab.errors import (ConfigError, DimensionMismatchError,
                               InadmissibleTauError, OutsideDomainError)
+from actionlab.families import permutation_vectors
 from actionlab.minimize import MinimizeConfig, minimize_action
 from actionlab.minnorm import hull_projection_with_gap
 from actionlab.sets import Ball, Box, Halfspace
@@ -695,3 +697,145 @@ def test_smoothed_max_3d_cold_start_stall():
     x = [-1.945, 2.219, -0.731]
     _, res = f.prox_many(1.548, [x])
     assert res[0] <= 1e-10 * (1.0 + np.linalg.norm(x))
+
+
+PERMUTATION_HULL = permutation_vectors([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                        [1.0, 1.0], [0.5, -0.5]])
+
+
+@pytest.mark.parametrize("d, m", [(3, 4), (3, 25), (4, 10), (10, 40), (10, 120)])
+def test_maxlinear_prox_per_row_tau_matches_nnls(d, m):
+    rng = np.random.default_rng(d * m)
+    A = PERMUTATION_HULL if m == 120 else rng.normal(size=(m, d))
+    f = MaxLinear(A)
+    taus = rng.uniform(0.02, 2.0, size=30)
+    X = rng.normal(size=(30, d)) * np.repeat([0.1, 1.0, 5.0], 10)[:, None]
+    Y, residual = f.prox_many(taus, X)
+    for x, y, tau, r in zip(X, Y, taus, residual):
+        z = x / tau
+        R = math.sqrt(1.0 + float(np.max(np.sum((A - z) ** 2, axis=1))))
+        np.testing.assert_allclose(y, x - tau * nnls_projection(A, z), rtol=0.0,
+                                   atol=1e-7 * tau * R)
+        assert r <= 1e-7 * tau * R
+
+
+def _wide_ties(A, rng, count):
+    """Rows x at which three or more vectors of A attain max_i <a_i, x>, with
+    the indices of those vectors; x = 0 ties them all."""
+    m, d = A.shape
+    rows, sets = [np.zeros(d)], [np.arange(m)]
+    while len(rows) < count:
+        S = rng.choice(m, size=int(rng.integers(3, min(m, d + 1) + 1)), replace=False)
+        _, sv, Vt = np.linalg.svd(A[S[1:]] - A[S[0]])
+        null = Vt[int(np.sum(sv > 1e-9)):]
+        if null.shape[0] == 0:
+            continue
+        x = rng.normal(size=null.shape[0]) @ null
+        dots = A @ x
+        if dots[S].min() - np.delete(dots, S).max() > 1e-3:
+            rows.append(x)
+            sets.append(np.sort(S))
+    return np.array(rows), sets
+
+
+def _tie_cases():
+    e = np.eye(3)
+    return [
+        pytest.param(np.repeat([[1.0], [-0.5], [2.0]], 3, axis=0),
+                     np.array([[0.0], [1.0], [-1.0]]), id="1d"),
+        pytest.param(np.array([[0.5], [1.0], [2.0]]), np.zeros((2, 1)),
+                     id="1d-positive"),
+        pytest.param(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 0.5],
+                               [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]),
+                     id="2d-collinear"),
+        pytest.param(np.vstack([e, -e.sum(axis=0) / 2.0, e[0] + e[1]]), None, id="3d"),
+        pytest.param(np.random.default_rng(2).normal(size=(8, 4)), None, id="4d"),
+    ]
+
+
+@pytest.mark.parametrize("A, X", _tie_cases())
+def test_wide_ties_are_one_masked_call(A, X, monkeypatch):
+    import actionlab.convex as convex
+    from actionlab.minnorm import min_norm_point
+
+    f = MaxLinear(A)
+    if X is None:
+        X, sets = _wide_ties(A, np.random.default_rng(A.shape[1]), 25)
+        refs = [min_norm_point(A[S]) for S in sets]
+    else:
+        active = f._actives(X)
+        assert np.all(active.sum(axis=1) > 2)
+        refs = [min_norm_point(A[row]) for row in active]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return min_norm_point(*args, **kwargs)
+
+    monkeypatch.setattr(convex, "min_norm_point", counted)
+    G = f.subgradient_many(X)
+    assert len(calls) == 1
+    for g, ref in zip(G, refs):
+        np.testing.assert_allclose(g, ref, rtol=0.0, atol=1e-12)
+        if A.shape[1] == 1:
+            np.testing.assert_array_equal(g, ref)
+
+
+def _face_projectors_per_row(A, tau, X, Y):
+    """envelope_hessian_many of a d >= 3 max-linear function one row at a
+    time: the projector onto the directions a_j - a_0 of the face that
+    q = Y/tau exposes, from one SVD per row."""
+    k, d = X.shape
+    Q = Y / tau
+    qn = np.linalg.norm(Q, axis=1)
+    outside = qn > ACTIVE_TOL * (1.0 + np.linalg.norm(X / tau, axis=1))
+    P = np.zeros((k, d, d))
+    P[~outside] = np.eye(d)
+    tol = ACTIVE_TOL * (1.0 + np.abs(A).max())
+    for i in np.where(outside)[0]:
+        s = A @ (Q[i] / qn[i])
+        face = A[s >= s.max() - tol]
+        _, sv, Vt = np.linalg.svd(face[1:] - face[0], full_matrices=False)
+        V = Vt[sv > tol]
+        P[i] = V.T @ V
+    return P / tau
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(np.random.default_rng(4).normal(size=(6, 3)), id="3d"),
+    pytest.param(PERMUTATION_HULL, id="permutation")])
+def test_maxlinear_face_projectors_match_per_row_svd(A):
+    tau = 0.4
+    rng = np.random.default_rng(A.shape[1])
+    f = MaxLinear(A)
+    d = A.shape[1]
+    # generic rows, rows inside the hull, and rows far out along coordinate
+    # directions, which expose faces of many vertices on the permutation hull
+    far = tau * (A.mean(axis=0) + 50.0 * np.vstack([np.eye(d), -np.eye(d)]))
+    X = np.vstack([tau * 2.0 * rng.normal(size=(150, d)),
+                   tau * A[:5].mean(axis=0), far])
+    Y, _ = f.prox_many(tau, X)
+    K = f.envelope_hessian_many(tau, X, Y)
+    np.testing.assert_allclose(K, _face_projectors_per_row(A, tau, X, Y),
+                               rtol=0.0, atol=1e-12)
+    ranks = np.round(np.trace(K, axis1=1, axis2=2) * tau).astype(int)
+    assert len(set(ranks.tolist())) >= 3
+
+    def grad_env(P):
+        return (P - f.prox_many(tau, P)[0]) / tau
+
+    # K is the Jacobian of the envelope gradient wherever that is
+    # differentiable: where the one-sided differences agree
+    h = 1e-6
+    g0 = grad_env(X)
+    smooth = np.ones(X.shape[0], dtype=bool)
+    fd = np.empty_like(K)
+    for j in range(d):
+        step = np.zeros_like(X)
+        step[:, j] = h
+        fwd = (grad_env(X + step) - g0) / h
+        bwd = (g0 - grad_env(X - step)) / h
+        smooth &= np.abs(fwd - bwd).max(axis=1) <= 1e-5 / tau
+        fd[:, :, j] = 0.5 * (fwd + bwd)
+    assert smooth.mean() >= 0.8
+    np.testing.assert_allclose(K[smooth], fd[smooth], rtol=0.0, atol=1e-5 / tau)

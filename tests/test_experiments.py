@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actionlab.action import Path
-from actionlab.convex import Quadratic
+from actionlab.convex import Quadratic, prox
 from actionlab.errors import ConfigError
 from actionlab.experiments import (gamma_limsup_experiment,
                                    gamma_value_experiment,
@@ -43,6 +43,32 @@ def test_resolvent_table_constant_family_zero_gaps():
                                       [[0.4]])
     assert rep.ok
     assert all(r["gap"] == 0.0 for r in rep.rows)
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(lse_family(), id="lse-1d"),
+    pytest.param(pen_family(), id="penalty-2d"),
+    pytest.param(family_logsumexp_to_max(
+        np.random.default_rng(1).normal(size=(7, 3)), (0.4, 0.1, 0.02),
+        np.zeros(3), np.ones(3)), id="lse-3d")])
+def test_resolvent_table_is_one_batch_per_member(family, monkeypatch):
+    """One prox_many over all probes per member plus one for the limit, with
+    the gaps of one prox per (member, probe)."""
+    probes = np.random.default_rng(2).normal(size=(5, family.dim))
+    limit = [prox(family.limit.function, 0.3, p).resolvent_point for p in probes]
+    expected = [[float(np.linalg.norm(prox(mem.function, 0.3, p).resolvent_point - q))
+                 for p, q in zip(probes, limit)] for mem in family.members]
+    calls = []
+    for f in {type(m.function) for m in (*family.members, family.limit)}:
+        def counted(self, tau, X, start=None, _inner=f.prox_many):
+            calls.append(np.shape(X)[0])
+            return _inner(self, tau, X, start)
+        monkeypatch.setattr(f, "prox_many", counted)
+    rep = resolvent_convergence_table(family, 0.3, probes)
+    assert calls == [len(probes)] * (family.size + 1)
+    for row in rep.rows:
+        assert row["gap"] == pytest.approx(expected[row["member"]][row["probe"]],
+                                           rel=0.0, abs=1e-12)
 
 
 def test_resolvent_table_requires_probes():

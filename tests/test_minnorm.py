@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
-from actionlab.minnorm import (hull_projection, min_norm_point,
+from actionlab.errors import ConfigError
+from actionlab.minnorm import (_affine_weights, hull_projection,
+                               hull_projection_with_gap, min_norm_point,
                                min_norm_point_with_gap)
+from test_convex import nnls_projection
 
 
 def qp_oracle(points: np.ndarray) -> np.ndarray:
@@ -87,3 +92,123 @@ def test_result_lies_in_hull_and_is_optimal(seed):
     # optimality: <x, p> >= |x|^2 - gap for every vertex p
     assert np.all(pts @ x >= float(x @ x) - gap - 1e-9 * scale)
     assert gap <= 1e-8 * scale
+
+
+def _shifted_gap(A, z, p):
+    """Wolfe's gap |q|^2 - min_j <a_j - z, q> at q = p - z, recomputed here."""
+    q = p - z
+    return float(q @ q - ((A - z) @ q).min())
+
+
+@pytest.mark.parametrize("d, m", [(3, 4), (3, 40), (4, 12), (10, 30), (10, 120)])
+def test_batched_projection_matches_nnls(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    A = rng.normal(size=(m, d))
+    # rows inside the hull, near it and far from it
+    Z = rng.normal(size=(24, d)) * np.repeat([0.2, 1.0, 3.0, 30.0], 6)[:, None]
+    P, gaps = hull_projection_with_gap(A, Z)
+    assert P.shape == Z.shape and gaps.shape == (24,)
+    for z, p, gap in zip(Z, P, gaps):
+        R2 = 1.0 + float(np.max(np.sum((A - z) ** 2, axis=1)))
+        assert 0.0 <= gap <= 1e-14 * R2
+        assert _shifted_gap(A, z, p) <= 1e-13 * R2
+        np.testing.assert_allclose(p, nnls_projection(A, z), rtol=0.0,
+                                   atol=1e-7 * math.sqrt(R2))
+        single, _ = hull_projection_with_gap(A, z)
+        np.testing.assert_allclose(p, single, rtol=0.0, atol=1e-12 * math.sqrt(R2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_min_norm_matches_qp_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    d = (3, 4, 10, 10)[seed]
+    pts = rng.normal(size=(int(rng.integers(d, 3 * d)), d)) + 0.5
+    x = min_norm_point(pts)
+    ref = qp_oracle(pts)
+    assert np.linalg.norm(x) <= np.linalg.norm(ref) + 1e-7
+    np.testing.assert_allclose(x, ref, atol=5e-5)
+
+
+def _degenerate_cases():
+    rng = np.random.default_rng(3)
+    B = rng.normal(size=(5, 3))
+    square = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0],
+                       [-1.0, -1.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.0, 1.0]])
+    line = (np.outer(np.linspace(-1.0, 2.0, 5), [1.0, 2.0, 0.0, -1.0])
+            + [0.0, 0.0, 3.0, 0.0])
+    cases = {
+        "duplicated": (np.vstack([B, B, B[:2]]), 2.0 * rng.normal(size=(20, 3))),
+        "coplanar": (square, np.vstack([[0.3, 0.2, 5.0], [3.0, 0.1, -2.0],
+                                        [0.2, -0.4, 1.0], rng.normal(size=(10, 3))])),
+        "collinear": (line, np.vstack([rng.normal(size=(10, 4)), line[2]])),
+        "single": (B[:1], rng.normal(size=(5, 3))),
+        "all-equal": (np.tile(B[0], (4, 1)),
+                      np.vstack([B[0], rng.normal(size=(5, 3))])),
+        "inside": (B, np.vstack([B.mean(axis=0), 0.3 * B[0] + 0.7 * B[1]])),
+        "vertex": (B, B),
+    }
+    return [pytest.param(A, Z, id=name) for name, (A, Z) in cases.items()]
+
+
+@pytest.mark.parametrize("A, Z", _degenerate_cases())
+def test_degenerate_hulls_project_without_error(A, Z):
+    P, gaps = hull_projection_with_gap(A, Z)
+    for z, p, gap in zip(Z, P, gaps):
+        R2 = 1.0 + float(np.max(np.sum((A - z) ** 2, axis=1)))
+        assert gap <= 1e-14 * R2
+        np.testing.assert_allclose(p, nnls_projection(A, z), rtol=0.0,
+                                   atol=1e-7 * math.sqrt(R2))
+
+
+def test_rank_deficient_corral_falls_back_to_least_squares():
+    # a corral holding one point twice makes the KKT matrix singular
+    Pc = np.array([[[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]])
+    used = np.array([[True, True, False], [True, True, False]])
+    alpha = _affine_weights(Pc, used)
+    assert np.all(np.isfinite(alpha))
+    np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(alpha[:, 2], 0.0)
+    np.testing.assert_allclose(alpha[1], [0.5, 0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(alpha[0] @ Pc[0], [1.0, 2.0, 0.0], atol=1e-12)
+
+
+def test_iteration_cap_returns_the_honest_gap():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(40, 6)) + 0.3
+    x, gap = min_norm_point_with_gap(pts, max_iter=1)
+    assert gap == pytest.approx(_shifted_gap(pts, np.zeros(6), x), rel=1e-9)
+    assert gap > 1e-6
+    _, full_gap = min_norm_point_with_gap(pts)
+    assert full_gap <= 1e-14 * (1.0 + float(np.max(np.sum(pts**2, axis=1))))
+    mask = rng.random((5, 40)) < 0.6
+    X, gaps = min_norm_point_with_gap(pts, mask=mask, max_iter=2)
+    for x, g, row in zip(X, gaps, mask):
+        assert g == pytest.approx(_shifted_gap(pts[row], np.zeros(6), x), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_masked_rows_match_subset_calls(d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(9, d)) + 0.4
+    mask = rng.random((30, 9)) < 0.5
+    mask[np.arange(30), rng.integers(0, 9, 30)] = True
+    X, gaps = min_norm_point_with_gap(pts, mask=mask)
+    for x, g, row in zip(X, gaps, mask):
+        ref, ref_gap = min_norm_point_with_gap(pts[row])
+        if d == 1:
+            np.testing.assert_array_equal(x, ref)
+        np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12)
+        assert g <= 1e-14 * (1.0 + float(np.max(np.sum(pts[row] ** 2, axis=1))))
+
+
+def test_mask_is_validated():
+    pts = np.eye(3)
+    with pytest.raises(ConfigError):
+        min_norm_point(pts, mask=np.ones((2, 4), dtype=bool))
+    with pytest.raises(ConfigError):
+        min_norm_point(pts, mask=np.array([[True, False, False], [False] * 3]))
+    with pytest.raises(ConfigError):
+        hull_projection_with_gap(pts, np.ones((2, 2)))
+    with pytest.raises(ConfigError):
+        hull_projection_with_gap(pts, [[np.nan, 0.0, 0.0]])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from actionlab.convex import Quadratic
+from actionlab.convex import MaxLinear, Quadratic
 from actionlab.errors import ConfigError
 from actionlab.verify import (SCOPES, envelope_gradient_lipschitz_failures,
                               envelope_identity_failures,
+                              moreau_decomposition_failures,
                               resolvent_lipschitz_failures,
                               sampled_lower_bound_failures,
                               slope_chain_failures,
@@ -133,3 +134,27 @@ def test_sampled_lower_bound_is_one_value_and_one_slope_call(monkeypatch):
     assert sampled_lower_bound_failures(f, np.random.default_rng(0), 17) == []
     # the 17 points and their 4 samples each, then the 17 slopes
     assert calls == [("value", 17 * 5), ("slope", 17)]
+
+
+@pytest.mark.parametrize("vectors", [[[1.0], [-0.5], [2.0]],
+                                     [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]])
+def test_moreau_decomposition_is_one_resolvent_and_one_oracle_call(vectors,
+                                                                   monkeypatch):
+    import actionlab.verify as verify
+
+    calls = []
+    oracle, prox_many = verify.hull_projection, MaxLinear.prox_many
+
+    def counting_oracle(points, Z):
+        calls.append(("oracle", np.shape(Z)))
+        return oracle(points, Z)
+
+    def counting_prox(self, tau, X):
+        calls.append(("prox", np.shape(X)))
+        return prox_many(self, tau, X)
+
+    monkeypatch.setattr(verify, "hull_projection", counting_oracle)
+    monkeypatch.setattr(MaxLinear, "prox_many", counting_prox)
+    f = MaxLinear(vectors)
+    assert moreau_decomposition_failures(f, np.random.default_rng(0), 17) == []
+    assert calls == [("prox", (17, f.dim)), ("oracle", (17, f.dim))]

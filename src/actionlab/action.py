@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import ConvexFunction, as_point, min_norm_subgradient, slope
-from .errors import ConfigError, DimensionMismatchError, OutsideDomainError
+from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
+                     whole_number)
 
 RULES = ("midpoint", "node-trapezoid")
 
@@ -30,8 +31,11 @@ class Path:
     nodes: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        X = np.asarray(self.nodes, dtype=float)
+        try:
+            t = np.asarray(self.times, dtype=float)
+            X = np.asarray(self.nodes, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("times and nodes must be arrays of numbers") from None
         if X.ndim == 1:
             X = X[:, None]
         if t.ndim != 1 or t.size < 2:
@@ -85,6 +89,7 @@ class Path:
         xd = np.atleast_1d(np.asarray(xd, dtype=float))
         if x0.shape != xd.shape:
             raise DimensionMismatchError("endpoints must share a dimension")
+        intervals = whole_number(intervals, "intervals")
         s = np.linspace(0.0, 1.0, intervals + 1)
         nodes = x0[None, :] + s[:, None] * (xd - x0)[None, :]
         nodes[0] = x0
@@ -214,9 +219,7 @@ def interpolation_path(f: ConvexFunction, tau: float, delta: float, x0, xd,
     delta = float(delta)
     if not (np.isfinite(delta) and delta > 0):
         raise ConfigError("delta must be positive")
-    M = int(M)
-    if M < 1:
-        raise ConfigError("M must be at least 1")
+    M = whole_number(M, "M")
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
     p0 = x0 + tau * min_norm_subgradient(f, x0)
@@ -289,9 +292,8 @@ def recovery_path(f_h: ConvexFunction, tau: float, gamma: Path, xh0, xh1,
     xh1 = as_point(xh1, f_h.dim, "xh1")
 
     core_nodes, _ = f_h.prox_many(tau, gamma.nodes)
-    m_patch = int(M) if M is not None else max(16, math.ceil(tau * gamma.intervals))
-    if m_patch < 1:
-        raise ConfigError("patch sampling must be at least 1")
+    m_patch = (max(16, math.ceil(tau * gamma.intervals)) if M is None
+               else whole_number(M, "M"))
 
     patch_a = interpolation_path(f_h, tau, tau, xh0, core_nodes[0], m_patch)
     patch_b = interpolation_path(f_h, tau, tau, core_nodes[-1], xh1, m_patch)

@@ -28,6 +28,7 @@ from .errors import (
     InadmissibleTauError,
     OutsideDomainError,
     SolverError,
+    whole_number,
 )
 from .minnorm import hull_projection_with_gap, min_norm_point
 from .sets import Ball, Box, ConvexRegion, Halfspace
@@ -38,7 +39,10 @@ _NEWTON_CAP = 60
 
 
 def as_point(x, dim: int | None = None, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a point of numbers, got {x!r}") from None
     if arr.ndim == 0:
         arr = arr[None]
     if arr.ndim != 1:
@@ -51,7 +55,10 @@ def as_point(x, dim: int | None = None, name: str = "x") -> np.ndarray:
 
 
 def _batch(X, dim: int) -> np.ndarray:
-    arr = np.asarray(X, dtype=float)
+    try:
+        arr = np.asarray(X, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("points must be arrays of numbers") from None
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
@@ -125,17 +132,17 @@ def _row_norms(R: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", R, R))
 
 
-def _region_curvature(region: ConvexRegion, X: np.ndarray,
+def _region_curvature(region: ConvexRegion, J: np.ndarray,
                       scale: float) -> np.ndarray | None:
-    """Curvature blocks of |scale (x - P x)|^2 at the rows of X, P the
-    projection onto region: its Hessian is 2 scale^2 (I - DP), which exceeds
-    2 K^2 = 2 scale^2 (I - DP)^2 by 2 C with C = scale^2 (I - DP) DP.  On a
-    ball that is scale^2 (rho - r)(r/rho^2)(I - u u^T) outside (rho = |x - c|,
+    """Curvature blocks of |scale (x - P x)|^2 from the Jacobians J = DP per
+    row, P the projection onto region: its Hessian is 2 scale^2 (I - DP),
+    which exceeds 2 K^2 = 2 scale^2 (I - DP)^2 by 2 C with
+    C = scale^2 (I - DP) DP.  On a ball that is
+    scale^2 (rho - r)(r/rho^2)(I - u u^T) outside (rho = |x - c|,
     u = (x - c)/rho) and 0 inside; a box's or halfspace's DP is a projector,
     so C = 0 there and the result is None."""
     if not isinstance(region, Ball):
         return None
-    J = region.project_jacobian_many(X)
     return scale * scale * (J - J @ J)
 
 
@@ -158,7 +165,8 @@ class ConvexFunction:
         raise NotImplementedError
 
     def slope_many(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Metric slope |min-norm subgradient| per row."""
+        return np.linalg.norm(self.subgradient_many(X), axis=1)
 
     def subgradient_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -183,30 +191,21 @@ class ConvexFunction:
         """
         raise NotImplementedError
 
-    def envelope_hessian_many(self, tau: float, X: np.ndarray,
-                              Y: np.ndarray) -> np.ndarray:
-        """Hessian K = (I - DJ_tau)/tau of the envelope f_tau at rows X with
-        resolvents Y, one symmetric (d, d) block per row.
+    def envelope_derivatives_many(self, tau: float, X: np.ndarray, Y: np.ndarray
+                                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Envelope derivatives (K, C) at rows X with resolvents Y, one
+        symmetric (d, d) block per row each: the Hessian K = (I - DJ_tau)/tau
+        of f_tau, and the curvature C = sum_j G_j grad^2 (d_j f_tau) with
+        G = (X - Y)/tau = grad f_tau.
 
-        It is the one derivative route of the smoothed action: with
-        G = (X - Y)/tau = grad f_tau, phi_tau = |G|^2 has gradient 2 K G and
-        Hessian 2 K^2 + 2 C, with C from `envelope_curvature_many` (0 where
-        that returns None).  Where the resolvent is not differentiable K is
-        one of its one-sided values.
-        """
-        raise NotImplementedError
-
-    def envelope_curvature_many(self, tau: float, X: np.ndarray,
-                                Y: np.ndarray) -> np.ndarray | None:
-        """Curvature blocks C = sum_j G_j grad^2 (d_j f_tau) at rows X with
-        resolvents Y and G = (X - Y)/tau, one symmetric (d, d) block per row,
-        so that phi_tau = |G|^2 has Hessian 2 K^2 + 2 C.
-
-        None means C = 0: K is constant near every row, as it is for a
+        They are the one derivative route of the smoothed action:
+        phi_tau = |G|^2 has gradient 2 K G and Hessian 2 K^2 + 2 C.  Where the
+        resolvent is not differentiable K is one of its one-sided values.
+        C is None when it is 0: K is constant near every row, as it is for a
         quadratic and wherever the resolvent is piecewise affine, so the
         Gauss-Newton Hessian 2 K^2 is already exact.
         """
-        return None
+        raise NotImplementedError
 
     def value(self, x) -> float:
         return float(self.value_many(_batch(x, self.dim))[0])
@@ -264,9 +263,6 @@ class Quadratic(ConvexFunction):
     def subgradient_many(self, X):
         return X @ self.Q + self.b
 
-    def slope_many(self, X):
-        return np.linalg.norm(self.subgradient_many(X), axis=1)
-
     def _inverse_apply(self, t, R):
         # rows of R times (I + t Q)^-1, t a scalar or a (k, 1) column
         V = self._V
@@ -279,11 +275,11 @@ class Quadratic(ConvexFunction):
         residual = np.linalg.norm(Y + t * self.subgradient_many(Y) - X, axis=1)
         return Y, residual
 
-    def envelope_hessian_many(self, tau, X, Y):
+    def envelope_derivatives_many(self, tau, X, Y):
         # (I - (I + tau Q)^-1)/tau = V diag(w / (1 + tau w)) V^T, the same per row
         V = self._V
         K = (V * (self._w / (1.0 + tau * self._w))) @ V.T
-        return np.broadcast_to(K, (X.shape[0],) + K.shape)
+        return np.broadcast_to(K, (X.shape[0],) + K.shape), None
 
 
 def _hull_2d(A: np.ndarray) -> np.ndarray:
@@ -420,9 +416,6 @@ class MaxLinear(ConvexFunction):
             out[ties] = min_norm_point(A, mask=active[ties])
         return out
 
-    def slope_many(self, X):
-        return np.linalg.norm(self.subgradient_many(X), axis=1)
-
     def prox_many(self, tau, X, start=None):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
         X = _batch(X, self.dim)
@@ -439,7 +432,7 @@ class MaxLinear(ConvexFunction):
         Y = X - t * proj
         return Y, (t * np.sqrt(np.maximum(gaps, 0.0))[:, None])[:, 0]
 
-    def envelope_hessian_many(self, tau, X, Y):
+    def envelope_derivatives_many(self, tau, X, Y):
         # G = (X - Y)/tau is the hull projection p of z = X/tau, and DJ_tau is
         # I - DP(z), so K = DP(z)/tau.  DP(z) projects onto the face exposed
         # by q = z - p = Y/tau: I inside the hull, 0 at a vertex.
@@ -482,7 +475,7 @@ class MaxLinear(ConvexFunction):
             _, sv, Vt = np.linalg.svd(E, full_matrices=False)
             V = Vt * (sv > tol)[:, :, None]
             P[outside] = V.transpose(0, 2, 1) @ V
-        return P / tau
+        return P / tau, None
 
 
 @dataclass(frozen=True)
@@ -537,9 +530,6 @@ class LogSumExp(ConvexFunction):
 
     def subgradient_many(self, X):
         return self._weights(X) @ self.vectors
-
-    def slope_many(self, X):
-        return np.linalg.norm(self.subgradient_many(X), axis=1)
 
     def _hessian_many(self, W):
         # grad^2 f = (A^T diag(w) A - g g^T)/eps from the softmax weights W
@@ -610,21 +600,18 @@ class LogSumExp(ConvexFunction):
                 f"{float(res[live].max()):.3e} after {_NEWTON_CAP} iterations")
         return Y, res
 
-    def envelope_hessian_many(self, tau, X, Y):
-        # (I - (I + tau H)^-1)/tau = (I + tau H)^-1 H, H = grad^2 f(Y)
-        H = self._hessian_many(self._weights(Y))
-        return _solve_blocks(np.eye(self.dim) + tau * H, H)
-
-    def envelope_curvature_many(self, tau, X, Y):
-        # grad f_tau(x) = grad f(J_tau x) with DJ_tau = B = (I + tau H)^-1, so
+    def envelope_derivatives_many(self, tau, X, Y):
+        # K = (I - B)/tau = (I + tau H)^-1 H with H = grad^2 f(Y) and
+        # B = DJ_tau = (I + tau H)^-1.  grad f_tau(x) = grad f(J_tau x), so
         # C = B T[B G] B, T[z] = D^3 f(Y)[z] = sum_j w_j ((v_j . z)/eps^2)
         # v_j v_j^T with v_j = a_j - g, the third cumulant of the softmax.
         # With u_j = B v_j that is sum_j w_j ((u_j . G)/eps^2) u_j u_j^T.
         W = self._weights(Y)
-        B = _solve_blocks(np.eye(self.dim) + tau * self._hessian_many(W))
-        U = (self.vectors - (W @ self.vectors)[:, None, :]) @ B  # rows u_j
+        H = self._hessian_many(W)
+        M = np.eye(self.dim) + tau * H
+        U = (self.vectors - (W @ self.vectors)[:, None, :]) @ _solve_blocks(M)
         c = W * (U @ ((X - Y) / tau)[:, :, None])[..., 0] / self.epsilon**2
-        return U.transpose(0, 2, 1) @ (c[:, :, None] * U)
+        return _solve_blocks(M, H), U.transpose(0, 2, 1) @ (c[:, :, None] * U)
 
 
 @dataclass(frozen=True)
@@ -658,11 +645,10 @@ class Indicator(ConvexFunction):
         _row_taus(tau, X.shape[0], self.lam)  # tau-free; a bad tau still fails
         return self.region.project_many(X), np.zeros(X.shape[0])
 
-    def envelope_hessian_many(self, tau, X, Y):
-        return (np.eye(self.dim) - self.region.project_jacobian_many(X)) / tau
-
-    def envelope_curvature_many(self, tau, X, Y):
-        return _region_curvature(self.region, X, 1.0 / tau)
+    def envelope_derivatives_many(self, tau, X, Y):
+        J = self.region.project_jacobian_many(X)
+        K = (np.eye(self.dim) - J) / tau
+        return K, _region_curvature(self.region, J, 1.0 / tau)
 
 
 @dataclass(frozen=True)
@@ -703,17 +689,12 @@ class SquaredDistance(ConvexFunction):
         Y = X + s * (self.region.project_many(X) - X)
         return Y, np.zeros(X.shape[0])
 
-    def envelope_hessian_many(self, tau, X, Y):
+    def envelope_derivatives_many(self, tau, X, Y):
         # DJ_tau = (1 - s) I + s DP
         s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
-        return (s / tau) * (np.eye(self.dim) - self.region.project_jacobian_many(X))
-
-    def envelope_curvature_many(self, tau, X, Y):
-        s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
-        return _region_curvature(self.region, X, s / tau)
-
-
-KINDS = (Quadratic, MaxLinear, LogSumExp, Indicator, SquaredDistance)
+        J = self.region.project_jacobian_many(X)
+        K = (s / tau) * (np.eye(self.dim) - J)
+        return K, _region_curvature(self.region, J, s / tau)
 
 
 @dataclass(frozen=True)
@@ -811,9 +792,7 @@ def resolvent_slope(f: ConvexFunction, x, *, tau0: float = 1.0,
     is not a positive finite number raises `InadmissibleTauError`.
     """
     x = as_point(x, f.dim)
-    levels = int(levels)
-    if levels < 4:
-        raise ConfigError("levels must be at least 4")
+    levels = whole_number(levels, "levels", 4)
     tau0 = _tau_number(tau0)
     if f.lam < 0:
         tau0 = min(tau0, 0.45 / (-f.lam))

@@ -18,7 +18,7 @@ from .action import discrete_action, recovery_action_bound, recovery_path, \
     recovery_tolerance
 from .action import Path
 from .convex import as_point, slope
-from .errors import ConfigError
+from .errors import ConfigError, whole_number
 from .families import MoscoFamily, eventually_decreasing
 from .minimize import MinimizeConfig, minimize_action
 
@@ -218,6 +218,7 @@ def slope_semicontinuity_table(family: MoscoFamily, probes,
     pass if the member slopes also diverge; choose probes inside the limit's
     domain unless that divergence is the point.
     """
+    window = whole_number(window, "window")
     pts = _check_probes(family, probes)
     rows = []
     flags = []
@@ -243,7 +244,7 @@ def slope_semicontinuity_table(family: MoscoFamily, probes,
         "label": family.label,
         "members": family.size,
         "margin": float(margin),
-        "window": int(window),
+        "window": window,
         "probes": [p.tolist() for p in pts],
     }
     return ExperimentReport("slope_lsc", tuple(rows), None, metadata,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      SquaredDistance, as_point, slope)
-from .errors import ConfigError, DimensionMismatchError, OutsideDomainError
+from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
+                     whole_number)
 from .sets import ConvexRegion, contains
 
 # member endpoint slopes may exceed the declared bound by this much
@@ -29,12 +30,14 @@ def eventually_decreasing(values, window: int = 3, slack: float = 0.05) -> bool:
 
     Passes when each of the last `window` consecutive steps goes down, up to
     a multiplicative slack (default 5%) plus a 1e-12 absolute cushion.  Early
-    entries may do anything; sequences shorter than two entries pass.
+    entries may do anything; sequences shorter than two entries pass.  A
+    window below 1 is a ConfigError.
     """
+    window = whole_number(window, "window")
     vals = [float(v) for v in values]
     if len(vals) < 2:
         return True
-    k = min(int(window), len(vals) - 1)
+    k = min(window, len(vals) - 1)
     for a, b in zip(vals[-k - 1:], vals[-k:]):
         if not (b <= a * (1.0 + slack) + 1e-12):
             return False
@@ -237,9 +240,7 @@ def family_penalty_to_indicator(region: ConvexRegion, penalties, x0, x1,
 def constant_family(f: ConvexFunction, x0, x1, size: int = 6,
                     label: str = "constant") -> MoscoFamily:
     """Every member equals the limit; the baseline for gap-to-limit audits."""
-    size = int(size)
-    if size < 1:
-        raise ConfigError("size must be at least 1")
+    size = whole_number(size, "size")
     x0 = as_point(x0, f.dim, "x0")
     x1 = as_point(x1, f.dim, "x1")
     limit = FamilyMember(f, x0, x1)

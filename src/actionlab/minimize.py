@@ -10,12 +10,12 @@ starts.
 
 Each step is damped Newton, the minimum action method of E, Ren and
 Vanden-Eijnden (2004) in the semismooth setting of Qi and Sun (1993).  With
-K_i = grad^2 f_tau(m_i) from the kind's `envelope_hessian_many` and
 G_i = grad f_tau(m_i), phi_tau has gradient 2 K_i G_i and Hessian
-2 K_i^2 + 2 C_i, where C_i = sum_j G_ij grad^2 (d_j f_tau)(m_i) comes from
-`envelope_curvature_many`.  C vanishes for quadratics and for piecewise-affine
+2 K_i^2 + 2 C_i, where K_i = grad^2 f_tau(m_i) and
+C_i = sum_j G_ij grad^2 (d_j f_tau)(m_i) both come from one call of the kind's
+`envelope_derivatives_many`.  C vanishes for quadratics and for piecewise-affine
 resolvents (max_linear, and indicator and squared_distance on boxes and
-halfspaces); those kinds return None, and their step is Gauss-Newton, which is
+halfspaces); those kinds return C = None, and their step is Gauss-Newton, which is
 exact for them.  For log_sum_exp and ball regions K varies and C does not
 vanish; with it the step is exact Newton, which converges quadratically near
 the minimizer where Gauss-Newton converges only linearly.  The Hessian of E_tau
@@ -53,7 +53,7 @@ import numpy as np
 
 from .action import Path, discrete_action
 from .convex import ConvexFunction, Indicator, MaxLinear, _solve_blocks, as_point
-from .errors import ConfigError
+from .errors import ConfigError, malformed_input, whole_number
 
 DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
 _STEP_SHRINK = 0.5      # Armijo backtracking from the full Newton step: shrink
@@ -62,14 +62,6 @@ _DENSE_SIZE = 32        # block cyclic reduction solves densely at n*d <= this
 _FACE_PENALTY = 1e3     # kink-face polish: multiplier-method penalty factor,
 _FACE_ROUNDS = 8        # its rounds per solve,
 _FACE_PASSES = 64       # and identify-then-solve passes
-
-
-def _parse(convert, value, name: str, what: str):
-    """convert(value), or a ConfigError naming the setting when that fails."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -86,23 +78,18 @@ class MinimizeConfig:
     grad_tol: float = 1e-5
 
     def __post_init__(self):
-        N = _parse(int, self.N, "N", "an integer")
-        if N < 1:
-            raise ConfigError("N must be at least 1")
-        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "N", whole_number(self.N, "N"))
         if self.tau_schedule is not None:
-            sched = _parse(lambda v: tuple(float(t) for t in v), self.tau_schedule,
-                           "tau_schedule", "a list of numbers")
+            with malformed_input("tau_schedule"):
+                sched = tuple(float(t) for t in self.tau_schedule)
             if len(sched) == 0 or any(t <= 0 for t in sched):
                 raise ConfigError("tau schedule must be nonempty and positive")
             if any(b >= a for a, b in zip(sched, sched[1:])):
                 raise ConfigError("tau schedule must be strictly decreasing")
             object.__setattr__(self, "tau_schedule", sched)
-        max_iters = _parse(int, self.max_iters, "max_iters", "an integer")
-        if max_iters < 1:
-            raise ConfigError("max_iters must be positive")
-        object.__setattr__(self, "max_iters", max_iters)
-        grad_tol = _parse(float, self.grad_tol, "grad_tol", "a number")
+        object.__setattr__(self, "max_iters", whole_number(self.max_iters, "max_iters"))
+        with malformed_input("grad_tol"):
+            grad_tol = float(self.grad_tol)
         if not (grad_tol > 0):
             raise ConfigError("grad_tol must be positive")
         object.__setattr__(self, "grad_tol", grad_tol)
@@ -181,28 +168,23 @@ class _Objective:
 
     def newton_system(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
         """Derivatives of the objective at Z from the (midpoints, resolvents)
-        of evaluate(Z): the exact gradient, the Gauss-Newton Hessian blocks
-        (diag, off) from 2 K^2, the exact Newton blocks from 2 K^2 + 2 C
-        (None when the kind's `envelope_curvature_many` gives C = 0, so
-        Gauss-Newton is exact), and the envelope Hessians K at the
-        midpoints."""
+        of evaluate(Z), with K and C from one `envelope_derivatives_many`
+        call: the exact gradient, the Gauss-Newton Hessian blocks (diag, off)
+        from 2 K^2, the exact Newton blocks from 2 K^2 + 2 C (None when the
+        kind gives C = 0, so Gauss-Newton is exact), and the envelope
+        Hessians K at the midpoints."""
         mids, Y = resolved
-        K = self.f.envelope_hessian_many(self.tau, mids, Y)
+        K, C = self.f.envelope_derivatives_many(self.tau, mids, Y)
         G = (mids - Y) / self.tau
         dphi = 2.0 * np.einsum("kij,kj->ki", K, G)
         S = 2.0 * np.einsum("kij,kil->kjl", K, K)
         grad, diag, off = self.system(Z, dphi, S)
-        C = self.f.envelope_curvature_many(self.tau, mids, Y)
         newton = None
         if C is not None:
             # the slope Hessian S + 2 C enters the blocks as S does, times dt/4
             newton = (diag + 0.5 * self.dt * (C[:-1] + C[1:]),
                       off + 0.5 * self.dt * C[1:-1])
         return grad, (diag, off), newton, K
-
-    def value_and_grad(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
-        energy, resolved = self.evaluate(Z)
-        return energy, self.newton_system(Z, resolved)[0]
 
 
 def _definite_blocks(A: np.ndarray) -> bool:
@@ -335,7 +317,7 @@ def _face_projectors(obj: _Objective, Z: np.ndarray) -> np.ndarray:
     """Per midpoint of Z, the projector onto the directions its max_linear
     resolvent pins: the midpoint lies on its face exactly when P m = 0."""
     _, (mids, Y) = obj.evaluate(Z)
-    return obj.tau * obj.f.envelope_hessian_many(obj.tau, mids, Y)
+    return obj.tau * obj.f.envelope_derivatives_many(obj.tau, mids, Y)[0]
 
 
 def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -475,6 +457,7 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     )
 
 
+@malformed_input("closed-form case")
 def closed_form_value(case: str, **params) -> float:
     """Reference minimal action values with known closed forms.
 

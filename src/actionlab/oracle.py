@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import ConvexFunction, as_point
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, whole_number
 from .sets import ConvexRegion
 
 
@@ -88,11 +88,8 @@ def grid_oracle(f: ConvexFunction, x0, xd, delta: float, grid: GridSpec,
         raise ConfigError("grid oracle supports dimensions 1 and 2 only")
     if f.dim != grid.dim:
         raise DimensionMismatchError("function and grid dimension differ")
-    time_steps = int(time_steps)
-    if time_steps < 1:
-        raise ConfigError("need at least one time step")
-    if reach < 1:
-        raise ConfigError("reach must be at least 1")
+    time_steps = whole_number(time_steps, "time_steps")
+    reach = whole_number(reach, "reach")
     delta = float(delta)
     if not (np.isfinite(delta) and delta > 0):
         raise ConfigError("delta must be positive")

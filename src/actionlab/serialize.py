@@ -9,7 +9,6 @@ loads); the action functional is extended-real, so this is deliberate.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 from collections.abc import Mapping
@@ -19,7 +18,7 @@ import numpy as np
 from .action import ActionBreakdown, Path
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      ProxResult, Quadratic, SquaredDistance)
-from .errors import ConfigError
+from .errors import ConfigError, malformed_input
 from .minimize import MinimizeResult
 from .sets import Ball, Box, ConvexRegion, Halfspace
 
@@ -35,15 +34,6 @@ def loads(text: str):
     return json.loads(text)
 
 
-@contextlib.contextmanager
-def _missing_key(what: str):
-    """Report a KeyError from a document lookup as a ConfigError naming the key."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"{what} document is missing {exc.args[0]!r}") from None
-
-
 def region_to_dict(region: ConvexRegion) -> dict:
     if isinstance(region, Ball):
         return {"type": "ball", "center": region.center.tolist(),
@@ -56,7 +46,7 @@ def region_to_dict(region: ConvexRegion) -> dict:
     raise ConfigError(f"unknown region {type(region).__name__}")
 
 
-@_missing_key("region")
+@malformed_input("region document")
 def region_from_dict(doc: dict) -> ConvexRegion:
     try:
         kind = doc["type"]
@@ -94,7 +84,7 @@ def function_to_dict(f: ConvexFunction) -> dict:
     return {"kind": kind, "lambda": float(f.lam), "params": params}
 
 
-@_missing_key("function")
+@malformed_input("function document")
 def function_from_dict(doc: dict) -> ConvexFunction:
     """Rebuild a function, cross-checking the declared modulus.
 
@@ -133,7 +123,7 @@ def function_from_dict(doc: dict) -> ConvexFunction:
     return f
 
 
-@_missing_key("family")
+@malformed_input("family document")
 def family_from_dict(doc: dict):
     """Build a family from {"builder": ..., ...} (see the CLI docs)."""
     from .families import (constant_family, family_logsumexp_to_max,
@@ -172,6 +162,7 @@ def path_to_csv(path: Path) -> str:
     return out.getvalue()
 
 
+@malformed_input("path CSV")
 def path_from_csv(text: str) -> Path:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 3:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError, malformed_input
 
 BALL_REL_TOL = 1e-12
 
@@ -155,9 +155,19 @@ class Halfspace:
 ConvexRegion = Ball | Box | Halfspace
 
 
+@malformed_input("point")
+def _row(region: ConvexRegion, x) -> np.ndarray:
+    """x as a (1, d) row in region's dimension."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.shape != (region.dim,):
+        raise DimensionMismatchError(
+            f"point has shape {arr.shape}, expected ({region.dim},)")
+    return arr[None, :]
+
+
 def contains(region: ConvexRegion, x: np.ndarray) -> bool:
-    return bool(region.contains_many(np.asarray(x, dtype=float)[None, :])[0])
+    return bool(region.contains_many(_row(region, x))[0])
 
 
 def project(region: ConvexRegion, x: np.ndarray) -> np.ndarray:
-    return region.project_many(np.asarray(x, dtype=float)[None, :])[0]
+    return region.project_many(_row(region, x))[0]

@@ -550,7 +550,7 @@ def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dic
         s = np.linspace(0.0, 1.0, n + 1)[1:-1]
         Z = x0[None, :] + s[:, None] * (xd - x0)[None, :] \
             + rng.normal(size=(n - 1, f.dim)) * 0.1
-        _, G = obj.value_and_grad(Z)
+        G = obj.newton_system(Z, obj.evaluate(Z)[1])[0]
         D = rng.normal(size=Z.shape)
         D /= np.linalg.norm(D)
         h = 1e-5 * (1.0 + float(np.abs(Z).max()))

@@ -9,12 +9,32 @@ from actionlab.action import (Path, alt_action, coarsened_interpolation_bound,
                               recovery_action_bound, recovery_path,
                               recovery_tolerance, upper_gradient_quadrature_bound,
                               upper_gradient_residual)
-from actionlab.convex import Indicator, MaxLinear, Quadratic, slope
-from actionlab.errors import ConfigError, OutsideDomainError
-from actionlab.sets import Ball
+from actionlab.convex import Indicator, MaxLinear, Quadratic, prox, slope
+from actionlab.errors import ActionLabError, ConfigError, OutsideDomainError
+from actionlab.minimize import closed_form_value
+from actionlab.oracle import GridSpec, grid_oracle
+from actionlab.sets import Ball, project
 
 HALF_SQ = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
 ABS = MaxLinear(np.array([[1.0], [-1.0]]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: grid_oracle(HALF_SQ, [0.0], [1.0], 1.0, GridSpec([0.0], [1.0], (8,)),
+                        4, reach=1.5),
+    lambda: Path.straight([0.0], [1.0], intervals=-1),
+    lambda: interpolation_path(HALF_SQ, 0.5, 1.0, [0.0], [1.0], M="x"),
+    lambda: closed_form_value("free", delta=1.0),
+    lambda: project(Ball([0.0, 0.0], 1.0), [1.0, 2.0, 3.0]),
+    lambda: prox(HALF_SQ, 0.5, "a"),
+    lambda: Path([0.0, 1.0], [["a"], [1.0]]),
+    lambda: HALF_SQ.prox_many(0.5, [["a"]]),
+], ids=["grid_oracle-reach", "straight-intervals", "interpolation_path-M",
+        "closed_form_value-missing", "project-dimension", "prox-non-number",
+        "path-non-number", "prox_many-non-number"])
+def test_public_entry_points_raise_package_errors(call):
+    with pytest.raises(ActionLabError):
+        call()
 
 
 def test_path_validation():

@@ -239,6 +239,34 @@ def test_value_experiment_ok_at_default_settings(capsys, family_file, tmp_path):
     assert doc["flags"] == []
 
 
+MALFORMED = {
+    "epsilon": {"kind": "log_sum_exp",
+                "params": {"vectors": [[1.0]], "epsilon": "a"}},
+    "ragged": {"kind": "max_linear", "params": {"vectors": [[1.0, 2.0], [3.0]]}},
+    "size": {"builder": "constant", "function": QUAD, "x0": [0.0], "x1": [1.0],
+             "size": "x"},
+    "csv": LSE_FAMILY,
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_value_is_a_clean_error(capsys, tmp_path, case):
+    # a non-numeric or ragged field in a function, family or path document
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(MALFORMED[case]))
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,x0\n0,-1\n0.5,a\n1,1\n")
+    if "kind" in MALFORMED[case]:
+        argv = ["prox", "--function", str(doc), "--tau", "0.5", "--point", "2"]
+    else:
+        argv = ["gamma", "--family", str(doc), "--experiment", "limsup",
+                "--taus", "0.2", "--gamma-csv", str(curve),
+                "--csv-dir", str(tmp_path)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("key", ["fd_step", "fd_scale", "preconditioner",
                                  "step_rule"])
 def test_unknown_minimize_key_is_a_clean_error(capsys, quad_file, tmp_path, key):

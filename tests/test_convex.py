@@ -334,7 +334,7 @@ def _gradient_cases():
 
 @pytest.mark.parametrize("f", _gradient_cases())
 def test_envelope_sq_gradient_matches_central_differences(f):
-    """grad |(x - J_tau(x))/tau|^2 = 2 K G, with K from envelope_hessian_many,
+    """grad |(x - J_tau(x))/tau|^2 = 2 K G, with K from envelope_derivatives_many,
     against central differences of that value."""
     tau = 0.3
     rng = np.random.default_rng(f.dim)
@@ -348,7 +348,7 @@ def test_envelope_sq_gradient_matches_central_differences(f):
         return np.einsum("ij,ij->i", G, G)
 
     Y, _ = f.prox_many(tau, X)
-    K = f.envelope_hessian_many(tau, X, Y)
+    K, _ = f.envelope_derivatives_many(tau, X, Y)
     grad = 2.0 * np.einsum("kij,kj->ki", K, (X - Y) / tau)
     h = 1e-6 * (1.0 + np.abs(X).max(axis=1))
     fd = np.empty_like(X)
@@ -375,7 +375,7 @@ def test_envelope_hessian_matches_central_differences(f):
         return (P - f.prox_many(tau, P)[0]) / tau
 
     Y, _ = f.prox_many(tau, X)
-    K = f.envelope_hessian_many(tau, X, Y)
+    K, _ = f.envelope_derivatives_many(tau, X, Y)
     assert K.shape == (100, f.dim, f.dim)
     np.testing.assert_allclose(K, K.transpose(0, 2, 1), atol=1e-12)
     h = 1e-6 * (1.0 + np.abs(X).max(axis=1, keepdims=True))
@@ -399,9 +399,9 @@ def _curvature_cases():
 
 @pytest.mark.parametrize("f", _curvature_cases())
 def test_envelope_curvature_completes_the_slope_hessian(f):
-    """2 K^2 + 2 C, with C from envelope_curvature_many, is the Hessian of
-    phi_tau = |grad f_tau|^2: it matches central differences of the exact
-    gradient 2 K G, on ball regions at points inside and outside."""
+    """2 K^2 + 2 C, with (K, C) from envelope_derivatives_many, is the
+    Hessian of phi_tau = |grad f_tau|^2: it matches central differences of
+    the exact gradient 2 K G, on ball regions at points inside and outside."""
     tau = 0.3
     rng = np.random.default_rng(f.dim + 20)
     X = 2.0 * rng.normal(size=(200, f.dim))
@@ -411,12 +411,11 @@ def test_envelope_curvature_completes_the_slope_hessian(f):
 
     def grad_phi(P):
         Y, _ = f.prox_many(tau, P)
-        K = f.envelope_hessian_many(tau, P, Y)
+        K, _ = f.envelope_derivatives_many(tau, P, Y)
         return 2.0 * np.einsum("kij,kj->ki", K, (P - Y) / tau)
 
     Y, _ = f.prox_many(tau, X)
-    K = f.envelope_hessian_many(tau, X, Y)
-    C = f.envelope_curvature_many(tau, X, Y)
+    K, C = f.envelope_derivatives_many(tau, X, Y)
     assert C.shape == (200, f.dim, f.dim)
     hess = 2.0 * K @ K + 2.0 * C
     h = 1e-6 * (1.0 + np.abs(X).max(axis=1, keepdims=True))
@@ -445,7 +444,52 @@ def test_envelope_curvature_is_none_where_gauss_newton_is_exact(f):
     # keeps its Gauss-Newton step
     X = 2.0 * np.random.default_rng(0).normal(size=(20, f.dim))
     Y, _ = f.prox_many(0.3, X)
-    assert f.envelope_curvature_many(0.3, X, Y) is None
+    assert f.envelope_derivatives_many(0.3, X, Y)[1] is None
+
+
+def test_log_sum_exp_derivatives_form_weights_and_hessian_once(monkeypatch):
+    # K and C share the softmax weights and the Hessian of one call
+    f = LogSumExp(TRIANGLE, 0.1)
+    X = np.random.default_rng(3).normal(size=(20, 2))
+    Y, _ = f.prox_many(0.3, X)
+    counts = {"weights": 0, "hessian": 0}
+    weights, hessian = LogSumExp._weights, LogSumExp._hessian_many
+
+    def counting_weights(self, Z):
+        counts["weights"] += 1
+        return weights(self, Z)
+
+    def counting_hessian(self, W):
+        counts["hessian"] += 1
+        return hessian(self, W)
+
+    monkeypatch.setattr(LogSumExp, "_weights", counting_weights)
+    monkeypatch.setattr(LogSumExp, "_hessian_many", counting_hessian)
+    f.envelope_derivatives_many(0.3, X, Y)
+    assert counts == {"weights": 1, "hessian": 1}
+
+
+@pytest.mark.parametrize("f", [
+    Indicator(Ball([0.1, 0.2], 1.0)), SquaredDistance(Ball([0.1, 0.2], 1.0), 1.5),
+    Indicator(Box([-1.0, -0.5], [1.0, 0.5])),
+    SquaredDistance(Halfspace([1.0, -2.0], 0.3), 0.7),
+], ids=["indicator-ball", "squared_distance-ball", "indicator-box",
+        "squared_distance-halfspace"])
+def test_region_derivatives_take_one_projection_jacobian(f, monkeypatch):
+    # K and C of a region kind come from the same Jacobian of the projection
+    region_cls = type(f.region)
+    jacobian = region_cls.project_jacobian_many
+    calls = []
+
+    def counting(self, X):
+        calls.append(X.shape[0])
+        return jacobian(self, X)
+
+    monkeypatch.setattr(region_cls, "project_jacobian_many", counting)
+    X = 2.0 * np.random.default_rng(5).normal(size=(20, 2))
+    Y, _ = f.prox_many(0.3, X)
+    f.envelope_derivatives_many(0.3, X, Y)
+    assert calls == [20]
 
 
 @pytest.mark.parametrize("f", _gradient_cases())
@@ -782,9 +826,9 @@ def test_wide_ties_are_one_masked_call(A, X, monkeypatch):
 
 
 def _face_projectors_per_row(A, tau, X, Y):
-    """envelope_hessian_many of a d >= 3 max-linear function one row at a
-    time: the projector onto the directions a_j - a_0 of the face that
-    q = Y/tau exposes, from one SVD per row."""
+    """The K of envelope_derivatives_many for a d >= 3 max-linear function,
+    one row at a time: the projector onto the directions a_j - a_0 of the
+    face that q = Y/tau exposes, from one SVD per row."""
     k, d = X.shape
     Q = Y / tau
     qn = np.linalg.norm(Q, axis=1)
@@ -815,7 +859,7 @@ def test_maxlinear_face_projectors_match_per_row_svd(A):
     X = np.vstack([tau * 2.0 * rng.normal(size=(150, d)),
                    tau * A[:5].mean(axis=0), far])
     Y, _ = f.prox_many(tau, X)
-    K = f.envelope_hessian_many(tau, X, Y)
+    K, _ = f.envelope_derivatives_many(tau, X, Y)
     np.testing.assert_allclose(K, _face_projectors_per_row(A, tau, X, Y),
                                rtol=0.0, atol=1e-12)
     ranks = np.round(np.trace(K, axis1=1, axis2=2) * tau).astype(int)

@@ -25,6 +25,14 @@ def pen_family():
                                        [-1.0, 0.0], [1.0, 0.0])
 
 
+def test_slope_table_rejects_a_window_below_one():
+    # checked up front: with margin 0 the final-deficit test fails first and
+    # the window audit is never reached
+    with pytest.raises(ConfigError, match="window"):
+        slope_semicontinuity_table(lse_family(), [[0.7], [-0.9]], margin=0.0,
+                                   window=0)
+
+
 def test_resolvent_table_gaps_decrease():
     rep = resolvent_convergence_table(lse_family(), 0.3,
                                       [[0.0], [0.7], [-1.2]])

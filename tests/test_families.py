@@ -20,6 +20,14 @@ def test_eventually_decreasing_accepts_noisy_head():
     assert eventually_decreasing([3.0, 1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("window", [0, -1, 1.5, "a"])
+def test_eventually_decreasing_rejects_a_window_below_one(window):
+    # window 0 would compare the first value with the last
+    for values in ([3.0, 2.0, 1.0], [1.0, 2.0, 3.0], []):
+        with pytest.raises(ConfigError, match="window"):
+            eventually_decreasing(values, window=window)
+
+
 def test_eventually_decreasing_rejects_rising_tail():
     assert not eventually_decreasing([5.0, 4.0, 3.0, 3.9])
     assert not eventually_decreasing([1.0, 2.0], window=3)

@@ -181,6 +181,7 @@ def test_family_from_dict_builders():
 
 
 BALL = {"type": "ball", "center": [0.0], "radius": 1.0}
+QUADRATIC_1D = {"kind": "quadratic", "params": {"Q": [[1.0]], "b": [0.0]}}
 
 
 @pytest.mark.parametrize("parse, doc, missing", [
@@ -201,6 +202,11 @@ BALL = {"type": "ball", "center": [0.0], "radius": 1.0}
     (family_from_dict, {"builder": "constant", "x0": [0.0], "x1": [1.0]},
      "function"),
     (function_from_dict, {"kind": "quadratic", "params": [1]}, "params"),
+    (function_from_dict, {"kind": "log_sum_exp",
+                          "params": {"vectors": [[1.0]], "epsilon": "a"}}, "a"),
+    (family_from_dict, {"builder": "constant", "function": QUADRATIC_1D,
+                        "x0": [0.0], "x1": [1.0], "size": "x"}, "x"),
+    (lambda lines: path_from_csv("\n".join(lines)), ["t,x0", "0,0", "1,b"], "b"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_missing_parameter_is_a_config_error(parse, doc, missing):
     with pytest.raises(ConfigError, match=repr(missing)):

@@ -12,11 +12,11 @@ Each step is damped Newton, the minimum action method of E, Ren and
 Vanden-Eijnden (2004) in the semismooth setting of Qi and Sun (1993).  With
 G_i = grad f_tau(m_i), phi_tau has gradient 2 K_i G_i and Hessian
 2 K_i^2 + 2 C_i, where K_i = grad^2 f_tau(m_i) and
-C_i = sum_j G_ij grad^2 (d_j f_tau)(m_i) both come from one call of the kind's
-`envelope_derivatives_many`.  C vanishes for quadratics and for piecewise-affine
-resolvents (max_linear, and indicator and squared_distance on boxes and
-halfspaces); those kinds return C = None, and their step is Gauss-Newton, which is
-exact for them.  For log_sum_exp and ball regions K varies and C does not
+C_i = sum_j G_ij grad^2 (d_j f_tau)(m_i) both come from one call of the
+kind's `envelope_derivatives_many`.  C vanishes for quadratics and for
+piecewise-affine resolvents (max_linear, and indicator and squared_distance on
+boxes and halfspaces); those kinds return C = None, and their step is
+Gauss-Newton, which is exact for them.  For log_sum_exp and ball regions K varies and C does not
 vanish; with it the step is exact Newton, which converges quadratically near
 the minimizer where Gauss-Newton converges only linearly.  The Hessian of E_tau
 is the kinetic part (2/dt) tridiag(-1, 2, -1) plus (dt/4) times the slope

@@ -202,6 +202,7 @@ QUADRATIC_1D = {"kind": "quadratic", "params": {"Q": [[1.0]], "b": [0.0]}}
     (family_from_dict, {"builder": "constant", "x0": [0.0], "x1": [1.0]},
      "function"),
     (function_from_dict, {"kind": "quadratic", "params": [1]}, "params"),
+    # non-numeric values: the error quotes the value
     (function_from_dict, {"kind": "log_sum_exp",
                           "params": {"vectors": [[1.0]], "epsilon": "a"}}, "a"),
     (family_from_dict, {"builder": "constant", "function": QUADRATIC_1D,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .convex import ConvexFunction, as_point, min_norm_subgradient, slope
 from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
-                     whole_number)
+                     real_array, real_number, whole_number)
 
 RULES = ("midpoint", "node-trapezoid")
 
@@ -31,11 +31,8 @@ class Path:
     nodes: np.ndarray
 
     def __post_init__(self):
-        try:
-            t = np.asarray(self.times, dtype=float)
-            X = np.asarray(self.nodes, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("times and nodes must be arrays of numbers") from None
+        t = real_array(self.times, "times")
+        X = real_array(self.nodes, "nodes")
         if X.ndim == 1:
             X = X[:, None]
         if t.ndim != 1 or t.size < 2:
@@ -84,9 +81,10 @@ class Path:
         return Path(t, X)
 
     @staticmethod
-    def straight(x0, xd, *, t0: float = 0.0, t1: float = 1.0, intervals: int = 1) -> "Path":
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        xd = np.atleast_1d(np.asarray(xd, dtype=float))
+    def straight(x0, xd, *, intervals: int = 1) -> "Path":
+        """The segment from x0 to xd on [0, 1], in `intervals` equal chords."""
+        x0 = np.atleast_1d(real_array(x0, "x0"))
+        xd = np.atleast_1d(real_array(xd, "xd"))
         if x0.shape != xd.shape:
             raise DimensionMismatchError("endpoints must share a dimension")
         intervals = whole_number(intervals, "intervals")
@@ -94,7 +92,7 @@ class Path:
         nodes = x0[None, :] + s[:, None] * (xd - x0)[None, :]
         nodes[0] = x0
         nodes[-1] = xd
-        return Path(np.linspace(t0, t1, intervals + 1), nodes)
+        return Path(s, nodes)
 
 
 @dataclass(frozen=True)
@@ -216,9 +214,7 @@ def interpolation_path(f: ConvexFunction, tau: float, delta: float, x0, xd,
     up to the resolvent solver residual.
     """
     tau = f.require_admissible(tau, envelope_lipschitz=True)
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0):
-        raise ConfigError("delta must be positive")
+    delta = real_number(delta, "delta", positive=True)
     M = whole_number(M, "M")
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
@@ -239,9 +235,7 @@ def interpolation_bound(f: ConvexFunction, tau: float, delta: float, x0, xd) -> 
     valid when (1 + tau*lambda)^-1 <= 2.
     """
     tau = f.require_admissible(tau, envelope_lipschitz=True)
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0):
-        raise ConfigError("delta must be positive")
+    delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
     s0 = slope(f, x0)

@@ -15,13 +15,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import serialize
 from .action import (Path, coarsened_interpolation_bound, discrete_action,
                      interpolation_bound, interpolation_path)
-from .convex import prox, slope
-from .errors import ActionLabError, ConfigError
+from .convex import as_point, prox, slope
+from .errors import ActionLabError, ConfigError, real_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
                           slope_semicontinuity_table)
@@ -115,29 +113,28 @@ def _emit(doc: dict) -> None:
 
 def _cmd_prox(args, config) -> int:
     f = _function(args, config)
-    tau = float(_setting(args, config, "tau", required=True))
+    tau = _setting(args, config, "tau", required=True)
     x = _setting(args, config, "point", required=True)
-    result = prox(f, tau, np.asarray(x, dtype=float))
+    result = prox(f, tau, x)
     _emit(serialize.prox_result_to_dict(result))
     return 0
 
 
 def _cmd_slope(args, config) -> int:
     f = _function(args, config)
-    x = _setting(args, config, "point", required=True)
-    _emit({"point": [float(v) for v in np.atleast_1d(x)],
-           "slope": float(slope(f, np.asarray(x, dtype=float)))})
+    x = as_point(_setting(args, config, "point", required=True), f.dim, "point")
+    _emit({"point": x.tolist(), "slope": float(slope(f, x))})
     return 0
 
 
 def _cmd_interpolate(args, config) -> int:
     f = _function(args, config)
-    tau = float(_setting(args, config, "tau", required=True))
-    delta = float(_setting(args, config, "delta", required=True))
-    x0 = np.asarray(_setting(args, config, "x0", required=True), dtype=float)
-    xd = np.asarray(_setting(args, config, "xd", required=True), dtype=float)
-    m = int(_setting(args, config, "samples", 256))
-    path = interpolation_path(f, tau, delta, x0, xd, m)
+    tau = real_number(_setting(args, config, "tau", required=True), "tau")
+    delta = real_number(_setting(args, config, "delta", required=True), "delta")
+    x0 = _setting(args, config, "x0", required=True)
+    xd = _setting(args, config, "xd", required=True)
+    path = interpolation_path(f, tau, delta, x0, xd,
+                              _setting(args, config, "samples", 256))
     target = _write_csv(args.csv_dir, "interpolate_path.csv",
                         serialize.path_to_csv(path))
     breakdown = discrete_action(f, path)
@@ -154,9 +151,9 @@ def _cmd_interpolate(args, config) -> int:
 
 def _cmd_minimize(args, config) -> int:
     f = _function(args, config)
-    delta = float(_setting(args, config, "delta", required=True))
-    x0 = np.asarray(_setting(args, config, "x0", required=True), dtype=float)
-    xd = np.asarray(_setting(args, config, "xd", required=True), dtype=float)
+    delta = _setting(args, config, "delta", required=True)
+    x0 = _setting(args, config, "x0", required=True)
+    xd = _setting(args, config, "xd", required=True)
     cfg = _minimize_config(args, config)
     result = minimize_action(f, x0, xd, delta, cfg)
     target = _write_csv(args.csv_dir, "minimize_path.csv",
@@ -176,9 +173,8 @@ def _gamma_path(args, config, family) -> Path:
         except OSError as exc:
             raise ConfigError(f"cannot read {source!r}: {exc.strerror}") from exc
         return serialize.path_from_csv(text)
-    intervals = int(_setting(args, config, "gamma-intervals", 64))
     return Path.straight(family.limit.start, family.limit.end,
-                         intervals=intervals)
+                         intervals=_setting(args, config, "gamma-intervals", 64))
 
 
 def _cmd_gamma(args, config) -> int:
@@ -187,11 +183,11 @@ def _cmd_gamma(args, config) -> int:
     if kind not in _EXPERIMENTS:
         raise ActionLabError(f"experiment must be one of {_EXPERIMENTS}")
     if kind == "resolvent":
-        tau = float(_setting(args, config, "tau", required=True))
+        tau = _setting(args, config, "tau", required=True)
         probes = _setting(args, config, "probes", required=True)
         report = resolvent_convergence_table(family, tau, probes)
     elif kind == "value":
-        delta = float(_setting(args, config, "delta", 1.0))
+        delta = _setting(args, config, "delta", 1.0)
         report = gamma_value_experiment(family, delta,
                                         _minimize_config(args, config))
     elif kind == "limsup":
@@ -217,10 +213,8 @@ def _cmd_verify(args, config) -> int:
     if scope:
         scopes = tuple(s.strip() for s in scope.split(",")) \
             if isinstance(scope, str) else tuple(scope)
-    seed = int(_setting(args, config, "seed", 0))
-    samples = _setting(args, config, "samples")
-    report = verify_suite(scopes=scopes, seed=seed,
-                          samples=None if samples is None else int(samples))
+    report = verify_suite(scopes=scopes, seed=_setting(args, config, "seed", 0),
+                          samples=_setting(args, config, "samples"))
     for line in report.summary_lines():
         sys.stderr.write(line + "\n")
     _emit(report.to_dict())

@@ -28,6 +28,8 @@ from .errors import (
     InadmissibleTauError,
     OutsideDomainError,
     SolverError,
+    real_array,
+    real_number,
     whole_number,
 )
 from .minnorm import hull_projection_with_gap, min_norm_point
@@ -39,10 +41,7 @@ _NEWTON_CAP = 60
 
 
 def as_point(x, dim: int | None = None, name: str = "x") -> np.ndarray:
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a point of numbers, got {x!r}") from None
+    arr = real_array(x, name)
     if arr.ndim == 0:
         arr = arr[None]
     if arr.ndim != 1:
@@ -55,10 +54,7 @@ def as_point(x, dim: int | None = None, name: str = "x") -> np.ndarray:
 
 
 def _batch(X, dim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(X, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("points must be arrays of numbers") from None
+    arr = real_array(X, "points")
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
@@ -233,7 +229,7 @@ class Quadratic(ConvexFunction):
     lam: float = field(init=False)
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
+        Q = real_array(self.Q, "Q")
         if Q.ndim == 0:
             Q = Q[None, None]
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -247,7 +243,7 @@ class Quadratic(ConvexFunction):
         b = as_point(self.b, Q.shape[0], "b")
         object.__setattr__(self, "Q", _frozen(Q))
         object.__setattr__(self, "b", _frozen(b))
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", real_number(self.c, "c"))
         w, V = np.linalg.eigh(Q)
         object.__setattr__(self, "_w", _frozen(w))
         object.__setattr__(self, "_V", _frozen(V))
@@ -340,7 +336,7 @@ def _set_vectors(f) -> np.ndarray:
     """Validate the vectors of a max-linear or smoothed-max kind as a finite
     nonempty (m, d) array (a 1-D array is m vectors in one dimension), freeze
     them, and build the hull that d = 2 projects onto."""
-    A = np.asarray(f.vectors, dtype=float)
+    A = real_array(f.vectors, "vectors")
     if A.ndim == 1:
         A = A[:, None]
     if A.ndim != 2 or A.shape[0] == 0:
@@ -501,9 +497,8 @@ class LogSumExp(ConvexFunction):
 
     def __post_init__(self):
         A = _set_vectors(self)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError("epsilon must be positive")
+        object.__setattr__(self, "epsilon",
+                           real_number(self.epsilon, "epsilon", positive=True))
         # rows a_i a_i^T, flattened, so the Hessian's first term is a matmul
         m, d = A.shape
         object.__setattr__(self, "_outer", _frozen(
@@ -665,9 +660,8 @@ class SquaredDistance(ConvexFunction):
     def __post_init__(self):
         if not isinstance(self.region, (Ball, Box, Halfspace)):
             raise ConfigError("region must be a ball, box, or halfspace")
-        object.__setattr__(self, "weight", float(self.weight))
-        if not (np.isfinite(self.weight) and self.weight > 0):
-            raise ConfigError("weight must be positive")
+        object.__setattr__(self, "weight",
+                           real_number(self.weight, "weight", positive=True))
 
     @property
     def dim(self) -> int:

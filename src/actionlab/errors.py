@@ -1,7 +1,21 @@
-"""Exception types shared across the package, and the two input checks that
-turn malformed values into them."""
+"""Exception types shared across the package, and the readers that turn a
+caller's values into numbers or raise them.
+
+Every public entry point reads its own parameters: `real_number` for a
+finite (optionally positive) number, `real_array` for an array of numbers,
+`whole_number` for a count.  Each raises a ConfigError naming the parameter,
+so callers (the serializers, the CLI) pass raw values through instead of
+converting them first.  A tau keeps its own check (`InadmissibleTauError`),
+a non-finite point raises `OutsideDomainError` and a wrong shape
+`DimensionMismatchError`.  `malformed_input` reports a missing key of a
+document as a ConfigError.
+"""
 
 import contextlib
+import math
+import reprlib
+
+import numpy as np
 
 
 class ActionLabError(Exception):
@@ -41,6 +55,29 @@ def malformed_input(what: str):
         raise ConfigError(f"{what} is missing {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} has a malformed value: {exc}") from None
+
+
+def real_number(value, name: str, positive: bool = False) -> float:
+    """value as a float, or a ConfigError unless it is a finite number (and
+    > 0 when `positive` is set)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        raise ConfigError(f"{name} must be a {'positive ' if positive else ''}"
+                          f"finite number, got {value!r}")
+    return x
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """value as a float array, or a ConfigError when it is not numeric or
+    is ragged.  Finiteness and shape are the caller's to check."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an array of numbers, "
+                          f"got {reprlib.repr(value)}") from None
 
 
 def whole_number(value, name: str, least: int = 1) -> int:

@@ -18,7 +18,7 @@ from .action import discrete_action, recovery_action_bound, recovery_path, \
     recovery_tolerance
 from .action import Path
 from .convex import as_point, slope
-from .errors import ConfigError, whole_number
+from .errors import ConfigError, real_array, real_number, whole_number
 from .families import MoscoFamily, eventually_decreasing
 from .minimize import MinimizeConfig, minimize_action
 
@@ -98,7 +98,7 @@ def gamma_value_experiment(family: MoscoFamily, delta: float,
     non-decreasing gap tail both raise flags.
     """
     cfg = config or MinimizeConfig()
-    delta = float(delta)
+    delta = real_number(delta, "delta", positive=True)
     limit_res = minimize_action(family.limit.function, family.limit.start,
                                 family.limit.end, delta, cfg)
     limit_value = float(limit_res.value_true)
@@ -142,8 +142,8 @@ def gamma_value_experiment(family: MoscoFamily, delta: float,
                             tuple(flags))
 
 
-def gamma_limsup_experiment(family: MoscoFamily, gamma: Path, tau_schedule,
-                            patch_samples: int | None = None) -> ExperimentReport:
+def gamma_limsup_experiment(family: MoscoFamily, gamma: Path,
+                            tau_schedule) -> ExperimentReport:
     """Recovery curves of gamma under every member, audited against the bound.
 
     gamma must live on [0, 1], join the limit endpoints, and carry finite
@@ -152,7 +152,8 @@ def gamma_limsup_experiment(family: MoscoFamily, gamma: Path, tau_schedule,
     (1 + tau*lambda)^-2 (action(gamma) + 472 tau S^2) plus the published
     tolerance; violations are flagged.
     """
-    taus = tuple(float(t) for t in tau_schedule)
+    taus = tuple(real_number(t, "tau_schedule")
+                 for t in real_array(tau_schedule, "tau_schedule").ravel().tolist())
     if not taus:
         raise ConfigError("tau schedule must be nonempty")
     if gamma.dim != family.dim:
@@ -175,8 +176,7 @@ def gamma_limsup_experiment(family: MoscoFamily, gamma: Path, tau_schedule,
         bound = recovery_action_bound(A, tau, lam, S)
         tol = recovery_tolerance(A, tau, lam, S)
         for h, mem in enumerate(family.members):
-            rp = recovery_path(mem.function, tau, gamma, mem.start, mem.end,
-                               patch_samples)
+            rp = recovery_path(mem.function, tau, gamma, mem.start, mem.end)
             act = float(discrete_action(mem.function, rp).total)
             ok = act <= bound + tol
             rows.append({
@@ -219,6 +219,7 @@ def slope_semicontinuity_table(family: MoscoFamily, probes,
     domain unless that divergence is the point.
     """
     window = whole_number(window, "window")
+    margin = real_number(margin, "margin")
     pts = _check_probes(family, probes)
     rows = []
     flags = []
@@ -243,7 +244,7 @@ def slope_semicontinuity_table(family: MoscoFamily, probes,
     metadata = {
         "label": family.label,
         "members": family.size,
-        "margin": float(margin),
+        "margin": margin,
         "window": window,
         "probes": [p.tolist() for p in pts],
     }

@@ -18,28 +18,30 @@ import numpy as np
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      SquaredDistance, as_point, slope)
 from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
-                     whole_number)
+                     real_array, real_number, whole_number)
 from .sets import ConvexRegion, contains
 
 # member endpoint slopes may exceed the declared bound by this much
 _SLOPE_SLACK = 1e-9
+# a step of an eventually decreasing sequence may rise by this fraction
+_DECREASE_SLACK = 0.05
 
 
-def eventually_decreasing(values, window: int = 3, slack: float = 0.05) -> bool:
+def eventually_decreasing(values, window: int = 3) -> bool:
     """Audit that a sequence settles into decrease.
 
     Passes when each of the last `window` consecutive steps goes down, up to
-    a multiplicative slack (default 5%) plus a 1e-12 absolute cushion.  Early
-    entries may do anything; sequences shorter than two entries pass.  A
-    window below 1 is a ConfigError.
+    a multiplicative slack of 5% plus a 1e-12 absolute cushion.  Early
+    entries may do anything, including +-inf; sequences shorter than two
+    entries pass.  A window below 1 is a ConfigError.
     """
     window = whole_number(window, "window")
-    vals = [float(v) for v in values]
+    vals = real_array(values, "values").ravel().tolist()
     if len(vals) < 2:
         return True
     k = min(window, len(vals) - 1)
     for a, b in zip(vals[-k - 1:], vals[-k:]):
-        if not (b <= a * (1.0 + slack) + 1e-12):
+        if not (b <= a * (1.0 + _DECREASE_SLACK) + 1e-12):
             return False
     return True
 
@@ -90,8 +92,10 @@ class MoscoFamily:
         if not members:
             raise ConfigError("a family needs at least one member")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "uniform_lambda", float(self.uniform_lambda))
-        object.__setattr__(self, "slope_bound_S", float(self.slope_bound_S))
+        object.__setattr__(self, "uniform_lambda",
+                           real_number(self.uniform_lambda, "uniform_lambda"))
+        object.__setattr__(self, "slope_bound_S",
+                           real_number(self.slope_bound_S, "slope_bound_S"))
 
         d = self.limit.dim
         for h, mem in enumerate(members):
@@ -99,10 +103,8 @@ class MoscoFamily:
                 raise DimensionMismatchError(
                     f"member {h} has dimension {mem.dim}, limit has {d}")
 
-        if not (math.isfinite(self.slope_bound_S) and self.slope_bound_S >= 0):
-            raise ConfigError("slope_bound_S must be finite and nonnegative")
-        if not math.isfinite(self.uniform_lambda):
-            raise ConfigError("uniform_lambda must be finite")
+        if self.slope_bound_S < 0:
+            raise ConfigError("slope_bound_S must be nonnegative")
 
         for tag, mem in (("limit", self.limit),
                          *((f"member {h}", m) for h, m in enumerate(members))):
@@ -153,7 +155,7 @@ def permutation_vectors(points) -> np.ndarray:
     the concatenation (p_{sigma(1)}, ..., p_{sigma(N)}), giving an
     (N!, N*d) array in lexicographic permutation order.
     """
-    P = np.asarray(points, dtype=float)
+    P = real_array(points, "points")
     if P.ndim == 1:
         P = P[:, None]
     if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 1:
@@ -186,18 +188,16 @@ def _endpoint_slope_bound(members: tuple[FamilyMember, ...],
     return worst
 
 
-def family_logsumexp_to_max(vectors, epsilons, x0, x1,
-                            label: str = "logsumexp_to_max") -> MoscoFamily:
+def family_logsumexp_to_max(vectors, epsilons, x0, x1) -> MoscoFamily:
     """Smoothed-max members collapsing onto the max of linear forms.
 
     epsilons must decrease strictly toward (but not reach) zero; each member
     shares the limit's vectors and endpoints.  The modulus is 0 throughout.
     """
-    eps = tuple(float(e) for e in epsilons)
+    eps = tuple(real_number(e, "epsilons", positive=True)
+                for e in real_array(epsilons, "epsilons").ravel().tolist())
     if not eps:
         raise ConfigError("epsilon schedule must be nonempty")
-    if any(not (e > 0 and math.isfinite(e)) for e in eps):
-        raise ConfigError("epsilons must be positive and finite")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilon schedule must be strictly decreasing")
     limit_f = MaxLinear(vectors)
@@ -207,21 +207,19 @@ def family_logsumexp_to_max(vectors, epsilons, x0, x1,
                     for e in eps)
     limit = FamilyMember(limit_f, x0, x1)
     return MoscoFamily(members, limit, 0.0,
-                       _endpoint_slope_bound(members, limit), label)
+                       _endpoint_slope_bound(members, limit), "logsumexp_to_max")
 
 
-def family_penalty_to_indicator(region: ConvexRegion, penalties, x0, x1,
-                                label: str = "penalty_to_indicator") -> MoscoFamily:
+def family_penalty_to_indicator(region: ConvexRegion, penalties, x0, x1) -> MoscoFamily:
     """Quadratic distance penalties stiffening onto a constraint set.
 
     penalties must increase strictly; endpoints must belong to the region, so
     every member endpoint slope is zero and the declared bound S is 0.
     """
-    pens = tuple(float(p) for p in penalties)
+    pens = tuple(real_number(p, "penalties", positive=True)
+                 for p in real_array(penalties, "penalties").ravel().tolist())
     if not pens:
         raise ConfigError("penalty schedule must be nonempty")
-    if any(not (p > 0 and math.isfinite(p)) for p in pens):
-        raise ConfigError("penalties must be positive and finite")
     if any(b <= a for a, b in zip(pens, pens[1:])):
         raise ConfigError("penalty schedule must be strictly increasing")
     limit_f = Indicator(region)
@@ -234,11 +232,10 @@ def family_penalty_to_indicator(region: ConvexRegion, penalties, x0, x1,
                     for p in pens)
     limit = FamilyMember(limit_f, x0, x1)
     return MoscoFamily(members, limit, 0.0,
-                       _endpoint_slope_bound(members, limit), label)
+                       _endpoint_slope_bound(members, limit), "penalty_to_indicator")
 
 
-def constant_family(f: ConvexFunction, x0, x1, size: int = 6,
-                    label: str = "constant") -> MoscoFamily:
+def constant_family(f: ConvexFunction, x0, x1, size: int = 6) -> MoscoFamily:
     """Every member equals the limit; the baseline for gap-to-limit audits."""
     size = whole_number(size, "size")
     x0 = as_point(x0, f.dim, "x0")
@@ -246,4 +243,4 @@ def constant_family(f: ConvexFunction, x0, x1, size: int = 6,
     limit = FamilyMember(f, x0, x1)
     members = tuple(FamilyMember(f, x0, x1) for _ in range(size))
     return MoscoFamily(members, limit, f.lam,
-                       _endpoint_slope_bound(members, limit), label)
+                       _endpoint_slope_bound(members, limit), "constant")

@@ -53,7 +53,8 @@ import numpy as np
 
 from .action import Path, discrete_action
 from .convex import ConvexFunction, Indicator, MaxLinear, _solve_blocks, as_point
-from .errors import ConfigError, malformed_input, whole_number
+from .errors import (ConfigError, malformed_input, real_array, real_number,
+                     whole_number)
 
 DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
 _STEP_SHRINK = 0.5      # Armijo backtracking from the full Newton step: shrink
@@ -80,19 +81,16 @@ class MinimizeConfig:
     def __post_init__(self):
         object.__setattr__(self, "N", whole_number(self.N, "N"))
         if self.tau_schedule is not None:
-            with malformed_input("tau_schedule"):
-                sched = tuple(float(t) for t in self.tau_schedule)
-            if len(sched) == 0 or any(t <= 0 for t in sched):
-                raise ConfigError("tau schedule must be nonempty and positive")
+            sched = real_array(self.tau_schedule, "tau_schedule").ravel().tolist()
+            sched = tuple(real_number(t, "tau_schedule", positive=True) for t in sched)
+            if not sched:
+                raise ConfigError("tau schedule must be nonempty")
             if any(b >= a for a, b in zip(sched, sched[1:])):
                 raise ConfigError("tau schedule must be strictly decreasing")
             object.__setattr__(self, "tau_schedule", sched)
         object.__setattr__(self, "max_iters", whole_number(self.max_iters, "max_iters"))
-        with malformed_input("grad_tol"):
-            grad_tol = float(self.grad_tol)
-        if not (grad_tol > 0):
-            raise ConfigError("grad_tol must be positive")
-        object.__setattr__(self, "grad_tol", grad_tol)
+        object.__setattr__(self, "grad_tol",
+                           real_number(self.grad_tol, "grad_tol", positive=True))
 
     def schedule_for(self, delta: float, lam: float) -> tuple[float, ...]:
         if self.tau_schedule is not None:
@@ -405,9 +403,7 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     appended per continuation stage (descent audits hook in here).
     """
     cfg = config or MinimizeConfig()
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0):
-        raise ConfigError("delta must be positive")
+    delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
     schedule = cfg.schedule_for(delta, f.lam)
@@ -424,28 +420,26 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
 
     total_iters = 0
     converged = True
-    obj = None
-    value_smoothed = None   # the last stage's energy, while Z is its iterate
     for tau in schedule:
         obj = _Objective(f, tau, x0, xd, dt)
-        if n >= 2:
-            trace = [] if stage_traces is not None else None
-            Z, accepted, hit, value_smoothed = _stage(obj, Z, cfg, trace)
-            if stage_traces is not None:
-                stage_traces.append(trace)
-            total_iters += accepted
-            converged = converged and hit
-    if isinstance(f, Indicator) and n >= 2:
+        trace = [] if stage_traces is not None else None
+        # value_smoothed is the last stage's energy while Z is its iterate
+        Z, accepted, hit, value_smoothed = _stage(obj, Z, cfg, trace)
+        if stage_traces is not None:
+            stage_traces.append(trace)
+        total_iters += accepted
+        converged = converged and hit
+    if isinstance(f, Indicator):
         Z = f.region.project_many(Z)
         value_smoothed = None
-    if isinstance(f, MaxLinear) and n >= 2:
+    if isinstance(f, MaxLinear):
         Z = _polish_on_faces(obj, Z, times)
         value_smoothed = None
 
     nodes = np.concatenate([x0[None, :], Z, xd[None, :]], axis=0)
     path = Path(times, nodes)
     if value_smoothed is None:
-        value_smoothed = obj.value(Z) if obj is not None else math.nan
+        value_smoothed = obj.value(Z)
     value_true = discrete_action(f, path).total
     return MinimizeResult(
         path=path,
@@ -466,20 +460,16 @@ def closed_form_value(case: str, **params) -> float:
     value ((a^2 + b^2) cosh(delta) - 2 a b) / sinh(delta).
     """
     if case == "free":
-        delta = float(params["delta"])
+        delta = real_number(params["delta"], "delta", positive=True)
         if "displacement" in params:
-            disp = np.atleast_1d(np.asarray(params["displacement"], dtype=float))
+            disp = np.atleast_1d(real_array(params["displacement"], "displacement"))
         else:
-            disp = (np.atleast_1d(np.asarray(params["xd"], dtype=float))
-                    - np.atleast_1d(np.asarray(params["x0"], dtype=float)))
-        if delta <= 0:
-            raise ConfigError("delta must be positive")
+            disp = (np.atleast_1d(real_array(params["xd"], "xd"))
+                    - np.atleast_1d(real_array(params["x0"], "x0")))
         return float(disp @ disp) / delta
     if case == "quadratic_1d":
-        a = float(params["a"])
-        b = float(params["b"])
-        delta = float(params["delta"])
-        if delta <= 0:
-            raise ConfigError("delta must be positive")
+        a = real_number(params["a"], "a")
+        b = real_number(params["b"], "b")
+        delta = real_number(params["delta"], "delta", positive=True)
         return ((a * a + b * b) * math.cosh(delta) - 2.0 * a * b) / math.sinh(delta)
     raise ConfigError(f"unknown closed-form case {case!r}")

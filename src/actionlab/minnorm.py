@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real_array, whole_number
 
 _DROP_TOL = 1e-14
 _COEFF_TOL = 1e-12
 
 
 def _as_points(points) -> np.ndarray:
-    P = np.asarray(points, dtype=float)
+    P = real_array(points, "hull points")
     if P.ndim == 1:
         P = P[:, None]
     if P.ndim != 2 or P.shape[0] == 0:
@@ -62,7 +62,7 @@ def _affine_weights(Pc: np.ndarray, used: np.ndarray) -> np.ndarray:
     return sol[:, :s, 0]
 
 
-def _min_norm_rows(A: np.ndarray, Z: np.ndarray, mask=None, gap_tol=None,
+def _min_norm_rows(A: np.ndarray, Z: np.ndarray, mask=None,
                    max_iter=None) -> tuple[np.ndarray, np.ndarray]:
     """Min-norm points q_i of conv{a_j - z_i : mask[i, j]} and their gaps."""
     (k, d), m = Z.shape, A.shape[0]
@@ -87,7 +87,7 @@ def _min_norm_rows(A: np.ndarray, Z: np.ndarray, mask=None, gap_tol=None,
     norms2 = (np.einsum("ij,ij->i", A, A) - 2.0 * (Z @ A.T)
               + np.einsum("ij,ij->i", Z, Z)[:, None])
     far = np.maximum(np.where(mask, norms2, 0.0).max(axis=1), 0.0)
-    tol = 1e-14 * (1.0 + far) if gap_tol is None else np.full(k, float(gap_tol))
+    tol = 1e-14 * (1.0 + far)
     S = min(m, d + 1)
     idx = np.zeros((k, S), dtype=np.intp)
     idx[:, 0] = np.where(mask, norms2, np.inf).argmin(axis=1)
@@ -96,7 +96,8 @@ def _min_norm_rows(A: np.ndarray, Z: np.ndarray, mask=None, gap_tol=None,
     X = A[idx[:, 0]] - Z
     gaps = np.zeros(k)
     live = np.arange(k)
-    for _ in range(100 + 16 * m if max_iter is None else max_iter):
+    cap = 100 + 16 * m if max_iter is None else whole_number(max_iter, "max_iter")
+    for _ in range(cap):
         gaps[live], j = improving(live, X[live])
         u = used[live]
         seen = ((idx[live] == j[:, None]) & u).any(axis=1)
@@ -136,14 +137,13 @@ def _min_norm_rows(A: np.ndarray, Z: np.ndarray, mask=None, gap_tol=None,
     return X, np.maximum(gaps, 0.0)
 
 
-def min_norm_point_with_gap(points, *, mask=None, gap_tol: float | None = None,
-                            max_iter: int | None = None):
+def min_norm_point_with_gap(points, *, mask=None, max_iter: int | None = None):
     """Minimum-norm point of conv{points} plus the certified duality gap;
     with a (k, m) boolean `mask`, (k, d) points and (k,) gaps, row i over the
     points that mask[i] allows."""
     P = _as_points(points)
     k = 1 if mask is None else np.atleast_2d(mask).shape[0]
-    Q, gaps = _min_norm_rows(P, np.zeros((k, P.shape[1])), mask, gap_tol, max_iter)
+    Q, gaps = _min_norm_rows(P, np.zeros((k, P.shape[1])), mask, max_iter)
     return (Q[0], float(gaps[0])) if mask is None else (Q, gaps)
 
 
@@ -160,7 +160,7 @@ def hull_projection_with_gap(points, z, *, mask=None):
     """
     P = _as_points(points)
     single = np.ndim(z) <= 1
-    Z = np.atleast_2d(np.asarray(z, dtype=float))
+    Z = np.atleast_2d(real_array(z, "projection target"))
     if Z.ndim != 2 or Z.shape[1] != P.shape[1] or not np.all(np.isfinite(Z)):
         raise ConfigError("projection target must be finite, of the hull's dimension")
     Q, gaps = _min_norm_rows(P, Z, mask if mask is None else np.atleast_2d(mask))

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import ConvexFunction, as_point
-from .errors import ConfigError, DimensionMismatchError, whole_number
+from .errors import (ConfigError, DimensionMismatchError, real_array,
+                     real_number, whole_number)
 from .sets import ConvexRegion
+
+_SNAP_TOL = 1e-6   # largest distance from an endpoint to its grid node
 
 
 @dataclass(frozen=True)
@@ -27,17 +30,16 @@ class GridSpec:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        cells = tuple(int(c) for c in np.atleast_1d(self.cells))
+        lo = np.atleast_1d(real_array(self.lo, "grid lo"))
+        hi = np.atleast_1d(real_array(self.hi, "grid hi"))
+        cells = tuple(whole_number(c, "cells")
+                      for c in np.atleast_1d(self.cells).tolist())
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigError("grid corners must be matching vectors")
         if len(cells) != lo.size:
             raise ConfigError("cells must give one count per dimension")
         if not np.all(hi > lo):
             raise ConfigError("grid needs hi > lo componentwise")
-        if any(c < 1 for c in cells):
-            raise ConfigError("every cell count must be at least 1")
         lo = lo.copy()
         hi = hi.copy()
         lo.setflags(write=False)
@@ -60,22 +62,21 @@ def _mesh(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _snap(x: np.ndarray, grid: GridSpec, snap_tol: float, name: str) -> tuple[int, ...]:
+def _snap(x: np.ndarray, grid: GridSpec, name: str) -> tuple[int, ...]:
     h = grid.spacing
     idx = np.rint((x - grid.lo) / h).astype(int)
     if np.any(idx < 0) or np.any(idx > np.asarray(grid.cells)):
         raise ConfigError(f"{name} lies outside the grid box")
     snapped = grid.lo + idx * h
-    if np.linalg.norm(snapped - x) > snap_tol:
+    if np.linalg.norm(snapped - x) > _SNAP_TOL:
         raise ConfigError(
             f"{name} is {np.linalg.norm(snapped - x):.3e} from the nearest grid node "
-            f"(snap tolerance {snap_tol:.3e})")
+            f"(snap tolerance {_SNAP_TOL:.3e})")
     return tuple(int(i) for i in idx)
 
 
 def grid_oracle(f: ConvexFunction, x0, xd, delta: float, grid: GridSpec,
-                time_steps: int, *, reach: int = 2, snap_tol: float = 1e-6,
-                node_budget: int = 4_000_000,
+                time_steps: int, *, reach: int = 2, node_budget: int = 4_000_000,
                 obstacle: ConvexRegion | None = None) -> float:
     """Shortest-path cost from x0 to xd through the time-expanded grid.
 
@@ -90,9 +91,8 @@ def grid_oracle(f: ConvexFunction, x0, xd, delta: float, grid: GridSpec,
         raise DimensionMismatchError("function and grid dimension differ")
     time_steps = whole_number(time_steps, "time_steps")
     reach = whole_number(reach, "reach")
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0):
-        raise ConfigError("delta must be positive")
+    node_budget = whole_number(node_budget, "node_budget")
+    delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, grid.dim, "x0")
     xd = as_point(xd, grid.dim, "xd")
 
@@ -102,8 +102,8 @@ def grid_oracle(f: ConvexFunction, x0, xd, delta: float, grid: GridSpec,
         raise ConfigError(
             f"graph size {n_nodes * time_steps} exceeds node budget {node_budget}")
 
-    start = _snap(x0, grid, snap_tol, "x0")
-    end = _snap(xd, grid, snap_tol, "xd")
+    start = _snap(x0, grid, "x0")
+    end = _snap(xd, grid, "xd")
 
     h = grid.spacing
     dt = delta / time_steps
@@ -156,8 +156,7 @@ def speed_quantization_bias(grid: GridSpec, time_steps: int, delta: float) -> fl
     kinetic energy per unit time.  Summed over coordinates and the horizon
     this gives the dominant resolution error term.
     """
-    delta = float(delta)
-    if not (delta > 0 and time_steps >= 1):
-        raise ConfigError("need positive delta and at least one time step")
+    time_steps = whole_number(time_steps, "time_steps")
+    delta = real_number(delta, "delta", positive=True)
     q = grid.spacing * time_steps / delta
     return float(np.sum(q**2) / 4.0 * delta)

@@ -18,7 +18,7 @@ import numpy as np
 from .action import ActionBreakdown, Path
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      ProxResult, Quadratic, SquaredDistance)
-from .errors import ConfigError, malformed_input
+from .errors import ConfigError, malformed_input, real_number
 from .minimize import MinimizeResult
 from .sets import Ball, Box, ConvexRegion, Halfspace
 
@@ -53,13 +53,11 @@ def region_from_dict(doc: dict) -> ConvexRegion:
     except (TypeError, KeyError):
         raise ConfigError("region document needs a 'type' field") from None
     if kind == "ball":
-        return Ball(np.asarray(doc["center"], dtype=float), float(doc["radius"]))
+        return Ball(doc["center"], doc["radius"])
     if kind == "box":
-        return Box(np.asarray(doc["lo"], dtype=float),
-                   np.asarray(doc["hi"], dtype=float))
+        return Box(doc["lo"], doc["hi"])
     if kind == "halfspace":
-        return Halfspace(np.asarray(doc["normal"], dtype=float),
-                         float(doc["offset"]))
+        return Halfspace(doc["normal"], doc["offset"])
     raise ConfigError(f"unknown region type {kind!r}")
 
 
@@ -99,23 +97,19 @@ def function_from_dict(doc: dict) -> ConvexFunction:
     if not isinstance(params, Mapping):
         raise ConfigError("function 'params' must be an object")
     if kind == "quadratic":
-        f = Quadratic(np.asarray(params["Q"], dtype=float),
-                      np.asarray(params["b"], dtype=float),
-                      float(params.get("c", 0.0)))
+        f = Quadratic(params["Q"], params["b"], params.get("c", 0.0))
     elif kind == "max_linear":
-        f = MaxLinear(np.asarray(params["vectors"], dtype=float))
+        f = MaxLinear(params["vectors"])
     elif kind == "log_sum_exp":
-        f = LogSumExp(np.asarray(params["vectors"], dtype=float),
-                      float(params["epsilon"]))
+        f = LogSumExp(params["vectors"], params["epsilon"])
     elif kind == "indicator":
         f = Indicator(region_from_dict(params["region"]))
     elif kind == "squared_distance":
-        f = SquaredDistance(region_from_dict(params["region"]),
-                            float(params["weight"]))
+        f = SquaredDistance(region_from_dict(params["region"]), params["weight"])
     else:
         raise ConfigError(f"unknown function kind {kind!r}")
     if "lambda" in doc:
-        declared = float(doc["lambda"])
+        declared = real_number(doc["lambda"], "lambda")
         if abs(declared - f.lam) > _LAMBDA_TOL * (1.0 + abs(f.lam)):
             raise ConfigError(
                 f"declared modulus {declared} disagrees with the structural "
@@ -133,10 +127,8 @@ def family_from_dict(doc: dict):
     except (TypeError, KeyError):
         raise ConfigError("family document needs a 'builder' field") from None
     if builder == "logsumexp_to_max":
-        if "points" in doc:
-            vectors = permutation_vectors(np.asarray(doc["points"], dtype=float))
-        else:
-            vectors = np.asarray(doc["vectors"], dtype=float)
+        vectors = (permutation_vectors(doc["points"]) if "points" in doc
+                   else doc["vectors"])
         return family_logsumexp_to_max(vectors, doc["epsilons"],
                                        doc["x0"], doc["x1"])
     if builder == "penalty_to_indicator":
@@ -145,8 +137,7 @@ def family_from_dict(doc: dict):
                                            doc["x1"])
     if builder == "constant":
         return constant_family(function_from_dict(doc["function"]),
-                               doc["x0"], doc["x1"],
-                               int(doc.get("size", 6)))
+                               doc["x0"], doc["x1"], doc.get("size", 6))
     raise ConfigError(f"unknown family builder {builder!r}")
 
 

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, malformed_input
+from .errors import (ConfigError, DimensionMismatchError, real_array,
+                     real_number)
 
 BALL_REL_TOL = 1e-12
 
 
 def _vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = real_array(v, name)
     if arr.ndim == 0:
         arr = arr[None]
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
@@ -33,9 +34,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vector(self.center, "ball center"))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ConfigError("ball radius must be finite and positive")
+        object.__setattr__(self, "radius",
+                           real_number(self.radius, "ball radius", positive=True))
 
     @property
     def dim(self) -> int:
@@ -111,9 +111,7 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _vector(self.normal, "halfspace normal"))
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.isfinite(self.offset):
-            raise ConfigError("halfspace offset must be finite")
+        object.__setattr__(self, "offset", real_number(self.offset, "halfspace offset"))
         if np.linalg.norm(self.normal) == 0.0:
             raise ConfigError("halfspace normal must be nonzero")
 
@@ -155,10 +153,9 @@ class Halfspace:
 ConvexRegion = Ball | Box | Halfspace
 
 
-@malformed_input("point")
 def _row(region: ConvexRegion, x) -> np.ndarray:
     """x as a (1, d) row in region's dimension."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(real_array(x, "point"))
     if arr.shape != (region.dim,):
         raise DimensionMismatchError(
             f"point has shape {arr.shape}, expected ({region.dim},)")

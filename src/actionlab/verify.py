@@ -28,7 +28,7 @@ from .action import (Path, alt_action, coarsened_interpolation_bound,
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      Quadratic, SquaredDistance, _slope_lower_bounds,
                      min_norm_subgradient, prox, slope)
-from .errors import ConfigError
+from .errors import ConfigError, whole_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
                           slope_semicontinuity_table)
@@ -40,6 +40,8 @@ from .oracle import GridSpec, grid_oracle, speed_quantization_bias
 from .sets import Ball, Box, Halfspace
 
 SCOPES = ("convex", "action", "minimize", "gamma")
+_INTERP_SAMPLES = 256     # chords of the constructed paths the bound checks
+_NULL_LAGRANGIAN_SEGMENTS = 64
 
 
 @dataclass(frozen=True)
@@ -385,16 +387,15 @@ def _interp_instance(rng, f: ConvexFunction):
     return tau, delta, x0, xd
 
 
-def interpolation_bound_failures(f: ConvexFunction, rng, trials: int,
-                                 samples_m: int = 256) -> list[dict]:
+def interpolation_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Measured action of the constructed path stays under the stated bound,
     up to a per-instance refinement-difference quadrature allowance."""
     fails = []
     for _ in range(trials):
         tau, delta, x0, xd = _interp_instance(rng, f)
-        path = interpolation_path(f, tau, delta, x0, xd, samples_m)
+        path = interpolation_path(f, tau, delta, x0, xd, _INTERP_SAMPLES)
         act = discrete_action(f, path).total
-        fine = interpolation_path(f, tau, delta, x0, xd, 2 * samples_m)
+        fine = interpolation_path(f, tau, delta, x0, xd, 2 * _INTERP_SAMPLES)
         act_fine = discrete_action(f, fine).total
         bound = interpolation_bound(f, tau, delta, x0, xd)
         quad = 2.0 * abs(act_fine - act) + 1e-9 * (1.0 + abs(bound))
@@ -404,16 +405,15 @@ def interpolation_bound_failures(f: ConvexFunction, rng, trials: int,
     return fails
 
 
-def coarsened_bound_failures(f: ConvexFunction, rng, trials: int,
-                             samples_m: int = 256) -> list[dict]:
+def coarsened_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Same audit at the matched horizon delta = tau, plus dominance of the
     coarsened bound over the sharp one."""
     fails = []
     for _ in range(trials):
         tau, _, x0, xd = _interp_instance(rng, f)
-        path = interpolation_path(f, tau, tau, x0, xd, samples_m)
+        path = interpolation_path(f, tau, tau, x0, xd, _INTERP_SAMPLES)
         act = discrete_action(f, path).total
-        fine = interpolation_path(f, tau, tau, x0, xd, 2 * samples_m)
+        fine = interpolation_path(f, tau, tau, x0, xd, 2 * _INTERP_SAMPLES)
         act_fine = discrete_action(f, fine).total
         coarse = coarsened_interpolation_bound(f, tau, x0, xd)
         sharp = interpolation_bound(f, tau, tau, x0, xd)
@@ -427,11 +427,11 @@ def coarsened_bound_failures(f: ConvexFunction, rng, trials: int,
     return fails
 
 
-def null_lagrangian_failures(f: ConvexFunction, rng, trials: int,
-                             segments: int = 64) -> list[dict]:
+def null_lagrangian_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """alt action differs from the action by exactly the endpoint term,
     up to O(1/N) quadrature on smooth kinds."""
     fails = []
+    segments = _NULL_LAGRANGIAN_SEGMENTS
     for _ in range(trials):
         path = _random_path(rng, f, segments=segments)
         total = discrete_action(f, path).total
@@ -684,7 +684,7 @@ def report_determinism_failures() -> list[dict]:
 
 def _per_function(helper, pool_fn, default: int):
     def runner(rng, samples, extra):
-        n = default if samples is None else max(1, int(samples))
+        n = default if samples is None else samples
         pool = pool_fn(rng, extra) if pool_fn is _function_pool else pool_fn(rng)
         failures = []
         tested = 0
@@ -785,10 +785,14 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
 
     scopes defaults to all of ("convex", "action", "minimize", "gamma");
     a bare string is accepted for one scope.  samples overrides each
-    sample-driven check's per-function count.  extra_functions join the
+    sample-driven check's per-function count (a whole number >= 1; seed is
+    a whole number >= 0).  extra_functions join the
     sampled pool for convex-scope checks, which is how a deliberately
     corrupted descriptor gets flushed out.
     """
+    seed = whole_number(seed, "seed", 0)
+    if samples is not None:
+        samples = whole_number(samples, "samples")
     if scopes is None:
         scopes = SCOPES
     if isinstance(scopes, str):
@@ -801,8 +805,8 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
     for idx, (name, scope, runner) in enumerate(_REGISTRY):
         if scope not in scopes:
             continue
-        rng = np.random.default_rng([int(seed), idx])
+        rng = np.random.default_rng([seed, idx])
         tested, failures = runner(rng, samples, tuple(extra_functions))
         checks.append(CheckResult(name, scope, int(tested), len(failures),
                                   tuple(failures[:5])))
-    return VerifyReport(int(seed), scopes, tuple(checks))
+    return VerifyReport(seed, scopes, tuple(checks))

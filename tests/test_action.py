@@ -9,14 +9,25 @@ from actionlab.action import (Path, alt_action, coarsened_interpolation_bound,
                               recovery_action_bound, recovery_path,
                               recovery_tolerance, upper_gradient_quadrature_bound,
                               upper_gradient_residual)
-from actionlab.convex import Indicator, MaxLinear, Quadratic, prox, slope
+from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
+                              SquaredDistance, prox, slope)
 from actionlab.errors import ActionLabError, ConfigError, OutsideDomainError
-from actionlab.minimize import closed_form_value
-from actionlab.oracle import GridSpec, grid_oracle
-from actionlab.sets import Ball, project
+from actionlab.experiments import (gamma_limsup_experiment,
+                                   gamma_value_experiment,
+                                   slope_semicontinuity_table)
+from actionlab.families import (MoscoFamily, eventually_decreasing,
+                                family_logsumexp_to_max,
+                                family_penalty_to_indicator)
+from actionlab.minimize import MinimizeConfig, closed_form_value, minimize_action
+from actionlab.minnorm import hull_projection, min_norm_point_with_gap
+from actionlab.oracle import GridSpec, grid_oracle, speed_quantization_bias
+from actionlab.sets import Ball, Halfspace, project
+from actionlab.verify import verify_suite
 
 HALF_SQ = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
 ABS = MaxLinear(np.array([[1.0], [-1.0]]))
+LSE_FAMILY = family_logsumexp_to_max([[1.0], [-1.0]], (0.5, 0.2), [-1.0], [1.0])
+GRID = GridSpec([0.0], [1.0], (8,))
 
 
 @pytest.mark.parametrize("call", [
@@ -29,9 +40,51 @@ ABS = MaxLinear(np.array([[1.0], [-1.0]]))
     lambda: prox(HALF_SQ, 0.5, "a"),
     lambda: Path([0.0, 1.0], [["a"], [1.0]]),
     lambda: HALF_SQ.prox_many(0.5, [["a"]]),
+    lambda: minimize_action(HALF_SQ, [0.0], [1.0], "x"),
+    lambda: interpolation_path(HALF_SQ, 0.5, "x", [0.0], [1.0], 8),
+    lambda: interpolation_bound(HALF_SQ, 0.5, "x", [0.0], [1.0]),
+    lambda: grid_oracle(HALF_SQ, [0.0], [1.0], "x", GRID, 4),
+    lambda: speed_quantization_bias(GRID, 4, "x"),
+    lambda: gamma_value_experiment(LSE_FAMILY, "x"),
+    lambda: LogSumExp([[1.0], [-1.0]], "x"),
+    lambda: SquaredDistance(Ball([0.0], 1.0), "x"),
+    lambda: Ball([0.0], "x"),
+    lambda: Ball("x", 1.0),
+    lambda: Halfspace([1.0], "x"),
+    lambda: Quadratic([[1.0]], [0.0], "x"),
+    lambda: Quadratic("x", [0.0]),
+    lambda: GridSpec([0.0], [1.0], ("x",)),
+    lambda: GridSpec("x", [1.0], (8,)),
+    lambda: verify_suite(scopes="gamma", seed="x"),
+    lambda: verify_suite(scopes="gamma", samples="x"),
+    lambda: MoscoFamily(LSE_FAMILY.members, LSE_FAMILY.limit, "x", 1.0),
+    lambda: slope_semicontinuity_table(LSE_FAMILY, [[0.0]], margin="x"),
+    lambda: family_logsumexp_to_max([[1.0], [-1.0]], ["x"], [-1.0], [1.0]),
+    lambda: family_penalty_to_indicator(Ball([0.0], 1.0), ["x"], [0.0], [0.5]),
+    lambda: gamma_limsup_experiment(
+        LSE_FAMILY, Path.straight([-1.0], [1.0], intervals=4), ["x"]),
+    lambda: Path.straight("a", "b"),
+    lambda: hull_projection([[1, 0]], "x"),
+    lambda: eventually_decreasing(["x", 1]),
+    lambda: MaxLinear([[1], [1, 2]]),
+    lambda: Quadratic([[1.0]], [0.0], math.nan),
+    lambda: MinimizeConfig(tau_schedule=[math.inf]),
+    lambda: grid_oracle(HALF_SQ, [0.0], [1.0], 1.0, GRID, 4, node_budget="x"),
+    lambda: min_norm_point_with_gap([[1.0, 0.0], [0.0, 1.0]], max_iter="x"),
 ], ids=["grid_oracle-reach", "straight-intervals", "interpolation_path-M",
         "closed_form_value-missing", "project-dimension", "prox-non-number",
-        "path-non-number", "prox_many-non-number"])
+        "path-non-number", "prox_many-non-number",
+        "minimize_action-delta", "interpolation_path-delta",
+        "interpolation_bound-delta", "grid_oracle-delta",
+        "speed_quantization_bias-delta", "gamma_value_experiment-delta",
+        "log_sum_exp-epsilon", "squared_distance-weight", "ball-radius",
+        "ball-center", "halfspace-offset", "quadratic-c", "quadratic-Q",
+        "grid-cells", "grid-lo", "verify_suite-seed", "verify_suite-samples",
+        "family-uniform_lambda", "slope_semicontinuity_table-margin",
+        "family-epsilons", "family-penalties", "limsup-taus",
+        "straight-endpoints", "hull_projection-target",
+        "eventually_decreasing-values", "max_linear-ragged", "quadratic-c-nan",
+        "tau_schedule-inf", "grid_oracle-node_budget", "min_norm_point-max_iter"])
 def test_public_entry_points_raise_package_errors(call):
     with pytest.raises(ActionLabError):
         call()

@@ -293,3 +293,27 @@ def test_non_integer_minimize_setting_is_a_clean_error(capsys, quad_file, tmp_pa
     assert code == 2
     assert err.startswith("error:")
     assert key in err
+
+
+BAD_CONFIG = {
+    "gamma-tau": (["gamma", "--experiment", "resolvent"],
+                  {"family": LSE_FAMILY, "tau": "x", "probes": [[0.0]]}),
+    "gamma-intervals": (["gamma", "--experiment", "limsup", "--taus", "0.2"],
+                        {"family": LSE_FAMILY, "gamma-intervals": "x"}),
+    "prox-point": (["prox"], {"function": QUAD, "tau": 0.5, "point": ["a"]}),
+    "verify-seed": (["verify", "--scope", "gamma"], {"seed": "x"}),
+    "minimize-delta": (["minimize"], {"function": QUAD, "delta": "x",
+                                      "x0": [1.0], "xd": [2.0]}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIG))
+def test_non_numeric_config_value_is_a_clean_error(capsys, tmp_path, case):
+    # config values reach the entry points raw, and those reject them
+    argv, config = BAD_CONFIG[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, argv + ["--config", str(cfg),
+                                       "--csv-dir", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error:")

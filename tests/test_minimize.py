@@ -12,7 +12,8 @@ from scipy.linalg import solve_banded
 
 import actionlab
 from actionlab.action import dubois_reymond_residual
-from actionlab.convex import Indicator, LogSumExp, MaxLinear, Quadratic
+from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
+                              SquaredDistance)
 from actionlab.errors import ConfigError
 from actionlab.minimize import (MinimizeConfig, _block_tridiagonal_solve,
                                 closed_form_value, minimize_action)
@@ -406,3 +407,31 @@ def test_accepted_steps_strictly_lower_the_energy():
     for trace in traces:
         assert all(b < a for a, b in zip(trace, trace[1:]))
     assert res.iterations < 100
+
+
+@pytest.mark.parametrize("f, x0, xd, smoothed, true", [
+    (MaxLinear(TRIANGLE), [-1.0, 0.0], [1.0, 0.5], 5.250000000000002, 5.25),
+    (LogSumExp(TRIANGLE, 0.1), [-1.0, 0.0], [1.0, 0.5],
+     5.0463051031710995, 5.053010859364539),
+    (Indicator(Ball(np.zeros(2), 1.5)), [-1.0, 0.0], [1.0, 0.5], 4.25, 4.25),
+    (HALF_SQ, [1.0], [2.0], 3.232107426866236, 3.25),
+    (SquaredDistance(Ball(np.zeros(2), 1.0), 2.0), [-2.0, 0.0], [2.0, 0.5],
+     16.25, 16.25),
+], ids=["max_linear", "log_sum_exp", "indicator", "quadratic",
+        "squared_distance"])
+def test_one_interval_solve_is_the_straight_chord(f, x0, xd, smoothed, true):
+    # N = 1 has no interior node: the empty iterate goes through every stage,
+    # the projection and the polish unchanged, and the values are those of
+    # the one chord
+    res = minimize_action(f, x0, xd, 1.0, MinimizeConfig(N=1))
+    assert res.path.nodes.tolist() == [x0, xd]
+    assert res.iterations == 0 and res.converged
+    assert res.value_smoothed == pytest.approx(smoothed, rel=1e-14)
+    assert res.value_true == pytest.approx(true, rel=1e-14)
+    mid = 0.5 * (np.array(x0) + np.array(xd))
+    tau = res.tau_schedule[-1]
+    G = (mid - f.prox_many(tau, mid)[0][0]) / tau
+    kinetic = float(np.sum((np.array(xd) - np.array(x0))**2))
+    assert res.value_smoothed == pytest.approx(kinetic + G @ G, rel=1e-12)
+    assert res.value_true == pytest.approx(kinetic + f.slope_many(mid[None])[0]**2,
+                                           rel=1e-12)

@@ -33,6 +33,11 @@ def test_unknown_scope_rejected():
         verify_suite("topology", seed=0)
 
 
+def test_samples_below_one_is_rejected():
+    with pytest.raises(ConfigError, match="samples"):
+        verify_suite("convex", seed=0, samples=0)
+
+
 def test_summary_lines_shape():
     report = verify_suite("convex", seed=0, samples=2)
     lines = report.summary_lines()

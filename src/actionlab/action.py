@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexFunction, as_point, min_norm_subgradient, slope
+from .convex import (ConvexFunction, _check_admissible, as_point, min_norm_subgradient,
+                     slope)
 from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
                      real_array, real_number, whole_number)
 
@@ -110,6 +111,13 @@ def _check_rule(rule: str) -> str:
     return rule
 
 
+def _check_path(f: ConvexFunction, path, name: str = "path") -> None:
+    if not isinstance(path, Path):
+        raise ConfigError(f"{name} must be a Path, got {type(path).__name__}")
+    if path.dim != f.dim:
+        raise DimensionMismatchError(f"{name} dimension does not match the function")
+
+
 def _kinetic(path: Path) -> float:
     diffs = np.diff(path.nodes, axis=0)
     return float((np.einsum("ij,ij->i", diffs, diffs) / path.dt).sum())
@@ -118,8 +126,7 @@ def _kinetic(path: Path) -> float:
 def discrete_action(f: ConvexFunction, path: Path, rule: str = "midpoint") -> ActionBreakdown:
     """Kinetic + slope-squared action of the piecewise-linear path under f."""
     rule = _check_rule(rule)
-    if path.dim != f.dim:
-        raise DimensionMismatchError("path dimension does not match the function")
+    _check_path(f, path)
     kinetic = _kinetic(path)
     if rule == "midpoint":
         s = f.slope_many(path.chord_midpoints)
@@ -142,8 +149,7 @@ def alt_action(f: ConvexFunction, path: Path) -> float:
     Equals discrete_action(f, path).total - 2 f(x_N) + 2 f(x_0) up to
     quadrature error (exactly, for quadratic f under the midpoint rule).
     """
-    if path.dim != f.dim:
-        raise DimensionMismatchError("path dimension does not match the function")
+    _check_path(f, path)
     G = f.subgradient_many(path.chord_midpoints)
     diff = path.velocities - G
     return float((path.dt * np.einsum("ij,ij->i", diff, diff)).sum())
@@ -158,6 +164,7 @@ def _upper_gradient_integral(f: ConvexFunction, path: Path) -> float:
 
 def upper_gradient_residual(f: ConvexFunction, path: Path) -> float:
     """int |grad f|(gamma) |gamma'| (midpoint rule) minus |f(x_N) - f(x_0)|."""
+    _check_path(f, path)
     fa = f.value(path.nodes[0])
     fb = f.value(path.nodes[-1])
     if not (np.isfinite(fa) and np.isfinite(fb)):
@@ -176,6 +183,7 @@ def upper_gradient_quadrature_bound(f: ConvexFunction, path: Path) -> float:
     kinks hiding between sample points, e.g. a region boundary crossing the
     tail of one segment.
     """
+    _check_path(f, path)
     coarse = _upper_gradient_integral(f, path)
     fine = _upper_gradient_integral(f, path.refined())
     s_nodes = f.slope_many(path.nodes)
@@ -195,8 +203,7 @@ def dubois_reymond_residual(f: ConvexFunction, path: Path) -> float:
     The conserved quantity of a stationary path; small values on a converged
     minimizer.  Raises when a midpoint slope is infinite.
     """
-    if path.dim != f.dim:
-        raise DimensionMismatchError("path dimension does not match the function")
+    _check_path(f, path)
     v = path.velocities
     s = f.slope_many(path.chord_midpoints)
     if not np.all(np.isfinite(s)):
@@ -278,8 +285,7 @@ def recovery_path(f_h: ConvexFunction, tau: float, gamma: Path, xh0, xh1,
     (default max(16, ceil(tau * N)) with N the core interval count).
     """
     tau = f_h.require_admissible(tau, envelope_lipschitz=True)
-    if gamma.dim != f_h.dim:
-        raise DimensionMismatchError("gamma dimension does not match the function")
+    _check_path(f_h, gamma, "gamma")
     if abs(gamma.times[0]) > 1e-9 or abs(gamma.times[-1] - 1.0) > 1e-9:
         raise ConfigError("gamma must be parametrized on [0, 1]")
     xh0 = as_point(xh0, f_h.dim, "xh0")
@@ -317,7 +323,11 @@ def recovery_path(f_h: ConvexFunction, tau: float, gamma: Path, xh0, xh1,
 
 
 def recovery_action_bound(action_limit: float, tau: float, lam: float, S: float) -> float:
-    """(1 + tau*lambda)^-2 (action + 472 tau S^2), the recovery-curve estimate."""
+    """(1 + tau*lambda)^-2 (action + 472 tau S^2), the recovery-curve estimate;
+    tau must be admissible for lambda."""
+    action_limit, tau, lam, S = (real_number(v, name) for v, name in (
+        (action_limit, "action_limit"), (tau, "tau"), (lam, "lam"), (S, "S")))
+    _check_admissible(tau, lam)
     return (action_limit + RECOVERY_COEFF * tau * S**2) / (1.0 + tau * lam) ** 2
 
 
@@ -329,4 +339,4 @@ def recovery_tolerance(action_limit: float, tau: float, lam: float, S: float) ->
     that, the rest pads the quadrature.
     """
     bound = recovery_action_bound(action_limit, tau, lam, S)
-    return 2.0 * tau * bound + 1e-3 * (1.0 + abs(bound))
+    return 2.0 * real_number(tau, "tau") * bound + 1e-3 * (1.0 + abs(bound))

@@ -90,13 +90,20 @@ def _check_admissible(t, lam: float) -> None:
             f"tau={bad[0]} violates 1 + tau*lambda > 0 for lambda={lam}")
 
 
-def _row_taus(tau, k: int, lam: float):
-    """tau shaped to broadcast against k rows: a float for one tau, a (k, 1)
-    column for one tau per row.  Every tau must be admissible for lambda."""
+def tau_cap(lam: float) -> float:
+    """The largest tau the defaults use for modulus lam: where 1 + tau*lam =
+    0.55 when lam < 0, a margin inside admissibility, and +inf otherwise."""
+    return 0.45 / -lam if lam < 0 else math.inf
+
+
+def _row_taus(tau, k: int, lam: float) -> np.ndarray:
+    """tau as a (k, 1) column to broadcast against k rows, from one tau for
+    every row or a (k,) array of one tau per row.  Every tau must be
+    admissible for lambda."""
     if isinstance(tau, (int, float)):
         tau = float(tau)
         _check_admissible(tau, lam)
-        return tau
+        return np.full((k, 1), tau)
     try:
         t = np.asarray(tau, dtype=float)
     except (TypeError, ValueError):
@@ -106,7 +113,7 @@ def _row_taus(tau, k: int, lam: float):
         raise DimensionMismatchError(
             f"tau has shape {t.shape}, expected a scalar or ({k},) for {k} rows")
     _check_admissible(t, lam)
-    return float(t) if t.ndim == 0 else t[:, None]
+    return np.full((k, 1), t) if t.ndim == 0 else t[:, None]
 
 
 def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -126,20 +133,6 @@ def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
 def _row_norms(R: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", R, R))
-
-
-def _region_curvature(region: ConvexRegion, J: np.ndarray,
-                      scale: float) -> np.ndarray | None:
-    """Curvature blocks of |scale (x - P x)|^2 from the Jacobians J = DP per
-    row, P the projection onto region: its Hessian is 2 scale^2 (I - DP),
-    which exceeds 2 K^2 = 2 scale^2 (I - DP)^2 by 2 C with
-    C = scale^2 (I - DP) DP.  On a ball that is
-    scale^2 (rho - r)(r/rho^2)(I - u u^T) outside (rho = |x - c|,
-    u = (x - c)/rho) and 0 inside; a box's or halfspace's DP is a projector,
-    so C = 0 there and the result is None."""
-    if not isinstance(region, Ball):
-        return None
-    return scale * scale * (J - J @ J)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -172,7 +165,7 @@ class ConvexFunction:
         """Resolvents J_tau of the rows of X and a solver residual per row.
 
         tau is a scalar or a (k,) array giving row i its own tau; the
-        built-in kinds shape it for broadcasting with `_row_taus`.
+        built-in kinds turn both into a (k, 1) column with `_row_taus`.
         Subclasses, including those handed to
         `verify_suite(extra_functions=...)`, must accept both, because the
         verify checks resolve a whole sample block of (tau, x) pairs in one
@@ -537,7 +530,6 @@ class LogSumExp(ConvexFunction):
         A = self.vectors
         X = _batch(X, self.dim)
         t = _row_taus(tau, X.shape[0], self.lam)
-        per_row = isinstance(t, np.ndarray)
         if start is None:
             Y = X - t * _hull_projection(self, X / t)[0]
         else:
@@ -555,8 +547,8 @@ class LogSumExp(ConvexFunction):
             if live.size == 0:
                 break
             y, x, rn = Y[live], X[live], res[live]
-            tl = t[live] if per_row else t
-            M = eye + np.reshape(tl, (-1, 1, 1)) * self._hessian_many(W[live])
+            tl = t[live]
+            M = eye + tl[:, :, None] * self._hessian_many(W[live])
             step = _solve_blocks(M, -R[live, :, None])[..., 0]
             snorm = _row_norms(step)
             # a step within rounding of y cannot lower |r|: such a row is at
@@ -576,10 +568,9 @@ class LogSumExp(ConvexFunction):
                 if back.size == 0:
                     break
                 alpha[back] *= 0.5
-                tb = tl[back] if per_row else t
                 trial[back] = y[back] + alpha[back, None] * step[back]
                 Wt[back] = self._weights(trial[back])
-                rt[back] = trial[back] + tb * (Wt[back] @ A) - x[back]
+                rt[back] = trial[back] + tl[back] * (Wt[back] @ A) - x[back]
                 rtn[back] = _row_norms(rt[back])
                 ok[back] = rtn[back] <= (1.0 - 1e-4 * alpha[back]) * rn[back]
                 back = back[~ok[back] & (0.5 * alpha[back] * snorm[back] > floor[back])]
@@ -610,18 +601,45 @@ class LogSumExp(ConvexFunction):
 
 
 @dataclass(frozen=True)
-class Indicator(ConvexFunction):
-    """f = 0 on the region, +inf outside; resolvent is the projection."""
+class _RegionKind(ConvexFunction):
+    """The indicator of a ball, box or halfspace (offset s = 0) or its Moreau
+    envelope dist^2/(2s), both through the projection P by the semigroup law
+    (e_s g)_tau = e_{tau+s} g: the resolvent is x + tau/(tau+s) (P x - x)
+    (exactly P x when s = 0), K = (I - DP)/(tau+s) and C = (DP - DP^2)/(tau+s)^2.
+    On a ball C is (rho - r)(r/rho^2)(I - u u^T)/(tau+s)^2 outside (rho =
+    |x - c|, u = (x - c)/rho) and 0 inside; a box's or halfspace's DP is a
+    projector, so C = 0 there and is returned as None."""
 
     region: ConvexRegion
+    _offset = 0.0
 
     def __post_init__(self):
         if not isinstance(self.region, (Ball, Box, Halfspace)):
-            raise ConfigError("indicator region must be a ball, box, or halfspace")
+            raise ConfigError("region must be a ball, box, or halfspace")
 
     @property
     def dim(self) -> int:
         return self.region.dim
+
+    def prox_many(self, tau, X, start=None):
+        X = _batch(X, self.dim)
+        t = _row_taus(tau, X.shape[0], self.lam)
+        Y = self.region.project_many(X)
+        if self._offset:
+            Y = X + t / (t + self._offset) * (Y - X)
+        return Y, np.zeros(X.shape[0])
+
+    def envelope_derivatives_many(self, tau, X, Y):
+        J = self.region.project_jacobian_many(X)
+        step = tau + self._offset
+        K = (np.eye(self.dim) - J) / step
+        scale = 1.0 / step
+        return K, scale * scale * (J - J @ J) if isinstance(self.region, Ball) else None
+
+
+@dataclass(frozen=True)
+class Indicator(_RegionKind):
+    """f = 0 on the region, +inf outside; resolvent is the projection."""
 
     def value_many(self, X):
         return np.where(self.region.contains_many(X), 0.0, np.inf)
@@ -635,37 +653,23 @@ class Indicator(ConvexFunction):
             raise OutsideDomainError("minimal subgradient undefined outside the region")
         return np.zeros_like(X)
 
-    def prox_many(self, tau, X, start=None):
-        X = _batch(X, self.dim)
-        _row_taus(tau, X.shape[0], self.lam)  # tau-free; a bad tau still fails
-        return self.region.project_many(X), np.zeros(X.shape[0])
-
-    def envelope_derivatives_many(self, tau, X, Y):
-        J = self.region.project_jacobian_many(X)
-        K = (np.eye(self.dim) - J) / tau
-        return K, _region_curvature(self.region, J, 1.0 / tau)
-
 
 @dataclass(frozen=True)
-class SquaredDistance(ConvexFunction):
+class SquaredDistance(_RegionKind):
     """f(x) = weight * dist(x, region)^2; smooth (C^1), lambda = 0.
 
-    Resolvent slides toward the projection:
-    J_tau(x) = x + s (proj(x) - x) with s = 2 w tau / (1 + 2 w tau).
+    It is the Moreau envelope of the region's indicator at s = 1/(2 weight),
+    so its resolvent slides toward the projection:
+    J_tau(x) = x + tau/(tau + s) (proj(x) - x).
     """
 
-    region: ConvexRegion
     weight: float
 
     def __post_init__(self):
-        if not isinstance(self.region, (Ball, Box, Halfspace)):
-            raise ConfigError("region must be a ball, box, or halfspace")
+        super().__post_init__()
         object.__setattr__(self, "weight",
                            real_number(self.weight, "weight", positive=True))
-
-    @property
-    def dim(self) -> int:
-        return self.region.dim
+        object.__setattr__(self, "_offset", 0.5 / self.weight)
 
     def value_many(self, X):
         return self.weight * self.region.distance_many(X) ** 2
@@ -675,20 +679,6 @@ class SquaredDistance(ConvexFunction):
 
     def slope_many(self, X):
         return 2.0 * self.weight * self.region.distance_many(X)
-
-    def prox_many(self, tau, X, start=None):
-        X = _batch(X, self.dim)
-        t = _row_taus(tau, X.shape[0], self.lam)
-        s = 2.0 * self.weight * t / (1.0 + 2.0 * self.weight * t)
-        Y = X + s * (self.region.project_many(X) - X)
-        return Y, np.zeros(X.shape[0])
-
-    def envelope_derivatives_many(self, tau, X, Y):
-        # DJ_tau = (1 - s) I + s DP
-        s = 2.0 * self.weight * tau / (1.0 + 2.0 * self.weight * tau)
-        J = self.region.project_jacobian_many(X)
-        K = (s / tau) * (np.eye(self.dim) - J)
-        return K, _region_curvature(self.region, J, s / tau)
 
 
 @dataclass(frozen=True)
@@ -788,9 +778,7 @@ def resolvent_slope(f: ConvexFunction, x, *, tau0: float = 1.0,
     x = as_point(x, f.dim)
     levels = whole_number(levels, "levels", 4)
     tau0 = _tau_number(tau0)
-    if f.lam < 0:
-        tau0 = min(tau0, 0.45 / (-f.lam))
-    tau0 = f.require_admissible(tau0)
+    tau0 = f.require_admissible(min(tau0, tau_cap(f.lam)))
     taus = tau0 * 0.5 ** np.arange(levels)
     Y, _ = f.prox_many(taus, np.repeat(x[None, :], levels, axis=0))
     profile = np.linalg.norm(x - Y, axis=1) / taus

@@ -3,12 +3,14 @@ caller's values into numbers or raise them.
 
 Every public entry point reads its own parameters: `real_number` for a
 finite (optionally positive) number, `real_array` for an array of numbers,
-`whole_number` for a count.  Each raises a ConfigError naming the parameter,
-so callers (the serializers, the CLI) pass raw values through instead of
-converting them first.  A tau keeps its own check (`InadmissibleTauError`),
+`real_schedule` for a monotone sequence of positive numbers, `whole_number`
+for a count.  Each raises a ConfigError naming the parameter, so callers
+(the serializers, the CLI) pass raw values through instead of converting
+them first.  A tau keeps its own check (`InadmissibleTauError`),
 a non-finite point raises `OutsideDomainError` and a wrong shape
 `DimensionMismatchError`.  `malformed_input` reports a missing key of a
-document as a ConfigError.
+document, or a value of the wrong type such as a number where a collection
+belongs, as a ConfigError.
 """
 
 import contextlib
@@ -78,6 +80,18 @@ def real_array(value, name: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an array of numbers, "
                           f"got {reprlib.repr(value)}") from None
+
+
+def real_schedule(values, name: str, order: int = 0) -> tuple[float, ...]:
+    """values as a nonempty tuple of positive finite floats, strictly
+    decreasing when order < 0 and increasing when order > 0, or a ConfigError."""
+    out = tuple(real_number(v, name, positive=True)
+                for v in real_array(values, name).ravel().tolist())
+    if not out or order and any((b - a) * order <= 0.0 for a, b in zip(out, out[1:])):
+        trend = "" if not order else f"strictly {'in' if order > 0 else 'de'}creasing "
+        raise ConfigError(f"{name} must be a nonempty {trend}sequence, "
+                          f"got {reprlib.repr(values)}")
+    return out
 
 
 def whole_number(value, name: str, least: int = 1) -> int:

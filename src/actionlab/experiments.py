@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import discrete_action, recovery_action_bound, recovery_path, \
-    recovery_tolerance
-from .action import Path
+from .action import (Path, _check_path, discrete_action, recovery_action_bound,
+                     recovery_path, recovery_tolerance)
 from .convex import as_point, slope
-from .errors import ConfigError, real_array, real_number, whole_number
+from .errors import (ConfigError, malformed_input, real_number, real_schedule,
+                     whole_number)
 from .families import MoscoFamily, eventually_decreasing
 from .minimize import MinimizeConfig, minimize_action
 
@@ -49,7 +49,8 @@ class ExperimentReport:
 
 
 def _check_probes(family: MoscoFamily, probes) -> list[np.ndarray]:
-    pts = [as_point(p, family.dim, f"probe[{i}]") for i, p in enumerate(probes)]
+    with malformed_input("probes"):
+        pts = [as_point(p, family.dim, f"probe[{i}]") for i, p in enumerate(probes)]
     if not pts:
         raise ConfigError("at least one probe point is required")
     return pts
@@ -152,12 +153,8 @@ def gamma_limsup_experiment(family: MoscoFamily, gamma: Path,
     (1 + tau*lambda)^-2 (action(gamma) + 472 tau S^2) plus the published
     tolerance; violations are flagged.
     """
-    taus = tuple(real_number(t, "tau_schedule")
-                 for t in real_array(tau_schedule, "tau_schedule").ravel().tolist())
-    if not taus:
-        raise ConfigError("tau schedule must be nonempty")
-    if gamma.dim != family.dim:
-        raise ConfigError("gamma dimension does not match the family")
+    taus = real_schedule(tau_schedule, "tau_schedule")
+    _check_path(family.limit.function, gamma, "gamma")
     for name, target, node in (("start", family.limit.start, gamma.nodes[0]),
                                ("end", family.limit.end, gamma.nodes[-1])):
         if float(np.linalg.norm(node - target)) > _ENDPOINT_TOL:

@@ -18,7 +18,8 @@ import numpy as np
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      SquaredDistance, as_point, slope)
 from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
-                     real_array, real_number, whole_number)
+                     malformed_input, real_array, real_number, real_schedule,
+                     whole_number)
 from .sets import ConvexRegion, contains
 
 # member endpoint slopes may exceed the declared bound by this much
@@ -88,7 +89,8 @@ class MoscoFamily:
     label: str = "family"
 
     def __post_init__(self):
-        members = tuple(self.members)
+        with malformed_input("members"):
+            members = tuple(self.members)
         if not members:
             raise ConfigError("a family needs at least one member")
         object.__setattr__(self, "members", members)
@@ -194,12 +196,7 @@ def family_logsumexp_to_max(vectors, epsilons, x0, x1) -> MoscoFamily:
     epsilons must decrease strictly toward (but not reach) zero; each member
     shares the limit's vectors and endpoints.  The modulus is 0 throughout.
     """
-    eps = tuple(real_number(e, "epsilons", positive=True)
-                for e in real_array(epsilons, "epsilons").ravel().tolist())
-    if not eps:
-        raise ConfigError("epsilon schedule must be nonempty")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError("epsilon schedule must be strictly decreasing")
+    eps = real_schedule(epsilons, "epsilons", -1)
     limit_f = MaxLinear(vectors)
     x0 = as_point(x0, limit_f.dim, "x0")
     x1 = as_point(x1, limit_f.dim, "x1")
@@ -216,12 +213,7 @@ def family_penalty_to_indicator(region: ConvexRegion, penalties, x0, x1) -> Mosc
     penalties must increase strictly; endpoints must belong to the region, so
     every member endpoint slope is zero and the declared bound S is 0.
     """
-    pens = tuple(real_number(p, "penalties", positive=True)
-                 for p in real_array(penalties, "penalties").ravel().tolist())
-    if not pens:
-        raise ConfigError("penalty schedule must be nonempty")
-    if any(b <= a for a, b in zip(pens, pens[1:])):
-        raise ConfigError("penalty schedule must be strictly increasing")
+    pens = real_schedule(penalties, "penalties", 1)
     limit_f = Indicator(region)
     x0 = as_point(x0, limit_f.dim, "x0")
     x1 = as_point(x1, limit_f.dim, "x1")

@@ -52,9 +52,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Path, discrete_action
-from .convex import ConvexFunction, Indicator, MaxLinear, _solve_blocks, as_point
+from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks, as_point,
+                     tau_cap)
 from .errors import (ConfigError, malformed_input, real_array, real_number,
-                     whole_number)
+                     real_schedule, whole_number)
 
 DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
 _STEP_SHRINK = 0.5      # Armijo backtracking from the full Newton step: shrink
@@ -81,13 +82,8 @@ class MinimizeConfig:
     def __post_init__(self):
         object.__setattr__(self, "N", whole_number(self.N, "N"))
         if self.tau_schedule is not None:
-            sched = real_array(self.tau_schedule, "tau_schedule").ravel().tolist()
-            sched = tuple(real_number(t, "tau_schedule", positive=True) for t in sched)
-            if not sched:
-                raise ConfigError("tau schedule must be nonempty")
-            if any(b >= a for a, b in zip(sched, sched[1:])):
-                raise ConfigError("tau schedule must be strictly decreasing")
-            object.__setattr__(self, "tau_schedule", sched)
+            object.__setattr__(self, "tau_schedule",
+                               real_schedule(self.tau_schedule, "tau_schedule", -1))
         object.__setattr__(self, "max_iters", whole_number(self.max_iters, "max_iters"))
         object.__setattr__(self, "grad_tol",
                            real_number(self.grad_tol, "grad_tol", positive=True))
@@ -95,10 +91,8 @@ class MinimizeConfig:
     def schedule_for(self, delta: float, lam: float) -> tuple[float, ...]:
         if self.tau_schedule is not None:
             return self.tau_schedule
-        factor = 1.0
-        if lam < 0:
-            # keep the whole default schedule admissible with margin
-            factor = min(1.0, 0.45 / (-lam) / (DEFAULT_TAU_FACTORS[0] * delta))
+        # keep the whole default schedule admissible with margin
+        factor = min(1.0, tau_cap(lam) / (DEFAULT_TAU_FACTORS[0] * delta))
         return tuple(f * delta * factor for f in DEFAULT_TAU_FACTORS)
 
 

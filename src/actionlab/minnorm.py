@@ -151,22 +151,21 @@ def min_norm_point(points, **options) -> np.ndarray:
     return min_norm_point_with_gap(points, **options)[0]
 
 
-def hull_projection_with_gap(points, z, *, mask=None):
+def hull_projection_with_gap(points, z):
     """Projection of z onto conv{points}: z + argmin |q| over conv{points - z}.
 
     z is one point (d,) or a batch (k, d); a batch gives (k, d) projections
-    and (k,) gaps, and may take a (k, m) boolean `mask` of the points each
-    row projects onto.
+    and (k,) gaps.
     """
     P = _as_points(points)
     single = np.ndim(z) <= 1
     Z = np.atleast_2d(real_array(z, "projection target"))
     if Z.ndim != 2 or Z.shape[1] != P.shape[1] or not np.all(np.isfinite(Z)):
         raise ConfigError("projection target must be finite, of the hull's dimension")
-    Q, gaps = _min_norm_rows(P, Z, mask if mask is None else np.atleast_2d(mask))
+    Q, gaps = _min_norm_rows(P, Z)
     Y = Z + Q
     return (Y[0], float(gaps[0])) if single else (Y, gaps)
 
 
-def hull_projection(points, z, **options) -> np.ndarray:
-    return hull_projection_with_gap(points, z, **options)[0]
+def hull_projection(points, z) -> np.ndarray:
+    return hull_projection_with_gap(points, z)[0]

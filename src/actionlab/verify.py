@@ -27,8 +27,8 @@ from .action import (Path, alt_action, coarsened_interpolation_bound,
                      upper_gradient_quadrature_bound, upper_gradient_residual)
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      Quadratic, SquaredDistance, _slope_lower_bounds,
-                     min_norm_subgradient, prox, slope)
-from .errors import ConfigError, whole_number
+                     min_norm_subgradient, prox, slope, tau_cap)
+from .errors import ConfigError, malformed_input, whole_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
                           slope_semicontinuity_table)
@@ -152,10 +152,8 @@ def _smooth_pool(rng) -> list[ConvexFunction]:
 
 
 def _sample_taus(rng, f: ConvexFunction, n: int) -> np.ndarray:
-    t = np.exp(rng.uniform(np.log(0.05), np.log(1.5), size=n))
-    if f.lam < 0:
-        t = np.minimum(t, 0.45 / (-f.lam))
-    return t
+    return np.minimum(np.exp(rng.uniform(np.log(0.05), np.log(1.5), size=n)),
+                      tau_cap(f.lam))
 
 
 def _sample_xs(rng, f: ConvexFunction, n: int, scale: float = 1.5) -> np.ndarray:
@@ -786,9 +784,9 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
     scopes defaults to all of ("convex", "action", "minimize", "gamma");
     a bare string is accepted for one scope.  samples overrides each
     sample-driven check's per-function count (a whole number >= 1; seed is
-    a whole number >= 0).  extra_functions join the
-    sampled pool for convex-scope checks, which is how a deliberately
-    corrupted descriptor gets flushed out.
+    a whole number >= 0).  extra_functions join the sampled pool of the
+    convex-scope checks and of the action scope's upper_gradient check,
+    which is how a deliberately corrupted descriptor gets flushed out.
     """
     seed = whole_number(seed, "seed", 0)
     if samples is not None:
@@ -797,7 +795,8 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
         scopes = SCOPES
     if isinstance(scopes, str):
         scopes = (scopes,)
-    scopes = tuple(scopes)
+    with malformed_input("scopes and extra_functions"):
+        scopes, extra_functions = tuple(scopes), tuple(extra_functions)
     for s in scopes:
         if s not in SCOPES:
             raise ConfigError(f"unknown scope {s!r}; choose from {SCOPES}")
@@ -806,7 +805,7 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
         if scope not in scopes:
             continue
         rng = np.random.default_rng([seed, idx])
-        tested, failures = runner(rng, samples, tuple(extra_functions))
+        tested, failures = runner(rng, samples, extra_functions)
         checks.append(CheckResult(name, scope, int(tested), len(failures),
                                   tuple(failures[:5])))
     return VerifyReport(seed, scopes, tuple(checks))

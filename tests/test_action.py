@@ -14,6 +14,7 @@ from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
 from actionlab.errors import ActionLabError, ConfigError, OutsideDomainError
 from actionlab.experiments import (gamma_limsup_experiment,
                                    gamma_value_experiment,
+                                   resolvent_convergence_table,
                                    slope_semicontinuity_table)
 from actionlab.families import (MoscoFamily, eventually_decreasing,
                                 family_logsumexp_to_max,
@@ -71,6 +72,21 @@ GRID = GridSpec([0.0], [1.0], (8,))
     lambda: MinimizeConfig(tau_schedule=[math.inf]),
     lambda: grid_oracle(HALF_SQ, [0.0], [1.0], 1.0, GRID, 4, node_budget="x"),
     lambda: min_norm_point_with_gap([[1.0, 0.0], [0.0, 1.0]], max_iter="x"),
+    lambda: recovery_action_bound("x", 0.5, 0.0, 1.0),
+    lambda: recovery_action_bound(math.nan, 0.5, 0.0, 1.0),
+    lambda: recovery_tolerance(1.0, "x", 0.0, 1.0),
+    lambda: recovery_tolerance(1.0, 0.5, math.nan, 1.0),
+    lambda: resolvent_convergence_table(LSE_FAMILY, 0.5, 5),
+    lambda: slope_semicontinuity_table(LSE_FAMILY, 5),
+    lambda: verify_suite(scopes=5),
+    lambda: verify_suite(scopes="gamma", extra_functions=5),
+    lambda: MoscoFamily(5, LSE_FAMILY.limit, 0.0, 1.0),
+    lambda: discrete_action(HALF_SQ, "x"),
+    lambda: alt_action(HALF_SQ, "x"),
+    lambda: upper_gradient_residual(HALF_SQ, "x"),
+    lambda: dubois_reymond_residual(HALF_SQ, "x"),
+    lambda: recovery_path(HALF_SQ, 0.5, "x", [0.0], [1.0]),
+    lambda: gamma_limsup_experiment(LSE_FAMILY, "x", [0.5]),
 ], ids=["grid_oracle-reach", "straight-intervals", "interpolation_path-M",
         "closed_form_value-missing", "project-dimension", "prox-non-number",
         "path-non-number", "prox_many-non-number",
@@ -84,7 +100,13 @@ GRID = GridSpec([0.0], [1.0], (8,))
         "family-epsilons", "family-penalties", "limsup-taus",
         "straight-endpoints", "hull_projection-target",
         "eventually_decreasing-values", "max_linear-ragged", "quadratic-c-nan",
-        "tau_schedule-inf", "grid_oracle-node_budget", "min_norm_point-max_iter"])
+        "tau_schedule-inf", "grid_oracle-node_budget", "min_norm_point-max_iter",
+        "recovery_action_bound-action", "recovery_action_bound-nan",
+        "recovery_tolerance-tau", "recovery_tolerance-nan",
+        "resolvent_table-probes", "slope_semicontinuity_table-probes",
+        "verify_suite-scopes", "verify_suite-extra_functions", "family-members",
+        "discrete_action-path", "alt_action-path", "upper_gradient_residual-path",
+        "dubois_reymond_residual-path", "recovery_path-gamma", "limsup-gamma"])
 def test_public_entry_points_raise_package_errors(call):
     with pytest.raises(ActionLabError):
         call()

@@ -212,3 +212,57 @@ def test_mask_is_validated():
         hull_projection_with_gap(pts, np.ones((2, 2)))
     with pytest.raises(ConfigError):
         hull_projection_with_gap(pts, [[np.nan, 0.0, 0.0]])
+
+
+def _textbook_wolfe(P, major_cycles):
+    """Wolfe's algorithm written out one corral at a time: start at the
+    shortest point, then per major cycle add the most improving point and
+    run minor cycles (step toward the corral's affine minimizer until a
+    weight reaches zero, drop it) until the affine minimizer lies inside.
+    Returns the iterate and the smallest minor-cycle step theta taken."""
+    m, d = P.shape
+    corral = [int(np.argmin(np.sum(P * P, axis=1)))]
+    w = np.ones(1)
+    x = P[corral[0]]
+    tol = 1e-14 * (1.0 + float(np.max(np.sum(P * P, axis=1))))
+    least_theta = 1.0
+    for _ in range(major_cycles):
+        j = int(np.argmin(P @ x))
+        if x @ x - P[j] @ x <= tol or j in corral or len(corral) == min(m, d + 1):
+            break
+        corral.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            n = len(corral)
+            M = np.ones((n + 1, n + 1))
+            M[:n, :n] = P[corral] @ P[corral].T
+            M[n, n] = 0.0
+            a = np.linalg.solve(M, np.eye(n + 1)[n])[:n]
+            blocking = a <= 1e-12
+            step = blocking & (w > a)
+            theta = min(1.0, float(np.min(w[step] / (w[step] - a[step])))) \
+                if step.any() else 1.0
+            least_theta = min(least_theta, theta)
+            w = np.maximum((1.0 - theta) * w + theta * a, 0.0)
+            keep = w > 1e-14
+            if blocking.any() and keep.all():
+                keep[np.argmin(w)] = False
+            corral = [c for c, k in zip(corral, keep) if k]
+            w = w[keep] / w[keep].sum()
+            x = w @ P[corral]
+            if not blocking.any():
+                break
+    return x, least_theta
+
+
+def test_minor_cycle_steps_part_way_like_textbook_wolfe():
+    # the third major cycle's affine minimizer leaves the hull, so the minor
+    # cycle must stop where a weight reaches zero (theta < 1); jumping to the
+    # affine minimizer and dropping negative weights gives another iterate
+    P = np.array([[0.6, 0.4, 1.1], [0.6, 0.0, 0.9], [1.8, 1.4, -0.2],
+                  [-0.8, -0.1, 0.5], [-1.8, 0.3, -0.7]])
+    for k in (1, 2, 3):
+        ref, least_theta = _textbook_wolfe(P, k)
+        x, _ = min_norm_point_with_gap(P, max_iter=k)
+        np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12)
+    assert least_theta < 0.9

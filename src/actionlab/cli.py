@@ -10,7 +10,6 @@ any check fails.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from . import serialize
 from .action import (Path, coarsened_interpolation_bound, discrete_action,
                      interpolation_bound, interpolation_path)
 from .convex import as_point, prox, slope
-from .errors import ActionLabError, ConfigError, real_number
+from .errors import ActionLabError, ConfigError, malformed_input, real_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
                           slope_semicontinuity_table)
@@ -62,41 +61,29 @@ def _setting(args, config: dict, key: str, default=None, required: bool = False)
     return default
 
 
-def _function(args, config: dict):
-    if getattr(args, "function", None):
-        return serialize.function_from_dict(_load_json(args.function))
-    if "function" in config:
-        return serialize.function_from_dict(config["function"])
-    raise ActionLabError("no function given (--function FILE or config)")
-
-
-def _family(args, config: dict):
-    if getattr(args, "family", None):
-        return serialize.family_from_dict(_load_json(args.family))
-    if "family" in config:
-        return serialize.family_from_dict(config["family"])
-    raise ActionLabError("no family given (--family FILE or config)")
+def _document(args, config: dict, key: str):
+    """The function or family document, read from --<key> FILE or the
+    config."""
+    read = {"function": serialize.function_from_dict,
+            "family": serialize.family_from_dict}[key]
+    if getattr(args, key, None):
+        return read(_load_json(getattr(args, key)))
+    if key in config:
+        return read(config[key])
+    raise ActionLabError(f"no {key} given (--{key} FILE or config)")
 
 
 def _minimize_config(args, config: dict) -> MinimizeConfig:
-    section = config.get("minimize", {})
-    if not isinstance(section, dict):
-        raise ConfigError("the 'minimize' config section must be an object")
-    section = dict(section)
-    known = [field.name for field in dataclasses.fields(MinimizeConfig)]
-    unknown = sorted(section.keys() - known)
-    if unknown:
-        raise ConfigError("unknown minimize setting "
-                          f"{', '.join(map(repr, unknown))}; "
-                          f"expected one of {', '.join(known)}")
+    flags = {}
     for key, attr in (("N", "n"), ("max_iters", "max_iters"),
                       ("grad_tol", "grad_tol")):
         v = getattr(args, attr, None)
         if v is not None:
-            section[key] = v
+            flags[key] = v
     if getattr(args, "tau_schedule", None) is not None:
-        section["tau_schedule"] = _floats(args.tau_schedule)
-    return MinimizeConfig(**section)
+        flags["tau_schedule"] = _floats(args.tau_schedule)
+    with malformed_input("the 'minimize' config section"):
+        return MinimizeConfig(**{**config.get("minimize", {}), **flags})
 
 
 def _write_csv(csv_dir: str, name: str, text: str) -> str:
@@ -112,7 +99,7 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_prox(args, config) -> int:
-    f = _function(args, config)
+    f = _document(args, config, "function")
     tau = _setting(args, config, "tau", required=True)
     x = _setting(args, config, "point", required=True)
     result = prox(f, tau, x)
@@ -121,14 +108,14 @@ def _cmd_prox(args, config) -> int:
 
 
 def _cmd_slope(args, config) -> int:
-    f = _function(args, config)
+    f = _document(args, config, "function")
     x = as_point(_setting(args, config, "point", required=True), f.dim, "point")
     _emit({"point": x.tolist(), "slope": float(slope(f, x))})
     return 0
 
 
 def _cmd_interpolate(args, config) -> int:
-    f = _function(args, config)
+    f = _document(args, config, "function")
     tau = real_number(_setting(args, config, "tau", required=True), "tau")
     delta = real_number(_setting(args, config, "delta", required=True), "delta")
     x0 = _setting(args, config, "x0", required=True)
@@ -150,7 +137,7 @@ def _cmd_interpolate(args, config) -> int:
 
 
 def _cmd_minimize(args, config) -> int:
-    f = _function(args, config)
+    f = _document(args, config, "function")
     delta = _setting(args, config, "delta", required=True)
     x0 = _setting(args, config, "x0", required=True)
     xd = _setting(args, config, "xd", required=True)
@@ -178,7 +165,7 @@ def _gamma_path(args, config, family) -> Path:
 
 
 def _cmd_gamma(args, config) -> int:
-    family = _family(args, config)
+    family = _document(args, config, "family")
     kind = _setting(args, config, "experiment", required=True)
     if kind not in _EXPERIMENTS:
         raise ActionLabError(f"experiment must be one of {_EXPERIMENTS}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .action import (Path, _check_path, discrete_action, recovery_action_bound,
                      recovery_path, recovery_tolerance)
 from .convex import as_point, slope
@@ -38,14 +39,7 @@ class ExperimentReport:
         return not self.flags
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rows": [dict(r) for r in self.rows],
-            "limit_row": None if self.limit_row is None else dict(self.limit_row),
-            "metadata": dict(self.metadata),
-            "flags": list(self.flags),
-            "ok": self.ok,
-        }
+        return {**serialize.to_plain(self), "ok": self.ok}
 
 
 def _check_probes(family: MoscoFamily, probes) -> list[np.ndarray]:

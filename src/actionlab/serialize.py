@@ -1,10 +1,15 @@
 """JSON and CSV codecs shared by the library and the CLI.
 
-Function descriptors travel as {"kind", "lambda", "params"} with matrices
-row-major; paths travel as CSV with header t,x0,...,x{d-1} at 17 significant
-digits.  dumps() pins key order so reruns emit byte-identical documents.
-Infinite values serialize as the bare literal Infinity (accepted back by
-loads); the action functional is extended-real, so this is deliberate.
+Function descriptors travel as {"kind", "lambda", "params"} and regions as
+{"type", ...}.  The names come from the two tables below and the parameters
+are the class's dataclass init fields, so a document is read back by calling
+the class with them; a kind or region type is added by one table entry.
+Matrices are row-major; paths travel as CSV with header t,x0,...,x{d-1} at 17
+significant digits.  `to_plain` turns any report, result or failure record
+into JSON-ready data, and dumps() pins key order so reruns emit
+byte-identical documents.  Infinite values serialize as the bare literal
+Infinity (accepted back by loads); the action functional is extended-real,
+so this is deliberate.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -24,6 +30,14 @@ from .sets import Ball, Box, ConvexRegion, Halfspace
 
 _LAMBDA_TOL = 1e-9
 
+# The only place the document names of the kinds and regions are spelled.
+# Writing takes the first class an object is an instance of, so a subclass
+# of a kind is written under its base kind's name.
+_KINDS = {"quadratic": Quadratic, "max_linear": MaxLinear,
+          "log_sum_exp": LogSumExp, "indicator": Indicator,
+          "squared_distance": SquaredDistance}
+_REGIONS = {"ball": Ball, "box": Box, "halfspace": Halfspace}
+
 
 def dumps(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
@@ -34,51 +48,69 @@ def loads(text: str):
     return json.loads(text)
 
 
+def to_plain(obj):
+    """obj as JSON-ready data: containers element by element, numpy arrays
+    and scalars as Python lists and numbers, a function or region as its
+    document, and any other dataclass as the dict of its init fields."""
+    if isinstance(obj, dict):
+        return {k: to_plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return to_plain(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, ConvexFunction):
+        return function_to_dict(obj)
+    if isinstance(obj, ConvexRegion):
+        return region_to_dict(obj)
+    if is_dataclass(obj):
+        return _init_fields(type(obj), obj)
+    return obj
+
+
+def _init_fields(cls, obj) -> dict:
+    return {fld.name: to_plain(getattr(obj, fld.name))
+            for fld in fields(cls) if fld.init}
+
+
+def _entry(table: dict, obj, what: str) -> tuple[str, dict]:
+    """The name of the first table class obj is an instance of, and obj's
+    values of that class's init fields."""
+    for name, cls in table.items():
+        if isinstance(obj, cls):
+            return name, _init_fields(cls, obj)
+    raise ConfigError(f"unknown {what} {type(obj).__name__}")
+
+
+def _table_class(table: dict, name, what: str):
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown {what} {name!r}") from None
+
+
 def region_to_dict(region: ConvexRegion) -> dict:
-    if isinstance(region, Ball):
-        return {"type": "ball", "center": region.center.tolist(),
-                "radius": float(region.radius)}
-    if isinstance(region, Box):
-        return {"type": "box", "lo": region.lo.tolist(), "hi": region.hi.tolist()}
-    if isinstance(region, Halfspace):
-        return {"type": "halfspace", "normal": region.normal.tolist(),
-                "offset": float(region.offset)}
-    raise ConfigError(f"unknown region {type(region).__name__}")
+    name, params = _entry(_REGIONS, region, "region")
+    return {"type": name, **params}
 
 
 @malformed_input("region document")
 def region_from_dict(doc: dict) -> ConvexRegion:
+    """Rebuild a region; a missing or unknown key is a ConfigError naming it."""
     try:
-        kind = doc["type"]
+        cls = _table_class(_REGIONS, doc["type"], "region type")
     except (TypeError, KeyError):
         raise ConfigError("region document needs a 'type' field") from None
-    if kind == "ball":
-        return Ball(doc["center"], doc["radius"])
-    if kind == "box":
-        return Box(doc["lo"], doc["hi"])
-    if kind == "halfspace":
-        return Halfspace(doc["normal"], doc["offset"])
-    raise ConfigError(f"unknown region type {kind!r}")
+    return cls(**{k: v for k, v in doc.items() if k != "type"})
 
 
 def function_to_dict(f: ConvexFunction) -> dict:
-    if isinstance(f, Quadratic):
-        params = {"Q": f.Q.tolist(), "b": f.b.tolist(), "c": float(f.c)}
-        kind = "quadratic"
-    elif isinstance(f, MaxLinear):
-        params = {"vectors": f.vectors.tolist()}
-        kind = "max_linear"
-    elif isinstance(f, LogSumExp):
-        params = {"vectors": f.vectors.tolist(), "epsilon": float(f.epsilon)}
-        kind = "log_sum_exp"
-    elif isinstance(f, Indicator):
-        params = {"region": region_to_dict(f.region)}
-        kind = "indicator"
-    elif isinstance(f, SquaredDistance):
-        params = {"region": region_to_dict(f.region), "weight": float(f.weight)}
-        kind = "squared_distance"
-    else:
-        raise ConfigError(f"unknown function kind {type(f).__name__}")
+    kind, params = _entry(_KINDS, f, "function kind")
     return {"kind": kind, "lambda": float(f.lam), "params": params}
 
 
@@ -86,7 +118,9 @@ def function_to_dict(f: ConvexFunction) -> dict:
 def function_from_dict(doc: dict) -> ConvexFunction:
     """Rebuild a function, cross-checking the declared modulus.
 
-    The modulus is structural (spectrum for quadratics, zero otherwise); a
+    The params are the kind's constructor arguments (a nested region is read
+    first); a missing or unknown key is a ConfigError naming it.  The
+    modulus is structural (spectrum for quadratics, zero otherwise); a
     document claiming anything else is rejected rather than trusted.
     """
     try:
@@ -96,18 +130,10 @@ def function_from_dict(doc: dict) -> ConvexFunction:
         raise ConfigError("function document needs 'kind' and 'params'") from None
     if not isinstance(params, Mapping):
         raise ConfigError("function 'params' must be an object")
-    if kind == "quadratic":
-        f = Quadratic(params["Q"], params["b"], params.get("c", 0.0))
-    elif kind == "max_linear":
-        f = MaxLinear(params["vectors"])
-    elif kind == "log_sum_exp":
-        f = LogSumExp(params["vectors"], params["epsilon"])
-    elif kind == "indicator":
-        f = Indicator(region_from_dict(params["region"]))
-    elif kind == "squared_distance":
-        f = SquaredDistance(region_from_dict(params["region"]), params["weight"])
-    else:
-        raise ConfigError(f"unknown function kind {kind!r}")
+    cls = _table_class(_KINDS, kind, "function kind")
+    if "region" in params:
+        params = {**params, "region": region_from_dict(params["region"])}
+    f = cls(**params)
     if "lambda" in doc:
         declared = real_number(doc["lambda"], "lambda")
         if abs(declared - f.lam) > _LAMBDA_TOL * (1.0 + abs(f.lam)):
@@ -186,13 +212,7 @@ def breakdown_to_dict(b: ActionBreakdown) -> dict:
 
 
 def prox_result_to_dict(r: ProxResult) -> dict:
-    return {
-        "resolvent_point": r.resolvent_point.tolist(),
-        "envelope_value": float(r.envelope_value),
-        "moreau_gradient": r.moreau_gradient.tolist(),
-        "tau": float(r.tau),
-        "solver_residual": float(r.solver_residual),
-    }
+    return to_plain(r)
 
 
 def minimize_result_to_dict(res: MinimizeResult) -> dict:

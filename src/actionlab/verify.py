@@ -72,19 +72,8 @@ class VerifyReport:
         return sum(c.failure_count for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "scopes": list(self.scopes),
-            "ok": self.ok,
-            "failure_count": self.failure_count,
-            "checks": [{
-                "name": c.name,
-                "scope": c.scope,
-                "samples": c.samples,
-                "failure_count": c.failure_count,
-                "failures": [dict(f) for f in c.failures],
-            } for c in self.checks],
-        }
+        return {**serialize.to_plain(self), "ok": self.ok,
+                "failure_count": self.failure_count}
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -97,26 +86,8 @@ class VerifyReport:
         return lines
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _fail(f: ConvexFunction, **data) -> dict:
-    doc = {"function": serialize.function_to_dict(f)}
-    doc.update(data)
-    return _plain(doc)
+    return serialize.to_plain({"function": f, **data})
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +134,7 @@ def _sample_xs(rng, f: ConvexFunction, n: int, scale: float = 1.5) -> np.ndarray
 def _sample_domain_xs(rng, f: ConvexFunction, n: int,
                       scale: float = 1.5) -> np.ndarray:
     X = _sample_xs(rng, f, n, scale)
-    if isinstance(f, Indicator):
-        X = f.region.project_many(X)
-        if isinstance(f.region, Halfspace):
-            # the wall projection can overshoot by an ulp; step inside
-            normal = f.region.normal
-            step = 1e-9 * (1.0 + np.linalg.norm(X, axis=1)) / np.linalg.norm(normal)
-            X = X - step[:, None] * normal
-    return X
+    return f.region.project_many(X) if isinstance(f, Indicator) else X
 
 
 def _sample_tau(rng, f: ConvexFunction) -> float:
@@ -530,8 +494,9 @@ def kinetic_gradient_failures(rng, trials: int) -> list[dict]:
             fd = (obj.value(Zp) - obj.value(Zm)) / (2.0 * h)
             err = abs(G[i, j] - fd)
             if not (err <= 1e-6 * (1.0 + abs(fd))):
-                fails.append(_plain({"entry": [i, j], "analytic": G[i, j],
-                                     "fd": fd, "error": err}))
+                fails.append(serialize.to_plain(
+                    {"entry": [i, j], "analytic": G[i, j], "fd": fd,
+                     "error": err}))
     return fails
 
 

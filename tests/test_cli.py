@@ -246,12 +246,17 @@ MALFORMED = {
     "size": {"builder": "constant", "function": QUAD, "x0": [0.0], "x1": [1.0],
              "size": "x"},
     "csv": LSE_FAMILY,
+    "unknown-key": {"kind": "quadratic",
+                    "params": {"Q": [[1.0]], "b": [0.0], "C": 1.0}},
+    "unknown-region-key": {"kind": "indicator", "params": {"region": {
+        "type": "ball", "center": [0.0], "radius": 1.0, "rim": 0.1}}},
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_document_value_is_a_clean_error(capsys, tmp_path, case):
-    # a non-numeric or ragged field in a function, family or path document
+    # a non-numeric or ragged field in a function, family or path document,
+    # or an unknown key in a function document or its nested region
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(MALFORMED[case]))
     curve = tmp_path / "curve.csv"

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
+import actionlab
 from actionlab.errors import ConfigError
 from actionlab.minnorm import (_affine_weights, hull_projection,
                                hull_projection_with_gap, min_norm_point,
@@ -266,3 +271,26 @@ def test_minor_cycle_steps_part_way_like_textbook_wolfe():
         x, _ = min_norm_point_with_gap(P, max_iter=k)
         np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12)
     assert least_theta < 0.9
+
+
+def test_blocked_minor_cycle_forces_a_drop():
+    # the minor cycle here is blocked while rounding keeps every corral weight
+    # above the drop tolerance; without the forced drop of the smallest weight
+    # the corral never changes and the loop does not end, so the call runs in
+    # a subprocess whose timeout turns a hang into a failure
+    code = ("import json\n"
+            "from actionlab.minnorm import min_norm_point_with_gap\n"
+            "x, gap = min_norm_point_with_gap("
+            "[[-1, -1e-13], [1, -1e-13], [0, 1]])\n"
+            "print(json.dumps([x.tolist(), gap]))")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(actionlab.__file__))}
+    try:
+        run = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                             capture_output=True, text=True, check=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("min_norm_point_with_gap did not return within 30 s")
+    x, gap = json.loads(run.stdout)
+    # the origin is in the hull; the returned point is within the gap of it
+    assert np.linalg.norm(x) <= 1e-12
+    assert 0.0 <= gap <= 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from actionlab.action import Path, discrete_action
 from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
-                              SquaredDistance)
+                              SquaredDistance, prox)
 from actionlab.errors import ConfigError
 from actionlab.families import MoscoFamily
 from actionlab.serialize import (breakdown_to_dict, dumps, family_from_dict,
                                  function_from_dict, function_to_dict, loads,
-                                 path_from_csv, path_to_csv, region_from_dict,
-                                 region_to_dict, report_rows_to_csv)
+                                 path_from_csv, path_to_csv,
+                                 prox_result_to_dict, region_from_dict,
+                                 region_to_dict, report_rows_to_csv, to_plain)
 from actionlab.sets import Ball, Box, Halfspace
 
 FUNCTIONS = [
@@ -208,7 +210,59 @@ QUADRATIC_1D = {"kind": "quadratic", "params": {"Q": [[1.0]], "b": [0.0]}}
     (family_from_dict, {"builder": "constant", "function": QUADRATIC_1D,
                         "x0": [0.0], "x1": [1.0], "size": "x"}, "x"),
     (lambda lines: path_from_csv("\n".join(lines)), ["t,x0", "0,0", "1,b"], "b"),
+    # unknown keys: params are the constructor's arguments, anything else is
+    # refused rather than dropped, also inside a nested region
+    (function_from_dict, {"kind": "quadratic",
+                          "params": {"Q": [[1.0]], "b": [0.0], "C": 1.0}}, "C"),
+    (function_from_dict, {"kind": "quadratic",
+                          "params": {"Q": [[1.0]], "b": [0.0], "lam": 1.0}},
+     "lam"),
+    (region_from_dict, {**BALL, "rim": 0.1}, "rim"),
+    (function_from_dict, {"kind": "indicator",
+                          "params": {"region": {**BALL, "centre": [0.0]}}},
+     "centre"),
+    (function_from_dict, {"kind": "squared_distance",
+                          "params": {"region": {**BALL, "tint": 1},
+                                     "weight": 1.0}}, "tint"),
+    (family_from_dict, {"builder": "penalty_to_indicator",
+                        "region": {**BALL, "inner": 0.1}, "penalties": [1.0],
+                        "x0": [0.0], "x1": [0.5]}, "inner"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_missing_parameter_is_a_config_error(parse, doc, missing):
     with pytest.raises(ConfigError, match=repr(missing)):
         parse(doc)
+
+
+
+def test_subclass_of_a_kind_is_written_under_its_base_kind():
+    @dataclass(frozen=True)
+    class Tagged(MaxLinear):
+        tag: str = "extra"
+
+    class Shifted(Quadratic):
+        pass
+
+    for sub, base in ((Tagged([[1.0, 0.0], [0.0, 1.0]]),
+                       MaxLinear([[1.0, 0.0], [0.0, 1.0]])),
+                      (Shifted([[2.0]], [1.0], 0.5), Quadratic([[2.0]], [1.0], 0.5))):
+        doc = function_to_dict(sub)
+        # only the base kind's parameters are written
+        assert doc == function_to_dict(base)
+        assert type(function_from_dict(loads(dumps(doc)))) is type(base)
+
+
+def test_to_plain_encodes_results_regions_and_numpy_values():
+    r = prox(FUNCTIONS[0], 0.5, [1.0, -1.0])
+    assert to_plain(r) == prox_result_to_dict(r) == {
+        "resolvent_point": r.resolvent_point.tolist(),
+        "envelope_value": float(r.envelope_value),
+        "moreau_gradient": r.moreau_gradient.tolist(),
+        "tau": 0.5, "solver_residual": float(r.solver_residual)}
+    ball = Ball(np.array([0.5, 0.5]), 2.0)
+    plain = to_plain({"region": ball, "f": FUNCTIONS[4], "n": np.int64(3),
+                      "ok": np.bool_(True), "xs": (np.float64(0.25),)})
+    assert plain == {"region": region_to_dict(ball),
+                     "f": function_to_dict(FUNCTIONS[4]),
+                     "n": 3, "ok": True, "xs": [0.25]}
+    assert type(plain["n"]) is int and type(plain["ok"]) is bool
+    assert type(plain["xs"][0]) is float

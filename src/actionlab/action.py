@@ -5,6 +5,11 @@ interpolant, the slope term is a quadrature (chord-midpoint by default,
 node-trapezoid as the alternative).  The module also builds the two explicit
 curves the estimates are proved with: the resolvent image of a tilted segment
 (`interpolation_path`) and the patched recovery curve (`recovery_path`).
+
+The scalar entry points are the one-path case of batched primitives, which
+each action-scope verify check calls once per function with every trial as
+a row: a coarse path is its fine path's even nodes, and the endpoint
+residuals are rows of that same resolvent batch.
 """
 from __future__ import annotations
 
@@ -71,16 +76,6 @@ class Path:
     def chord_midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
-    def refined(self) -> "Path":
-        """Insert every chord midpoint; represents the same piecewise-linear curve."""
-        t = np.empty(2 * self.intervals + 1)
-        X = np.empty((t.size, self.dim))
-        t[0::2] = self.times
-        t[1::2] = 0.5 * (self.times[:-1] + self.times[1:])
-        X[0::2] = self.nodes
-        X[1::2] = self.chord_midpoints
-        return Path(t, X)
-
     @staticmethod
     def straight(x0, xd, *, intervals: int = 1) -> "Path":
         """The segment from x0 to xd on [0, 1], in `intervals` equal chords."""
@@ -118,20 +113,29 @@ def _check_path(f: ConvexFunction, path, name: str = "path") -> None:
         raise DimensionMismatchError(f"{name} dimension does not match the function")
 
 
-def _kinetic(path: Path) -> float:
-    diffs = np.diff(path.nodes, axis=0)
-    return float((np.einsum("ij,ij->i", diffs, diffs) / path.dt).sum())
+def _midpoint_actions(f: ConvexFunction, times: np.ndarray, nodes: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Kinetic and chord-midpoint slope terms, (n,) each, of n paths with
+    times (n, N+1) and nodes (n, N+1, d), from one slope_many call over
+    every chord."""
+    dt = np.diff(times, axis=1)
+    diffs = np.diff(nodes, axis=1)
+    kinetic = (np.einsum("nij,nij->ni", diffs, diffs) / dt).sum(axis=1)
+    mids = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+    s = f.slope_many(mids.reshape(-1, nodes.shape[2])).reshape(diffs.shape[:2])
+    return kinetic, (dt * s**2).sum(axis=1)
 
 
 def discrete_action(f: ConvexFunction, path: Path, rule: str = "midpoint") -> ActionBreakdown:
     """Kinetic + slope-squared action of the piecewise-linear path under f."""
     rule = _check_rule(rule)
     _check_path(f, path)
-    kinetic = _kinetic(path)
     if rule == "midpoint":
-        s = f.slope_many(path.chord_midpoints)
-        slope_term = float((path.dt * s**2).sum())
+        kinetic, slope_term = (float(v[0]) for v in _midpoint_actions(
+            f, path.times[None], path.nodes[None]))
     else:
+        diffs = np.diff(path.nodes, axis=0)
+        kinetic = float((np.einsum("ij,ij->i", diffs, diffs) / path.dt).sum())
         s = f.slope_many(path.nodes)
         slope_term = float((path.dt * 0.5 * (s[:-1] ** 2 + s[1:] ** 2)).sum())
     return ActionBreakdown(
@@ -155,46 +159,56 @@ def alt_action(f: ConvexFunction, path: Path) -> float:
     return float((path.dt * np.einsum("ij,ij->i", diff, diff)).sum())
 
 
-def _upper_gradient_integral(f: ConvexFunction, path: Path) -> float:
-    seg = np.linalg.norm(np.diff(path.nodes, axis=0), axis=1)
-    s = f.slope_many(path.chord_midpoints)
-    terms = np.where(seg > 0.0, s * seg, 0.0)  # 0 * inf := 0 on stationary chords
-    return float(terms.sum())
+def _upper_gradient(f: ConvexFunction, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and their quadrature bounds, (n,) each, of n paths with nodes
+    (n, N+1, d), from one slope_many call over nodes, chord midpoints and
+    quarter points; a residual is nan where an endpoint value is infinite.
+    The bound is the per-chord trapezoid-minus-midpoint gap plus twice the
+    change under one refinement (smooth wiggle).  Where the slope is convex
+    along a chord (norms of affine maps, distances to convex sets)
+    Hermite-Hadamard pins the midpoint rule's underestimate by that gap,
+    which catches kinks hiding between sample points, e.g. a region boundary
+    crossing the tail of one segment."""
+    n, k, d = nodes.shape
+    refined = np.empty((n, 2 * k - 1, d))  # every chord midpoint inserted
+    refined[:, 0::2] = nodes
+    refined[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+    quarters = 0.5 * (refined[:, :-1] + refined[:, 1:])
+    s = f.slope_many(np.concatenate([refined, quarters], axis=1).reshape(-1, d))
+    s = s.reshape(n, -1)
+    s_nodes, s_mid, s_quarter = s[:, 0:2 * k - 1:2], s[:, 1:2 * k - 1:2], s[:, 2 * k - 1:]
+    seg = np.linalg.norm(np.diff(nodes, axis=1), axis=2)
+    half = np.linalg.norm(np.diff(refined, axis=1), axis=2)
+    ends = f.value_many(np.concatenate([nodes[:, 0], nodes[:, -1]]))
+    fa, fb = ends[:n], ends[n:]
+    # rows with an infinite slope or endpoint value are masked at the end
+    with np.errstate(invalid="ignore"):
+        # 0 * inf := 0 on stationary chords
+        coarse = np.where(seg > 0.0, s_mid * seg, 0.0).sum(axis=1)
+        fine = np.where(half > 0.0, s_quarter * half, 0.0).sum(axis=1)
+        gap = np.maximum(0.5 * (s_nodes[:, :-1] + s_nodes[:, 1:]) - s_mid, 0.0)
+        bound = ((gap * seg).sum(axis=1) + 2.0 * np.abs(fine - coarse)
+                 + 1e-9 * (1.0 + np.abs(coarse)))
+        residual = coarse - np.abs(fb - fa)
+    finite = np.isfinite(np.column_stack([s_nodes, s_mid, coarse, fine])).all(axis=1)
+    return (np.where(np.isfinite(fa) & np.isfinite(fb), residual, np.nan),
+            np.where(finite, bound, np.inf))
 
 
 def upper_gradient_residual(f: ConvexFunction, path: Path) -> float:
     """int |grad f|(gamma) |gamma'| (midpoint rule) minus |f(x_N) - f(x_0)|."""
     _check_path(f, path)
-    fa = f.value(path.nodes[0])
-    fb = f.value(path.nodes[-1])
-    if not (np.isfinite(fa) and np.isfinite(fb)):
+    residual = float(_upper_gradient(f, path.nodes[None])[0][0])
+    if math.isnan(residual):
         raise OutsideDomainError("endpoint values must be finite")
-    return _upper_gradient_integral(f, path) - abs(fb - fa)
+    return residual
 
 
 def upper_gradient_quadrature_bound(f: ConvexFunction, path: Path) -> float:
-    """Reported quadrature-error bound for upper_gradient_residual.
-
-    Two ingredients: a Richardson comparison against the once-refined chord
-    subdivision (smooth wiggle, factor-2 safety), and the per-segment
-    trapezoid-minus-midpoint gap.  When the slope is convex along a chord
-    (norms of affine maps, distances to convex sets) Hermite-Hadamard pins
-    the midpoint rule's underestimate by that gap, which catches integrand
-    kinks hiding between sample points, e.g. a region boundary crossing the
-    tail of one segment.
-    """
+    """Reported quadrature-error bound for upper_gradient_residual (see
+    `_upper_gradient`); +inf where a node or chord-midpoint slope is."""
     _check_path(f, path)
-    coarse = _upper_gradient_integral(f, path)
-    fine = _upper_gradient_integral(f, path.refined())
-    s_nodes = f.slope_many(path.nodes)
-    s_mid = f.slope_many(path.chord_midpoints)
-    if not (np.isfinite(coarse) and np.isfinite(fine)
-            and np.all(np.isfinite(s_nodes)) and np.all(np.isfinite(s_mid))):
-        return np.inf
-    seg = np.linalg.norm(np.diff(path.nodes, axis=0), axis=1)
-    gap = np.maximum(0.5 * (s_nodes[:-1] + s_nodes[1:]) - s_mid, 0.0)
-    bracket = float((gap * seg).sum())
-    return bracket + 2.0 * abs(fine - coarse) + 1e-9 * (1.0 + abs(coarse))
+    return float(_upper_gradient(f, path.nodes[None])[1][0])
 
 
 def dubois_reymond_residual(f: ConvexFunction, path: Path) -> float:
@@ -212,6 +226,23 @@ def dubois_reymond_residual(f: ConvexFunction, path: Path) -> float:
     return float(np.abs(e - e.mean()).max())
 
 
+def _interpolation_nodes(f: ConvexFunction, taus: np.ndarray, X0: np.ndarray,
+                         XD: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (n, M+1, d) of n interpolation paths, tau taus[i] from X0[i] to
+    XD[i], and each node's resolvent residual (n, M+1), from one prox_many
+    call.  Each line ends exactly at xd + tau g(xd), so the last node is
+    that point's resolvent, as the first is x0 + tau g(x0)'s."""
+    n, d = X0.shape
+    G = f.subgradient_many(np.concatenate([X0, XD]))
+    P0 = X0 + taus[:, None] * G[:n]
+    PD = XD + taus[:, None] * G[n:]
+    s = np.linspace(0.0, 1.0, M + 1)[None, :, None]
+    lines = P0[:, None, :] + s * (PD - P0)[:, None, :]
+    lines[:, -1] = PD
+    Y, res = f.prox_many(np.repeat(taus, M + 1), lines.reshape(-1, d))
+    return Y.reshape(n, M + 1, d), res.reshape(n, M + 1)
+
+
 def interpolation_path(f: ConvexFunction, tau: float, delta: float, x0, xd,
                        M: int) -> Path:
     """Resolvent image of the tilted segment joining the endpoints.
@@ -225,12 +256,8 @@ def interpolation_path(f: ConvexFunction, tau: float, delta: float, x0, xd,
     M = whole_number(M, "M")
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
-    p0 = x0 + tau * min_norm_subgradient(f, x0)
-    pd = xd + tau * min_norm_subgradient(f, xd)
-    s = np.linspace(0.0, 1.0, M + 1)
-    line = p0[None, :] + s[:, None] * (pd - p0)[None, :]
-    nodes, _ = f.prox_many(tau, line)
-    return Path(np.linspace(0.0, delta, M + 1), nodes)
+    nodes, _ = _interpolation_nodes(f, np.array([tau]), x0[None], xd[None], M)
+    return Path(np.linspace(0.0, delta, M + 1), nodes[0])
 
 
 def interpolation_bound(f: ConvexFunction, tau: float, delta: float, x0, xd) -> float:
@@ -295,26 +322,28 @@ def recovery_path(f_h: ConvexFunction, tau: float, gamma: Path, xh0, xh1,
     m_patch = (max(16, math.ceil(tau * gamma.intervals)) if M is None
                else whole_number(M, "M"))
 
-    patch_a = interpolation_path(f_h, tau, tau, xh0, core_nodes[0], m_patch)
-    patch_b = interpolation_path(f_h, tau, tau, core_nodes[-1], xh1, m_patch)
+    (patch_a, patch_b), _ = _interpolation_nodes(
+        f_h, np.array([tau, tau]), np.array([xh0, core_nodes[-1]]),
+        np.array([core_nodes[0], xh1]), m_patch)
     for gap, what in (
-        (np.linalg.norm(patch_a.nodes[-1] - core_nodes[0]), "entry"),
-        (np.linalg.norm(patch_b.nodes[0] - core_nodes[-1]), "exit"),
-        (np.linalg.norm(patch_a.nodes[0] - xh0), "start"),
-        (np.linalg.norm(patch_b.nodes[-1] - xh1), "end"),
+        (np.linalg.norm(patch_a[-1] - core_nodes[0]), "entry"),
+        (np.linalg.norm(patch_b[0] - core_nodes[-1]), "exit"),
+        (np.linalg.norm(patch_a[0] - xh0), "start"),
+        (np.linalg.norm(patch_b[-1] - xh1), "end"),
     ):
         if gap > _JUNCTION_TOL:
             raise ConfigError(f"recovery {what} junction mismatch {gap:.3e}")
 
+    patch_times = np.linspace(0.0, tau, m_patch + 1)
     times = np.concatenate([
-        patch_a.times - tau,          # [-tau, 0]
+        patch_times - tau,            # [-tau, 0]
         gamma.times[1:],              # (0, 1]
-        patch_b.times[1:] + 1.0,      # (1, 1+tau]
+        patch_times[1:] + 1.0,        # (1, 1+tau]
     ])
     nodes = np.concatenate([
-        patch_a.nodes[:-1],
+        patch_a[:-1],
         core_nodes,
-        patch_b.nodes[1:],
+        patch_b[1:],
     ])
     nodes[0] = xh0
     nodes[-1] = xh1

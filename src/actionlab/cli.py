@@ -283,6 +283,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_json(args.config) if args.config else {}
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {args.config!r} must hold a JSON object")
         return args.handler(args, config)
     except ActionLabError as exc:
         sys.stderr.write(f"error: {exc}\n")

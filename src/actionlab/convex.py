@@ -169,7 +169,9 @@ class ConvexFunction:
         Subclasses, including those handed to
         `verify_suite(extra_functions=...)`, must accept both, because the
         verify checks resolve a whole sample block of (tau, x) pairs in one
-        call.
+        call.  An action-scope check resolves all of a function's trials in
+        one call: a coarse path is its fine path's even nodes, and the
+        endpoint residuals are rows of the same batch.
 
         start, when given, is a (k, d) guess of the resolvents.  A kind whose
         resolvent is iterative begins there instead of at its own cold start,

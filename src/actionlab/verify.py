@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .action import (Path, alt_action, coarsened_interpolation_bound,
+from .action import (Path, _interpolation_nodes, _midpoint_actions,
+                     _upper_gradient, alt_action, coarsened_interpolation_bound,
                      discrete_action, dubois_reymond_residual,
-                     interpolation_bound, interpolation_path,
-                     recovery_action_bound, recovery_path, recovery_tolerance,
-                     upper_gradient_quadrature_bound, upper_gradient_residual)
+                     interpolation_bound, recovery_action_bound, recovery_path,
+                     recovery_tolerance)
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
-                     Quadratic, SquaredDistance, _slope_lower_bounds,
-                     min_norm_subgradient, prox, slope, tau_cap)
+                     Quadratic, SquaredDistance, _slope_lower_bounds, slope,
+                     tau_cap)
 from .errors import ConfigError, malformed_input, whole_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
@@ -139,10 +139,6 @@ def _sample_domain_xs(rng, f: ConvexFunction, n: int,
 
 def _sample_tau(rng, f: ConvexFunction) -> float:
     return float(_sample_taus(rng, f, 1)[0])
-
-
-def _sample_x(rng, f: ConvexFunction, scale: float = 1.5) -> np.ndarray:
-    return _sample_xs(rng, f, 1, scale)[0]
 
 
 def _sample_domain_x(rng, f: ConvexFunction, scale: float = 1.5) -> np.ndarray:
@@ -283,7 +279,7 @@ def moreau_decomposition_failures(f: MaxLinear, rng, trials: int) -> list[dict]:
     """x = J_tau(x) + tau * proj_hull(x / tau) for max-linear functions."""
     # per-trial draws in the order of one-at-a-time sampling, then one
     # resolvent batch and one oracle batch
-    draws = [(_sample_tau(rng, f), _sample_x(rng, f)) for _ in range(trials)]
+    draws = [(_sample_tau(rng, f), _sample_xs(rng, f, 1)[0]) for _ in range(trials)]
     taus = np.array([tau for tau, _ in draws])
     X = np.array([x for _, x in draws])
     Y, _ = f.prox_many(taus, X)
@@ -341,29 +337,41 @@ def sampled_lower_bound_failures(f: ConvexFunction, rng, trials: int) -> list[di
 # ---------------------------------------------------------------------------
 # action-scope helpers
 
-def _interp_instance(rng, f: ConvexFunction):
-    delta = float(np.exp(rng.uniform(np.log(0.2), np.log(1.5))))
-    tau = _sample_tau(rng, f)
-    x0 = _sample_domain_x(rng, f)
-    xd = _sample_domain_x(rng, f)
-    return tau, delta, x0, xd
+def _interp_instances(rng, f: ConvexFunction, trials: int):
+    """taus, deltas, X0, XD of `trials` interpolation instances, drawn in the
+    order of one-at-a-time sampling."""
+    taus, deltas = np.empty(trials), np.empty(trials)
+    X0, XD = np.empty((trials, f.dim)), np.empty((trials, f.dim))
+    for i in range(trials):
+        deltas[i] = np.exp(rng.uniform(np.log(0.2), np.log(1.5)))
+        taus[i] = _sample_tau(rng, f)
+        X0[i] = _sample_domain_x(rng, f)
+        XD[i] = _sample_domain_x(rng, f)
+    return taus, deltas, X0, XD
+
+
+def _coarse_and_fine_actions(f: ConvexFunction, taus, deltas, X0, XD):
+    """Actions of the interpolation paths at _INTERP_SAMPLES and twice as many
+    chords, from one resolvent batch: the coarse paths are the even nodes."""
+    M = 2 * _INTERP_SAMPLES
+    fine, _ = _interpolation_nodes(f, taus, X0, XD, M)
+    times = np.linspace(0.0, deltas, M + 1, axis=1)
+    act = sum(_midpoint_actions(f, times[:, ::2], fine[:, ::2]))
+    return act, sum(_midpoint_actions(f, times, fine))
 
 
 def interpolation_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Measured action of the constructed path stays under the stated bound,
     up to a per-instance refinement-difference quadrature allowance."""
     fails = []
-    for _ in range(trials):
-        tau, delta, x0, xd = _interp_instance(rng, f)
-        path = interpolation_path(f, tau, delta, x0, xd, _INTERP_SAMPLES)
-        act = discrete_action(f, path).total
-        fine = interpolation_path(f, tau, delta, x0, xd, 2 * _INTERP_SAMPLES)
-        act_fine = discrete_action(f, fine).total
-        bound = interpolation_bound(f, tau, delta, x0, xd)
-        quad = 2.0 * abs(act_fine - act) + 1e-9 * (1.0 + abs(bound))
-        if not (act <= bound + quad):
-            fails.append(_fail(f, tau=tau, delta=delta, x0=x0, xd=xd,
-                               action=act, bound=bound, quadrature=quad))
+    taus, deltas, X0, XD = _interp_instances(rng, f, trials)
+    act, act_fine = _coarse_and_fine_actions(f, taus, deltas, X0, XD)
+    for i in range(trials):
+        bound = interpolation_bound(f, taus[i], deltas[i], X0[i], XD[i])
+        quad = 2.0 * abs(act_fine[i] - act[i]) + 1e-9 * (1.0 + abs(bound))
+        if not (act[i] <= bound + quad):
+            fails.append(_fail(f, tau=taus[i], delta=deltas[i], x0=X0[i], xd=XD[i],
+                               action=act[i], bound=bound, quadrature=quad))
     return fails
 
 
@@ -371,17 +379,15 @@ def coarsened_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Same audit at the matched horizon delta = tau, plus dominance of the
     coarsened bound over the sharp one."""
     fails = []
-    for _ in range(trials):
-        tau, _, x0, xd = _interp_instance(rng, f)
-        path = interpolation_path(f, tau, tau, x0, xd, _INTERP_SAMPLES)
-        act = discrete_action(f, path).total
-        fine = interpolation_path(f, tau, tau, x0, xd, 2 * _INTERP_SAMPLES)
-        act_fine = discrete_action(f, fine).total
+    taus, _, X0, XD = _interp_instances(rng, f, trials)
+    act, act_fine = _coarse_and_fine_actions(f, taus, taus, X0, XD)
+    for i in range(trials):
+        tau, x0, xd = taus[i], X0[i], XD[i]
         coarse = coarsened_interpolation_bound(f, tau, x0, xd)
         sharp = interpolation_bound(f, tau, tau, x0, xd)
-        quad = 2.0 * abs(act_fine - act) + 1e-9 * (1.0 + abs(coarse))
-        if not (act <= coarse + quad):
-            fails.append(_fail(f, tau=tau, x0=x0, xd=xd, action=act,
+        quad = 2.0 * abs(act_fine[i] - act[i]) + 1e-9 * (1.0 + abs(coarse))
+        if not (act[i] <= coarse + quad):
+            fails.append(_fail(f, tau=tau, x0=x0, xd=xd, action=act[i],
                                bound=coarse, quadrature=quad))
         if coarse < sharp - 1e-9 * (1.0 + abs(sharp)):
             fails.append(_fail(f, tau=tau, x0=x0, xd=xd, coarse=coarse,
@@ -409,35 +415,26 @@ def null_lagrangian_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
 
 
 def upper_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
-    fails = []
-    for _ in range(trials):
-        path = _random_path(rng, f, segments=64)
-        res = upper_gradient_residual(f, path)
-        tol = upper_gradient_quadrature_bound(f, path)
-        if not (res >= -tol):
-            fails.append(_fail(f, residual=res, allowed=-tol,
-                               start=path.nodes[0], end=path.nodes[-1]))
-    return fails
+    nodes = np.array([_random_path(rng, f, segments=64).nodes for _ in range(trials)])
+    residual, tol = _upper_gradient(f, nodes)
+    return [_fail(f, residual=residual[i], allowed=-tol[i],
+                  start=nodes[i, 0], end=nodes[i, -1])
+            for i in np.where(~(residual >= -tol))[0]]
 
 
 def interpolation_endpoint_failures(f: ConvexFunction, rng,
                                     trials: int) -> list[dict]:
-    fails = []
-    for _ in range(trials):
-        tau, delta, x0, xd = _interp_instance(rng, f)
-        path = interpolation_path(f, tau, delta, x0, xd, 32)
-        g0 = min_norm_subgradient(f, x0)
-        gd = min_norm_subgradient(f, xd)
-        r0 = prox(f, tau, x0 + tau * g0)
-        rd = prox(f, tau, xd + tau * gd)
-        for point, node, r in ((x0, path.nodes[0], r0), (xd, path.nodes[-1], rd)):
-            err = float(np.linalg.norm(node - point))
-            allowed = max(10.0 * r.solver_residual,
-                          1e-9 * (1.0 + float(np.linalg.norm(point))))
-            if not (err <= allowed):
-                fails.append(_fail(f, tau=tau, delta=delta, target=point,
-                                   endpoint=node, error=err, allowed=allowed))
-    return fails
+    """The interpolation path's end nodes reproduce x0 and xd up to their
+    resolvent residuals, read from the same batch."""
+    taus, deltas, X0, XD = _interp_instances(rng, f, trials)
+    nodes, res = _interpolation_nodes(f, taus, X0, XD, 32)
+    targets, ends = np.stack([X0, XD], axis=1), nodes[:, [0, -1]]
+    err = np.linalg.norm(ends - targets, axis=2)
+    allowed = np.maximum(10.0 * res[:, [0, -1]],
+                         1e-9 * (1.0 + np.linalg.norm(targets, axis=2)))
+    return [_fail(f, tau=taus[i], delta=deltas[i], target=targets[i, j],
+                  endpoint=ends[i, j], error=err[i, j], allowed=allowed[i, j])
+            for i, j in zip(*np.where(~(err <= allowed)))]
 
 
 def recovery_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:

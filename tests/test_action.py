@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from actionlab.action import (Path, alt_action, coarsened_interpolation_bound,
+from actionlab.action import (Path, _midpoint_actions, alt_action,
+                              coarsened_interpolation_bound,
                               discrete_action, dubois_reymond_residual,
                               interpolation_bound, interpolation_path,
                               recovery_action_bound, recovery_path,
                               recovery_tolerance, upper_gradient_quadrature_bound,
                               upper_gradient_residual)
 from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
-                              SquaredDistance, prox, slope)
+                              SquaredDistance, min_norm_subgradient, prox, slope)
 from actionlab.errors import ActionLabError, ConfigError, OutsideDomainError
 from actionlab.experiments import (gamma_limsup_experiment,
                                    gamma_value_experiment,
@@ -121,9 +122,20 @@ def test_path_validation():
         Path([0.0, 1.0], [[0.0], [np.inf]])
 
 
+def _refined(p: Path) -> Path:
+    """The same piecewise-linear curve with every chord midpoint inserted."""
+    t = np.empty(2 * p.intervals + 1)
+    X = np.empty((t.size, p.dim))
+    t[0::2] = p.times
+    t[1::2] = 0.5 * (p.times[:-1] + p.times[1:])
+    X[0::2] = p.nodes
+    X[1::2] = p.chord_midpoints
+    return Path(t, X)
+
+
 def test_path_refined_same_curve():
     p = Path([0.0, 0.4, 1.0], [[0.0], [2.0], [1.0]])
-    q = p.refined()
+    q = _refined(p)
     assert q.intervals == 2 * p.intervals
     a = discrete_action(HALF_SQ, p).kinetic
     b = discrete_action(HALF_SQ, q).kinetic
@@ -195,6 +207,57 @@ def test_upper_gradient_residual_nonnegative_modulo_quadrature():
         assert res >= -upper_gradient_quadrature_bound(HALF_SQ, p)
 
 
+def _upper_gradient_reference(f, p: Path) -> tuple[float, float]:
+    """Residual and quadrature bound from their definitions: midpoint-rule
+    integrals over p and over its refinement, plus the per-chord
+    trapezoid-minus-midpoint gap."""
+    def integral(q):
+        seg = np.linalg.norm(np.diff(q.nodes, axis=0), axis=1)
+        return float(np.where(seg > 0.0, f.slope_many(q.chord_midpoints) * seg,
+                              0.0).sum())
+
+    coarse, fine = integral(p), integral(_refined(p))
+    s_nodes, s_mid = f.slope_many(p.nodes), f.slope_many(p.chord_midpoints)
+    if not (np.isfinite(fine) and np.all(np.isfinite(s_nodes))
+            and np.all(np.isfinite(s_mid))):
+        return np.nan, np.inf
+    seg = np.linalg.norm(np.diff(p.nodes, axis=0), axis=1)
+    gap = np.maximum(0.5 * (s_nodes[:-1] + s_nodes[1:]) - s_mid, 0.0)
+    bound = (float((gap * seg).sum()) + 2.0 * abs(fine - coarse)
+             + 1e-9 * (1.0 + abs(coarse)))
+    return coarse - abs(f.value(p.nodes[-1]) - f.value(p.nodes[0])), bound
+
+
+@pytest.mark.parametrize("f", [
+    HALF_SQ,
+    Quadratic(np.diag([2.0, 0.5, 1.0]), np.array([0.1, 0.0, -0.3]), 0.2),
+    ABS,
+    MaxLinear(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])),
+    LogSumExp(np.array([[1.0, 0.2], [-0.4, 1.0], [0.0, -1.0]]), 0.3),
+    SquaredDistance(Ball(np.zeros(2), 1.0), 1.5),
+    Indicator(Ball(np.zeros(2), 1.0)),
+], ids=lambda f: f"{type(f).__name__}-{f.dim}d")
+def test_upper_gradient_wrappers_match_refined_definition(f):
+    rng = np.random.default_rng(4)
+    for segments in (1, 7, 48):
+        nodes = np.cumsum(rng.normal(size=(segments + 1, f.dim)) * 0.3, axis=0)
+        if isinstance(f, Indicator):
+            nodes = f.region.project_many(nodes)
+        nodes[segments // 2] = nodes[segments // 2 - 1 if segments > 1 else 0]
+        p = Path(np.linspace(0.0, 1.0, segments + 1), nodes)
+        residual, bound = _upper_gradient_reference(f, p)
+        assert upper_gradient_quadrature_bound(f, p) == pytest.approx(bound, rel=1e-12)
+        assert upper_gradient_residual(f, p) == pytest.approx(
+            residual, rel=1e-12, abs=1e-12 * bound)
+
+
+def test_upper_gradient_bound_is_infinite_off_the_domain():
+    f = Indicator(Ball(np.zeros(1), 1.0))
+    p = Path([0.0, 0.5, 1.0], [[0.0], [2.0], [0.5]])
+    assert upper_gradient_quadrature_bound(f, p) == np.inf
+    assert _upper_gradient_reference(f, p)[1] == np.inf
+
+
 def test_upper_gradient_requires_finite_endpoints():
     f = Indicator(Ball(np.zeros(1), 1.0))
     p = Path([0.0, 1.0], [[0.0], [2.0]])
@@ -230,6 +293,53 @@ def test_interpolation_path_closed_form():
     s = np.linspace(0.0, 1.0, 17)
     np.testing.assert_allclose(p.nodes[:, 0], s * 1.5 / 1.5, atol=1e-12)
     assert p.times[-1] == pytest.approx(0.5)
+
+
+def test_interpolation_path_ends_at_the_tilted_endpoint_resolvent():
+    # p0 + 1 * (pd - p0) rounds away from pd for these values
+    tau, xd = 0.5, np.array([1.1])
+    p = interpolation_path(HALF_SQ, tau, 1.0, [0.1], xd, 8)
+    end = prox(HALF_SQ, tau, xd + tau * min_norm_subgradient(HALF_SQ, xd))
+    np.testing.assert_array_equal(p.nodes[-1], end.resolvent_point)
+
+
+@pytest.mark.parametrize("f, x0, xd", [
+    (Quadratic(np.diag([2.0, 0.5, 1.0]), np.array([0.1, 0.0, -0.3]), 0.2),
+     [0.3, -1.0, 0.5], [-0.7, 0.8, 1.2]),
+    (LogSumExp(np.array([[1.0], [-1.0], [0.3]]), 0.08), [-1.2], [0.9]),
+    (LogSumExp(np.array([[1.0, 0.2], [-0.4, 1.0], [0.0, -1.0]]), 0.3),
+     [-1.0, 0.4], [1.3, -0.6]),
+    (MaxLinear(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])),
+     [-1.0, 0.0], [1.0, 0.5]),
+    (MaxLinear(np.array([[1.0, 0.0, 0.2], [0.0, 1.0, -0.3], [-0.5, -0.5, 0.1],
+                         [0.1, -0.2, -1.0]])), [0.4, -0.9, 0.3], [-0.8, 1.1, 0.6]),
+    (SquaredDistance(Ball(np.array([0.2, -0.1]), 1.0), 1.5), [2.0, 0.3], [-1.4, 1.6]),
+    (Indicator(Ball(np.zeros(2), 1.5)), [1.0, -0.5], [-0.3, 1.2]),
+], ids=["quadratic-3d", "log_sum_exp-1d", "log_sum_exp-2d", "max_linear-2d",
+        "max_linear-3d", "squared_distance-2d", "indicator-2d"])
+def test_coarse_interpolation_path_is_the_fine_paths_even_nodes(f, x0, xd):
+    # the verify checks read the 256-chord path off the 512-chord batch
+    coarse = interpolation_path(f, 0.4, 0.7, x0, xd, 256)
+    fine = interpolation_path(f, 0.4, 0.7, x0, xd, 512)
+    np.testing.assert_array_equal(coarse.times, fine.times[::2])
+    np.testing.assert_array_equal(coarse.nodes, fine.nodes[::2])
+
+
+@pytest.mark.parametrize("f", [
+    HALF_SQ,
+    LogSumExp(np.array([[1.0, 0.2], [-0.4, 1.0], [0.0, -1.0]]), 0.3),
+    MaxLinear(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])),
+], ids=lambda f: f"{type(f).__name__}-{f.dim}d")
+def test_discrete_action_is_the_batched_action_row_by_row(f):
+    rng = np.random.default_rng(8)
+    times = np.sort(rng.uniform(size=(5, 17)), axis=1)
+    nodes = rng.normal(size=(5, 17, f.dim))
+    kinetic, slope_term = _midpoint_actions(f, times, nodes)
+    for i in range(5):
+        b = discrete_action(f, Path(times[i], nodes[i]))
+        # batch composition moves the slopes by rounding only
+        assert b.kinetic == pytest.approx(kinetic[i], rel=1e-14)
+        assert b.slope_term == pytest.approx(slope_term[i], rel=1e-14)
 
 
 def test_interpolation_bound_worked_value():
@@ -308,6 +418,20 @@ def test_recovery_junction_audit_fires():
     gamma = Path(t, t[:, None])
     with pytest.raises(ConfigError, match="junction"):
         recovery_path(bad, 0.2, gamma, [0.0], [1.0], M=4)
+
+
+def test_recovery_path_resolves_core_and_both_patches_in_two_calls(monkeypatch):
+    calls = []
+    prox_many = Quadratic.prox_many
+
+    def counting(self, tau, X, start=None):
+        calls.append(X.shape[0])
+        return prox_many(self, tau, X, start)
+
+    monkeypatch.setattr(Quadratic, "prox_many", counting)
+    t = np.linspace(0.0, 1.0, 33)
+    recovery_path(HALF_SQ, 0.25, Path(t, (1.0 + t)[:, None]), [1.05], [2.1], M=8)
+    assert calls == [33, 2 * 9]
 
 
 def test_recovery_rejects_zero_patch_density():

@@ -213,6 +213,24 @@ def test_unreadable_config_file_is_a_clean_error(capsys):
     assert "absent.json" in err
 
 
+@pytest.mark.parametrize("config", [[1, 2], "abc", 3.5], ids=["list", "string",
+                                                              "number"])
+@pytest.mark.parametrize("command", ["minimize", "verify"])
+def test_config_that_is_not_an_object_is_a_clean_error(capsys, quad_file, tmp_path,
+                                                       command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = {"minimize": ["minimize", "--function", quad_file, "--delta", "1",
+                         "--x0", "1", "--xd", "2"],
+            "verify": ["verify", "--scope", "gamma"]}[command]
+    code, out, err = run(capsys, argv + ["--config", str(cfg),
+                                         "--csv-dir", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "JSON object" in err
+
+
 def test_garbled_point_is_an_argparse_error(capsys, quad_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["prox", "--function", quad_file,

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from actionlab.convex import MaxLinear, Quadratic
+from actionlab.action import discrete_action, interpolation_path
+from actionlab.convex import LogSumExp, MaxLinear, Quadratic
 from actionlab.errors import ConfigError
-from actionlab.verify import (SCOPES, envelope_gradient_lipschitz_failures,
+from actionlab.verify import (SCOPES, coarsened_bound_failures,
+                              envelope_gradient_lipschitz_failures,
                               envelope_identity_failures,
+                              interpolation_bound_failures,
+                              interpolation_endpoint_failures,
                               moreau_decomposition_failures,
                               resolvent_lipschitz_failures,
                               sampled_lower_bound_failures,
                               slope_chain_failures,
                               slope_tau_monotonicity_failures,
-                              tilted_gradient_failures, verify_suite)
+                              tilted_gradient_failures,
+                              upper_gradient_failures, verify_suite)
 
 
 def test_full_suite_is_clean_at_seed_zero():
@@ -105,6 +110,10 @@ def test_convex_checks_keep_their_default_sample_counts():
     (resolvent_lipschitz_failures, 2),
     (envelope_gradient_lipschitz_failures, 2),
     (slope_tau_monotonicity_failures, 6),
+    # the 512-chord interpolation paths; the 256-chord ones are their even nodes
+    (interpolation_bound_failures, 513),
+    (coarsened_bound_failures, 513),
+    (interpolation_endpoint_failures, 33),
 ])
 def test_batched_check_resolves_every_sample_in_one_call(helper, rows_per_trial,
                                                          monkeypatch):
@@ -139,6 +148,33 @@ def test_sampled_lower_bound_is_one_value_and_one_slope_call(monkeypatch):
     assert sampled_lower_bound_failures(f, np.random.default_rng(0), 17) == []
     # the 17 points and their 4 samples each, then the 17 slopes
     assert calls == [("value", 17 * 5), ("slope", 17)]
+
+
+def test_interpolation_checks_measure_the_public_paths():
+    from actionlab.verify import _coarse_and_fine_actions
+    f = LogSumExp(np.array([[1.0, 0.2], [-0.4, 1.0], [0.0, -1.0]]), 0.3)
+    taus, deltas = np.array([0.3, 0.8]), np.array([0.5, 1.2])
+    X0, XD = np.array([[-1.0, 0.4], [0.2, 0.1]]), np.array([[1.3, -0.6], [-0.5, 0.9]])
+    act, act_fine = _coarse_and_fine_actions(f, taus, deltas, X0, XD)
+    for i in range(2):
+        for M, a in ((256, act[i]), (512, act_fine[i])):
+            path = interpolation_path(f, taus[i], deltas[i], X0[i], XD[i], M)
+            assert discrete_action(f, path).total == pytest.approx(a, rel=1e-13)
+
+
+def test_upper_gradient_check_is_one_slope_call(monkeypatch):
+    calls = []
+    slope_many = Quadratic.slope_many
+
+    def counting(self, X):
+        calls.append(X.shape[0])
+        return slope_many(self, X)
+
+    monkeypatch.setattr(Quadratic, "slope_many", counting)
+    f = Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2]))
+    assert upper_gradient_failures(f, np.random.default_rng(0), 17) == []
+    # per 64-chord path: 65 nodes, 64 chord midpoints, 128 quarter points
+    assert calls == [17 * (65 + 64 + 128)]
 
 
 @pytest.mark.parametrize("vectors", [[[1.0], [-0.5], [2.0]],

@@ -117,16 +117,16 @@ def _row_taus(tau, k: int, lam: float) -> np.ndarray:
 
 
 def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """A[k]^-1 B[k] per block, or A[k]^-1 when B is None; 1x1 and 2x2 blocks
-    in closed form, which is several times faster than a batched LAPACK call
-    on blocks this small."""
+    """A[..., :, :]^-1 B[..., :, :] per block, or A^-1 when B is None, over
+    any leading axes; 1x1 and 2x2 blocks in closed form, which is several
+    times faster than a batched LAPACK call on blocks this small."""
     d = A.shape[-1]
     if d == 1:
         return 1.0 / A if B is None else B / A
     if d == 2:
-        a, b, c, e = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-        adj = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
-        inv = adj / (a * e - b * c)[:, None, None]
+        a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        adj = np.stack([e, -b, -c, a], axis=-1).reshape(A.shape)
+        inv = adj / (a * e - b * c)[..., None, None]
         return inv if B is None else inv @ B
     return np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
 

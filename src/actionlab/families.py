@@ -63,13 +63,16 @@ class FamilyMember:
         end.setflags(write=False)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
+        object.__setattr__(self, "_slopes", (slope(self.function, start),
+                                             slope(self.function, end)))
 
     @property
     def dim(self) -> int:
         return self.function.dim
 
     def endpoint_slopes(self) -> tuple[float, float]:
-        return slope(self.function, self.start), slope(self.function, self.end)
+        """Slopes at start and end, computed once at construction."""
+        return self._slopes
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,9 @@ midpoint held on its face (the slope is constant on a face, so this is the
 true discrete problem for that face set).  The result is kept when it lowers
 the true action, and the step repeats with every run of pinned midpoints
 grown by one chord at each end until the action stops dropping.
+
+`_minimize_paths` runs k paths of one function in lockstep, so that every
+resolvent batch covers all of them; `minimize_action` is its k = 1 case.
 """
 from __future__ import annotations
 
@@ -107,209 +110,250 @@ class MinimizeResult:
 
 
 class _Objective:
-    """Discretized smoothed action over the interior nodes, endpoints pinned."""
+    """Discretized smoothed action of k paths over their interior nodes
+    (k, N-1, d), each with its endpoints X0[p] and XD[p] pinned."""
 
-    def __init__(self, f: ConvexFunction, tau: float, x0: np.ndarray,
-                 xd: np.ndarray, dt: float):
+    def __init__(self, f: ConvexFunction, tau: float, X0: np.ndarray,
+                 XD: np.ndarray, dt: float):
         self.f = f
         self.tau = tau
-        self.x0 = x0
-        self.xd = xd
+        self.X0 = X0
+        self.XD = XD
         self.dt = dt
 
+    def paths(self, idx) -> _Objective:
+        return _Objective(self.f, self.tau, self.X0[idx], self.XD[idx], self.dt)
+
     def full_nodes(self, Z: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.x0[None, :], Z, self.xd[None, :]], axis=0)
+        return np.concatenate([self.X0[:, None], Z, self.XD[:, None]], axis=1)
 
     def midpoints(self, Z: np.ndarray) -> np.ndarray:
         X = self.full_nodes(Z)
-        return 0.5 * (X[:-1] + X[1:])
+        return 0.5 * (X[:, :-1] + X[:, 1:])
 
     def evaluate(self, Z: np.ndarray, start: np.ndarray | None = None
-                 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """Objective value at Z, with the midpoints and their resolvents;
-        start, when given, is a guess of those resolvents."""
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Objective values (k,) at Z, with the midpoints and their resolvents
+        (k, N, d) from one `prox_many` call over every path's rows; start,
+        when given, is a guess of those resolvents."""
         X = self.full_nodes(Z)
-        diffs = np.diff(X, axis=0)
-        kinetic = float(np.einsum("ij,ij->i", diffs, diffs).sum()) / self.dt
-        mids = 0.5 * (X[:-1] + X[1:])
-        Y, _ = self.f.prox_many(self.tau, mids, start=start)
+        diffs = X[:, 1:] - X[:, :-1]
+        kinetic = np.einsum("pij,pij->pi", diffs, diffs).sum(axis=1) / self.dt
+        mids = 0.5 * (X[:, :-1] + X[:, 1:])
+        d = Z.shape[2]
+        guess = None if start is None else start.reshape(-1, d)
+        Y = self.f.prox_many(self.tau, mids.reshape(-1, d), start=guess)[0].reshape(mids.shape)
         G = (mids - Y) / self.tau
-        phi = np.einsum("ij,ij->i", G, G)
-        return kinetic + self.dt * float(phi.sum()), (mids, Y)
-
-    def value(self, Z: np.ndarray) -> float:
-        return self.evaluate(Z)[0]
+        return kinetic + self.dt * np.einsum("pij,pij->pi", G, G).sum(axis=1), (mids, Y)
 
     def kinetic_gradient(self, Z: np.ndarray) -> np.ndarray:
         X = self.full_nodes(Z)
-        return (2.0 / self.dt) * (2.0 * X[1:-1] - X[:-2] - X[2:])
+        return (2.0 / self.dt) * (2.0 * X[:, 1:-1] - X[:, :-2] - X[:, 2:])
 
-    def system(self, Z: np.ndarray, dphi: np.ndarray, S: np.ndarray):
-        """Gradient and Hessian of kinetic + dt sum_i phi(m_i) at Z, from the
-        gradient dphi (N, d) and Hessian S (N, d, d) of phi at each midpoint.
+    def gradient(self, Z: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+        """Gradient of kinetic + dt sum_i phi(m_i) at Z from phi's gradients dphi."""
+        return self.kinetic_gradient(Z) + 0.5 * self.dt * (dphi[:, :-1] + dphi[:, 1:])
 
-        The Hessian comes as its diagonal blocks (N-1, d, d) and the blocks
-        coupling interior node j to j+1 (N-2, d, d).
-        """
-        dt = self.dt
-        grad = self.kinetic_gradient(Z) + 0.5 * dt * (dphi[:-1] + dphi[1:])
-        eye = np.eye(Z.shape[1])
-        diag = (4.0 / dt) * eye + 0.25 * dt * (S[:-1] + S[1:])
-        off = -(2.0 / dt) * eye + 0.25 * dt * S[1:-1]
-        return grad, diag, off
+    def hessian(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal blocks of the Hessian of kinetic + dt sum_i phi(m_i), and
+        those coupling node j to j+1, from the Hessian S (k, N, d, d) of phi."""
+        dt, eye = self.dt, np.eye(S.shape[-1])
+        return ((4.0 / dt) * eye + 0.25 * dt * (S[:, :-1] + S[:, 1:]),
+                -(2.0 / dt) * eye + 0.25 * dt * S[:, 1:-1])
 
     def newton_system(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
         """Derivatives of the objective at Z from the (midpoints, resolvents)
         of evaluate(Z), with K and C from one `envelope_derivatives_many`
-        call: the exact gradient, the Gauss-Newton Hessian blocks (diag, off)
-        from 2 K^2, the exact Newton blocks from 2 K^2 + 2 C (None when the
-        kind gives C = 0, so Gauss-Newton is exact), and the envelope
-        Hessians K at the midpoints."""
-        mids, Y = resolved
+        call over every path's rows: the exact gradient, the Gauss-Newton
+        Hessian blocks (diag, off) from 2 K^2, the exact Newton blocks from
+        2 K^2 + 2 C (None when the kind gives C = 0, so Gauss-Newton is
+        exact), and the envelope Hessians K (k N, d, d) at the midpoints."""
+        k, n, d = resolved[0].shape
+        mids, Y = (a.reshape(k * n, d) for a in resolved)
         K, C = self.f.envelope_derivatives_many(self.tau, mids, Y)
         G = (mids - Y) / self.tau
         dphi = 2.0 * np.einsum("kij,kj->ki", K, G)
         S = 2.0 * np.einsum("kij,kil->kjl", K, K)
-        grad, diag, off = self.system(Z, dphi, S)
+        grad = self.gradient(Z, dphi.reshape(k, n, d))
+        diag, off = self.hessian(S.reshape(k, n, d, d))
         newton = None
         if C is not None:
             # the slope Hessian S + 2 C enters the blocks as S does, times dt/4
-            newton = (diag + 0.5 * self.dt * (C[:-1] + C[1:]),
-                      off + 0.5 * self.dt * C[1:-1])
+            C = C.reshape(k, n, d, d)
+            newton = (diag + 0.5 * self.dt * (C[:, :-1] + C[:, 1:]),
+                      off + 0.5 * self.dt * C[:, 1:-1])
         return grad, (diag, off), newton, K
 
 
-def _definite_blocks(A: np.ndarray) -> bool:
-    """Whether every symmetric block A[k] is positive definite: by its
-    leading minors for 1x1 and 2x2 blocks, by its eigenvalues above."""
+def _definite_blocks(A: np.ndarray) -> np.ndarray:
+    """Per path p, whether every symmetric block A[j, p] is positive definite:
+    by its leading minors for 1x1 and 2x2 blocks, by its eigenvalues above."""
     d = A.shape[-1]
     if d == 1:
-        return bool((A[:, 0, 0] > 0.0).all())
+        return (A[..., 0, 0] > 0.0).all(axis=0)
     if d == 2:
-        a = A[:, 0, 0]
-        return bool(((a > 0.0) & (a * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0] > 0.0)).all())
-    return bool((np.linalg.eigvalsh(A)[:, 0] > 0.0).all())
+        a = A[..., 0, 0]
+        return ((a > 0.0) & (a * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0] > 0.0)).all(axis=0)
+    return (np.linalg.eigvalsh(A)[..., 0] > 0.0).all(axis=0)
 
 
 def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
-                             definite: bool = False) -> np.ndarray | None:
-    """Solve the symmetric block-tridiagonal system with diagonal blocks diag
-    (n, d, d) and off[j] (n-1, d, d) the block coupling unknown j to j+1 (its
-    transpose couples j+1 to j), for rhs (n, d).
+                             definite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Solve k symmetric block-tridiagonal systems: path p's diagonal blocks
+    diag[p] (n, d, d), off[p, j] (n-1, d, d) coupling unknown j to j+1 (its
+    transpose couples j+1 to j), rhs[p] (n, d).  Returns the solutions
+    (k, n, d) and a (k,) mask of the paths solved.
 
     Block cyclic reduction: each level eliminates the odd unknowns with one
     batched solve of their diagonal blocks, leaving a block-tridiagonal system
-    in the even ones; once n*d <= _DENSE_SIZE it solves densely.
+    in the even ones; once n*d <= _DENSE_SIZE it solves densely.  `_reduce`
+    does it with the block axis first, where numpy slices cheapest.
 
-    With definite set, the solve also tests that the matrix is positive
-    definite and returns None when it is not.  A level's matrix is positive
-    definite exactly when the odd unknowns' diagonal blocks and the reduced
-    system, their Schur complement, are; so each level tests those blocks and
-    the dense base case tests by Cholesky.
+    With definite set, the solve also tests that each matrix is positive
+    definite, and leaves unsolved a path whose matrix is not.  A level's
+    matrix is positive definite exactly when the odd unknowns' diagonal
+    blocks and the reduced system, their Schur complement, are; so each level
+    tests those blocks and the dense base case tests by Cholesky.
     """
-    n, d = rhs.shape
-    if n * d <= _DENSE_SIZE:
-        A = np.zeros((n, d, n, d))
+    x, ok = _reduce(diag.swapaxes(0, 1), off.swapaxes(0, 1), rhs.swapaxes(0, 1), definite)
+    return x.swapaxes(0, 1), ok
+
+
+def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
+    """`_block_tridiagonal_solve` with the block axis first: x (n, k, d)."""
+    n, k, d = rhs.shape
+    dense = n * d <= _DENSE_SIZE
+    if dense:
+        A = np.zeros((k, n, d, n, d))
         j = np.arange(n)
-        A[j, :, j, :] = diag
-        A[j[:-1], :, j[1:], :] = off
-        A[j[1:], :, j[:-1], :] = off.transpose(0, 2, 1)
-        A = A.reshape(n * d, n * d)
-        if definite:
-            try:
-                np.linalg.cholesky(A)
-            except np.linalg.LinAlgError:
-                return None
-        return np.linalg.solve(A, rhs.reshape(n * d)).reshape(n, d)
-    if definite and not _definite_blocks(diag[1::2]):
-        return None
-    n_odd = n // 2
-    n_even = n - n_odd
-    left = off[0::2]                    # couples odd unknown 2o+1 to 2o
-    right = np.zeros((n_odd, d, d))     # couples it to 2o+2 (none for the
-    right[:n_even - 1] = off[1::2]      # last odd unknown when n is even)
+        A[:, j, :, j, :] = diag
+        A[:, j[:-1], :, j[1:], :] = off
+        A[:, j[1:], :, j[:-1], :] = off.swapaxes(-1, -2)
+        A = A.reshape(k, n * d, n * d)
+    if definite:
+        ok = np.ones(k, dtype=bool)
+        if dense:
+            for p in range(k):
+                try:
+                    np.linalg.cholesky(A[p])
+                except np.linalg.LinAlgError:
+                    ok[p] = False
+        else:
+            ok = _definite_blocks(diag[1::2])
+        if not ok.all():
+            # the paths that passed go on alone (a dense pass needs no retest)
+            x = np.zeros_like(rhs)
+            x[:, ok], ok[ok] = _reduce(diag[:, ok], off[:, ok], rhs[:, ok], not dense)
+            return x, ok
+    if dense:
+        x = np.linalg.solve(A, rhs.swapaxes(0, 1).reshape(k, n * d, 1))
+        return x.reshape(k, n, d).swapaxes(0, 1), np.ones(k, dtype=bool)
+    n_odd, n_even = n // 2, n - n // 2
+    left = off[0::2]                        # couples odd unknown 2o+1 to 2o
+    right = np.zeros((n_odd, k, d, d))      # couples it to 2o+2 (none for the
+    right[:n_even - 1] = off[1::2]          # last odd unknown when n is even)
     # odd unknown 2o+1 is w - Wl x_{2o} - Wr x_{2o+2}, W = [Wl | Wr | w]
     W = _solve_blocks(diag[1::2], np.concatenate(
-        [left.transpose(0, 2, 1), right, rhs[1::2, :, None]], axis=2))
+        [left.swapaxes(-1, -2), right, rhs[1::2, ..., None]], axis=-1))
     # substituted into the even rows beside it: 2e+1 on the right of even e
     # (e < n_odd) and 2e+1 on the left of even e+1 (e < n_even - 1)
     LW = left @ W
-    RW = right[:n_even - 1].transpose(0, 2, 1) @ W[:n_even - 1]
+    RW = right[:n_even - 1].swapaxes(-1, -2) @ W[:n_even - 1]
     red_diag = diag[0::2].copy()
     red_rhs = rhs[0::2].copy()
     red_diag[:n_odd] -= LW[..., :d]
     red_rhs[:n_odd] -= LW[..., 2 * d]
     red_diag[1:] -= RW[..., d:2 * d]
     red_rhs[1:] -= RW[..., 2 * d]
-    even = _block_tridiagonal_solve(red_diag, -LW[:n_even - 1, :, d:2 * d], red_rhs,
-                                    definite)
-    if even is None:
-        return None
-    beside = np.zeros((n_odd, 2 * d))
-    beside[:, :d] = even[:n_odd]
-    beside[:n_even - 1, d:] = even[1:]
+    even, ok = _reduce(red_diag, -LW[:n_even - 1, ..., d:2 * d], red_rhs, definite)
+    beside = np.zeros((n_odd, k, 2 * d))
+    beside[..., :d] = even[:n_odd]
+    beside[:n_even - 1, :, d:] = even[1:]
     x = np.empty_like(rhs)
     x[0::2] = even
     x[1::2] = W[..., 2 * d] - (W[..., :2 * d] @ beside[..., None])[..., 0]
-    return x
+    return x, ok
 
 
-def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig,
-           trace: list | None = None) -> tuple[np.ndarray, int, bool, float]:
-    """Damped Newton steps on obj from Z: the last iterate, its accepted step
-    count, whether it met the stopping rule, and its energy.
+def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
+           ) -> tuple[np.ndarray, list[int], list[bool], list[float], list[list]]:
+    """Damped Newton steps on obj from Z (k, N-1, d), the k paths in
+    lockstep: per path the last iterate, its accepted step count, whether it
+    met the stopping rule, its energy, and the trace of accepted energies.
 
-    Each step solves the exact Newton system when the kind gives a curvature
-    term and that Hessian is positive definite; otherwise (no term, or a
-    Hessian whose step need not descend) it solves the Gauss-Newton system,
-    positive definite by construction.  The stop measures the decrement in
-    whichever Hessian made the step."""
-    energy, resolved = obj.evaluate(Z)
-    if trace is not None:
-        trace.append(energy)
-    disp = obj.xd - obj.x0
-    segment = float(disp @ disp) / (obj.dt * (Z.shape[0] + 1))
-    accepted = 0
+    A step solves the exact Newton system when the kind gives a curvature
+    term and that path's Hessian is positive definite, else the Gauss-Newton
+    one; the stop measures the decrement in the Hessian that made the step.
+    The paths still searching share a step length and a resolvent batch per
+    trial, each with its own Armijo test."""
+    values, (mids, Y) = obj.evaluate(Z)
+    energy = values.tolist()
+    k, traces = len(energy), [[e] for e in energy]
+    segment = [float(v @ v) / (obj.dt * (Z.shape[1] + 1)) for v in obj.XD - obj.X0]
+    Z_end, accepted, hit = np.empty_like(Z), [0] * k, [False] * k
+    # the paths still stepping; obj, Z, mids and Y hold their rows in order
+    run = list(range(k))
     for _ in range(cfg.max_iters):
-        grad, gauss_newton, newton, K = obj.newton_system(Z, resolved)
-        direction = None
-        if newton is not None:
-            direction = _block_tridiagonal_solve(*newton, grad, definite=True)
-        if direction is None:
-            direction = _block_tridiagonal_solve(*gauss_newton, grad)
-        decrement = float((grad * direction).sum())
-        if decrement <= cfg.grad_tol**2 * max(segment, energy):
-            return Z, accepted, True, energy
+        grad, gauss_newton, newton, K = obj.newton_system(Z, (mids, Y))
+        direction, ok = _block_tridiagonal_solve(*(newton or gauss_newton), grad,
+                                                 definite=newton is not None)
+        if not ok.all():
+            direction[~ok] = _block_tridiagonal_solve(*(b[~ok] for b in gauss_newton),
+                                                      grad[~ok])[0]
+        decrement = (grad * direction).reshape(len(run), -1).sum(axis=1).tolist()
+        for i, p in enumerate(run):
+            hit[p] = decrement[i] <= cfg.grad_tol**2 * max(segment[p], energy[p])
+        moving = [i for i, p in enumerate(run) if not hit[p]]   # rows that step
+        if not moving:
+            break
         # a trial moves the midpoints by -step dM and, to first order, their
         # resolvents Y by -step DJ dM with DJ = I - tau K
-        D = np.pad(direction, ((1, 1), (0, 0)))
-        dM = 0.5 * (D[:-1] + D[1:])
-        dY = dM - obj.tau * np.einsum("kij,kj->ki", K, dM)
-        Y = resolved[1]
-        step = 1.0
-        for _ls in range(60):
-            candidate = Z - step * direction
-            cand_energy, cand_resolved = obj.evaluate(candidate, Y - step * dY)
-            # a step too short to change the energy is no progress, even
-            # when the Armijo bound rounds to the energy itself
-            if cand_energy < energy and \
-                    cand_energy <= energy - _STEP_DECREASE * step * decrement:
-                break
+        D = np.zeros((len(run), direction.shape[1] + 2, direction.shape[2]))
+        D[:, 1:-1] = direction
+        dM = 0.5 * (D[:, :-1] + D[:, 1:])
+        dY = dM - obj.tau * np.einsum("kij,kj->ki", K, dM.reshape(K.shape[:2])
+                                      ).reshape(dM.shape)
+        search, step = moving, 1.0          # rows still searching
+        while search and step > _STEP_SHRINK**60:   # at most 60 trials
+            rows, sub = ((slice(None), obj) if len(search) == len(run)
+                         else (search, obj.paths(search)))
+            candidate = Z[rows] - step * direction[rows]
+            cand_energy, (cand_mids, cand_Y) = sub.evaluate(
+                candidate, Y[rows] - step * dY[rows])
+            good = []
+            for j, (i, c) in enumerate(zip(search, cand_energy.tolist())):
+                p = run[i]
+                # a step too short to change the energy is no progress, even
+                # when the Armijo bound rounds to the energy itself
+                if c < energy[p] and c <= energy[p] - _STEP_DECREASE * step * decrement[i]:
+                    good.append(j)
+                    energy[p], accepted[p] = c, accepted[p] + 1
+                    traces[p].append(c)
+            if len(good) == len(run):
+                Z, mids, Y = candidate, cand_mids, cand_Y
+            elif good:
+                took = [search[j] for j in good]
+                Z[took], mids[took], Y[took] = candidate[good], cand_mids[good], cand_Y[good]
+            search = [i for j, i in enumerate(search) if j not in good]
             step *= _STEP_SHRINK
-        else:
-            break  # no descent representable at this precision
-        Z, energy, resolved = candidate, cand_energy, cand_resolved
-        accepted += 1
-        if trace is not None:
-            trace.append(energy)
-    return Z, accepted, False, energy
+        # the rows still searching found no descent representable at this
+        # precision; they leave with the ones that met their stop
+        stays = [i for i in moving if i not in search]
+        if not stays:
+            break
+        if len(stays) < len(run):
+            Z_end[run] = Z
+            run = [run[i] for i in stays]
+            Z, mids, Y, obj = Z[stays], mids[stays], Y[stays], obj.paths(stays)
+    Z_end[run] = Z
+    return Z_end, accepted, hit, energy, traces
 
 
 def _face_projectors(obj: _Objective, Z: np.ndarray) -> np.ndarray:
     """Per midpoint of Z, the projector onto the directions its max_linear
     resolvent pins: the midpoint lies on its face exactly when P m = 0."""
     _, (mids, Y) = obj.evaluate(Z)
-    return obj.tau * obj.f.envelope_derivatives_many(obj.tau, mids, Y)[0]
+    return obj.tau * obj.f.envelope_derivatives_many(obj.tau, mids[0], Y[0])[0]
 
 
 def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -327,11 +371,12 @@ def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     S = 2.0 * kappa * P
     U = np.zeros((P.shape[0], P.shape[1]))
     scale = 1.0 + float(np.abs(obj.full_nodes(Z)).max())
+    V = np.einsum("kij,kj->ki", P, obj.midpoints(Z)[0])
+    diag, off = obj.hessian(S[None])
     for _ in range(_FACE_ROUNDS):
-        R = np.einsum("kij,kj->ki", P, obj.midpoints(Z)) + U
-        grad, diag, off = obj.system(Z, 2.0 * kappa * R, S)
-        Z = Z - _block_tridiagonal_solve(diag, off, grad)
-        V = np.einsum("kij,kj->ki", P, obj.midpoints(Z))
+        grad = obj.gradient(Z, 2.0 * kappa * (V + U)[None])
+        Z = Z - _block_tridiagonal_solve(diag, off, grad)[0]
+        V = np.einsum("kij,kj->ki", P, obj.midpoints(Z)[0])
         U = U + V
         if np.abs(V).max() <= 1e-15 * scale:
             break
@@ -363,7 +408,7 @@ def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray) -> np.nd
     rest there.
     """
     def true_value(Z):
-        return discrete_action(obj.f, Path(times, obj.full_nodes(Z))).total
+        return discrete_action(obj.f, Path(times, obj.full_nodes(Z)[0])).total
 
     best = true_value(Z)
     P = _face_projectors(obj, Z)
@@ -378,6 +423,50 @@ def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray) -> np.nd
             break
         P = P_next
     return Z
+
+
+def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: float,
+                    config: MinimizeConfig | None = None,
+                    stage_traces: list | None = None) -> list[MinimizeResult]:
+    """`minimize_action` from each row of X0 (k, d) to that of XD in lockstep,
+    path p's stage traces to stage_traces[p]; a result is bit-equal to its
+    one-path solve when the kind's batched maps round each row alike."""
+    cfg = config or MinimizeConfig()
+    schedule = cfg.schedule_for(delta, f.lam)
+    for tau in schedule:
+        f.require_admissible(tau)
+
+    k, n = X0.shape[0], cfg.N
+    times = np.linspace(0.0, delta, n + 1)
+    dt = delta / n
+    s = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    Z = X0[:, None, :] + s[None, :, None] * (XD - X0)[:, None, :]
+    if isinstance(f, Indicator):
+        Z = np.stack([f.region.project_many(z) for z in Z])
+
+    total_iters, converged = np.zeros(k, dtype=int), np.ones(k, dtype=bool)
+    for tau in schedule:
+        obj = _Objective(f, tau, X0, XD, dt)
+        # value_smoothed is the last stage's energy while Z is its iterate
+        Z, accepted, hit, value_smoothed, traces = _stage(obj, Z, cfg)
+        for path_traces, trace in zip(stage_traces or (), traces):
+            path_traces.append(trace)
+        total_iters += accepted
+        converged &= hit
+    if isinstance(f, Indicator):
+        Z = np.stack([f.region.project_many(z) for z in Z])
+    if isinstance(f, MaxLinear):    # the polish works on one path, (1, N-1, d)
+        Z = np.concatenate([_polish_on_faces(obj.paths([p]), Z[p:p + 1], times)
+                            for p in range(k)])
+    if isinstance(f, (Indicator, MaxLinear)):
+        value_smoothed = obj.evaluate(Z)[0]
+
+    paths = [Path(times, nodes) for nodes in obj.full_nodes(Z)]
+    return [MinimizeResult(path=path, value_smoothed=float(value),
+                           value_true=discrete_action(f, path).total,
+                           iterations=int(iters), converged=bool(done),
+                           tau_schedule=tuple(schedule))
+            for path, value, iters, done in zip(paths, value_smoothed, total_iters, converged)]
 
 
 def minimize_action(f: ConvexFunction, x0, xd, delta: float,
@@ -396,53 +485,11 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     When stage_traces is a list, one list of accepted objective values is
     appended per continuation stage (descent audits hook in here).
     """
-    cfg = config or MinimizeConfig()
     delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
-    schedule = cfg.schedule_for(delta, f.lam)
-    for tau in schedule:
-        f.require_admissible(tau)
-
-    n = cfg.N
-    times = np.linspace(0.0, delta, n + 1)
-    dt = delta / n
-    s = np.linspace(0.0, 1.0, n + 1)[1:-1]
-    Z = x0[None, :] + s[:, None] * (xd - x0)[None, :]
-    if isinstance(f, Indicator):
-        Z = f.region.project_many(Z)
-
-    total_iters = 0
-    converged = True
-    for tau in schedule:
-        obj = _Objective(f, tau, x0, xd, dt)
-        trace = [] if stage_traces is not None else None
-        # value_smoothed is the last stage's energy while Z is its iterate
-        Z, accepted, hit, value_smoothed = _stage(obj, Z, cfg, trace)
-        if stage_traces is not None:
-            stage_traces.append(trace)
-        total_iters += accepted
-        converged = converged and hit
-    if isinstance(f, Indicator):
-        Z = f.region.project_many(Z)
-        value_smoothed = None
-    if isinstance(f, MaxLinear):
-        Z = _polish_on_faces(obj, Z, times)
-        value_smoothed = None
-
-    nodes = np.concatenate([x0[None, :], Z, xd[None, :]], axis=0)
-    path = Path(times, nodes)
-    if value_smoothed is None:
-        value_smoothed = obj.value(Z)
-    value_true = discrete_action(f, path).total
-    return MinimizeResult(
-        path=path,
-        value_smoothed=value_smoothed,
-        value_true=value_true,
-        iterations=total_iters,
-        converged=converged,
-        tau_schedule=tuple(schedule),
-    )
+    traces = None if stage_traces is None else [stage_traces]
+    return _minimize_paths(f, x0[None], xd[None], delta, config, traces)[0]
 
 
 @malformed_input("closed-form case")

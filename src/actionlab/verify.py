@@ -34,7 +34,8 @@ from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           slope_semicontinuity_table)
 from .families import (constant_family, family_logsumexp_to_max,
                        family_penalty_to_indicator)
-from .minimize import MinimizeConfig, _Objective, minimize_action
+from .minimize import (MinimizeConfig, _minimize_paths, _Objective,
+                       minimize_action)
 from .minnorm import hull_projection
 from .oracle import GridSpec, grid_oracle, speed_quantization_bias
 from .sets import Ball, Box, Halfspace
@@ -470,7 +471,7 @@ def _zero_quadratic(d: int) -> Quadratic:
 
 
 def kinetic_gradient_failures(rng, trials: int) -> list[dict]:
-    """Analytic kinetic gradient against central differences."""
+    """Analytic kinetic gradient against central differences, one evaluation a trial."""
     fails = []
     for _ in range(trials):
         d = int(rng.integers(1, 3))
@@ -478,17 +479,17 @@ def kinetic_gradient_failures(rng, trials: int) -> list[dict]:
         f = _zero_quadratic(d)
         x0 = rng.normal(size=d)
         xd = rng.normal(size=d)
-        dt = 1.0 / n
-        obj = _Objective(f, 0.3, x0, xd, dt)
         Z = rng.normal(size=(n - 1, d))
-        G = obj.kinetic_gradient(Z)
         h = 1e-6
-        for _k in range(3):
-            i = int(rng.integers(0, n - 1))
-            j = int(rng.integers(0, d))
-            Zp = Z.copy(); Zp[i, j] += h
-            Zm = Z.copy(); Zm[i, j] -= h
-            fd = (obj.value(Zp) - obj.value(Zm)) / (2.0 * h)
+        entries = [(int(rng.integers(0, n - 1)), int(rng.integers(0, d))) for _k in range(3)]
+        shifted = np.repeat(Z[None], 6, axis=0)
+        for e, (i, j) in enumerate(entries):
+            shifted[[2 * e, 2 * e + 1], i, j] += (h, -h)
+        obj = _Objective(f, 0.3, np.tile(x0, (6, 1)), np.tile(xd, (6, 1)), 1.0 / n)
+        G = obj.paths([0]).kinetic_gradient(Z[None])[0]
+        values = obj.evaluate(shifted)[0]
+        for e, (i, j) in enumerate(entries):
+            fd = float(values[2 * e] - values[2 * e + 1]) / (2.0 * h)
             err = abs(G[i, j] - fd)
             if not (err <= 1e-6 * (1.0 + abs(fd))):
                 fails.append(serialize.to_plain(
@@ -499,38 +500,45 @@ def kinetic_gradient_failures(rng, trials: int) -> list[dict]:
 
 def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Full smoothed-objective directional derivative against central
-    differences (relative 1e-6)."""
+    differences (relative 1e-6), Z and Z -+ hD evaluated as three paths."""
     fails = []
     for _ in range(trials):
         n = int(rng.integers(8, 16))
         x0 = _sample_domain_x(rng, f)
         xd = _sample_domain_x(rng, f)
         tau = max(0.1, _sample_tau(rng, f))
-        obj = _Objective(f, tau, x0, xd, 1.0 / n)
         s = np.linspace(0.0, 1.0, n + 1)[1:-1]
         Z = x0[None, :] + s[:, None] * (xd - x0)[None, :] \
             + rng.normal(size=(n - 1, f.dim)) * 0.1
-        G = obj.newton_system(Z, obj.evaluate(Z)[1])[0]
         D = rng.normal(size=Z.shape)
         D /= np.linalg.norm(D)
         h = 1e-5 * (1.0 + float(np.abs(Z).max()))
-        fd = (obj.value(Z + h * D) - obj.value(Z - h * D)) / (2.0 * h)
+        obj = _Objective(f, tau, np.tile(x0, (3, 1)), np.tile(xd, (3, 1)), 1.0 / n)
+        values, (mids, Y) = obj.evaluate(np.stack([Z, Z + h * D, Z - h * D]))
+        G = obj.paths([0]).newton_system(Z[None], (mids[:1], Y[:1]))[0][0]
+        fd = float(values[1] - values[2]) / (2.0 * h)
         dd = float((G * D).sum())
         if not (abs(dd - fd) <= 1e-6 * (1.0 + abs(fd))):
             fails.append(_fail(f, n=n, tau=tau, analytic=dd, fd=fd))
     return fails
 
 
+def _endpoint_pairs(rng, f: ConvexFunction, trials: int) -> np.ndarray:
+    """(trials, 2, d): each trial's x0 and xd, drawn in trial order."""
+    return np.array([[_sample_domain_x(rng, f), _sample_domain_x(rng, f)]
+                     for _ in range(trials)])
+
+
 def descent_monotonicity_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
-    """Accepted objective values never increase within a continuation stage."""
+    """Accepted objective values never increase within a continuation stage;
+    the trials are solved in one lockstep run."""
+    ends = _endpoint_pairs(rng, f, trials)
+    traces: list = [[] for _ in range(trials)]
+    cfg = MinimizeConfig(N=24, max_iters=60, grad_tol=1e-6)
+    _minimize_paths(f, ends[:, 0], ends[:, 1], 1.0, cfg, stage_traces=traces)
     fails = []
-    for _ in range(trials):
-        x0 = _sample_domain_x(rng, f)
-        xd = _sample_domain_x(rng, f)
-        traces: list = []
-        cfg = MinimizeConfig(N=24, max_iters=60, grad_tol=1e-6)
-        minimize_action(f, x0, xd, 1.0, cfg, stage_traces=traces)
-        for stage, tr in enumerate(traces):
+    for path_traces in traces:
+        for stage, tr in enumerate(path_traces):
             for a, b in zip(tr, tr[1:]):
                 if not (b <= a + 1e-12 * (1.0 + abs(a))):
                     fails.append(_fail(f, stage=stage, before=a, after=b))
@@ -538,11 +546,11 @@ def descent_monotonicity_failures(f: ConvexFunction, rng, trials: int) -> list[d
 
 
 def endpoint_pinning_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
+    ends = _endpoint_pairs(rng, f, trials)
+    results = _minimize_paths(f, ends[:, 0], ends[:, 1], 1.0,
+                              MinimizeConfig(N=16, max_iters=20))
     fails = []
-    for _ in range(trials):
-        x0 = _sample_domain_x(rng, f)
-        xd = _sample_domain_x(rng, f)
-        res = minimize_action(f, x0, xd, 1.0, MinimizeConfig(N=16, max_iters=20))
+    for (x0, xd), res in zip(ends, results):
         if not (np.array_equal(res.path.nodes[0], x0)
                 and np.array_equal(res.path.nodes[-1], xd)):
             fails.append(_fail(f, x0=x0, xd=xd,
@@ -581,19 +589,21 @@ def oracle_sandwich_failures() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# gamma-scope helpers
+# gamma-scope helpers; each check builds only the built-in families it uses
 
-def _builtin_families():
-    lse = family_logsumexp_to_max(
+def _lse_family():
+    return family_logsumexp_to_max(
         np.array([[1.0], [-1.0]]), (0.5, 0.2, 0.08, 0.03), [-1.0], [1.0])
-    pen = family_penalty_to_indicator(
+
+
+def _penalty_family():
+    return family_penalty_to_indicator(
         Ball(np.zeros(2), 1.5), (1.0, 4.0, 16.0, 64.0),
         [-1.0, 0.0], [1.0, 0.0])
-    return lse, pen
 
 
 def resolvent_table_flags() -> list[str]:
-    lse, pen = _builtin_families()
+    lse, pen = _lse_family(), _penalty_family()
     flags = list(resolvent_convergence_table(lse, 0.5, [[-1.2], [0.4], [1.8]]).flags)
     flags += resolvent_convergence_table(
         pen, 0.5, [[2.0, 0.0], [0.0, 2.5], [0.5, 0.5]]).flags
@@ -601,14 +611,14 @@ def resolvent_table_flags() -> list[str]:
 
 
 def value_gap_flags() -> list[str]:
-    lse, _ = _builtin_families()
+    lse = _lse_family()
     cfg = MinimizeConfig(N=48, max_iters=200, grad_tol=1e-4)
     report = gamma_value_experiment(lse, 1.0, cfg)
     return [fl for fl in report.flags if "eventually decreasing" in fl]
 
 
 def limsup_flags() -> list[str]:
-    _, pen = _builtin_families()
+    pen = _penalty_family()
     quad = constant_family(Quadratic(np.array([[1.0]]), np.zeros(1), 0.0),
                            [0.5], [1.5], size=3)
     flags = []
@@ -620,7 +630,7 @@ def limsup_flags() -> list[str]:
 
 
 def slope_lsc_flags() -> list[str]:
-    lse, pen = _builtin_families()
+    lse, pen = _lse_family(), _penalty_family()
     flags = list(slope_semicontinuity_table(
         lse, [[-1.0], [0.0], [0.6], [1.7]]).flags)
     flags += slope_semicontinuity_table(
@@ -629,7 +639,7 @@ def slope_lsc_flags() -> list[str]:
 
 
 def report_determinism_failures() -> list[dict]:
-    lse, _ = _builtin_families()
+    lse = _lse_family()
     docs = []
     for _ in range(2):
         rep = resolvent_convergence_table(lse, 0.4, [[-1.1], [0.9]])

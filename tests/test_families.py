@@ -161,3 +161,21 @@ def test_logsumexp_members_dominate_and_converge_to_limit():
         assert vmax - m.function.epsilon * math.log(2.0) - 1e-12 <= v <= vmax
     gaps = [vmax - v for v in vals]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_each_endpoint_slope_is_computed_once(monkeypatch):
+    # one slope per member and limit endpoint, shared by the declared bound
+    # S and the family's check of its members against S
+    import actionlab.families as families
+
+    calls = []
+    real = families.slope
+
+    def counting(f, x):
+        calls.append(1)
+        return real(f, x)
+
+    monkeypatch.setattr(families, "slope", counting)
+    fam = family_logsumexp_to_max([[1.0], [-1.0]], (0.5, 0.2, 0.08, 0.03),
+                                  [-1.0], [1.0])
+    assert len(calls) == 2 * (fam.size + 1)

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from scipy.linalg import solve_banded
 import actionlab
 from actionlab.action import dubois_reymond_residual
 from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
-                              SquaredDistance)
+                              SquaredDistance, tau_cap)
 from actionlab.errors import ConfigError
 from actionlab.minimize import (MinimizeConfig, _block_tridiagonal_solve,
-                                closed_form_value, minimize_action)
-from actionlab.sets import Ball
+                                _minimize_paths, closed_form_value,
+                                minimize_action)
+from actionlab.sets import Ball, Box
 
 HALF_SQ = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
 TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])
@@ -135,16 +137,17 @@ def test_block_tridiagonal_solve_matches_banded(n, d, curved):
         else:
             ab[u - k, :k] = diagonal
     want = solve_banded((u, u), ab, b.reshape(-1)).reshape(n, d)
-    got = _block_tridiagonal_solve(diag, off, b)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+    got, ok = _block_tridiagonal_solve(diag[None], off[None], b[None])
+    assert ok.tolist() == [True]
+    np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-11 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("shift", [0.5, 1.5], ids=["definite", "indefinite"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [7, 33, 200])
 def test_block_tridiagonal_solve_tests_definiteness(n, d, shift):
-    """With definite=True the solve returns None exactly when the matrix is
-    not positive definite, below and above the dense base case, and a
+    """With definite=True the solve flags the path unsolved exactly when the
+    matrix is not positive definite, below and above the dense base case, and a
     definite system solves as np.linalg.solve.  The matrix is a Gauss-Newton
     structure shifted by shift times its least eigenvalue; at n = 200 that
     shift keeps every diagonal block positive definite, so only the Schur
@@ -162,12 +165,171 @@ def test_block_tridiagonal_solve_tests_definiteness(n, d, shift):
     if n == 200:
         assert np.all(np.linalg.eigvalsh(diag)[:, 0] > 0.0)
     b = rng.normal(size=(n, d))
-    got = _block_tridiagonal_solve(diag, off, b, definite=True)
+    got, ok = _block_tridiagonal_solve(diag[None], off[None], b[None], definite=True)
     if shift < 1.0:
         want = np.linalg.solve(A, b.reshape(-1)).reshape(n, d)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+        assert ok.tolist() == [True]
+        np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-9 * np.abs(want).max())
     else:
-        assert got is None
+        assert ok.tolist() == [False]
+
+
+def _gauss_newton_blocks(rng, n, d, k):
+    """k Gauss-Newton block-tridiagonal systems (diag, off, rhs) with a
+    leading path axis."""
+    dt = 0.7 / (n + 1)
+    K = rng.normal(size=(k, n + 1, d, d)) * 3.0
+    S = 2.0 * np.einsum("pkij,pkil->pkjl", K, K)
+    eye = np.eye(d)
+    diag = (4.0 / dt) * eye + 0.25 * dt * (S[:, :-1] + S[:, 1:])
+    off = -(2.0 / dt) * eye + 0.25 * dt * S[:, 1:-1]
+    return diag, off, rng.normal(size=(k, n, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 5, 32, 33, 255])
+def test_block_tridiagonal_solve_of_paths_is_each_paths_own_solve(n, d):
+    """A batch of k systems gives every path the bits of its one-path
+    solve, in the dense base case (n d <= 32) and through reduction levels,
+    with and without the definiteness test."""
+    rng = np.random.default_rng([n, d, 7])
+    diag, off, rhs = _gauss_newton_blocks(rng, n, d, 4)
+    for definite in (False, True):
+        got, ok = _block_tridiagonal_solve(diag, off, rhs, definite)
+        assert ok.tolist() == [True] * 4
+        for p in range(4):
+            one, one_ok = _block_tridiagonal_solve(diag[p:p + 1], off[p:p + 1],
+                                                   rhs[p:p + 1], definite)
+            assert one_ok.tolist() == [True]
+            assert np.array_equal(got[p], one[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 33, 200])
+def test_block_tridiagonal_solve_flags_only_the_indefinite_path(n, d):
+    """With definite=True, a batch mixing positive definite systems with an
+    indefinite one (the structure of the definiteness test above, shifted by
+    0.5 or 1.5 times its least eigenvalue) flags only the indefinite path,
+    raises nothing, warns nothing, and still gives the definite paths their
+    one-path bits."""
+    rng = np.random.default_rng([n, d, 11])
+    K = rng.normal(size=(3, n + 1, d, d))
+    S = K @ K.transpose(0, 1, 3, 2)
+    eye = np.eye(d)
+    diag = 2.0 * eye + S[:, :-1] + S[:, 1:]
+    off = -eye + S[:, 1:-1]
+    for p, shift in enumerate((0.5, 1.5, 0.5)):
+        low = np.linalg.eigvalsh(_dense(diag[p], off[p]))[0]
+        diag[p] -= shift * low * eye
+    rhs = rng.normal(size=(3, n, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ok = _block_tridiagonal_solve(diag, off, rhs, definite=True)
+    assert ok.tolist() == [True, False, True]
+    for p in (0, 2):
+        one = _block_tridiagonal_solve(diag[p:p + 1], off[p:p + 1], rhs[p:p + 1],
+                                       definite=True)[0][0]
+        assert np.array_equal(got[p], one)
+
+
+def _solve_in_lockstep(f, X0, XD, delta, cfg):
+    """The lockstep results and stage traces of the paths X0 -> XD, after
+    checking that each equals its own minimize_action run bit for bit."""
+    traces = [[] for _ in X0]
+    results = _minimize_paths(f, np.array(X0, dtype=float), np.array(XD, dtype=float),
+                              delta, cfg, traces)
+    assert len(results) == len(X0)
+    for res, x0, xd, trace in zip(results, X0, XD, traces):
+        solo_trace = []
+        solo = minimize_action(f, x0, xd, delta, cfg, solo_trace)
+        assert np.array_equal(res.path.nodes, solo.path.nodes)
+        assert np.array_equal(res.path.times, solo.path.times)
+        assert type(res.value_smoothed) is float
+        assert res.value_smoothed == solo.value_smoothed
+        assert res.value_true == solo.value_true
+        assert res.iterations == solo.iterations
+        assert res.converged == solo.converged
+        assert res.tau_schedule == solo.tau_schedule
+        assert trace == solo_trace
+    return results, traces
+
+
+def _stage_steps(traces):
+    return [tuple(len(t) - 1 for t in path) for path in traces]
+
+
+_LOCKSTEP_CASES = {
+    "quadratic": (
+        Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0]),
+        [[1.0, 0.0], [0.0, 0.0], [-1.5, 0.5]], [[0.0, 2.0], [0.0, 0.0], [1.0, 1.0]],
+        1.0, MinimizeConfig(N=24)),
+    # lambda = -0.9 caps the default schedule at tau_cap = 0.5 (delta/2 = 1)
+    "quadratic_negative": (
+        Quadratic([[-0.9, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+        [[0.0, 1.0], [0.0, 0.0], [0.5, -0.5]], [[1.0, 0.0], [0.0, 0.0], [-0.5, 1.5]],
+        2.0, MinimizeConfig(N=24)),
+    "log_sum_exp": (
+        LogSumExp(TRIANGLE, 0.1),
+        [[-1.0, 0.0], [0.3, -0.2], [-0.6, 0.0]], [[1.0, 0.5], [1.2, 0.9], [0.5, 0.5]],
+        1.0, MinimizeConfig(N=32)),
+    # the first two paths end at the line search's no-descent exit
+    "max_linear_1d": (
+        MaxLinear([[3.197], [1.509], [3.038]]),
+        [[0.398], [-1.0], [1.617]], [[0.034], [1.0], [1.866]],
+        3.0, MinimizeConfig(N=32)),
+    "max_linear_2d": (
+        MaxLinear(TRIANGLE),
+        [[-1.0, 0.0], [0.3, -0.2], [-0.6, 0.0]], [[1.0, 0.5], [1.2, 0.9], [0.5, 0.5]],
+        1.0, MinimizeConfig(N=32)),
+    "indicator_ball": (
+        Indicator(Ball(np.zeros(2), 1.0)),
+        [[1.0, 0.0], [-0.6, -0.8]], [[-1.0, 0.0], [0.0, 1.0]],
+        1.0, MinimizeConfig(N=32)),
+    "indicator_box": (
+        Indicator(Box([-1.0, -0.5], [1.0, 0.5])),
+        [[-1.0, -0.5], [0.5, 0.5]], [[1.0, 0.5], [-0.5, -0.5]],
+        1.0, MinimizeConfig(N=32)),
+    "squared_distance_ball": (
+        SquaredDistance(Ball(np.zeros(2), 1.0), 2.0),
+        [[-2.0, 0.0], [0.0, 0.0], [1.5, 1.5]], [[2.0, 0.5], [0.5, 0.0], [-1.5, 1.0]],
+        1.0, MinimizeConfig(N=24)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LOCKSTEP_CASES))
+def test_lockstep_paths_equal_one_path_solves(kind):
+    """Every path of a lockstep run is bit-equal to its own minimize_action
+    run: nodes, both values, iterations, converged and stage traces.  Apart
+    from the indicators, whose straight chords are already minimal, the
+    paths of a run take different step counts, so they leave the lockstep at
+    different times."""
+    f, X0, XD, delta, cfg = _LOCKSTEP_CASES[kind]
+    results, traces = _solve_in_lockstep(f, X0, XD, delta, cfg)
+    if not isinstance(f, Indicator):
+        assert len(set(_stage_steps(traces))) > 1
+    if kind == "quadratic_negative":
+        assert results[0].tau_schedule[0] == pytest.approx(tau_cap(f.lam))
+
+
+def test_lockstep_path_that_exhausts_max_iters():
+    # one Newton step per stage reaches the quadratic's minimizer, but the
+    # stop is only tested before a step, so max_iters = 1 ends every stage
+    # of the moving path unconverged while the resting one converges
+    results, traces = _solve_in_lockstep(
+        Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0]),
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]], 1.0,
+        MinimizeConfig(N=24, max_iters=1))
+    assert [r.converged for r in results] == [False, True]
+    assert _stage_steps(traces) == [(1, 1, 1, 1), (0, 0, 0, 0)]
+
+
+def test_lockstep_path_that_finds_no_descent():
+    # the first path stops unconverged with fewer than max_iters steps in
+    # every stage: its line search found no descent
+    f, X0, XD, delta, cfg = _LOCKSTEP_CASES["max_linear_1d"]
+    results, traces = _solve_in_lockstep(f, X0, XD, delta, cfg)
+    assert [r.converged for r in results] == [False, False, True]
+    assert max(_stage_steps(traces)[0]) < cfg.max_iters
 
 
 def test_indefinite_newton_hessian_falls_back_to_gauss_newton():

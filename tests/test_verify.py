@@ -5,11 +5,15 @@ from actionlab.action import discrete_action, interpolation_path
 from actionlab.convex import LogSumExp, MaxLinear, Quadratic
 from actionlab.errors import ConfigError
 from actionlab.verify import (SCOPES, coarsened_bound_failures,
+                              descent_monotonicity_failures,
+                              endpoint_pinning_failures,
                               envelope_gradient_lipschitz_failures,
                               envelope_identity_failures,
                               interpolation_bound_failures,
                               interpolation_endpoint_failures,
+                              kinetic_gradient_failures,
                               moreau_decomposition_failures,
+                              objective_gradient_failures,
                               resolvent_lipschitz_failures,
                               sampled_lower_bound_failures,
                               slope_chain_failures,
@@ -199,3 +203,43 @@ def test_moreau_decomposition_is_one_resolvent_and_one_oracle_call(vectors,
     f = MaxLinear(vectors)
     assert moreau_decomposition_failures(f, np.random.default_rng(0), 17) == []
     assert calls == [("prox", (17, f.dim)), ("oracle", (17, f.dim))]
+
+
+@pytest.mark.parametrize("helper", [descent_monotonicity_failures,
+                                    endpoint_pinning_failures])
+def test_minimizer_checks_solve_a_functions_trials_in_one_run(helper, monkeypatch):
+    import actionlab.verify as verify
+
+    runs = []
+    minimize_paths = verify._minimize_paths
+
+    def counting(f, X0, XD, *args, **kwargs):
+        runs.append(X0.shape)
+        return minimize_paths(f, X0, XD, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_minimize_paths", counting)
+    f = Quadratic(np.array([[2.0, 0.3], [0.3, 0.4]]), np.array([0.1, -0.2]))
+    assert helper(f, np.random.default_rng(0), 5) == []
+    assert runs == [(5, 2)]
+
+
+@pytest.mark.parametrize("check, paths, sizes", [
+    (lambda rng: objective_gradient_failures(
+        Quadratic(np.array([[2.0, 0.3], [0.3, 0.4]]), np.zeros(2)), rng, 7), 3, range(8, 16)),
+    (lambda rng: kinetic_gradient_failures(rng, 7), 6, range(6, 14)),
+], ids=["objective_gradient", "kinetic_gradient"])
+def test_gradient_checks_value_their_shifted_paths_in_one_call(check, paths, sizes,
+                                                               monkeypatch):
+    # Z and Z -+ h D, or the three pairs of shifted nodes, of one trial are
+    # the paths of one evaluation: one resolvent batch of paths x N rows
+    calls = []
+    prox_many = Quadratic.prox_many
+
+    def counting(self, tau, X, start=None):
+        calls.append(X.shape[0])
+        return prox_many(self, tau, X, start=start)
+
+    monkeypatch.setattr(Quadratic, "prox_many", counting)
+    assert check(np.random.default_rng(0)) == []
+    assert len(calls) == 7
+    assert all(rows % paths == 0 and rows // paths in sizes for rows in calls)

@@ -21,7 +21,7 @@ from .convex import as_point, slope
 from .errors import (ConfigError, malformed_input, real_number, real_schedule,
                      whole_number)
 from .families import MoscoFamily, eventually_decreasing
-from .minimize import MinimizeConfig, minimize_action
+from .minimize import MinimizeConfig, _config, minimize_action
 
 _ENDPOINT_TOL = 1e-8
 
@@ -92,7 +92,7 @@ def gamma_value_experiment(family: MoscoFamily, delta: float,
     value, and the optimizer's convergence flag; non-convergence and a
     non-decreasing gap tail both raise flags.
     """
-    cfg = config or MinimizeConfig()
+    cfg = _config(config)
     delta = real_number(delta, "delta", positive=True)
     limit_res = minimize_action(family.limit.function, family.limit.start,
                                 family.limit.end, delta, cfg)

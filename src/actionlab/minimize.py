@@ -99,6 +99,13 @@ class MinimizeConfig:
         return tuple(f * delta * factor for f in DEFAULT_TAU_FACTORS)
 
 
+def _config(config) -> MinimizeConfig:
+    if config is not None and not isinstance(config, MinimizeConfig):
+        raise ConfigError(f"config must be a MinimizeConfig or None, "
+                          f"got {type(config).__name__}")
+    return config or MinimizeConfig()
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
     path: Path
@@ -431,7 +438,7 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
     """`minimize_action` from each row of X0 (k, d) to that of XD in lockstep,
     path p's stage traces to stage_traces[p]; a result is bit-equal to its
     one-path solve when the kind's batched maps round each row alike."""
-    cfg = config or MinimizeConfig()
+    cfg = _config(config)
     schedule = cfg.schedule_for(delta, f.lam)
     for tau in schedule:
         f.require_admissible(tau)
@@ -442,7 +449,7 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
     s = np.linspace(0.0, 1.0, n + 1)[1:-1]
     Z = X0[:, None, :] + s[None, :, None] * (XD - X0)[:, None, :]
     if isinstance(f, Indicator):
-        Z = np.stack([f.region.project_many(z) for z in Z])
+        Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
 
     total_iters, converged = np.zeros(k, dtype=int), np.ones(k, dtype=bool)
     for tau in schedule:
@@ -454,7 +461,7 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
         total_iters += accepted
         converged &= hit
     if isinstance(f, Indicator):
-        Z = np.stack([f.region.project_many(z) for z in Z])
+        Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
     if isinstance(f, MaxLinear):    # the polish works on one path, (1, N-1, d)
         Z = np.concatenate([_polish_on_faces(obj.paths([p]), Z[p:p + 1], times)
                             for p in range(k)])

@@ -89,6 +89,12 @@ def grid_oracle(f: ConvexFunction, x0, xd, delta: float, grid: GridSpec,
         raise ConfigError("grid oracle supports dimensions 1 and 2 only")
     if f.dim != grid.dim:
         raise DimensionMismatchError("function and grid dimension differ")
+    if obstacle is not None:
+        if not isinstance(obstacle, ConvexRegion):
+            raise ConfigError(f"obstacle must be a Ball, Box or Halfspace, "
+                              f"got {type(obstacle).__name__}")
+        if obstacle.dim != grid.dim:
+            raise DimensionMismatchError("obstacle and grid dimension differ")
     time_steps = whole_number(time_steps, "time_steps")
     reach = whole_number(reach, "reach")
     node_budget = whole_number(node_budget, "node_budget")

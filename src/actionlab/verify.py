@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .action import (Path, _interpolation_nodes, _midpoint_actions,
-                     _upper_gradient, alt_action, coarsened_interpolation_bound,
-                     discrete_action, dubois_reymond_residual,
-                     interpolation_bound, recovery_action_bound, recovery_path,
-                     recovery_tolerance)
+from .action import (Path, _alt_actions, _interpolation_nodes,
+                     _midpoint_actions, _upper_gradient,
+                     coarsened_interpolation_bound, discrete_action,
+                     dubois_reymond_residual, interpolation_bound,
+                     recovery_action_bound, recovery_path, recovery_tolerance)
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
-                     Quadratic, SquaredDistance, _slope_lower_bounds, slope,
-                     tau_cap)
+                     Quadratic, SquaredDistance, _slope_lower_bounds, tau_cap)
 from .errors import ConfigError, malformed_input, whole_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
@@ -118,9 +117,7 @@ def _function_pool(rng, extra=()) -> list[ConvexFunction]:
 
 
 def _smooth_pool(rng) -> list[ConvexFunction]:
-    pool = [f for f in _function_pool(rng)
-            if isinstance(f, (Quadratic, LogSumExp))]
-    return pool
+    return [f for f in _function_pool(rng) if isinstance(f, (Quadratic, LogSumExp))]
 
 
 def _sample_taus(rng, f: ConvexFunction, n: int) -> np.ndarray:
@@ -128,37 +125,30 @@ def _sample_taus(rng, f: ConvexFunction, n: int) -> np.ndarray:
                       tau_cap(f.lam))
 
 
-def _sample_xs(rng, f: ConvexFunction, n: int, scale: float = 1.5) -> np.ndarray:
-    return rng.normal(size=(n, f.dim)) * scale
+def _sample_xs(rng, f: ConvexFunction, n: int) -> np.ndarray:
+    return rng.normal(size=(n, f.dim)) * 1.5
 
 
-def _sample_domain_xs(rng, f: ConvexFunction, n: int,
-                      scale: float = 1.5) -> np.ndarray:
-    X = _sample_xs(rng, f, n, scale)
+def _sample_domain_xs(rng, f: ConvexFunction, n: int) -> np.ndarray:
+    X = _sample_xs(rng, f, n)
     return f.region.project_many(X) if isinstance(f, Indicator) else X
 
 
-def _sample_tau(rng, f: ConvexFunction) -> float:
-    return float(_sample_taus(rng, f, 1)[0])
-
-
-def _sample_domain_x(rng, f: ConvexFunction, scale: float = 1.5) -> np.ndarray:
-    return _sample_domain_xs(rng, f, 1, scale)[0]
-
-
-def _random_path(rng, f: ConvexFunction, segments: int = 48,
-                 spread: float = 1.2) -> Path:
-    """Piecewise-linear path on [0, 1] with nodes in the effective domain."""
+def _random_nodes(rng, f: ConvexFunction, n: int, segments: int) -> np.ndarray:
+    """Nodes (n, segments+1, d) of n piecewise-linear paths on uniform times
+    over [0, 1], each a random start and walk of five steps sampled at the
+    nodes and kept in the effective domain."""
     d = f.dim
-    knots = rng.normal(size=d) * 0.8 + np.vstack(
-        [np.zeros(d), np.cumsum(rng.normal(size=(5, d)) * spread / 5, axis=0)])
-    s_knots = np.linspace(0.0, 1.0, knots.shape[0])
+    knots = np.cumsum(np.concatenate([rng.normal(size=(n, 1, d)) * 0.8,
+                                      rng.normal(size=(n, 5, d)) * 0.24], axis=1), axis=1)
+    # linear interpolation between the 6 knots is a fixed (segments+1, 6) matrix
     s = np.linspace(0.0, 1.0, segments + 1)
-    nodes = np.column_stack([np.interp(s, s_knots, knots[:, j])
-                             for j in range(d)])
+    weights = np.column_stack([np.interp(s, np.linspace(0.0, 1.0, 6), e)
+                               for e in np.eye(6)])
+    nodes = weights @ knots
     if isinstance(f, Indicator):
-        nodes = f.region.project_many(nodes)
-    return Path(s, nodes)
+        nodes = f.region.project_many(nodes.reshape(-1, d)).reshape(nodes.shape)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +190,6 @@ def envelope_identity_failures(f: ConvexFunction, rng, trials: int) -> list[dict
 
 def tilted_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """The envelope gradient at x + tau*g(x) reproduces g(x) on the domain."""
-    fails = []
     taus = _sample_taus(rng, f, trials)
     X = _sample_domain_xs(rng, f, trials)
     G = f.subgradient_many(X)
@@ -208,10 +197,8 @@ def tilted_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     Y, res = f.prox_many(taus, T)
     err = np.linalg.norm((T - Y) / taus[:, None] - G, axis=1)
     allowed = 1e-8 * (1.0 + np.linalg.norm(G, axis=1)) + 10.0 * res / taus
-    for i in np.where(~(err <= allowed))[0]:
-        fails.append(_fail(f, tau=taus[i], x=X[i], g=G[i], error=err[i],
-                           allowed=allowed[i]))
-    return fails
+    return [_fail(f, tau=taus[i], x=X[i], g=G[i], error=err[i], allowed=allowed[i])
+            for i in np.where(~(err <= allowed))[0]]
 
 
 def slope_chain_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
@@ -252,37 +239,29 @@ def _pair_resolvents(f: ConvexFunction, rng, trials: int):
 
 
 def resolvent_lipschitz_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
-    fails = []
     taus, X, Yp, dist, Jx, Jy, res = _pair_resolvents(f, rng, trials)
     ratio = np.linalg.norm(Jx - Jy, axis=1) / dist
     allowed = 1.0 / (1.0 + f.lam * taus) + 1e-8 + res / dist
-    for i in np.where(~(ratio <= allowed))[0]:
-        fails.append(_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i],
-                           allowed=allowed[i]))
-    return fails
+    return [_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i], allowed=allowed[i])
+            for i in np.where(~(ratio <= allowed))[0]]
 
 
 def envelope_gradient_lipschitz_failures(f: ConvexFunction, rng,
                                          trials: int) -> list[dict]:
-    fails = []
     # _sample_taus keeps 1 + tau*lam >= 0.55
     taus, X, Yp, dist, Jx, Jy, res = _pair_resolvents(f, rng, trials)
     t = taus[:, None]
     ratio = np.linalg.norm((X - Jx) / t - (Yp - Jy) / t, axis=1) / dist
     allowed = 3.0 / taus + 1e-8 + res / (taus * dist)
-    for i in np.where(~(ratio <= allowed))[0]:
-        fails.append(_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i],
-                           allowed=allowed[i]))
-    return fails
+    return [_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i], allowed=allowed[i])
+            for i in np.where(~(ratio <= allowed))[0]]
 
 
 def moreau_decomposition_failures(f: MaxLinear, rng, trials: int) -> list[dict]:
-    """x = J_tau(x) + tau * proj_hull(x / tau) for max-linear functions."""
-    # per-trial draws in the order of one-at-a-time sampling, then one
-    # resolvent batch and one oracle batch
-    draws = [(_sample_tau(rng, f), _sample_xs(rng, f, 1)[0]) for _ in range(trials)]
-    taus = np.array([tau for tau, _ in draws])
-    X = np.array([x for _, x in draws])
+    """x = J_tau(x) + tau * proj_hull(x / tau) for max-linear functions, from
+    one resolvent batch and one oracle batch."""
+    taus = _sample_taus(rng, f, trials)
+    X = _sample_xs(rng, f, trials)
     Y, _ = f.prox_many(taus, X)
     t = taus[:, None]
     err = np.linalg.norm(Y + t * hull_projection(f.vectors, X / t) - X, axis=1)
@@ -339,16 +318,11 @@ def sampled_lower_bound_failures(f: ConvexFunction, rng, trials: int) -> list[di
 # action-scope helpers
 
 def _interp_instances(rng, f: ConvexFunction, trials: int):
-    """taus, deltas, X0, XD of `trials` interpolation instances, drawn in the
-    order of one-at-a-time sampling."""
-    taus, deltas = np.empty(trials), np.empty(trials)
-    X0, XD = np.empty((trials, f.dim)), np.empty((trials, f.dim))
-    for i in range(trials):
-        deltas[i] = np.exp(rng.uniform(np.log(0.2), np.log(1.5)))
-        taus[i] = _sample_tau(rng, f)
-        X0[i] = _sample_domain_x(rng, f)
-        XD[i] = _sample_domain_x(rng, f)
-    return taus, deltas, X0, XD
+    """taus, deltas, X0, XD of `trials` interpolation instances."""
+    deltas = np.exp(rng.uniform(np.log(0.2), np.log(1.5), size=trials))
+    taus = _sample_taus(rng, f, trials)
+    X0 = _sample_domain_xs(rng, f, trials)
+    return taus, deltas, X0, _sample_domain_xs(rng, f, trials)
 
 
 def _coarse_and_fine_actions(f: ConvexFunction, taus, deltas, X0, XD):
@@ -398,25 +372,22 @@ def coarsened_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
 
 def null_lagrangian_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """alt action differs from the action by exactly the endpoint term,
-    up to O(1/N) quadrature on smooth kinds."""
-    fails = []
+    up to O(1/N) quadrature on smooth kinds; the trials' actions, alt
+    actions and endpoint values are one batch each."""
     segments = _NULL_LAGRANGIAN_SEGMENTS
-    for _ in range(trials):
-        path = _random_path(rng, f, segments=segments)
-        total = discrete_action(f, path).total
-        alt = alt_action(f, path)
-        f0 = f.value(path.nodes[0])
-        f1 = f.value(path.nodes[-1])
-        rhs = total - 2.0 * f1 + 2.0 * f0
-        scale = 1.0 + abs(total) + abs(f0) + abs(f1)
-        if not (abs(alt - rhs) <= 10.0 * scale / segments):
-            fails.append(_fail(f, segments=segments, error=abs(alt - rhs),
-                               allowed=10.0 * scale / segments))
-    return fails
+    nodes = _random_nodes(rng, f, trials, segments)
+    times = np.broadcast_to(np.linspace(0.0, 1.0, segments + 1), nodes.shape[:2])
+    total = sum(_midpoint_actions(f, times, nodes))
+    alt = _alt_actions(f, times, nodes)
+    f0, f1 = f.value_many(np.concatenate([nodes[:, 0], nodes[:, -1]])).reshape(2, -1)
+    err = np.abs(alt - (total - 2.0 * f1 + 2.0 * f0))
+    allowed = 10.0 * (1.0 + np.abs(total) + np.abs(f0) + np.abs(f1)) / segments
+    return [_fail(f, segments=segments, error=err[i], allowed=allowed[i])
+            for i in np.where(~(err <= allowed))[0]]
 
 
 def upper_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
-    nodes = np.array([_random_path(rng, f, segments=64).nodes for _ in range(trials)])
+    nodes = _random_nodes(rng, f, trials, 64)
     residual, tol = _upper_gradient(f, nodes)
     return [_fail(f, residual=residual[i], allowed=-tol[i],
                   start=nodes[i, 0], end=nodes[i, -1])
@@ -440,25 +411,23 @@ def interpolation_endpoint_failures(f: ConvexFunction, rng,
 
 def recovery_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Action of the patched resolvent pushforward obeys the recovery bound
-    when the same function plays member and limit."""
+    when the same function plays member and limit.  The endpoint slopes and
+    the limit actions are one batch each; every trial audits the public
+    recovery_path and discrete_action."""
     fails = []
-    for _ in range(trials):
-        tau = min(_sample_tau(rng, f), 0.35)
-        gamma = _random_path(rng, f, segments=48)
-        xh0 = gamma.nodes[0]
-        xh1 = gamma.nodes[-1]
-        s0 = slope(f, xh0)
-        s1 = slope(f, xh1)
-        if not (math.isfinite(s0) and math.isfinite(s1)):
-            continue
-        S = max(s0, s1)
-        A = discrete_action(f, gamma).total
-        rp = recovery_path(f, tau, gamma, xh0, xh1)
+    taus = np.minimum(_sample_taus(rng, f, trials), 0.35)
+    nodes = _random_nodes(rng, f, trials, 48)
+    times = np.linspace(0.0, 1.0, 49)
+    ends = np.concatenate([nodes[:, 0], nodes[:, -1]])
+    S = f.slope_many(ends).reshape(2, -1).max(axis=0)
+    A = sum(_midpoint_actions(f, np.broadcast_to(times, nodes.shape[:2]), nodes))
+    for i in np.where(np.isfinite(S))[0]:
+        rp = recovery_path(f, taus[i], Path(times, nodes[i]), nodes[i, 0], nodes[i, -1])
         act = discrete_action(f, rp).total
-        bound = recovery_action_bound(A, tau, f.lam, S)
-        tol = recovery_tolerance(A, tau, f.lam, S)
+        bound = recovery_action_bound(A[i], taus[i], f.lam, S[i])
+        tol = recovery_tolerance(A[i], taus[i], f.lam, S[i])
         if not (act <= bound + tol):
-            fails.append(_fail(f, tau=tau, S=S, action=act, limit_action=A,
+            fails.append(_fail(f, tau=taus[i], S=S[i], action=act, limit_action=A[i],
                                bound=bound, tolerance=tol))
     return fails
 
@@ -471,21 +440,25 @@ def _zero_quadratic(d: int) -> Quadratic:
 
 
 def kinetic_gradient_failures(rng, trials: int) -> list[dict]:
-    """Analytic kinetic gradient against central differences, one evaluation a trial."""
+    """Analytic kinetic gradient against central differences, one evaluation a
+    trial; a trial of dimension d and n intervals reads the first d columns
+    and n - 1 rows of its blocks."""
     fails = []
-    for _ in range(trials):
-        d = int(rng.integers(1, 3))
-        n = int(rng.integers(6, 14))
-        f = _zero_quadratic(d)
-        x0 = rng.normal(size=d)
-        xd = rng.normal(size=d)
-        Z = rng.normal(size=(n - 1, d))
-        h = 1e-6
-        entries = [(int(rng.integers(0, n - 1)), int(rng.integers(0, d))) for _k in range(3)]
+    dims, sizes = rng.integers(1, 3, size=trials), rng.integers(6, 14, size=trials)
+    X0, XD = rng.normal(size=(2, trials, 2))
+    nodes = rng.normal(size=(trials, 12, 2))
+    rows = rng.integers(0, sizes[:, None] - 1, size=(trials, 3))
+    cols = rng.integers(0, dims[:, None], size=(trials, 3))
+    h = 1e-6
+    for d, n, x0, xd, Z, I, J in zip(dims.tolist(), sizes.tolist(), X0, XD, nodes,
+                                     rows.tolist(), cols.tolist()):
+        entries = list(zip(I, J))
+        Z = Z[:n - 1, :d]
         shifted = np.repeat(Z[None], 6, axis=0)
         for e, (i, j) in enumerate(entries):
             shifted[[2 * e, 2 * e + 1], i, j] += (h, -h)
-        obj = _Objective(f, 0.3, np.tile(x0, (6, 1)), np.tile(xd, (6, 1)), 1.0 / n)
+        obj = _Objective(_zero_quadratic(d), 0.3, np.tile(x0[:d], (6, 1)),
+                         np.tile(xd[:d], (6, 1)), 1.0 / n)
         G = obj.paths([0]).kinetic_gradient(Z[None])[0]
         values = obj.evaluate(shifted)[0]
         for e, (i, j) in enumerate(entries):
@@ -502,16 +475,17 @@ def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dic
     """Full smoothed-objective directional derivative against central
     differences (relative 1e-6), Z and Z -+ hD evaluated as three paths."""
     fails = []
-    for _ in range(trials):
-        n = int(rng.integers(8, 16))
-        x0 = _sample_domain_x(rng, f)
-        xd = _sample_domain_x(rng, f)
-        tau = max(0.1, _sample_tau(rng, f))
+    sizes = rng.integers(8, 16, size=trials)
+    X0 = _sample_domain_xs(rng, f, trials)
+    XD = _sample_domain_xs(rng, f, trials)
+    taus = np.maximum(0.1, _sample_taus(rng, f, trials))
+    # each trial uses the first n - 1 rows of its noise and direction blocks
+    noise = rng.normal(size=(trials, 14, f.dim)) * 0.1
+    directions = rng.normal(size=(trials, 14, f.dim))
+    for n, x0, xd, tau, z, D in zip(sizes.tolist(), X0, XD, taus, noise, directions):
         s = np.linspace(0.0, 1.0, n + 1)[1:-1]
-        Z = x0[None, :] + s[:, None] * (xd - x0)[None, :] \
-            + rng.normal(size=(n - 1, f.dim)) * 0.1
-        D = rng.normal(size=Z.shape)
-        D /= np.linalg.norm(D)
+        Z = x0[None, :] + s[:, None] * (xd - x0)[None, :] + z[:n - 1]
+        D = D[:n - 1] / np.linalg.norm(D[:n - 1])
         h = 1e-5 * (1.0 + float(np.abs(Z).max()))
         obj = _Objective(f, tau, np.tile(x0, (3, 1)), np.tile(xd, (3, 1)), 1.0 / n)
         values, (mids, Y) = obj.evaluate(np.stack([Z, Z + h * D, Z - h * D]))
@@ -524,9 +498,8 @@ def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dic
 
 
 def _endpoint_pairs(rng, f: ConvexFunction, trials: int) -> np.ndarray:
-    """(trials, 2, d): each trial's x0 and xd, drawn in trial order."""
-    return np.array([[_sample_domain_x(rng, f), _sample_domain_x(rng, f)]
-                     for _ in range(trials)])
+    """(trials, 2, d): each trial's x0 and xd."""
+    return _sample_domain_xs(rng, f, 2 * trials).reshape(trials, 2, f.dim)
 
 
 def descent_monotonicity_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
@@ -656,12 +629,7 @@ def _per_function(helper, pool_fn, default: int):
     def runner(rng, samples, extra):
         n = default if samples is None else samples
         pool = pool_fn(rng, extra) if pool_fn is _function_pool else pool_fn(rng)
-        failures = []
-        tested = 0
-        for f in pool:
-            failures.extend(helper(f, rng, n))
-            tested += n
-        return tested, failures
+        return n * len(pool), [fail for f in pool for fail in helper(f, rng, n)]
     return runner
 
 
@@ -769,6 +737,10 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
         scopes = (scopes,)
     with malformed_input("scopes and extra_functions"):
         scopes, extra_functions = tuple(scopes), tuple(extra_functions)
+        for f in extra_functions:
+            if not isinstance(f, ConvexFunction):
+                raise ConfigError(f"extra_functions items must be ConvexFunctions, "
+                                  f"got {type(f).__name__}")
     for s in scopes:
         if s not in SCOPES:
             raise ConfigError(f"unknown scope {s!r}; choose from {SCOPES}")

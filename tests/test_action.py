@@ -88,6 +88,10 @@ GRID = GridSpec([0.0], [1.0], (8,))
     lambda: dubois_reymond_residual(HALF_SQ, "x"),
     lambda: recovery_path(HALF_SQ, 0.5, "x", [0.0], [1.0]),
     lambda: gamma_limsup_experiment(LSE_FAMILY, "x", [0.5]),
+    lambda: grid_oracle(HALF_SQ, [0.0], [1.0], 1.0, GRID, 4, obstacle="x"),
+    lambda: minimize_action(HALF_SQ, [0.0], [1.0], 1.0, config={"N": 8}),
+    lambda: gamma_value_experiment(LSE_FAMILY, 1.0, config="x"),
+    lambda: verify_suite("convex", samples=1, extra_functions=(3,)),
 ], ids=["grid_oracle-reach", "straight-intervals", "interpolation_path-M",
         "closed_form_value-missing", "project-dimension", "prox-non-number",
         "path-non-number", "prox_many-non-number",
@@ -107,7 +111,9 @@ GRID = GridSpec([0.0], [1.0], (8,))
         "resolvent_table-probes", "slope_semicontinuity_table-probes",
         "verify_suite-scopes", "verify_suite-extra_functions", "family-members",
         "discrete_action-path", "alt_action-path", "upper_gradient_residual-path",
-        "dubois_reymond_residual-path", "recovery_path-gamma", "limsup-gamma"])
+        "dubois_reymond_residual-path", "recovery_path-gamma", "limsup-gamma",
+        "grid_oracle-obstacle", "minimize_action-config",
+        "gamma_value_experiment-config", "verify_suite-extra_function_item"])
 def test_public_entry_points_raise_package_errors(call):
     with pytest.raises(ActionLabError):
         call()

@@ -7,7 +7,7 @@ from actionlab.convex import Indicator, Quadratic
 from actionlab.errors import ConfigError, DimensionMismatchError
 from actionlab.minimize import closed_form_value
 from actionlab.oracle import GridSpec, grid_oracle, speed_quantization_bias
-from actionlab.sets import Ball
+from actionlab.sets import Ball, Box
 
 ZERO_1D = Quadratic(np.zeros((1, 1)), np.zeros(1), 0.0)
 ZERO_2D = Quadratic(np.zeros((2, 2)), np.zeros(2), 0.0)
@@ -67,6 +67,17 @@ def test_obstacle_on_endpoint_gives_infinite_cost():
     val = grid_oracle(ZERO_2D, [-1.0, 0.0], [1.0, 0.0], 1.0, grid, 10,
                       obstacle=Ball(np.array([1.0, 0.0]), 0.2))
     assert val == np.inf
+
+
+@pytest.mark.parametrize("f, grid, obstacle", [
+    (HALF_SQ, GridSpec([-1.0], [2.0], (6,)), Ball(np.zeros(2), 0.1)),
+    (ZERO_2D, GridSpec([-1.0, -1.0], [1.0, 1.0], (4, 4)), Box([-0.1], [0.1])),
+], ids=["2d-ball-on-1d-grid", "1d-box-on-2d-grid"])
+def test_obstacle_of_another_dimension_is_rejected(f, grid, obstacle):
+    # broadcasting the half-grid points against the obstacle would otherwise
+    # return a number
+    with pytest.raises(DimensionMismatchError, match="obstacle"):
+        grid_oracle(f, grid.lo, grid.hi, 1.0, grid, 4, obstacle=obstacle)
 
 
 def test_indicator_blocks_through_slope_table():

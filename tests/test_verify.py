@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from actionlab.action import discrete_action, interpolation_path
-from actionlab.convex import LogSumExp, MaxLinear, Quadratic
+from actionlab.action import (Path, _alt_actions, alt_action, discrete_action,
+                              interpolation_path)
+from actionlab.convex import Indicator, LogSumExp, MaxLinear, Quadratic
 from actionlab.errors import ConfigError
-from actionlab.verify import (SCOPES, coarsened_bound_failures,
+from actionlab.verify import (SCOPES, _random_nodes, coarsened_bound_failures,
                               descent_monotonicity_failures,
                               endpoint_pinning_failures,
                               envelope_gradient_lipschitz_failures,
@@ -13,13 +14,16 @@ from actionlab.verify import (SCOPES, coarsened_bound_failures,
                               interpolation_endpoint_failures,
                               kinetic_gradient_failures,
                               moreau_decomposition_failures,
+                              null_lagrangian_failures,
                               objective_gradient_failures,
+                              recovery_bound_failures,
                               resolvent_lipschitz_failures,
                               sampled_lower_bound_failures,
                               slope_chain_failures,
                               slope_tau_monotonicity_failures,
                               tilted_gradient_failures,
                               upper_gradient_failures, verify_suite)
+from actionlab.sets import Ball, Box, Halfspace
 
 
 def test_full_suite_is_clean_at_seed_zero():
@@ -243,3 +247,71 @@ def test_gradient_checks_value_their_shifted_paths_in_one_call(check, paths, siz
     assert check(np.random.default_rng(0)) == []
     assert len(calls) == 7
     assert all(rows % paths == 0 and rows // paths in sizes for rows in calls)
+
+
+def _count_outer_calls(monkeypatch, cls, names):
+    """Record (name, rows) of each call of cls's methods in names that is not
+    made from inside another recorded one (the base slope_many calls
+    subgradient_many)."""
+    calls, depth = [], [0]
+
+    def wrap(name, method):
+        def counting(self, X, *args, **kwargs):
+            if depth[0] == 0:
+                calls.append((name, X.shape[0]))
+            depth[0] += 1
+            try:
+                return method(self, X, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counting
+
+    for name in names:
+        monkeypatch.setattr(cls, f"{name}_many", wrap(name, getattr(cls, f"{name}_many")))
+    return calls
+
+
+def test_null_lagrangian_is_one_batch_per_function(monkeypatch):
+    calls = _count_outer_calls(monkeypatch, Quadratic, ("slope", "subgradient", "value"))
+    f = Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2]))
+    assert null_lagrangian_failures(f, np.random.default_rng(0), 17) == []
+    # the 64 chord midpoints of each path, then both endpoints of each
+    assert calls == [("slope", 17 * 64), ("subgradient", 17 * 64), ("value", 2 * 17)]
+
+
+def test_recovery_bound_reads_its_endpoint_slopes_in_one_call(monkeypatch):
+    calls = _count_outer_calls(monkeypatch, Quadratic, ("slope",))
+    f = Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2]))
+    assert recovery_bound_failures(f, np.random.default_rng(0), 17) == []
+    # both endpoints of every path, the limit actions of its 48 chords, then
+    # one public discrete_action of each trial's recovery path
+    assert calls[:2] == [("slope", 2 * 17), ("slope", 17 * 48)]
+    assert len(calls) == 2 + 17 and all(rows > 48 for _, rows in calls[2:])
+
+
+@pytest.mark.parametrize("f", [
+    Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2])),
+    LogSumExp(np.array([[1.0, 0.2], [-0.4, 1.0], [0.0, -1.0]]), 0.3),
+    MaxLinear(np.array([[1.0], [-0.5], [2.0]])),
+], ids=["quadratic", "log_sum_exp", "max_linear"])
+def test_alt_actions_rows_are_each_paths_alt_action(f):
+    rng = np.random.default_rng(4)
+    times = np.cumsum(rng.uniform(0.1, 1.0, size=(5, 33)), axis=1)
+    nodes = rng.normal(size=(5, 33, f.dim))
+    alt = _alt_actions(f, times, nodes)
+    for i in range(5):
+        assert alt[i] == pytest.approx(alt_action(f, Path(times[i], nodes[i])), rel=1e-13)
+
+
+@pytest.mark.parametrize("f", [
+    Quadratic(np.eye(3), np.zeros(3)),
+    Indicator(Ball(np.array([0.3, -0.2]), 0.4)),
+    Indicator(Box(np.array([-0.2, 0.0]), np.array([0.3, 0.1]))),
+    Indicator(Halfspace(np.array([1.0, -2.0]), -0.5)),
+], ids=["quadratic", "ball", "box", "halfspace"])
+def test_random_nodes_shape_and_domain(f):
+    nodes = _random_nodes(np.random.default_rng(0), f, 7, 48)
+    assert nodes.shape == (7, 49, f.dim)
+    assert np.isfinite(nodes).all()
+    if isinstance(f, Indicator):
+        assert f.region.contains_many(nodes.reshape(-1, f.dim)).all()

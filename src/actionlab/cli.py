@@ -80,8 +80,6 @@ def _minimize_config(args, config: dict) -> MinimizeConfig:
         v = getattr(args, attr, None)
         if v is not None:
             flags[key] = v
-    if getattr(args, "tau_schedule", None) is not None:
-        flags["tau_schedule"] = _floats(args.tau_schedule)
     with malformed_input("the 'minimize' config section"):
         return MinimizeConfig(**{**config.get("minimize", {}), **flags})
 
@@ -222,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def minimize_flags(p):
         p.add_argument("--n", type=int, help="interior resolution N")
-        p.add_argument("--tau-schedule", help="comma-separated decreasing taus")
         p.add_argument("--max-iters", type=int)
         p.add_argument("--grad-tol", type=float)
 

@@ -58,9 +58,9 @@ from .action import Path, discrete_action
 from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks, as_point,
                      tau_cap)
 from .errors import (ConfigError, malformed_input, real_array, real_number,
-                     real_schedule, whole_number)
+                     whole_number)
 
-DEFAULT_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)
+_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)   # the tau schedule, times delta
 _STEP_SHRINK = 0.5      # Armijo backtracking from the full Newton step: shrink
 _STEP_DECREASE = 1e-4   # factor and sufficient-decrease constant
 _DENSE_SIZE = 32        # block cyclic reduction solves densely at n*d <= this
@@ -71,32 +71,27 @@ _FACE_PASSES = 64       # and identify-then-solve passes
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Resolution N (intervals), tau continuation schedule (None for the
-    default scaled to delta), max_iters accepted steps per stage, and the
+    """Resolution N (intervals), max_iters accepted steps per stage, and the
     dimensionless stopping tolerance grad_tol: a stage stops once the Newton
     decrement g^T H^-1 g is at most grad_tol^2 times the larger of the straight
     segment's kinetic energy |xd - x0|^2/delta and the current objective."""
 
     N: int = 256
-    tau_schedule: tuple[float, ...] | None = None
     max_iters: int = 600
     grad_tol: float = 1e-5
 
     def __post_init__(self):
         object.__setattr__(self, "N", whole_number(self.N, "N"))
-        if self.tau_schedule is not None:
-            object.__setattr__(self, "tau_schedule",
-                               real_schedule(self.tau_schedule, "tau_schedule", -1))
         object.__setattr__(self, "max_iters", whole_number(self.max_iters, "max_iters"))
         object.__setattr__(self, "grad_tol",
                            real_number(self.grad_tol, "grad_tol", positive=True))
 
-    def schedule_for(self, delta: float, lam: float) -> tuple[float, ...]:
-        if self.tau_schedule is not None:
-            return self.tau_schedule
-        # keep the whole default schedule admissible with margin
-        factor = min(1.0, tau_cap(lam) / (DEFAULT_TAU_FACTORS[0] * delta))
-        return tuple(f * delta * factor for f in DEFAULT_TAU_FACTORS)
+
+def _schedule(delta: float, lam: float) -> tuple[float, ...]:
+    """The tau continuation schedule for horizon delta and modulus lam, scaled
+    down as a whole where needed to keep every tau within tau_cap(lam)."""
+    factor = min(1.0, tau_cap(lam) / (_TAU_FACTORS[0] * delta))
+    return tuple(f * delta * factor for f in _TAU_FACTORS)
 
 
 def _config(config) -> MinimizeConfig:
@@ -108,12 +103,17 @@ def _config(config) -> MinimizeConfig:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """The minimizing path and its smoothed and true actions.  stage_energies
+    holds, per continuation stage, the objective at the stage's start and
+    after each accepted step; iterations counts those steps."""
+
     path: Path
     value_smoothed: float
     value_true: float
     iterations: int
     converged: bool
     tau_schedule: tuple[float, ...]
+    stage_energies: tuple[tuple[float, ...], ...]
 
 
 class _Objective:
@@ -283,10 +283,10 @@ def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
 
 
 def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
-           ) -> tuple[np.ndarray, list[int], list[bool], list[float], list[list]]:
+           ) -> tuple[np.ndarray, list[bool], list[list[float]]]:
     """Damped Newton steps on obj from Z (k, N-1, d), the k paths in
-    lockstep: per path the last iterate, its accepted step count, whether it
-    met the stopping rule, its energy, and the trace of accepted energies.
+    lockstep: per path the last iterate, whether it met the stopping rule,
+    and its energies, the start's and then each accepted step's.
 
     A step solves the exact Newton system when the kind gives a curvature
     term and that path's Hessian is positive definite, else the Gauss-Newton
@@ -294,12 +294,11 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
     The paths still searching share a step length and a resolvent batch per
     trial, each with its own Armijo test."""
     values, (mids, Y) = obj.evaluate(Z)
-    energy = values.tolist()
-    k, traces = len(energy), [[e] for e in energy]
+    traces = [[e] for e in values.tolist()]
     segment = [float(v @ v) / (obj.dt * (Z.shape[1] + 1)) for v in obj.XD - obj.X0]
-    Z_end, accepted, hit = np.empty_like(Z), [0] * k, [False] * k
+    Z_end, hit = np.empty_like(Z), [False] * len(traces)
     # the paths still stepping; obj, Z, mids and Y hold their rows in order
-    run = list(range(k))
+    run = list(range(len(traces)))
     for _ in range(cfg.max_iters):
         grad, gauss_newton, newton, K = obj.newton_system(Z, (mids, Y))
         direction, ok = _block_tridiagonal_solve(*(newton or gauss_newton), grad,
@@ -309,7 +308,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
                                                       grad[~ok])[0]
         decrement = (grad * direction).reshape(len(run), -1).sum(axis=1).tolist()
         for i, p in enumerate(run):
-            hit[p] = decrement[i] <= cfg.grad_tol**2 * max(segment[p], energy[p])
+            hit[p] = decrement[i] <= cfg.grad_tol**2 * max(segment[p], traces[p][-1])
         moving = [i for i, p in enumerate(run) if not hit[p]]   # rows that step
         if not moving:
             break
@@ -329,13 +328,12 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
                 candidate, Y[rows] - step * dY[rows])
             good = []
             for j, (i, c) in enumerate(zip(search, cand_energy.tolist())):
-                p = run[i]
+                trace = traces[run[i]]
                 # a step too short to change the energy is no progress, even
                 # when the Armijo bound rounds to the energy itself
-                if c < energy[p] and c <= energy[p] - _STEP_DECREASE * step * decrement[i]:
+                if c < trace[-1] and c <= trace[-1] - _STEP_DECREASE * step * decrement[i]:
                     good.append(j)
-                    energy[p], accepted[p] = c, accepted[p] + 1
-                    traces[p].append(c)
+                    trace.append(c)
             if len(good) == len(run):
                 Z, mids, Y = candidate, cand_mids, cand_Y
             elif good:
@@ -353,7 +351,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
             run = [run[i] for i in stays]
             Z, mids, Y, obj = Z[stays], mids[stays], Y[stays], obj.paths(stays)
     Z_end[run] = Z
-    return Z_end, accepted, hit, energy, traces
+    return Z_end, hit, traces
 
 
 def _face_projectors(obj: _Objective, Z: np.ndarray) -> np.ndarray:
@@ -433,15 +431,12 @@ def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray) -> np.nd
 
 
 def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: float,
-                    config: MinimizeConfig | None = None,
-                    stage_traces: list | None = None) -> list[MinimizeResult]:
-    """`minimize_action` from each row of X0 (k, d) to that of XD in lockstep,
-    path p's stage traces to stage_traces[p]; a result is bit-equal to its
-    one-path solve when the kind's batched maps round each row alike."""
+                    config: MinimizeConfig | None = None) -> list[MinimizeResult]:
+    """`minimize_action` from each row of X0 (k, d) to that of XD in lockstep;
+    a result is bit-equal to its one-path solve when the kind's batched maps
+    round each row alike."""
     cfg = _config(config)
-    schedule = cfg.schedule_for(delta, f.lam)
-    for tau in schedule:
-        f.require_admissible(tau)
+    schedule = _schedule(delta, f.lam)
 
     k, n = X0.shape[0], cfg.N
     times = np.linspace(0.0, delta, n + 1)
@@ -451,15 +446,15 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
     if isinstance(f, Indicator):
         Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
 
-    total_iters, converged = np.zeros(k, dtype=int), np.ones(k, dtype=bool)
+    by_stage, converged = [], np.ones(k, dtype=bool)
     for tau in schedule:
         obj = _Objective(f, tau, X0, XD, dt)
-        # value_smoothed is the last stage's energy while Z is its iterate
-        Z, accepted, hit, value_smoothed, traces = _stage(obj, Z, cfg)
-        for path_traces, trace in zip(stage_traces or (), traces):
-            path_traces.append(trace)
-        total_iters += accepted
+        Z, hit, traces = _stage(obj, Z, cfg)
+        by_stage.append(traces)
         converged &= hit
+    energies = [tuple(map(tuple, path)) for path in zip(*by_stage)]
+    # value_smoothed is the last stage's energy while Z is its iterate
+    value_smoothed = [path[-1][-1] for path in energies]
     if isinstance(f, Indicator):
         Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
     if isinstance(f, MaxLinear):    # the polish works on one path, (1, N-1, d)
@@ -471,32 +466,31 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
     paths = [Path(times, nodes) for nodes in obj.full_nodes(Z)]
     return [MinimizeResult(path=path, value_smoothed=float(value),
                            value_true=discrete_action(f, path).total,
-                           iterations=int(iters), converged=bool(done),
-                           tau_schedule=tuple(schedule))
-            for path, value, iters, done in zip(paths, value_smoothed, total_iters, converged)]
+                           iterations=sum(len(trace) - 1 for trace in stages),
+                           converged=bool(done), tau_schedule=schedule,
+                           stage_energies=stages)
+            for path, value, stages, done in zip(paths, value_smoothed, energies, converged)]
 
 
 def minimize_action(f: ConvexFunction, x0, xd, delta: float,
-                    config: MinimizeConfig | None = None,
-                    stage_traces: list | None = None) -> MinimizeResult:
+                    config: MinimizeConfig | None = None) -> MinimizeResult:
     """Minimize the smoothed action over paths from x0 to xd on [0, delta].
 
-    Runs the tau-continuation schedule with warm starts.  Running out of
-    iterations is not an error (converged=False is returned instead), but a
-    resolvent solver failure (a resolvent iteration that runs out of its
-    iteration cap) propagates as SolverError.  Endpoints of the returned path
-    are bit-equal to the inputs.  For indicator functions the initial segment
-    and the final iterate are projected node-wise into the region; for
-    max_linear the final iterate is moved onto the kink faces its midpoints
-    identify when that lowers the true action.
-    When stage_traces is a list, one list of accepted objective values is
-    appended per continuation stage (descent audits hook in here).
+    Runs the tau-continuation schedule with warm starts; the schedule is
+    fixed by delta and the modulus of f, and the result reports it with the
+    energies of every stage.  Running out of iterations is not an error
+    (converged=False is returned instead), but a resolvent solver failure (a
+    resolvent iteration that runs out of its iteration cap) propagates as
+    SolverError.  Endpoints of the returned path are bit-equal to the
+    inputs.  For indicator functions the initial segment and the final
+    iterate are projected node-wise into the region; for max_linear the
+    final iterate is moved onto the kink faces its midpoints identify when
+    that lowers the true action.
     """
     delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
-    traces = None if stage_traces is None else [stage_traces]
-    return _minimize_paths(f, x0[None], xd[None], delta, config, traces)[0]
+    return _minimize_paths(f, x0[None], xd[None], delta, config)[0]
 
 
 @malformed_input("closed-form case")

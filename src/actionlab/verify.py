@@ -87,7 +87,13 @@ class VerifyReport:
 
 
 def _fail(f: ConvexFunction, **data) -> dict:
-    return serialize.to_plain({"function": f, **data})
+    """A failure record; a function the document codec cannot write (an
+    extra function of a class outside its kinds) is named by its class."""
+    try:
+        function = serialize.function_to_dict(f)
+    except ConfigError:
+        function = {"class": type(f).__name__}
+    return serialize.to_plain({"function": function, **data})
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +512,10 @@ def descent_monotonicity_failures(f: ConvexFunction, rng, trials: int) -> list[d
     """Accepted objective values never increase within a continuation stage;
     the trials are solved in one lockstep run."""
     ends = _endpoint_pairs(rng, f, trials)
-    traces: list = [[] for _ in range(trials)]
     cfg = MinimizeConfig(N=24, max_iters=60, grad_tol=1e-6)
-    _minimize_paths(f, ends[:, 0], ends[:, 1], 1.0, cfg, stage_traces=traces)
     fails = []
-    for path_traces in traces:
-        for stage, tr in enumerate(path_traces):
+    for res in _minimize_paths(f, ends[:, 0], ends[:, 1], 1.0, cfg):
+        for stage, tr in enumerate(res.stage_energies):
             for a, b in zip(tr, tr[1:]):
                 if not (b <= a + 1e-12 * (1.0 + abs(a))):
                     fails.append(_fail(f, stage=stage, before=a, after=b))

@@ -20,7 +20,7 @@ from actionlab.experiments import (gamma_limsup_experiment,
 from actionlab.families import (MoscoFamily, eventually_decreasing,
                                 family_logsumexp_to_max,
                                 family_penalty_to_indicator)
-from actionlab.minimize import MinimizeConfig, closed_form_value, minimize_action
+from actionlab.minimize import closed_form_value, minimize_action
 from actionlab.minnorm import hull_projection, min_norm_point_with_gap
 from actionlab.oracle import GridSpec, grid_oracle, speed_quantization_bias
 from actionlab.sets import Ball, Halfspace, project
@@ -70,7 +70,6 @@ GRID = GridSpec([0.0], [1.0], (8,))
     lambda: eventually_decreasing(["x", 1]),
     lambda: MaxLinear([[1], [1, 2]]),
     lambda: Quadratic([[1.0]], [0.0], math.nan),
-    lambda: MinimizeConfig(tau_schedule=[math.inf]),
     lambda: grid_oracle(HALF_SQ, [0.0], [1.0], 1.0, GRID, 4, node_budget="x"),
     lambda: min_norm_point_with_gap([[1.0, 0.0], [0.0, 1.0]], max_iter="x"),
     lambda: recovery_action_bound("x", 0.5, 0.0, 1.0),
@@ -105,7 +104,7 @@ GRID = GridSpec([0.0], [1.0], (8,))
         "family-epsilons", "family-penalties", "limsup-taus",
         "straight-endpoints", "hull_projection-target",
         "eventually_decreasing-values", "max_linear-ragged", "quadratic-c-nan",
-        "tau_schedule-inf", "grid_oracle-node_budget", "min_norm_point-max_iter",
+        "grid_oracle-node_budget", "min_norm_point-max_iter",
         "recovery_action_bound-action", "recovery_action_bound-nan",
         "recovery_tolerance-tau", "recovery_tolerance-nan",
         "resolvent_table-probes", "slope_semicontinuity_table-probes",

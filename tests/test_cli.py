@@ -239,12 +239,26 @@ def test_garbled_point_is_an_argparse_error(capsys, quad_file):
     assert "'two'" in capsys.readouterr().err
 
 
-def test_garbled_tau_schedule_is_a_clean_error(capsys, quad_file):
-    code, _, err = run(capsys, ["minimize", "--function", quad_file,
-                                "--delta", "1", "--x0", "1", "--xd", "2",
-                                "--tau-schedule", "0.5,abc"])
+def test_tau_schedule_flag_is_an_argparse_error(capsys, quad_file):
+    # the schedule follows from delta and the function; no flag sets it
+    with pytest.raises(SystemExit) as excinfo:
+        main(["minimize", "--function", quad_file, "--delta", "1",
+              "--x0", "1", "--xd", "2", "--tau-schedule", "0.5,0.1"])
+    assert excinfo.value.code == 2
+    assert "error: unrecognized arguments: --tau-schedule" in capsys.readouterr().err
+
+
+def test_stalled_resolvent_is_a_clean_error(capsys, tmp_path, monkeypatch):
+    import actionlab.convex as convex
+    monkeypatch.setattr(convex, "_NEWTON_CAP", 1)
+    doc = tmp_path / "lse.json"
+    doc.write_text(json.dumps({"kind": "log_sum_exp", "params": {
+        "vectors": [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]], "epsilon": 1e-4}}))
+    code, out, err = run(capsys, ["prox", "--function", str(doc),
+                                  "--tau", "0.5", "--point", "0.3,0.2"])
     assert code == 2
-    assert "0.5,abc" in err
+    assert out == ""
+    assert err.startswith("error:") and "stalled" in err
 
 
 def test_value_experiment_ok_at_default_settings(capsys, family_file, tmp_path):
@@ -291,7 +305,7 @@ def test_malformed_document_value_is_a_clean_error(capsys, tmp_path, case):
 
 
 @pytest.mark.parametrize("key", ["fd_step", "fd_scale", "preconditioner",
-                                 "step_rule"])
+                                 "step_rule", "tau_schedule"])
 def test_unknown_minimize_key_is_a_clean_error(capsys, quad_file, tmp_path, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"minimize": {"N": 16, key: 1e-5}}))
@@ -327,12 +341,15 @@ BAD_CONFIG = {
     "verify-seed": (["verify", "--scope", "gamma"], {"seed": "x"}),
     "minimize-delta": (["minimize"], {"function": QUAD, "delta": "x",
                                       "x0": [1.0], "xd": [2.0]}),
+    "minimize-no-function": (["minimize"], {"delta": 1.0, "x0": [1.0],
+                                            "xd": [2.0]}),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_CONFIG))
 def test_non_numeric_config_value_is_a_clean_error(capsys, tmp_path, case):
-    # config values reach the entry points raw, and those reject them
+    # config values reach the entry points raw, and those reject them; a
+    # command given no function document at all is rejected the same way
     argv, config = BAD_CONFIG[case]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -14,10 +14,10 @@ from scipy.linalg import solve_banded
 import actionlab
 from actionlab.action import dubois_reymond_residual
 from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
-                              SquaredDistance, tau_cap)
-from actionlab.errors import ConfigError
+                              SquaredDistance, prox, tau_cap)
+from actionlab.errors import ConfigError, SolverError
 from actionlab.minimize import (MinimizeConfig, _block_tridiagonal_solve,
-                                _minimize_paths, closed_form_value,
+                                _minimize_paths, _schedule, closed_form_value,
                                 minimize_action)
 from actionlab.sets import Ball, Box
 
@@ -82,14 +82,16 @@ def test_endpoints_bit_equal():
     assert np.array_equal(res.path.nodes[-1], np.asarray(xd))
 
 
-def test_stage_traces_monotone_decrease():
-    traces = []
-    res = minimize_action(HALF_SQ, [0.0], [1.5], 1.0, MinimizeConfig(N=64),
-                          stage_traces=traces)
-    assert len(traces) == len(res.tau_schedule)
-    for trace in traces:
+def test_stage_energies_monotone_decrease():
+    res = minimize_action(HALF_SQ, [0.0], [1.5], 1.0, MinimizeConfig(N=64))
+    assert len(res.stage_energies) == len(res.tau_schedule)
+    for trace in res.stage_energies:
         assert len(trace) >= 1
         assert all(b <= a for a, b in zip(trace, trace[1:]))
+    # a stage's accepted steps are its energies after the first, and the
+    # smoothed value is the last stage's last energy
+    assert res.iterations == sum(len(t) - 1 for t in res.stage_energies) > 0
+    assert res.value_smoothed == res.stage_energies[-1][-1]
 
 
 def test_non_convergence_reported_not_raised():
@@ -233,15 +235,13 @@ def test_block_tridiagonal_solve_flags_only_the_indefinite_path(n, d):
 
 
 def _solve_in_lockstep(f, X0, XD, delta, cfg):
-    """The lockstep results and stage traces of the paths X0 -> XD, after
-    checking that each equals its own minimize_action run bit for bit."""
-    traces = [[] for _ in X0]
+    """The lockstep results of the paths X0 -> XD, after checking that each
+    equals its own minimize_action run bit for bit."""
     results = _minimize_paths(f, np.array(X0, dtype=float), np.array(XD, dtype=float),
-                              delta, cfg, traces)
+                              delta, cfg)
     assert len(results) == len(X0)
-    for res, x0, xd, trace in zip(results, X0, XD, traces):
-        solo_trace = []
-        solo = minimize_action(f, x0, xd, delta, cfg, solo_trace)
+    for res, x0, xd in zip(results, X0, XD):
+        solo = minimize_action(f, x0, xd, delta, cfg)
         assert np.array_equal(res.path.nodes, solo.path.nodes)
         assert np.array_equal(res.path.times, solo.path.times)
         assert type(res.value_smoothed) is float
@@ -250,12 +250,12 @@ def _solve_in_lockstep(f, X0, XD, delta, cfg):
         assert res.iterations == solo.iterations
         assert res.converged == solo.converged
         assert res.tau_schedule == solo.tau_schedule
-        assert trace == solo_trace
-    return results, traces
+        assert res.stage_energies == solo.stage_energies
+    return results
 
 
-def _stage_steps(traces):
-    return [tuple(len(t) - 1 for t in path) for path in traces]
+def _stage_steps(results):
+    return [tuple(len(t) - 1 for t in res.stage_energies) for res in results]
 
 
 _LOCKSTEP_CASES = {
@@ -299,14 +299,14 @@ _LOCKSTEP_CASES = {
 @pytest.mark.parametrize("kind", list(_LOCKSTEP_CASES))
 def test_lockstep_paths_equal_one_path_solves(kind):
     """Every path of a lockstep run is bit-equal to its own minimize_action
-    run: nodes, both values, iterations, converged and stage traces.  Apart
+    run: nodes, both values, iterations, converged and stage energies.  Apart
     from the indicators, whose straight chords are already minimal, the
     paths of a run take different step counts, so they leave the lockstep at
     different times."""
     f, X0, XD, delta, cfg = _LOCKSTEP_CASES[kind]
-    results, traces = _solve_in_lockstep(f, X0, XD, delta, cfg)
+    results = _solve_in_lockstep(f, X0, XD, delta, cfg)
     if not isinstance(f, Indicator):
-        assert len(set(_stage_steps(traces))) > 1
+        assert len(set(_stage_steps(results))) > 1
     if kind == "quadratic_negative":
         assert results[0].tau_schedule[0] == pytest.approx(tau_cap(f.lam))
 
@@ -315,21 +315,21 @@ def test_lockstep_path_that_exhausts_max_iters():
     # one Newton step per stage reaches the quadratic's minimizer, but the
     # stop is only tested before a step, so max_iters = 1 ends every stage
     # of the moving path unconverged while the resting one converges
-    results, traces = _solve_in_lockstep(
+    results = _solve_in_lockstep(
         Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0]),
         [[1.0, 0.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]], 1.0,
         MinimizeConfig(N=24, max_iters=1))
     assert [r.converged for r in results] == [False, True]
-    assert _stage_steps(traces) == [(1, 1, 1, 1), (0, 0, 0, 0)]
+    assert _stage_steps(results) == [(1, 1, 1, 1), (0, 0, 0, 0)]
 
 
 def test_lockstep_path_that_finds_no_descent():
     # the first path stops unconverged with fewer than max_iters steps in
     # every stage: its line search found no descent
     f, X0, XD, delta, cfg = _LOCKSTEP_CASES["max_linear_1d"]
-    results, traces = _solve_in_lockstep(f, X0, XD, delta, cfg)
+    results = _solve_in_lockstep(f, X0, XD, delta, cfg)
     assert [r.converged for r in results] == [False, False, True]
-    assert max(_stage_steps(traces)[0]) < cfg.max_iters
+    assert max(_stage_steps(results)[0]) < cfg.max_iters
 
 
 def test_indefinite_newton_hessian_falls_back_to_gauss_newton():
@@ -358,7 +358,7 @@ def test_indicator_path_stays_feasible():
 
 def test_negative_curvature_schedule_is_admissible():
     f = Quadratic(np.array([[-0.9]]), np.zeros(1), 0.0)
-    sched = MinimizeConfig().schedule_for(2.0, f.lam)
+    sched = _schedule(2.0, f.lam)
     assert all(b < a for a, b in zip(sched, sched[1:]))
     for tau in sched:
         assert 1.0 + tau * f.lam > 0.1
@@ -381,16 +381,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MinimizeConfig(N=0)
     with pytest.raises(ConfigError):
-        MinimizeConfig(tau_schedule=(0.1, 0.1))
-    with pytest.raises(ConfigError):
         minimize_action(HALF_SQ, [0.0], [1.0], -1.0)
 
 
-@pytest.mark.parametrize("field", ["N", "max_iters", "grad_tol", "tau_schedule"])
+@pytest.mark.parametrize("field", ["N", "max_iters", "grad_tol"])
 @pytest.mark.parametrize("bad", ["abc", None])
 def test_config_rejects_non_numbers(field, bad):
     with pytest.raises(ConfigError, match=field):
-        MinimizeConfig(**{field: bad if field != "tau_schedule" else [bad]})
+        MinimizeConfig(**{field: bad})
 
 
 def test_small_epsilon_resolvent_converges():
@@ -408,6 +406,18 @@ def test_small_epsilon_resolvent_converges():
     # the prox objective is 1-strongly convex, so res bounds |y - J_tau(x)|
     sharp = MaxLinear(TRIANGLE).prox_many(tau, X)[0][0]
     assert np.linalg.norm(Y[0] - sharp) <= math.sqrt(tau * eps * math.log(3)) + res[0]
+
+
+def test_stalled_resolvent_raises_solver_error(monkeypatch):
+    # one Newton step cannot resolve the sharp smoothed max: the stall
+    # raises from prox and propagates out of minimize_action
+    import actionlab.convex as convex
+    monkeypatch.setattr(convex, "_NEWTON_CAP", 1)
+    f = LogSumExp(TRIANGLE, 1e-4)
+    with pytest.raises(SolverError, match="stalled"):
+        prox(f, 0.5, [0.3, 0.2])
+    with pytest.raises(SolverError, match="stalled"):
+        minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=16))
 
 
 def test_each_prox_batch_is_one_row_per_chord(monkeypatch):
@@ -455,10 +465,8 @@ def test_line_search_resolvents_start_from_the_prediction(monkeypatch):
 
         monkeypatch.setattr(LogSumExp, "prox_many", counting)
         monkeypatch.setattr(LogSumExp, "_hessian_many", hessian)
-        traces = []
-        res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0,
-                              MinimizeConfig(N=512), stage_traces=traces)
-        return res, [len(t) for t in traces], counts
+        res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=512))
+        return res, [len(t) for t in res.stage_energies], counts
 
     warm, warm_steps, warm_counts = solve(keep_start=True)
     cold, cold_steps, cold_counts = solve(keep_start=False)
@@ -486,7 +494,7 @@ def test_value_smoothed_is_the_energy_of_the_path(f):
 
 def test_minimize_config_fields():
     assert [f.name for f in dataclasses.fields(MinimizeConfig)] == [
-        "N", "tau_schedule", "max_iters", "grad_tol"]
+        "N", "max_iters", "grad_tol"]
 
 
 def test_import_does_not_load_scipy():
@@ -562,11 +570,10 @@ def test_accepted_steps_strictly_lower_the_energy():
                    [0.9325435340039069, -0.5309482177187937],
                    [0.07840434194680262, -0.16578081897935465],
                    [1.788574787967336, 0.17969620192256117]])
-    traces = []
     res = minimize_action(f, [2.574371999123929, 1.168256330997083],
                           [-0.45743934920147433, -1.0212353227381723], 3.0,
-                          MinimizeConfig(N=32), stage_traces=traces)
-    for trace in traces:
+                          MinimizeConfig(N=32))
+    for trace in res.stage_energies:
         assert all(b < a for a, b in zip(trace, trace[1:]))
     assert res.iterations < 100
 

@@ -3,7 +3,8 @@ import pytest
 
 from actionlab.action import (Path, _alt_actions, alt_action, discrete_action,
                               interpolation_path)
-from actionlab.convex import Indicator, LogSumExp, MaxLinear, Quadratic
+from actionlab.convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
+                              Quadratic, SquaredDistance)
 from actionlab.errors import ConfigError
 from actionlab.verify import (SCOPES, _random_nodes, coarsened_bound_failures,
                               descent_monotonicity_failures,
@@ -78,6 +79,44 @@ def test_corrupted_modulus_is_flushed_out():
     bad = next(c for c in report.checks if not c.passed)
     assert isinstance(bad.failures[0], dict)
     assert len(bad.failures) <= 5
+
+
+class _ShiftedResolvent(ConvexFunction):
+    """x^2/2 in one dimension, but with the resolvent x + 1: a kind the
+    document codec has no name for, and a wrong one."""
+
+    dim = 1
+
+    def value_many(self, X):
+        return 0.5 * (X**2).sum(axis=1)
+
+    def subgradient_many(self, X):
+        return X.copy()
+
+    def prox_many(self, tau, X, start=None):
+        return X + 1.0, np.zeros(X.shape[0])
+
+
+def test_extra_function_of_an_unknown_kind_is_reported():
+    # its failure records name the class instead of aborting the suite
+    report = verify_suite("convex", seed=0, samples=2,
+                          extra_functions=[_ShiftedResolvent()])
+    failing = [c for c in report.checks if not c.passed]
+    assert {c.name for c in failing} >= {"envelope_identity", "slope_chain"}
+    for c in failing:
+        assert all(r["function"] == {"class": "_ShiftedResolvent"}
+                   for r in c.failures)
+
+
+@pytest.mark.parametrize("helper", [envelope_identity_failures,
+                                    tilted_gradient_failures,
+                                    slope_chain_failures,
+                                    sampled_lower_bound_failures])
+def test_squared_distance_to_a_halfspace_meets_the_identities(helper):
+    # the sampled pool has no such function, and adding one would move its
+    # draws; this runs its value, slope and subgradient through the checks
+    f = SquaredDistance(Halfspace(np.array([1.0, -2.0]), 0.3), 0.7)
+    assert helper(f, np.random.default_rng(0), 40) == []
 
 
 def test_report_to_dict_is_plain_data():

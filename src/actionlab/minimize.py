@@ -50,6 +50,7 @@ resolvent batch covers all of them; `minimize_action` is its k = 1 case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,7 +437,10 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
     a result is bit-equal to its one-path solve when the kind's batched maps
     round each row alike."""
     cfg = _config(config)
-    schedule = _schedule(delta, f.lam)
+    if (delta / cfg.N < sys.float_info.min
+            or (schedule := _schedule(delta, f.lam))[-1] < sys.float_info.min):
+        raise ConfigError(f"delta={delta!r} is too small: delta/N and every tau "
+                          f"must be normal floats")
 
     k, n = X0.shape[0], cfg.N
     times = np.linspace(0.0, delta, n + 1)

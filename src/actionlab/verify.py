@@ -96,6 +96,13 @@ def _fail(f: ConvexFunction, **data) -> dict:
     return serialize.to_plain({"function": function, **data})
 
 
+def _failed(f: ConvexFunction, bad, **columns) -> list[dict]:
+    """A _fail record for each row i where bad[i] holds, with entry i of every
+    per-row column and a one-value column (np.ndim == 0) as it is."""
+    return [_fail(f, **{k: v if np.ndim(v) == 0 else v[i] for k, v in columns.items()})
+            for i in np.flatnonzero(bad)]
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -163,7 +170,6 @@ def _random_nodes(rng, f: ConvexFunction, n: int, segments: int) -> np.ndarray:
 def envelope_identity_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Envelope equals its defining expression at the resolvent, and no
     sampled competitor does better."""
-    fails = []
     rel = 1e-6 if isinstance(f, LogSumExp) else 1e-9
     taus = _sample_taus(rng, f, trials)
     X = _sample_xs(rng, f, trials)
@@ -182,16 +188,11 @@ def envelope_identity_failures(f: ConvexFunction, rng, trials: int) -> list[dict
     cand = (f.value_many(C.reshape(-1, f.dim)).reshape(trials, 8)
             + np.sum((C - X[:, None, :]) ** 2, axis=2) / (2.0 * taus[:, None]))
     beaten = cand < (envelope - slack)[:, None]
-    for i in range(trials):
-        if not (err[i] <= allowed[i]):
-            fails.append(_fail(f, tau=taus[i], x=X[i], error=err[i],
-                               allowed=allowed[i]))
-        elif beaten[i].any():
-            k = int(np.argmax(beaten[i]))
-            fails.append(_fail(f, tau=taus[i], x=X[i], competitor=C[i, k],
-                               competitor_value=cand[i, k],
-                               envelope=envelope[i]))
-    return fails
+    off, rows, k = ~(err <= allowed), np.arange(trials), np.argmax(beaten, axis=1)
+    return (_failed(f, off, tau=taus, x=X, error=err, allowed=allowed)
+            + _failed(f, ~off & beaten.any(axis=1), tau=taus, x=X,
+                      competitor=C[rows, k], competitor_value=cand[rows, k],
+                      envelope=envelope))
 
 
 def tilted_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
@@ -203,13 +204,11 @@ def tilted_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     Y, res = f.prox_many(taus, T)
     err = np.linalg.norm((T - Y) / taus[:, None] - G, axis=1)
     allowed = 1e-8 * (1.0 + np.linalg.norm(G, axis=1)) + 10.0 * res / taus
-    return [_fail(f, tau=taus[i], x=X[i], g=G[i], error=err[i], allowed=allowed[i])
-            for i in np.where(~(err <= allowed))[0]]
+    return _failed(f, ~(err <= allowed), tau=taus, x=X, g=G, error=err, allowed=allowed)
 
 
 def slope_chain_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """slope(J(x)) <= |x-J(x)|/tau <= slope(x)/(1+lambda*tau)."""
-    fails = []
     taus = _sample_taus(rng, f, trials)
     X = _sample_xs(rng, f, trials)
     Y, res = f.prox_many(taus, X)
@@ -218,17 +217,10 @@ def slope_chain_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     s_x = f.slope_many(X)
     tol = 1e-8 * (1.0 + m) + 10.0 * res / taus
     rhs = s_x / (1.0 + f.lam * taus)
-    left = s_res > m + tol
-    right = m > rhs + tol
-    for i in np.where(left | right)[0]:
-        if left[i]:
-            fails.append(_fail(f, tau=taus[i], x=X[i], kind="left",
-                               slope_at_resolvent=s_res[i], ratio=m[i],
-                               allowed=m[i] + tol[i]))
-        if right[i]:
-            fails.append(_fail(f, tau=taus[i], x=X[i], kind="right", ratio=m[i],
-                               slope_at_x=s_x[i], allowed=rhs[i] + tol[i]))
-    return fails
+    return (_failed(f, s_res > m + tol, tau=taus, x=X, kind="left",
+                    slope_at_resolvent=s_res, ratio=m, allowed=m + tol)
+            + _failed(f, m > rhs + tol, tau=taus, x=X, kind="right", ratio=m,
+                      slope_at_x=s_x, allowed=rhs + tol))
 
 
 def _pair_resolvents(f: ConvexFunction, rng, trials: int):
@@ -248,8 +240,8 @@ def resolvent_lipschitz_failures(f: ConvexFunction, rng, trials: int) -> list[di
     taus, X, Yp, dist, Jx, Jy, res = _pair_resolvents(f, rng, trials)
     ratio = np.linalg.norm(Jx - Jy, axis=1) / dist
     allowed = 1.0 / (1.0 + f.lam * taus) + 1e-8 + res / dist
-    return [_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i], allowed=allowed[i])
-            for i in np.where(~(ratio <= allowed))[0]]
+    return _failed(f, ~(ratio <= allowed), tau=taus, x=X, y=Yp, ratio=ratio,
+                   allowed=allowed)
 
 
 def envelope_gradient_lipschitz_failures(f: ConvexFunction, rng,
@@ -259,8 +251,8 @@ def envelope_gradient_lipschitz_failures(f: ConvexFunction, rng,
     t = taus[:, None]
     ratio = np.linalg.norm((X - Jx) / t - (Yp - Jy) / t, axis=1) / dist
     allowed = 3.0 / taus + 1e-8 + res / (taus * dist)
-    return [_fail(f, tau=taus[i], x=X[i], y=Yp[i], ratio=ratio[i], allowed=allowed[i])
-            for i in np.where(~(ratio <= allowed))[0]]
+    return _failed(f, ~(ratio <= allowed), tau=taus, x=X, y=Yp, ratio=ratio,
+                   allowed=allowed)
 
 
 def moreau_decomposition_failures(f: MaxLinear, rng, trials: int) -> list[dict]:
@@ -272,8 +264,7 @@ def moreau_decomposition_failures(f: MaxLinear, rng, trials: int) -> list[dict]:
     t = taus[:, None]
     err = np.linalg.norm(Y + t * hull_projection(f.vectors, X / t) - X, axis=1)
     allowed = 1e-9 * (1.0 + np.linalg.norm(X, axis=1))
-    return [_fail(f, tau=taus[i], x=X[i], error=err[i], allowed=allowed[i])
-            for i in np.where(~(err <= allowed))[0]]
+    return _failed(f, ~(err <= allowed), tau=taus, x=X, error=err, allowed=allowed)
 
 
 def slope_tau_monotonicity_failures(f: ConvexFunction, rng,
@@ -286,7 +277,6 @@ def slope_tau_monotonicity_failures(f: ConvexFunction, rng,
     raw quotient is monotone there as well.  Each trial halves tau0 six
     times; all 6*trials resolvents are one batch.
     """
-    fails = []
     tau0 = _sample_taus(rng, f, trials)
     X = _sample_xs(rng, f, trials)
     T = tau0[:, None] * 0.5 ** np.arange(6)
@@ -298,11 +288,9 @@ def slope_tau_monotonicity_failures(f: ConvexFunction, rng,
     prev, cur = M[:, :-1], M[:, 1:]
     tol = 1e-8 * (1.0 + prev) + 10.0 * (R[:, :-1] + R[:, 1:]) / T[:, 1:]
     drop = cur < prev - tol
-    for i in np.where(drop.any(axis=1))[0]:
-        k = int(np.argmax(drop[i]))  # the first non-monotone level
-        fails.append(_fail(f, tau=T[i, k + 1], x=X[i], ratio=cur[i, k],
-                           previous=prev[i, k]))
-    return fails
+    rows, k = np.arange(trials), np.argmax(drop, axis=1)  # first non-monotone level
+    return _failed(f, drop.any(axis=1), tau=T[rows, k + 1], x=X,
+                   ratio=cur[rows, k], previous=prev[rows, k])
 
 
 def sampled_lower_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
@@ -312,12 +300,9 @@ def sampled_lower_bound_failures(f: ConvexFunction, rng, trials: int) -> list[di
     X = _sample_domain_xs(rng, f, trials)
     S = X[:, None] + (rng.normal(size=(trials, 4, f.dim))
                       * np.array([0.05, 0.3, 1.0, 2.0])[:, None])
-    bounds = _slope_lower_bounds(f, X, S)
-    fails = []
-    for x, bound, s in zip(X, bounds, f.slope_many(X)):
-        if not (bound <= s + 1e-9 * (1.0 + min(s, 1e12))):
-            fails.append(_fail(f, x=x, bound=bound, slope=s))
-    return fails
+    bounds, s = _slope_lower_bounds(f, X, S), f.slope_many(X)
+    return _failed(f, ~(bounds <= s + 1e-9 * (1.0 + np.minimum(s, 1e12))),
+                   x=X, bound=bounds, slope=s)
 
 
 # ---------------------------------------------------------------------------
@@ -344,36 +329,28 @@ def _coarse_and_fine_actions(f: ConvexFunction, taus, deltas, X0, XD):
 def interpolation_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Measured action of the constructed path stays under the stated bound,
     up to a per-instance refinement-difference quadrature allowance."""
-    fails = []
     taus, deltas, X0, XD = _interp_instances(rng, f, trials)
     act, act_fine = _coarse_and_fine_actions(f, taus, deltas, X0, XD)
-    for i in range(trials):
-        bound = interpolation_bound(f, taus[i], deltas[i], X0[i], XD[i])
-        quad = 2.0 * abs(act_fine[i] - act[i]) + 1e-9 * (1.0 + abs(bound))
-        if not (act[i] <= bound + quad):
-            fails.append(_fail(f, tau=taus[i], delta=deltas[i], x0=X0[i], xd=XD[i],
-                               action=act[i], bound=bound, quadrature=quad))
-    return fails
+    bound = np.array([interpolation_bound(f, *row)
+                      for row in zip(taus, deltas, X0, XD)])
+    quad = 2.0 * np.abs(act_fine - act) + 1e-9 * (1.0 + np.abs(bound))
+    return _failed(f, ~(act <= bound + quad), tau=taus, delta=deltas, x0=X0, xd=XD,
+                   action=act, bound=bound, quadrature=quad)
 
 
 def coarsened_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Same audit at the matched horizon delta = tau, plus dominance of the
     coarsened bound over the sharp one."""
-    fails = []
     taus, _, X0, XD = _interp_instances(rng, f, trials)
     act, act_fine = _coarse_and_fine_actions(f, taus, taus, X0, XD)
-    for i in range(trials):
-        tau, x0, xd = taus[i], X0[i], XD[i]
-        coarse = coarsened_interpolation_bound(f, tau, x0, xd)
-        sharp = interpolation_bound(f, tau, tau, x0, xd)
-        quad = 2.0 * abs(act_fine[i] - act[i]) + 1e-9 * (1.0 + abs(coarse))
-        if not (act[i] <= coarse + quad):
-            fails.append(_fail(f, tau=tau, x0=x0, xd=xd, action=act[i],
-                               bound=coarse, quadrature=quad))
-        if coarse < sharp - 1e-9 * (1.0 + abs(sharp)):
-            fails.append(_fail(f, tau=tau, x0=x0, xd=xd, coarse=coarse,
-                               sharp=sharp, kind="dominance"))
-    return fails
+    rows = list(zip(taus, X0, XD))
+    coarse = np.array([coarsened_interpolation_bound(f, *row) for row in rows])
+    sharp = np.array([interpolation_bound(f, t, t, x0, xd) for t, x0, xd in rows])
+    quad = 2.0 * np.abs(act_fine - act) + 1e-9 * (1.0 + np.abs(coarse))
+    return (_failed(f, ~(act <= coarse + quad), tau=taus, x0=X0, xd=XD, action=act,
+                    bound=coarse, quadrature=quad)
+            + _failed(f, coarse < sharp - 1e-9 * (1.0 + np.abs(sharp)), tau=taus,
+                      x0=X0, xd=XD, coarse=coarse, sharp=sharp, kind="dominance"))
 
 
 def null_lagrangian_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
@@ -388,16 +365,14 @@ def null_lagrangian_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     f0, f1 = f.value_many(np.concatenate([nodes[:, 0], nodes[:, -1]])).reshape(2, -1)
     err = np.abs(alt - (total - 2.0 * f1 + 2.0 * f0))
     allowed = 10.0 * (1.0 + np.abs(total) + np.abs(f0) + np.abs(f1)) / segments
-    return [_fail(f, segments=segments, error=err[i], allowed=allowed[i])
-            for i in np.where(~(err <= allowed))[0]]
+    return _failed(f, ~(err <= allowed), segments=segments, error=err, allowed=allowed)
 
 
 def upper_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     nodes = _random_nodes(rng, f, trials, 64)
     residual, tol = _upper_gradient(f, nodes)
-    return [_fail(f, residual=residual[i], allowed=-tol[i],
-                  start=nodes[i, 0], end=nodes[i, -1])
-            for i in np.where(~(residual >= -tol))[0]]
+    return _failed(f, ~(residual >= -tol), residual=residual, allowed=-tol,
+                   start=nodes[:, 0], end=nodes[:, -1])
 
 
 def interpolation_endpoint_failures(f: ConvexFunction, rng,
@@ -410,32 +385,40 @@ def interpolation_endpoint_failures(f: ConvexFunction, rng,
     err = np.linalg.norm(ends - targets, axis=2)
     allowed = np.maximum(10.0 * res[:, [0, -1]],
                          1e-9 * (1.0 + np.linalg.norm(targets, axis=2)))
-    return [_fail(f, tau=taus[i], delta=deltas[i], target=targets[i, j],
-                  endpoint=ends[i, j], error=err[i, j], allowed=allowed[i, j])
-            for i, j in zip(*np.where(~(err <= allowed)))]
+    # one row per (trial, end), trial-major
+    return _failed(f, ~(err <= allowed).ravel(), tau=np.repeat(taus, 2),
+                   delta=np.repeat(deltas, 2), target=targets.reshape(-1, f.dim),
+                   endpoint=ends.reshape(-1, f.dim), error=err.ravel(),
+                   allowed=allowed.ravel())
 
 
 def recovery_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Action of the patched resolvent pushforward obeys the recovery bound
     when the same function plays member and limit.  The endpoint slopes and
     the limit actions are one batch each; every trial audits the public
-    recovery_path and discrete_action."""
-    fails = []
+    recovery_path and discrete_action, and a trial whose path fails its
+    junction audit is reported with the audit's message."""
     taus = np.minimum(_sample_taus(rng, f, trials), 0.35)
     nodes = _random_nodes(rng, f, trials, 48)
     times = np.linspace(0.0, 1.0, 49)
     ends = np.concatenate([nodes[:, 0], nodes[:, -1]])
     S = f.slope_many(ends).reshape(2, -1).max(axis=0)
     A = sum(_midpoint_actions(f, np.broadcast_to(times, nodes.shape[:2]), nodes))
-    for i in np.where(np.isfinite(S))[0]:
-        rp = recovery_path(f, taus[i], Path(times, nodes[i]), nodes[i, 0], nodes[i, -1])
-        act = discrete_action(f, rp).total
-        bound = recovery_action_bound(A[i], taus[i], f.lam, S[i])
-        tol = recovery_tolerance(A[i], taus[i], f.lam, S[i])
-        if not (act <= bound + tol):
-            fails.append(_fail(f, tau=taus[i], S=S[i], action=act, limit_action=A[i],
-                               bound=bound, tolerance=tol))
-    return fails
+    audited, junction = np.isfinite(S), np.full(trials, "", dtype=object)
+    act, bound, tol = np.full((3, trials), np.nan)
+    for i in np.flatnonzero(audited):
+        try:
+            rp = recovery_path(f, taus[i], Path(times, nodes[i]),
+                               nodes[i, 0], nodes[i, -1])
+        except ConfigError as err:    # a junction mismatch
+            audited[i], junction[i] = False, str(err)
+            continue
+        act[i] = discrete_action(f, rp).total
+        bound[i] = recovery_action_bound(A[i], taus[i], f.lam, S[i])
+        tol[i] = recovery_tolerance(A[i], taus[i], f.lam, S[i])
+    return (_failed(f, audited & ~(act <= bound + tol), tau=taus, S=S, action=act,
+                    limit_action=A, bound=bound, tolerance=tol)
+            + _failed(f, junction != "", tau=taus, junction=junction))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +463,6 @@ def kinetic_gradient_failures(rng, trials: int) -> list[dict]:
 def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Full smoothed-objective directional derivative against central
     differences (relative 1e-6), Z and Z -+ hD evaluated as three paths."""
-    fails = []
     sizes = rng.integers(8, 16, size=trials)
     X0 = _sample_domain_xs(rng, f, trials)
     XD = _sample_domain_xs(rng, f, trials)
@@ -488,7 +470,9 @@ def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dic
     # each trial uses the first n - 1 rows of its noise and direction blocks
     noise = rng.normal(size=(trials, 14, f.dim)) * 0.1
     directions = rng.normal(size=(trials, 14, f.dim))
-    for n, x0, xd, tau, z, D in zip(sizes.tolist(), X0, XD, taus, noise, directions):
+    dd, fd = np.zeros((2, trials))
+    for t, (n, x0, xd, tau, z, D) in enumerate(zip(sizes.tolist(), X0, XD, taus,
+                                                   noise, directions)):
         s = np.linspace(0.0, 1.0, n + 1)[1:-1]
         Z = x0[None, :] + s[:, None] * (xd - x0)[None, :] + z[:n - 1]
         D = D[:n - 1] / np.linalg.norm(D[:n - 1])
@@ -496,11 +480,10 @@ def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dic
         obj = _Objective(f, tau, np.tile(x0, (3, 1)), np.tile(xd, (3, 1)), 1.0 / n)
         values, (mids, Y) = obj.evaluate(np.stack([Z, Z + h * D, Z - h * D]))
         G = obj.paths([0]).newton_system(Z[None], (mids[:1], Y[:1]))[0][0]
-        fd = float(values[1] - values[2]) / (2.0 * h)
-        dd = float((G * D).sum())
-        if not (abs(dd - fd) <= 1e-6 * (1.0 + abs(fd))):
-            fails.append(_fail(f, n=n, tau=tau, analytic=dd, fd=fd))
-    return fails
+        fd[t] = float(values[1] - values[2]) / (2.0 * h)
+        dd[t] = float((G * D).sum())
+    return _failed(f, ~(np.abs(dd - fd) <= 1e-6 * (1.0 + np.abs(fd))), n=sizes,
+                   tau=taus, analytic=dd, fd=fd)
 
 
 def _endpoint_pairs(rng, f: ConvexFunction, trials: int) -> np.ndarray:
@@ -526,13 +509,9 @@ def endpoint_pinning_failures(f: ConvexFunction, rng, trials: int) -> list[dict]
     ends = _endpoint_pairs(rng, f, trials)
     results = _minimize_paths(f, ends[:, 0], ends[:, 1], 1.0,
                               MinimizeConfig(N=16, max_iters=20))
-    fails = []
-    for (x0, xd), res in zip(ends, results):
-        if not (np.array_equal(res.path.nodes[0], x0)
-                and np.array_equal(res.path.nodes[-1], xd)):
-            fails.append(_fail(f, x0=x0, xd=xd,
-                               got0=res.path.nodes[0], got1=res.path.nodes[-1]))
-    return fails
+    got = np.array([res.path.nodes[[0, -1]] for res in results])
+    return _failed(f, ~(got == ends).all(axis=(1, 2)), x0=ends[:, 0], xd=ends[:, 1],
+                   got0=got[:, 0], got1=got[:, 1])
 
 
 def dubois_reymond_minimizer_failures() -> list[dict]:
@@ -657,16 +636,10 @@ def _maxlinear_pool(rng) -> list[ConvexFunction]:
     return [f for f in _function_pool(rng) if isinstance(f, MaxLinear)]
 
 
-def _flags_check(helper):
+def _once(helper):
+    """A check run once: the helper's records, a flag string as {"flag": ...}."""
     def runner(rng, samples, extra):
-        flags = helper()
-        return 1, [{"flag": fl} for fl in flags]
-    return runner
-
-
-def _plain_check(helper):
-    def runner(rng, samples, extra):
-        return 1, helper()
+        return 1, [{"flag": r} if isinstance(r, str) else r for r in helper()]
     return runner
 
 
@@ -709,15 +682,13 @@ _REGISTRY: tuple = (
     ("endpoint_pinning", "minimize",
      _per_function(endpoint_pinning_failures, _minimize_pool, 2)),
     ("dubois_reymond_minimizer", "minimize",
-     _plain_check(dubois_reymond_minimizer_failures)),
-    ("oracle_sandwich", "minimize",
-     _plain_check(oracle_sandwich_failures)),
-    ("resolvent_gaps_decreasing", "gamma", _flags_check(resolvent_table_flags)),
-    ("value_gap_decreasing", "gamma", _flags_check(value_gap_flags)),
-    ("recovery_rows_bounded", "gamma", _flags_check(limsup_flags)),
-    ("slope_semicontinuity", "gamma", _flags_check(slope_lsc_flags)),
-    ("report_determinism", "gamma",
-     _plain_check(report_determinism_failures)),
+     _once(dubois_reymond_minimizer_failures)),
+    ("oracle_sandwich", "minimize", _once(oracle_sandwich_failures)),
+    ("resolvent_gaps_decreasing", "gamma", _once(resolvent_table_flags)),
+    ("value_gap_decreasing", "gamma", _once(value_gap_flags)),
+    ("recovery_rows_bounded", "gamma", _once(limsup_flags)),
+    ("slope_semicontinuity", "gamma", _once(slope_lsc_flags)),
+    ("report_determinism", "gamma", _once(report_determinism_failures)),
 )
 
 

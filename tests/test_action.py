@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from actionlab.experiments import (gamma_limsup_experiment,
 from actionlab.families import (MoscoFamily, eventually_decreasing,
                                 family_logsumexp_to_max,
                                 family_penalty_to_indicator)
-from actionlab.minimize import closed_form_value, minimize_action
+from actionlab.minimize import MinimizeConfig, closed_form_value, minimize_action
 from actionlab.minnorm import hull_projection, min_norm_point_with_gap
 from actionlab.oracle import GridSpec, grid_oracle, speed_quantization_bias
 from actionlab.sets import Ball, Halfspace, project
@@ -91,6 +92,12 @@ GRID = GridSpec([0.0], [1.0], (8,))
     lambda: minimize_action(HALF_SQ, [0.0], [1.0], 1.0, config={"N": 8}),
     lambda: gamma_value_experiment(LSE_FAMILY, 1.0, config="x"),
     lambda: verify_suite("convex", samples=1, extra_functions=(3,)),
+    lambda: minimize_action(Quadratic([[-1.0]], [0.0]), [0.0], [1.0], 5e-324,
+                            MinimizeConfig(N=4)),
+    lambda: minimize_action(Quadratic([[-1.0]], [0.0]), [0.0], [1.0], 1e-310,
+                            MinimizeConfig(N=4)),
+    lambda: minimize_action(LogSumExp([[1.0], [-1.0]], 0.1), [0.0], [1.0],
+                            4 * sys.float_info.min, MinimizeConfig(N=4)),
 ], ids=["grid_oracle-reach", "straight-intervals", "interpolation_path-M",
         "closed_form_value-missing", "project-dimension", "prox-non-number",
         "path-non-number", "prox_many-non-number",
@@ -112,7 +119,9 @@ GRID = GridSpec([0.0], [1.0], (8,))
         "discrete_action-path", "alt_action-path", "upper_gradient_residual-path",
         "dubois_reymond_residual-path", "recovery_path-gamma", "limsup-gamma",
         "grid_oracle-obstacle", "minimize_action-config",
-        "gamma_value_experiment-config", "verify_suite-extra_function_item"])
+        "gamma_value_experiment-config", "verify_suite-extra_function_item",
+        "minimize_action-delta_5e-324", "minimize_action-delta_1e-310",
+        "minimize_action-lse_subnormal_tau"])
 def test_public_entry_points_raise_package_errors(call):
     with pytest.raises(ActionLabError):
         call()

@@ -604,3 +604,18 @@ def test_one_interval_solve_is_the_straight_chord(f, x0, xd, smoothed, true):
     assert res.value_smoothed == pytest.approx(kinetic + G @ G, rel=1e-12)
     assert res.value_true == pytest.approx(kinetic + f.slope_many(mid[None])[0]**2,
                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 4, 64, 256])
+@pytest.mark.parametrize("f", [Quadratic([[-1.0]], [0.0]),
+                               LogSumExp([[1.0], [-1.0]], 0.1)],
+                         ids=["quadratic", "log_sum_exp"])
+def test_smallest_normal_delta_solves_cleanly(f, N):
+    # the schedule's smallest tau is 0.004 delta: delta/N and that tau reach
+    # the smallest normal float at delta = max(N, 250) * float_info.min; a
+    # RuntimeWarning is an error in this suite, so the solve must raise none
+    threshold = max(N, 250) * sys.float_info.min
+    res = minimize_action(f, [0.0], [1.0], 1.001 * threshold, MinimizeConfig(N=N))
+    assert np.isfinite(res.value_true)
+    with pytest.raises(ConfigError, match="delta"):
+        minimize_action(f, [0.0], [1.0], 0.999 * threshold, MinimizeConfig(N=N))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from actionlab import serialize
 from actionlab.action import (Path, _alt_actions, alt_action, discrete_action,
                               interpolation_path)
 from actionlab.convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                               Quadratic, SquaredDistance)
 from actionlab.errors import ConfigError
-from actionlab.verify import (SCOPES, _random_nodes, coarsened_bound_failures,
+from actionlab.verify import (SCOPES, _failed, _random_nodes, coarsened_bound_failures,
                               descent_monotonicity_failures,
                               endpoint_pinning_failures,
                               envelope_gradient_lipschitz_failures,
@@ -354,3 +355,111 @@ def test_random_nodes_shape_and_domain(f):
     assert np.isfinite(nodes).all()
     if isinstance(f, Indicator):
         assert f.region.contains_many(nodes.reshape(-1, f.dim)).all()
+
+
+class _ShiftedQuadratic(Quadratic):
+    """A quadratic whose every resolvent is moved by 0.3."""
+
+    def prox_many(self, tau, X, start=None):
+        Y, residual = super().prox_many(tau, X, start)
+        return Y + 0.3, residual
+
+
+class _SteepQuadratic(Quadratic):
+    """A quadratic whose slope and subgradient are tripled, then raised by 1."""
+
+    def slope_many(self, X):
+        return 3.0 * super().slope_many(X) + 1.0
+
+    def subgradient_many(self, X):
+        return 3.0 * super().subgradient_many(X) + 1.0
+
+
+class _FlatQuadratic(Quadratic):
+    """A quadratic whose slope is a tenth of the true one."""
+
+    def slope_many(self, X):
+        return 0.1 * super().slope_many(X)
+
+
+class _WavyQuadratic(Quadratic):
+    """A quadratic whose value carries an extra 5 sin 7x."""
+
+    def value_many(self, X):
+        return super().value_many(X) + 5.0 * np.sin(7.0 * X).sum(axis=1)
+
+
+class _WrongHessianQuadratic(Quadratic):
+    """A quadratic whose envelope Hessian K is doubled plus 0.5 I."""
+
+    def envelope_derivatives_many(self, tau, X, Y):
+        K, C = super().envelope_derivatives_many(tau, X, Y)
+        return 2.0 * K + 0.5 * np.eye(K.shape[-1]), C
+
+
+class _ShiftedMaxLinear(MaxLinear):
+    """A max-linear function whose every resolvent is moved by 0.3."""
+
+    def prox_many(self, tau, X, start=None):
+        Y, residual = super().prox_many(tau, X, start)
+        return Y + 0.3, residual
+
+
+CORRUPTED = {
+    "shifted": _ShiftedQuadratic([[1.0]], [0.0]),
+    "steep": _SteepQuadratic([[1.0]], [0.0]),
+    "flat": _FlatQuadratic([[1.0]], [0.0]),
+    "wavy": _WavyQuadratic([[1.0]], [0.0]),
+    "wrong_hessian": _WrongHessianQuadratic([[1.0]], [0.0]),
+    "shifted_max_linear": _ShiftedMaxLinear([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]),
+}
+
+# every per-function helper with the corrupted kinds it reports at
+# default_rng(0) and 6 trials; the two Lipschitz checks,
+# descent_monotonicity and endpoint_pinning report none of them
+_TRIPPED_BY = {
+    envelope_identity_failures: ("shifted", "wavy", "shifted_max_linear"),
+    tilted_gradient_failures: ("shifted", "shifted_max_linear"),
+    slope_chain_failures: ("shifted", "steep", "flat", "shifted_max_linear"),
+    moreau_decomposition_failures: ("shifted_max_linear",),
+    slope_tau_monotonicity_failures: ("shifted",),
+    sampled_lower_bound_failures: ("flat", "wavy"),
+    interpolation_bound_failures: ("steep",),
+    coarsened_bound_failures: ("flat",),
+    null_lagrangian_failures: ("steep", "flat", "wavy"),
+    upper_gradient_failures: ("flat", "wavy"),
+    interpolation_endpoint_failures: ("shifted", "shifted_max_linear"),
+    objective_gradient_failures: ("wrong_hessian", "shifted_max_linear"),
+    recovery_bound_failures: ("shifted", "steep", "shifted_max_linear"),
+}
+
+
+@pytest.mark.parametrize("helper, kind", [
+    (helper, kind) for helper, kinds in _TRIPPED_BY.items() for kind in kinds],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_corrupted_kinds_are_reported(helper, kind):
+    f = CORRUPTED[kind]
+    fails = helper(f, np.random.default_rng(0), 6)
+    assert fails
+    serialize.dumps(fails)
+    assert all(r["function"] == serialize.function_to_dict(f) for r in fails)
+
+
+def test_recovery_junction_mismatch_is_reported_not_raised():
+    fails = recovery_bound_failures(CORRUPTED["shifted"], np.random.default_rng(0), 2)
+    assert len(fails) == 2
+    for r in fails:
+        assert 0.0 < r["tau"] <= 0.35
+        assert r["junction"] == "recovery entry junction mismatch 3.000e-01"
+
+
+def test_failed_builds_one_record_per_flagged_row():
+    f = Quadratic([[1.0]], [0.0])
+    doc = serialize.function_to_dict(f)
+    X = np.arange(6.0).reshape(3, 2)
+    assert _failed(f, np.zeros(3, dtype=bool), x=X, tau=0.5) == []
+    # a one-value column is copied into every record, a 2-d column gives rows
+    assert _failed(f, [False, True, True], x=X, tau=0.5, kind="left",
+                   ratio=np.array([1.0, 2.0, 3.0])) == [
+        {"function": doc, "x": [2.0, 3.0], "tau": 0.5, "kind": "left", "ratio": 2.0},
+        {"function": doc, "x": [4.0, 5.0], "tau": 0.5, "kind": "left", "ratio": 3.0}]

@@ -166,10 +166,12 @@ def alt_action(f: ConvexFunction, path: Path) -> float:
     return float(_alt_actions(f, path.times[None], path.nodes[None])[0])
 
 
-def _upper_gradient(f: ConvexFunction, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _upper_gradient(f: ConvexFunction, nodes: np.ndarray, bound: bool = True
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residuals and their quadrature bounds, (n,) each, of n paths with nodes
     (n, N+1, d), from one slope_many call over nodes, chord midpoints and
-    quarter points; a residual is nan where an endpoint value is infinite.
+    quarter points (none, and bound None, for bound=False); a residual is
+    nan where an endpoint value is infinite.
     The bound is the per-chord trapezoid-minus-midpoint gap plus twice the
     change under one refinement (smooth wiggle).  Where the slope is convex
     along a chord (norms of affine maps, distances to convex sets)
@@ -180,32 +182,33 @@ def _upper_gradient(f: ConvexFunction, nodes: np.ndarray) -> tuple[np.ndarray, n
     refined = np.empty((n, 2 * k - 1, d))  # every chord midpoint inserted
     refined[:, 0::2] = nodes
     refined[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
-    quarters = 0.5 * (refined[:, :-1] + refined[:, 1:])
-    s = f.slope_many(np.concatenate([refined, quarters], axis=1).reshape(-1, d))
-    s = s.reshape(n, -1)
-    s_nodes, s_mid, s_quarter = s[:, 0:2 * k - 1:2], s[:, 1:2 * k - 1:2], s[:, 2 * k - 1:]
+    points = [refined, 0.5 * (refined[:, :-1] + refined[:, 1:])] if bound else [refined]
+    s = f.slope_many(np.concatenate(points, axis=1).reshape(-1, d)).reshape(n, -1)
+    s_nodes, s_mid = s[:, 0:2 * k - 1:2], s[:, 1:2 * k - 1:2]
     seg = np.linalg.norm(np.diff(nodes, axis=1), axis=2)
-    half = np.linalg.norm(np.diff(refined, axis=1), axis=2)
     ends = f.value_many(np.concatenate([nodes[:, 0], nodes[:, -1]]))
     fa, fb = ends[:n], ends[n:]
     # rows with an infinite slope or endpoint value are masked at the end
     with np.errstate(invalid="ignore"):
         # 0 * inf := 0 on stationary chords
         coarse = np.where(seg > 0.0, s_mid * seg, 0.0).sum(axis=1)
-        fine = np.where(half > 0.0, s_quarter * half, 0.0).sum(axis=1)
+        residual = np.where(np.isfinite(fa) & np.isfinite(fb), coarse - np.abs(fb - fa),
+                            np.nan)
+        if not bound:
+            return residual, None
+        half = np.linalg.norm(np.diff(refined, axis=1), axis=2)
+        fine = np.where(half > 0.0, s[:, 2 * k - 1:] * half, 0.0).sum(axis=1)
         gap = np.maximum(0.5 * (s_nodes[:, :-1] + s_nodes[:, 1:]) - s_mid, 0.0)
-        bound = ((gap * seg).sum(axis=1) + 2.0 * np.abs(fine - coarse)
-                 + 1e-9 * (1.0 + np.abs(coarse)))
-        residual = coarse - np.abs(fb - fa)
+        tol = ((gap * seg).sum(axis=1) + 2.0 * np.abs(fine - coarse)
+               + 1e-9 * (1.0 + np.abs(coarse)))
     finite = np.isfinite(np.column_stack([s_nodes, s_mid, coarse, fine])).all(axis=1)
-    return (np.where(np.isfinite(fa) & np.isfinite(fb), residual, np.nan),
-            np.where(finite, bound, np.inf))
+    return residual, np.where(finite, tol, np.inf)
 
 
 def upper_gradient_residual(f: ConvexFunction, path: Path) -> float:
     """int |grad f|(gamma) |gamma'| (midpoint rule) minus |f(x_N) - f(x_0)|."""
     _check_path(f, path)
-    residual = float(_upper_gradient(f, path.nodes[None])[0][0])
+    residual = float(_upper_gradient(f, path.nodes[None], bound=False)[0][0])
     if math.isnan(residual):
         raise OutsideDomainError("endpoint values must be finite")
     return residual

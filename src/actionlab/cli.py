@@ -198,8 +198,10 @@ def _cmd_verify(args, config) -> int:
     if scope:
         scopes = tuple(s.strip() for s in scope.split(",")) \
             if isinstance(scope, str) else tuple(scope)
+    joins = args.function or "function" in config
+    extra = [_document(args, config, "function")] if joins else []
     report = verify_suite(scopes=scopes, seed=_setting(args, config, "seed", 0),
-                          samples=_setting(args, config, "samples"))
+                          samples=_setting(args, config, "samples"), extra_functions=extra)
     for line in report.summary_lines():
         sys.stderr.write(line + "\n")
     _emit(report.to_dict())

@@ -10,10 +10,10 @@ f(J_tau(x)) + |x - J_tau(x)|^2/(2 tau) and its gradient is (x - J_tau(x))/tau.
 
 Values of +inf are legal (indicator outside its region) and propagate through
 arithmetic; operations that need a finite subgradient raise instead.  Batched
-`*_many` methods take (k, d) arrays and are the primitives; `prox_many` takes
-tau as a scalar or as a (k,) array with one tau per row, so a sweep over
-(tau, x) pairs is one call.  The free functions at the bottom are the
-scalar-call surface.
+`*_many` methods take (k, d) arrays and are the primitives; `prox_many` and
+`envelope_derivatives_many` take tau as a scalar or as a (k,) array with one
+tau per row, so a sweep over (tau, x) pairs is one call.  The free functions
+at the bottom are the scalar-call surface.
 """
 from __future__ import annotations
 
@@ -116,6 +116,11 @@ def _row_taus(tau, k: int, lam: float) -> np.ndarray:
     return np.full((k, 1), t) if t.ndim == 0 else t[:, None]
 
 
+def _tau_rows(tau, ndim: int):
+    """One tau as it is, a (k,) array of them as a column of ndim axes."""
+    return tau if isinstance(tau, float) else np.reshape(tau, (-1,) + (1,) * (ndim - 1))
+
+
 def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """A[..., :, :]^-1 B[..., :, :] per block, or A^-1 when B is None, over
     any leading axes; 1x1 and 2x2 blocks in closed form, which is several
@@ -182,12 +187,16 @@ class ConvexFunction:
         """
         raise NotImplementedError
 
-    def envelope_derivatives_many(self, tau: float, X: np.ndarray, Y: np.ndarray
+    def envelope_derivatives_many(self, tau, X: np.ndarray, Y: np.ndarray
                                   ) -> tuple[np.ndarray, np.ndarray | None]:
         """Envelope derivatives (K, C) at rows X with resolvents Y, one
         symmetric (d, d) block per row each: the Hessian K = (I - DJ_tau)/tau
         of f_tau, and the curvature C = sum_j G_j grad^2 (d_j f_tau) with
         G = (X - Y)/tau = grad f_tau.
+
+        tau is a scalar or a (k,) array of one tau per row, as in `prox_many`;
+        subclasses (those handed to `verify_suite` too) must accept both, as
+        a lockstep run of family members (`_unit_scale`) passes one per row.
 
         They are the one derivative route of the smoothed action:
         phi_tau = |G|^2 has gradient 2 K G and Hessian 2 K^2 + 2 C.  Where the
@@ -267,10 +276,10 @@ class Quadratic(ConvexFunction):
         return Y, residual
 
     def envelope_derivatives_many(self, tau, X, Y):
-        # (I - (I + tau Q)^-1)/tau = V diag(w / (1 + tau w)) V^T, the same per row
-        V = self._V
-        K = (V * (self._w / (1.0 + tau * self._w))) @ V.T
-        return np.broadcast_to(K, (X.shape[0],) + K.shape), None
+        # (I - (I + tau Q)^-1)/tau = V diag(w / (1 + tau w)) V^T, one per tau
+        V, w = self._V, self._w
+        K = (V * (w / (1.0 + _tau_rows(tau, 3) * w))) @ V.T
+        return np.broadcast_to(K, (X.shape[0],) + V.shape), None
 
 
 def _hull_2d(A: np.ndarray) -> np.ndarray:
@@ -428,10 +437,11 @@ class MaxLinear(ConvexFunction):
         # I - DP(z), so K = DP(z)/tau.  DP(z) projects onto the face exposed
         # by q = z - p = Y/tau: I inside the hull, 0 at a vertex.
         k, d = X.shape
-        Q = Y / tau
+        t = _tau_rows(tau, 2)
+        Q = Y / t
         qn = np.linalg.norm(Q, axis=1)
         # q is rounding noise, not a direction, for rows inside the hull
-        outside = qn > ACTIVE_TOL * (1.0 + np.linalg.norm(X / tau, axis=1))
+        outside = qn > ACTIVE_TOL * (1.0 + np.linalg.norm(X / t, axis=1))
         P = np.zeros((k, d, d))
         P[~outside] = np.eye(d)
         U = Q[outside] / qn[outside, None]
@@ -466,7 +476,7 @@ class MaxLinear(ConvexFunction):
             _, sv, Vt = np.linalg.svd(E, full_matrices=False)
             V = Vt * (sv > tol)[:, :, None]
             P[outside] = V.transpose(0, 2, 1) @ V
-        return P / tau, None
+        return P / _tau_rows(tau, 3), None
 
 
 @dataclass(frozen=True)
@@ -596,9 +606,9 @@ class LogSumExp(ConvexFunction):
         # With u_j = B v_j that is sum_j w_j ((u_j . G)/eps^2) u_j u_j^T.
         W = self._weights(Y)
         H = self._hessian_many(W)
-        M = np.eye(self.dim) + tau * H
+        M = np.eye(self.dim) + _tau_rows(tau, 3) * H
         U = (self.vectors - (W @ self.vectors)[:, None, :]) @ _solve_blocks(M)
-        c = W * (U @ ((X - Y) / tau)[:, :, None])[..., 0] / self.epsilon**2
+        c = W * (U @ ((X - Y) / _tau_rows(tau, 2))[:, :, None])[..., 0] / self.epsilon**2
         return _solve_blocks(M, H), U.transpose(0, 2, 1) @ (c[:, :, None] * U)
 
 
@@ -633,7 +643,7 @@ class _RegionKind(ConvexFunction):
 
     def envelope_derivatives_many(self, tau, X, Y):
         J = self.region.project_jacobian_many(X)
-        step = tau + self._offset
+        step = _tau_rows(tau, 3) + self._offset
         K = (np.eye(self.dim) - J) / step
         scale = 1.0 / step
         return K, scale * scale * (J - J @ J) if isinstance(self.region, Ball) else None
@@ -681,6 +691,17 @@ class SquaredDistance(_RegionKind):
 
     def slope_many(self, X):
         return 2.0 * self.weight * self.region.distance_many(X)
+
+
+def _unit_scale(f: ConvexFunction) -> tuple[ConvexFunction, float, float]:
+    """(g, c, L) with f = c g(L .) and g the unit member of f's built-in family
+    (any other f, subclasses too, is its own), so J^f_tau(x) =
+    J^g_{c L^2 tau}(L x)/L and f's K, C at x are c L^2, c^2 L^4 times g's."""
+    if type(f) is LogSumExp:
+        return LogSumExp(f.vectors, 1.0), f.epsilon, 1.0 / f.epsilon
+    if type(f) is SquaredDistance:
+        return SquaredDistance(f.region, 1.0), f.weight, 1.0
+    return f, 1.0, 1.0
 
 
 @dataclass(frozen=True)

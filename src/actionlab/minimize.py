@@ -44,8 +44,9 @@ true discrete problem for that face set).  The result is kept when it lowers
 the true action, and the step repeats with every run of pinned midpoints
 grown by one chord at each end until the action stops dropping.
 
-`_minimize_paths` runs k paths of one function in lockstep, so that every
-resolvent batch covers all of them; `minimize_action` is its k = 1 case.
+`_minimize_paths` runs k paths in lockstep, so that every resolvent batch
+covers all of them; `minimize_action` is its k = 1 case.  Path p may run on
+f_p = c_p f(L_p .) (`convex._unit_scale`), as a Mosco family's members do.
 """
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Path, discrete_action
-from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks, as_point,
-                     tau_cap)
+from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks, _unit_scale,
+                     as_point, tau_cap)
 from .errors import (ConfigError, malformed_input, real_array, real_number,
                      whole_number)
 
@@ -119,18 +120,41 @@ class MinimizeResult:
 
 class _Objective:
     """Discretized smoothed action of k paths over their interior nodes
-    (k, N-1, d), each with its endpoints X0[p] and XD[p] pinned."""
+    (k, N-1, d), each with its endpoints X0[p] and XD[p] pinned, path p on
+    f_p = c[p] f(L[p] .) for scale = (s, L), s = c L^2 (default 1): one call
+    of f on the rows L m with tau s tau serves every path."""
 
     def __init__(self, f: ConvexFunction, tau: float, X0: np.ndarray,
-                 XD: np.ndarray, dt: float):
+                 XD: np.ndarray, dt: float, scale: np.ndarray | None = None):
         self.f = f
         self.tau = tau
         self.X0 = X0
         self.XD = XD
         self.dt = dt
+        self.s, self.L = np.ones((2, len(X0))) if scale is None else scale
+        self.unit = bool((self.s == 1.0).all())     # f's tau is then one number
 
     def paths(self, idx) -> _Objective:
-        return _Objective(self.f, self.tau, self.X0[idx], self.XD[idx], self.dt)
+        return _Objective(self.f, self.tau, self.X0[idx], self.XD[idx], self.dt,
+                          (self.s[idx], self.L[idx]))
+
+    def _f_taus(self, n: int):
+        """f's tau for k paths of n rows each: one number at unit scale."""
+        return self.tau if self.unit else np.repeat(self.tau * self.s, n)
+
+    def _f_rows(self, A: np.ndarray) -> np.ndarray:
+        """The points A (k, n, d) of the paths as rows of f's, L A."""
+        return (self.L[:, None, None] * A).reshape(-1, A.shape[2])
+
+    def envelope_derivatives(self, mids: np.ndarray, Y: np.ndarray):
+        """K and C (k n, d, d) of each path's own function at (k, n, d) mids, Y."""
+        n = mids.shape[1]
+        K, C = self.f.envelope_derivatives_many(self._f_taus(n), self._f_rows(mids),
+                                                self._f_rows(Y))
+        if self.unit:   # a kind's broadcast K stays a view
+            return K, C
+        s = np.repeat(self.s, n)[:, None, None]     # f_p's K and C: s K, s^2 C
+        return s * K, None if C is None else s * s * C
 
     def full_nodes(self, Z: np.ndarray) -> np.ndarray:
         return np.concatenate([self.X0[:, None], Z, self.XD[:, None]], axis=1)
@@ -148,9 +172,9 @@ class _Objective:
         diffs = X[:, 1:] - X[:, :-1]
         kinetic = np.einsum("pij,pij->pi", diffs, diffs).sum(axis=1) / self.dt
         mids = 0.5 * (X[:, :-1] + X[:, 1:])
-        d = Z.shape[2]
-        guess = None if start is None else start.reshape(-1, d)
-        Y = self.f.prox_many(self.tau, mids.reshape(-1, d), start=guess)[0].reshape(mids.shape)
+        Y = self.f.prox_many(self._f_taus(mids.shape[1]), self._f_rows(mids),
+                             start=None if start is None else self._f_rows(start))[0]
+        Y = Y.reshape(mids.shape) / self.L[:, None, None]
         G = (mids - Y) / self.tau
         return kinetic + self.dt * np.einsum("pij,pij->pi", G, G).sum(axis=1), (mids, Y)
 
@@ -177,8 +201,8 @@ class _Objective:
         2 K^2 + 2 C (None when the kind gives C = 0, so Gauss-Newton is
         exact), and the envelope Hessians K (k N, d, d) at the midpoints."""
         k, n, d = resolved[0].shape
+        K, C = self.envelope_derivatives(*resolved)
         mids, Y = (a.reshape(k * n, d) for a in resolved)
-        K, C = self.f.envelope_derivatives_many(self.tau, mids, Y)
         G = (mids - Y) / self.tau
         dphi = 2.0 * np.einsum("kij,kj->ki", K, G)
         S = 2.0 * np.einsum("kij,kil->kjl", K, K)
@@ -241,11 +265,14 @@ def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
     if definite:
         ok = np.ones(k, dtype=bool)
         if dense:
-            for p in range(k):
-                try:
-                    np.linalg.cholesky(A[p])
-                except np.linalg.LinAlgError:
-                    ok[p] = False
+            try:
+                np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:   # find the paths that failed
+                for p in range(k):
+                    try:
+                        np.linalg.cholesky(A[p])
+                    except np.linalg.LinAlgError:
+                        ok[p] = False
         else:
             ok = _definite_blocks(diag[1::2])
         if not ok.all():
@@ -355,13 +382,6 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
     return Z_end, hit, traces
 
 
-def _face_projectors(obj: _Objective, Z: np.ndarray) -> np.ndarray:
-    """Per midpoint of Z, the projector onto the directions its max_linear
-    resolvent pins: the midpoint lies on its face exactly when P m = 0."""
-    _, (mids, Y) = obj.evaluate(Z)
-    return obj.tau * obj.f.envelope_derivatives_many(obj.tau, mids[0], Y[0])[0]
-
-
 def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Interior nodes of least kinetic energy with every midpoint on its face,
     P_i m_i = 0, from the method of multipliers.
@@ -416,31 +436,40 @@ def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray) -> np.nd
     def true_value(Z):
         return discrete_action(obj.f, Path(times, obj.full_nodes(Z)[0])).total
 
+    def faces(Z):
+        """Per midpoint, the projector P = tau K onto the directions its
+        resolvent pins: the midpoint is on its face exactly when P m = 0."""
+        return obj.tau * obj.envelope_derivatives(*obj.evaluate(Z)[1])[0]
+
     best = true_value(Z)
-    P = _face_projectors(obj, Z)
+    P = faces(Z)
     for _ in range(_FACE_PASSES):
         cand = _on_faces(obj, Z, P)
         value = true_value(cand)
         if not value < best:
             break
         Z, best = cand, value
-        P_next = _next_faces(P, _face_projectors(obj, Z))
+        P_next = _next_faces(P, faces(Z))
         if np.allclose(P_next, P, rtol=0.0, atol=1e-9):
             break
         P = P_next
     return Z
 
 
-def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: float,
+def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
                     config: MinimizeConfig | None = None) -> list[MinimizeResult]:
-    """`minimize_action` from each row of X0 (k, d) to that of XD in lockstep;
-    a result is bit-equal to its one-path solve when the kind's batched maps
-    round each row alike."""
+    """`minimize_action` of fs[p] from row p of X0 (k, d) to that of XD, in
+    lockstep.  The fs share a `_unit_scale` unit member (so a tau schedule);
+    path p runs on f = fs[0] at its unit scale over f's, bit-equal to its
+    one-path solve when that is 1 and f's batches round each row alike."""
     cfg = _config(config)
+    f = fs[0]
     if (delta / cfg.N < sys.float_info.min
             or (schedule := _schedule(delta, f.lam))[-1] < sys.float_info.min):
         raise ConfigError(f"delta={delta!r} is too small: delta/N and every tau "
                           f"must be normal floats")
+    unit = {id(g): _unit_scale(g)[1:] for g in fs}
+    c, L = (np.array([unit[id(g)] for g in fs]) / unit[id(f)]).T
 
     k, n = X0.shape[0], cfg.N
     times = np.linspace(0.0, delta, n + 1)
@@ -452,7 +481,7 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
 
     by_stage, converged = [], np.ones(k, dtype=bool)
     for tau in schedule:
-        obj = _Objective(f, tau, X0, XD, dt)
+        obj = _Objective(f, tau, X0, XD, dt, (c * L * L, L))
         Z, hit, traces = _stage(obj, Z, cfg)
         by_stage.append(traces)
         converged &= hit
@@ -469,11 +498,12 @@ def _minimize_paths(f: ConvexFunction, X0: np.ndarray, XD: np.ndarray, delta: fl
 
     paths = [Path(times, nodes) for nodes in obj.full_nodes(Z)]
     return [MinimizeResult(path=path, value_smoothed=float(value),
-                           value_true=discrete_action(f, path).total,
+                           value_true=discrete_action(g, path).total,
                            iterations=sum(len(trace) - 1 for trace in stages),
                            converged=bool(done), tau_schedule=schedule,
                            stage_energies=stages)
-            for path, value, stages, done in zip(paths, value_smoothed, energies, converged)]
+            for g, path, value, stages, done
+            in zip(fs, paths, value_smoothed, energies, converged)]
 
 
 def minimize_action(f: ConvexFunction, x0, xd, delta: float,
@@ -494,7 +524,7 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
-    return _minimize_paths(f, x0[None], xd[None], delta, config)[0]
+    return _minimize_paths([f], x0[None], xd[None], delta, config)[0]
 
 
 @malformed_input("closed-form case")

@@ -497,7 +497,7 @@ def descent_monotonicity_failures(f: ConvexFunction, rng, trials: int) -> list[d
     ends = _endpoint_pairs(rng, f, trials)
     cfg = MinimizeConfig(N=24, max_iters=60, grad_tol=1e-6)
     fails = []
-    for res in _minimize_paths(f, ends[:, 0], ends[:, 1], 1.0, cfg):
+    for res in _minimize_paths([f] * trials, ends[:, 0], ends[:, 1], 1.0, cfg):
         for stage, tr in enumerate(res.stage_energies):
             for a, b in zip(tr, tr[1:]):
                 if not (b <= a + 1e-12 * (1.0 + abs(a))):
@@ -507,7 +507,7 @@ def descent_monotonicity_failures(f: ConvexFunction, rng, trials: int) -> list[d
 
 def endpoint_pinning_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     ends = _endpoint_pairs(rng, f, trials)
-    results = _minimize_paths(f, ends[:, 0], ends[:, 1], 1.0,
+    results = _minimize_paths([f] * trials, ends[:, 0], ends[:, 1], 1.0,
                               MinimizeConfig(N=16, max_iters=20))
     got = np.array([res.path.nodes[[0, -1]] for res in results])
     return _failed(f, ~(got == ends).all(axis=(1, 2)), x0=ends[:, 0], xd=ends[:, 1],

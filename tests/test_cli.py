@@ -156,6 +156,32 @@ def test_verify_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("document", [None, {"kind": "bogus", "params": {}}],
+                         ids=["missing_file", "malformed"])
+def test_verify_function_that_cannot_be_read_is_a_usage_error(capsys, tmp_path,
+                                                              document):
+    path = tmp_path / "f.json"
+    if document is not None:
+        path.write_text(json.dumps(document))
+    code, out, err = run(capsys, ["verify", "--scope", "gamma", "--function",
+                                  str(path), "--csv-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_function_joins_the_per_function_checks(capsys, quad_file):
+    argv = ["verify", "--scope", "convex", "--seed", "0", "--samples", "2"]
+    code, out, _ = run(capsys, argv)
+    code_f, out_f, _ = run(capsys, argv + ["--function", quad_file])
+    assert code == code_f == 0
+    base, joined = (json.loads(o)["checks"] for o in (out, out_f))
+    grown = {c["name"] for c, j in zip(base, joined) if j["samples"] > c["samples"]}
+    # every convex check but moreau_decomposition samples each pool function
+    assert grown == {c["name"] for c in base} - {"moreau_decomposition"}
+    assert all(j["failure_count"] == 0 for j in joined)
+
+
 def test_missing_required_setting_is_a_usage_error(capsys, quad_file):
     code, _, err = run(capsys, ["prox", "--function", quad_file,
                                 "--point", "2"])

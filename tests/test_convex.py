@@ -9,7 +9,7 @@ from actionlab.convex import (ACTIVE_TOL, Indicator, LogSumExp, MaxLinear,
                               Quadratic, SquaredDistance, evaluate,
                               min_norm_subgradient,
                               moreau_gradient, prox, resolvent_slope,
-                              sampled_slope_lower_bound, slope)
+                              sampled_slope_lower_bound, slope, _row_norms, _unit_scale)
 from actionlab.errors import (ConfigError, DimensionMismatchError,
                               InadmissibleTauError, OutsideDomainError)
 from actionlab.families import permutation_vectors
@@ -533,6 +533,65 @@ def test_prox_many_per_row_tau_matches_scalar_calls(f):
         # squares against the rounding floor of |x|^2
         np.testing.assert_allclose(r**2, r1[0]**2, rtol=1e-13,
                                    atol=1e-14 * (1.0 + x @ x))
+    # envelope_derivatives_many takes the same (k,) taus, row by row; a
+    # column of one tau rounds exactly as that tau does
+    K, C = f.envelope_derivatives_many(taus, X, Y)
+    assert K.shape == (40, f.dim, f.dim) and (C is None or C.shape == K.shape)
+    for i, (tau, x, y) in enumerate(zip(taus, X, Y)):
+        K1, C1 = f.envelope_derivatives_many(float(tau), x[None, :], y[None, :])
+        np.testing.assert_allclose(K[i], K1[0], rtol=1e-12,
+                                   atol=1e-12 * (1.0 + np.abs(K1).max()))
+        assert (C is None) == (C1 is None)
+        if C is not None:
+            np.testing.assert_allclose(C[i], C1[0], rtol=1e-12,
+                                       atol=1e-12 * (1.0 + np.abs(C1).max()))
+    for one, column in zip(f.envelope_derivatives_many(0.3, X, Y),
+                           f.envelope_derivatives_many(np.full(40, 0.3), X, Y)):
+        assert (one is None and column is None) or np.array_equal(one, column)
+
+
+_SCALED = {
+    "log_sum_exp": LogSumExp([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]], 0.05),
+    "log_sum_exp-3d": LogSumExp(np.random.default_rng(8).normal(size=(4, 3)), 0.4),
+    "squared_distance-ball": SquaredDistance(Ball([0.1, 0.2], 1.0), 6.0),
+    "squared_distance-box": SquaredDistance(Box([-1.0, -0.5], [1.0, 0.5]), 0.3),
+}
+
+
+@pytest.mark.parametrize("f", list(_SCALED.values()), ids=list(_SCALED))
+def test_unit_scale_identities(f):
+    """f = c g(L .) for (g, c, L) = _unit_scale(f), so J^f_tau(x) =
+    J^g_{c L^2 tau}(L x)/L and f's envelope derivatives at x are c L^2 K and
+    c^2 L^4 C of g's at L x."""
+    g, c, L = _unit_scale(f)
+    assert type(g) is type(f) and _unit_scale(g)[1:] == (1.0, 1.0)
+    rng = np.random.default_rng(2)
+    X = 1.5 * rng.normal(size=(60, f.dim))
+    taus = np.exp(rng.uniform(np.log(0.01), np.log(1.0), size=60))
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    close(c * g.value_many(L * X), f.value_many(X))
+    # an iterative resolvent is within its residual of the exact one
+    Y, res = f.prox_many(taus, X)
+    Yg, res_g = g.prox_many(c * L * L * taus, L * X)
+    assert (_row_norms(Yg / L - Y) <= res + res_g / L + 1e-12 * _row_norms(Y)).all()
+    K, C = f.envelope_derivatives_many(taus, X, Y)
+    Kg, Cg = g.envelope_derivatives_many(c * L * L * taus, L * X, L * Y)
+    s = c * L * L
+    close(s * Kg, K)
+    assert (C is None) == (Cg is None)
+    if C is not None:
+        close(s * s * Cg, C)
+
+
+@pytest.mark.parametrize("f", [Quadratic([[2.0]], [0.1]), MaxLinear([[1.0], [-1.0]]),
+                               Indicator(Ball([0.0], 1.0)),
+                               type("Sub", (LogSumExp,), {})([[1.0], [-1.0]], 0.1)],
+                         ids=["quadratic", "max_linear", "indicator", "lse-subclass"])
+def test_unit_scale_of_other_functions_is_themselves(f):
+    assert _unit_scale(f) == (f, 1.0, 1.0) and _unit_scale(f)[0] is f
 
 
 @pytest.mark.parametrize("f", _gradient_cases())

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from actionlab.action import Path
-from actionlab.convex import Quadratic, prox
+from actionlab import experiments
+from actionlab.convex import LogSumExp, Quadratic, prox
 from actionlab.errors import ConfigError
 from actionlab.experiments import (gamma_limsup_experiment,
                                    gamma_value_experiment,
                                    resolvent_convergence_table,
                                    slope_semicontinuity_table)
-from actionlab.families import (constant_family, family_logsumexp_to_max,
+from actionlab.families import (FamilyMember, MoscoFamily, constant_family,
+                                family_logsumexp_to_max,
                                 family_penalty_to_indicator)
-from actionlab.minimize import MinimizeConfig
+from actionlab.minimize import MinimizeConfig, minimize_action
 from actionlab.sets import Ball
 
 
@@ -92,6 +94,59 @@ def test_value_experiment_constant_family_zero_gap():
     assert rep.metadata["final_gap"] == 0.0
     assert all(r["gap_to_limit"] == 0.0 for r in rep.rows)
     assert rep.limit_row["converged"]
+
+
+_TRIANGLE = [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]]
+_VALUE_FAMILIES = {
+    "lse-1d": (lambda: family_logsumexp_to_max(
+        [[1.0], [-1.0]], (0.5, 0.2, 0.08, 0.03, 0.01), [-1.0], [1.0]), 128),
+    "lse-triangle": (lambda: family_logsumexp_to_max(
+        _TRIANGLE, (0.5, 0.2, 0.08, 0.03), [-1.0, 0.0], [1.0, 0.5]), 32),
+    "penalty": (pen_family, 48),
+    "constant": (lambda: constant_family(
+        LogSumExp(_TRIANGLE, 0.1), [-1.0, 0.0], [1.0, 0.5], size=3), 32),
+}
+
+
+def _count_lockstep_runs(monkeypatch) -> list[int]:
+    """The number of paths of each lockstep run the experiments module makes."""
+    runs = []
+    lockstep = experiments._minimize_paths
+    monkeypatch.setattr(experiments, "_minimize_paths",
+                        lambda fs, *a: runs.append(len(fs)) or lockstep(fs, *a))
+    return runs
+
+
+@pytest.mark.parametrize("name", list(_VALUE_FAMILIES))
+def test_value_experiment_members_match_their_own_solves(name, monkeypatch):
+    """The members run as one lockstep path each, on one base function with
+    a per-path (c, L) scale; every row matches the member's own solve."""
+    build, n = _VALUE_FAMILIES[name]
+    fam, cfg = build(), MinimizeConfig(N=n)
+    runs = _count_lockstep_runs(monkeypatch)
+    rep = gamma_value_experiment(fam, 1.0, cfg)
+    assert runs == [fam.size]
+    for row, mem in zip(rep.rows, fam.members):
+        solo = minimize_action(mem.function, mem.start, mem.end, 1.0, cfg)
+        assert row["value"] == pytest.approx(solo.value_true, rel=1e-9, abs=0.0)
+        assert row["iterations"] == solo.iterations
+        assert row["converged"] is solo.converged is True
+
+
+def test_value_experiment_groups_members_by_unit_function(monkeypatch):
+    """Members with different unit functions go to separate lockstep runs,
+    and the rows stay in member order."""
+    f, g = Quadratic([[1.0]], [0.0]), Quadratic([[2.0]], [0.0])
+    members = tuple(FamilyMember(h, [1.0], [2.0]) for h in (f, g, f, g))
+    fam = MoscoFamily(members, FamilyMember(f, [1.0], [2.0]), 1.0, 4.0)
+    cfg = MinimizeConfig(N=32)
+    runs = _count_lockstep_runs(monkeypatch)
+    rep = gamma_value_experiment(fam, 1.0, cfg)
+    assert runs == [2, 2]
+    assert [r["member"] for r in rep.rows] == [0, 1, 2, 3]
+    for row, mem in zip(rep.rows, members):
+        solo = minimize_action(mem.function, [1.0], [2.0], 1.0, cfg)
+        assert row["value"] == solo.value_true
 
 
 def test_value_experiment_lse_gap_shrinks():

@@ -237,7 +237,7 @@ def test_block_tridiagonal_solve_flags_only_the_indefinite_path(n, d):
 def _solve_in_lockstep(f, X0, XD, delta, cfg):
     """The lockstep results of the paths X0 -> XD, after checking that each
     equals its own minimize_action run bit for bit."""
-    results = _minimize_paths(f, np.array(X0, dtype=float), np.array(XD, dtype=float),
+    results = _minimize_paths([f] * len(X0), np.array(X0, dtype=float), np.array(XD, dtype=float),
                               delta, cfg)
     assert len(results) == len(X0)
     for res, x0, xd in zip(results, X0, XD):

@@ -150,6 +150,7 @@ class ConvexFunction:
     """Common surface for the built-in kinds; subclasses provide the math."""
 
     lam: float = 0.0
+    _convex_objective = False   # phi_tau = |grad f_tau|^2 convex for every tau
 
     @property
     def dim(self) -> int:
@@ -231,6 +232,7 @@ class Quadratic(ConvexFunction):
     b: np.ndarray
     c: float = 0.0
     lam: float = field(init=False)
+    _convex_objective = True    # grad f_tau is affine
 
     def __post_init__(self):
         Q = real_array(self.Q, "Q")
@@ -624,6 +626,7 @@ class _RegionKind(ConvexFunction):
 
     region: ConvexRegion
     _offset = 0.0
+    _convex_objective = True    # |grad f_tau|^2 = dist^2/(tau+s)^2
 
     def __post_init__(self):
         if not isinstance(self.region, (Ball, Box, Halfspace)):
@@ -645,8 +648,7 @@ class _RegionKind(ConvexFunction):
         J = self.region.project_jacobian_many(X)
         step = _tau_rows(tau, 3) + self._offset
         K = (np.eye(self.dim) - J) / step
-        scale = 1.0 / step
-        return K, scale * scale * (J - J @ J) if isinstance(self.region, Ball) else None
+        return K, (J - J @ J) / step / step if isinstance(self.region, Ball) else None
 
 
 @dataclass(frozen=True)
@@ -693,15 +695,19 @@ class SquaredDistance(_RegionKind):
         return 2.0 * self.weight * self.region.distance_many(X)
 
 
-def _unit_scale(f: ConvexFunction) -> tuple[ConvexFunction, float, float]:
-    """(g, c, L) with f = c g(L .) and g the unit member of f's built-in family
-    (any other f, subclasses too, is its own), so J^f_tau(x) =
+def _scale(f: ConvexFunction) -> tuple[float, float]:
+    """(c, L) with f = c g(L .) for g = `_unit_scale(f)[0]`, so J^f_tau(x) =
     J^g_{c L^2 tau}(L x)/L and f's K, C at x are c L^2, c^2 L^4 times g's."""
-    if type(f) is LogSumExp:
-        return LogSumExp(f.vectors, 1.0), f.epsilon, 1.0 / f.epsilon
-    if type(f) is SquaredDistance:
-        return SquaredDistance(f.region, 1.0), f.weight, 1.0
-    return f, 1.0, 1.0
+    return ((f.epsilon, 1.0 / f.epsilon) if type(f) is LogSumExp
+            else (f.weight, 1.0) if type(f) is SquaredDistance else (1.0, 1.0))
+
+
+def _unit_scale(f: ConvexFunction) -> tuple[ConvexFunction, float, float]:
+    """(g, *`_scale(f)`), g the unit member of f's built-in family (any other
+    f, subclasses too, is its own)."""
+    return ((LogSumExp(f.vectors, 1.0) if type(f) is LogSumExp
+             else SquaredDistance(f.region, 1.0) if type(f) is SquaredDistance else f),
+            *_scale(f))
 
 
 @dataclass(frozen=True)

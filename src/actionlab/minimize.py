@@ -6,7 +6,8 @@ The discretized objective on a uniform grid with pinned endpoints is
 
 with phi_tau = |grad f_tau|^2 evaluated at chord midpoints m_i through the
 resolvent, and tau run through a decreasing continuation schedule with warm
-starts.
+starts.  Where phi_tau is convex (quadratic, indicator, squared_distance),
+E_tau is strictly convex and the schedule is only its last tau.
 
 Each step is damped Newton, the minimum action method of E, Ren and
 Vanden-Eijnden (2004) in the semismooth setting of Qi and Sun (1993).  With
@@ -46,7 +47,7 @@ grown by one chord at each end until the action stops dropping.
 
 `_minimize_paths` runs k paths in lockstep, so that every resolvent batch
 covers all of them; `minimize_action` is its k = 1 case.  Path p may run on
-f_p = c_p f(L_p .) (`convex._unit_scale`), as a Mosco family's members do.
+f_p = c_p f(L_p .) (`convex._scale`), as a Mosco family's members do.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Path, discrete_action
-from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks, _unit_scale,
+from .convex import (ConvexFunction, Indicator, MaxLinear, _scale, _solve_blocks,
                      as_point, tau_cap)
 from .errors import (ConfigError, malformed_input, real_array, real_number,
                      whole_number)
@@ -89,11 +90,13 @@ class MinimizeConfig:
                            real_number(self.grad_tol, "grad_tol", positive=True))
 
 
-def _schedule(delta: float, lam: float) -> tuple[float, ...]:
-    """The tau continuation schedule for horizon delta and modulus lam, scaled
-    down as a whole where needed to keep every tau within tau_cap(lam)."""
-    factor = min(1.0, tau_cap(lam) / (_TAU_FACTORS[0] * delta))
-    return tuple(f * delta * factor for f in _TAU_FACTORS)
+def _schedule(delta: float, f: ConvexFunction) -> tuple[float, ...]:
+    """The tau continuation schedule for horizon delta and f, scaled down as a
+    whole where needed to keep every tau within tau_cap(f.lam); only its last
+    tau where f's phi_tau is convex, as then no earlier stage can help."""
+    factor = min(1.0, tau_cap(f.lam) / (_TAU_FACTORS[0] * delta))
+    taus = tuple(t * delta * factor for t in _TAU_FACTORS)
+    return taus[-1:] if f._convex_objective else taus
 
 
 def _config(config) -> MinimizeConfig:
@@ -106,8 +109,9 @@ def _config(config) -> MinimizeConfig:
 @dataclass(frozen=True)
 class MinimizeResult:
     """The minimizing path and its smoothed and true actions.  stage_energies
-    holds, per continuation stage, the objective at the stage's start and
-    after each accepted step; iterations counts those steps."""
+    holds, per continuation stage (one where phi_tau is convex), the
+    objective at the stage's start and after each accepted step; iterations
+    counts those steps."""
 
     path: Path
     value_smoothed: float
@@ -465,11 +469,10 @@ def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
     cfg = _config(config)
     f = fs[0]
     if (delta / cfg.N < sys.float_info.min
-            or (schedule := _schedule(delta, f.lam))[-1] < sys.float_info.min):
+            or (schedule := _schedule(delta, f))[-1] < sys.float_info.min):
         raise ConfigError(f"delta={delta!r} is too small: delta/N and every tau "
                           f"must be normal floats")
-    unit = {id(g): _unit_scale(g)[1:] for g in fs}
-    c, L = (np.array([unit[id(g)] for g in fs]) / unit[id(f)]).T
+    c, L = (np.array([_scale(g) for g in fs]) / _scale(f)).T
 
     k, n = X0.shape[0], cfg.N
     times = np.linspace(0.0, delta, n + 1)
@@ -512,14 +515,15 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
 
     Runs the tau-continuation schedule with warm starts; the schedule is
     fixed by delta and the modulus of f, and the result reports it with the
-    energies of every stage.  Running out of iterations is not an error
-    (converged=False is returned instead), but a resolvent solver failure (a
-    resolvent iteration that runs out of its iteration cap) propagates as
-    SolverError.  Endpoints of the returned path are bit-equal to the
-    inputs.  For indicator functions the initial segment and the final
-    iterate are projected node-wise into the region; for max_linear the
-    final iterate is moved onto the kink faces its midpoints identify when
-    that lowers the true action.
+    energies of every stage; quadratic, indicator and squared_distance run
+    only its last tau, where E_tau is strictly convex.  Running out of
+    iterations is not an error (converged=False is returned instead), but a
+    resolvent solver failure (a resolvent iteration that runs out of its
+    iteration cap) propagates as SolverError.  Endpoints of the returned
+    path are bit-equal to the inputs.  For indicator functions the initial
+    segment and the final iterate are projected node-wise into the region;
+    for max_linear the final iterate is moved onto the kink faces its
+    midpoints identify when that lowers the true action.
     """
     delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")

@@ -19,7 +19,7 @@ from actionlab.errors import ConfigError, SolverError
 from actionlab.minimize import (MinimizeConfig, _block_tridiagonal_solve,
                                 _minimize_paths, _schedule, closed_form_value,
                                 minimize_action)
-from actionlab.sets import Ball, Box
+from actionlab.sets import Ball, Box, Halfspace
 
 HALF_SQ = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
 TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])
@@ -263,7 +263,8 @@ _LOCKSTEP_CASES = {
         Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0]),
         [[1.0, 0.0], [0.0, 0.0], [-1.5, 0.5]], [[0.0, 2.0], [0.0, 0.0], [1.0, 1.0]],
         1.0, MinimizeConfig(N=24)),
-    # lambda = -0.9 caps the default schedule at tau_cap = 0.5 (delta/2 = 1)
+    # lambda = -0.9 scales the default schedule down to start at tau_cap = 0.5
+    # (delta/2 = 1); the quadratic runs only its last tau, 0.004/0.5 tau_cap
     "quadratic_negative": (
         Quadratic([[-0.9, 0.0], [0.0, 0.5]], [0.0, 0.0]),
         [[0.0, 1.0], [0.0, 0.0], [0.5, -0.5]], [[1.0, 0.0], [0.0, 0.0], [-0.5, 1.5]],
@@ -308,19 +309,19 @@ def test_lockstep_paths_equal_one_path_solves(kind):
     if not isinstance(f, Indicator):
         assert len(set(_stage_steps(results))) > 1
     if kind == "quadratic_negative":
-        assert results[0].tau_schedule[0] == pytest.approx(tau_cap(f.lam))
+        assert results[0].tau_schedule == pytest.approx((0.004 / 0.5 * tau_cap(f.lam),))
 
 
 def test_lockstep_path_that_exhausts_max_iters():
-    # one Newton step per stage reaches the quadratic's minimizer, but the
-    # stop is only tested before a step, so max_iters = 1 ends every stage
+    # one Newton step reaches the quadratic's minimizer in its one stage, but
+    # the stop is only tested before a step, so max_iters = 1 ends that stage
     # of the moving path unconverged while the resting one converges
     results = _solve_in_lockstep(
         Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0]),
         [[1.0, 0.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]], 1.0,
         MinimizeConfig(N=24, max_iters=1))
     assert [r.converged for r in results] == [False, True]
-    assert _stage_steps(results) == [(1, 1, 1, 1), (0, 0, 0, 0)]
+    assert _stage_steps(results) == [(1,), (0,)]
 
 
 def test_lockstep_path_that_finds_no_descent():
@@ -356,14 +357,93 @@ def test_indicator_path_stays_feasible():
     assert res.value_true == pytest.approx(want, rel=1e-6)
 
 
+# the kinds whose phi_tau is convex, made to run the four-stage continuation
+class _ContinuedQuadratic(Quadratic):
+    _convex_objective = False
+
+
+class _ContinuedIndicator(Indicator):
+    _convex_objective = False
+
+
+class _ContinuedSquaredDistance(SquaredDistance):
+    _convex_objective = False
+
+
+def _continued(f):
+    if isinstance(f, Quadratic):
+        return _ContinuedQuadratic(f.Q, f.b, f.c)
+    if isinstance(f, Indicator):
+        return _ContinuedIndicator(f.region)
+    return _ContinuedSquaredDistance(f.region, f.weight)
+
+
 def test_negative_curvature_schedule_is_admissible():
     f = Quadratic(np.array([[-0.9]]), np.zeros(1), 0.0)
-    sched = _schedule(2.0, f.lam)
-    assert all(b < a for a, b in zip(sched, sched[1:]))
+    sched = _schedule(2.0, _continued(f))
+    assert len(sched) == 4 and all(b < a for a, b in zip(sched, sched[1:]))
     for tau in sched:
         assert 1.0 + tau * f.lam > 0.1
+    # the quadratic itself runs the continuation's last, admissible tau
+    assert _schedule(2.0, f) == sched[-1:]
     res = minimize_action(f, [0.0], [1.0], 2.0, MinimizeConfig(N=48))
     assert np.isfinite(res.value_true)
+
+
+_CONVEX_KIND_CASES = {
+    "quadratic": (Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.3, -0.2]),
+                  [1.0, -0.5], [-0.5, 2.0], 1.0, 1e-9),
+    # lambda < 0 caps the schedule: 1 + tau lambda stays positive
+    "quadratic_negative": (Quadratic([[-0.9, 0.3], [0.3, 0.5]], [0.0, 0.1]),
+                           [0.0, 1.0], [1.5, -0.5], 2.0, 1e-9),
+    "indicator_ball": (Indicator(Ball([0.0, 0.0], 1.0)),
+                       [0.6, -0.8], [-0.8, 0.0], 1.0, 1e-9),
+    "indicator_box": (Indicator(Box([-1.0, -0.5], [1.0, 0.5])),
+                      [-1.0, 0.5], [0.7, -0.5], 0.3, 1e-9),
+    "indicator_halfspace": (Indicator(Halfspace([1.0, 1.0], 0.5)),
+                            [0.5, -1.0], [-2.0, 1.0], 3.0, 1e-9),
+    "squared_distance_ball": (SquaredDistance(Ball([0.0, 0.0], 1.0), 2.0),
+                              [-2.0, 0.5], [2.0, 1.5], 1.0, 1e-6),
+    "squared_distance_box": (SquaredDistance(Box([-1.0, -0.5], [1.0, 0.5]), 0.7),
+                             [-2.5, 1.5], [2.0, -1.0], 3.0, 1e-6),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CONVEX_KIND_CASES))
+def test_convex_kind_runs_one_stage_that_agrees_with_continuation(kind):
+    """A kind whose phi_tau is convex has a strictly convex E_tau, so the
+    four-stage continuation reaches the minimizer its last stage alone does:
+    the one-stage solve runs that last tau and agrees with it to within the
+    stop tolerance, in no more iterations."""
+    f, x0, xd, delta, rel = _CONVEX_KIND_CASES[kind]
+    cfg = MinimizeConfig(N=64)
+    one = minimize_action(f, x0, xd, delta, cfg)
+    continued = minimize_action(_continued(f), x0, xd, delta, cfg)
+    assert len(continued.tau_schedule) == 4
+    assert one.tau_schedule == continued.tau_schedule[-1:]
+    assert len(one.stage_energies) == 1
+    assert one.converged == continued.converged
+    assert one.iterations <= continued.iterations
+    assert one.value_true == pytest.approx(continued.value_true, rel=rel)
+
+
+@pytest.mark.parametrize("f", [LogSumExp(TRIANGLE, 0.1), MaxLinear(TRIANGLE)],
+                         ids=["log_sum_exp", "max_linear"])
+def test_nonconvex_objective_kinds_keep_the_continuation(f):
+    res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=32))
+    assert len(res.tau_schedule) == 4 == len(res.stage_energies)
+    assert res.tau_schedule == pytest.approx((0.5, 0.1, 0.02, 0.004))
+
+
+@pytest.mark.parametrize("delta", [1e-155, 1e-200, 1e-250, 1e-300])
+def test_ball_indicator_solves_at_tiny_delta(delta):
+    # 1/tau^2 overflows at these deltas, so the ball's curvature term must
+    # not form it: times the zero curvature inside the ball it gives nan (a
+    # RuntimeWarning, which is an error in this suite)
+    f = Indicator(Ball([0.0, 0.0], 1.5))
+    res = minimize_action(f, [-1.0, 0.0], [1.0, 0.3], delta, MinimizeConfig(N=16))
+    assert res.converged
+    assert res.value_true * delta == pytest.approx(4.09, rel=1e-9)
 
 
 def test_closed_form_value_free_variants():

@@ -2,9 +2,9 @@
 
 Subcommands: prox, slope, interpolate, minimize, gamma, verify.  Inputs come
 from --config (a JSON file) with individual flags overriding; CSV artifacts
-land in --csv-dir (default: current directory).  Every command prints one
-JSON document to stdout at full double precision; verify exits nonzero when
-any check fails.
+land in --csv-dir (default: current directory; prox, slope and verify ignore
+it).  Every command prints one JSON document to stdout at full double
+precision; verify exits nonzero when any check fails.
 """
 
 from __future__ import annotations
@@ -214,10 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Proximal calculus, action functionals, and convergence "
                     "experiments for lambda-convex functions.")
     sub = parser.add_subparsers(dest="command", required=True)
+    no_csv = "accepted and ignored: this command writes no CSV"
 
-    def common(p):
+    def common(p, csv_help="directory for CSV output"):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--csv-dir", default=".", help="directory for CSV output")
+        p.add_argument("--csv-dir", default=".", help=csv_help)
         p.add_argument("--function", help="JSON file with a function descriptor")
 
     def minimize_flags(p):
@@ -226,13 +227,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grad-tol", type=float)
 
     p = sub.add_parser("prox", help="resolvent, envelope, and gradient at a point")
-    common(p)
+    common(p, no_csv)
     p.add_argument("--tau", type=float)
     p.add_argument("--point", type=_floats)
     p.set_defaults(handler=_cmd_prox)
 
     p = sub.add_parser("slope", help="metric slope at a point")
-    common(p)
+    common(p, no_csv)
     p.add_argument("--point", type=_floats)
     p.set_defaults(handler=_cmd_slope)
 
@@ -269,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gamma)
 
     p = sub.add_parser("verify", help="run the seeded invariant suite")
-    common(p)
+    common(p, no_csv)
     p.add_argument("--scope", help=f"comma-separated subset of {SCOPES}")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)

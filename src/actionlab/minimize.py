@@ -35,7 +35,9 @@ iterations, and the closed-form kinds ignore the start.  Armijo backtracking
 starts from the full step.  A stage stops when the decrement g^T H^-1 g, in
 the Hessian that made the step, falls to
 grad_tol^2 * max(|xd - x0|^2/delta, E_tau), a rule that does not depend on the
-scale of the problem.
+scale of the problem.  A stage before the last also stops, with no Newton
+system formed to confirm it, where Newton's quadratic convergence (Nocedal and
+Wright, ch. 3) predicts it (see `_stage`); `converged` counts such stops.
 
 For max_linear the slope jumps across kinks, which the smoothed minimizer
 approaches but does not rest on.  After the last stage each midpoint's active
@@ -111,7 +113,7 @@ class MinimizeResult:
     """The minimizing path and its smoothed and true actions.  stage_energies
     holds, per continuation stage (one where phi_tau is convex), the
     objective at the stage's start and after each accepted step; iterations
-    counts those steps."""
+    counts those steps.  converged counts a predicted stop as met (`_stage`)."""
 
     path: Path
     value_smoothed: float
@@ -314,7 +316,7 @@ def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
     return x, ok
 
 
-def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
+def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, last: bool
            ) -> tuple[np.ndarray, list[bool], list[list[float]]]:
     """Damped Newton steps on obj from Z (k, N-1, d), the k paths in
     lockstep: per path the last iterate, whether it met the stopping rule,
@@ -324,11 +326,16 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
     term and that path's Hessian is positive definite, else the Gauss-Newton
     one; the stop measures the decrement in the Hessian that made the step.
     The paths still searching share a step length and a resolvent batch per
-    trial, each with its own Armijo test."""
+    trial, each with its own Armijo test.  Unless last, a path also stops
+    after a full step that was not a Gauss-Newton fallback, when its
+    decrement r <= grad_tol * max(|xd - x0|^2/delta, E_tau) and the rate seen,
+    r (r / r_before)^2, predict the next one under the stop: near a singular
+    Hessian Newton is only linear, and r alone would stop a path short."""
     values, (mids, Y) = obj.evaluate(Z)
     traces = [[e] for e in values.tolist()]
     segment = [float(v @ v) / (obj.dt * (Z.shape[1] + 1)) for v in obj.XD - obj.X0]
     Z_end, hit = np.empty_like(Z), [False] * len(traces)
+    sure, before = [False] * len(traces), [0.0] * len(traces)   # predicted stops
     # the paths still stepping; obj, Z, mids and Y hold their rows in order
     run = list(range(len(traces)))
     for _ in range(cfg.max_iters):
@@ -340,7 +347,10 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
                                                       grad[~ok])[0]
         decrement = (grad * direction).reshape(len(run), -1).sum(axis=1).tolist()
         for i, p in enumerate(run):
-            hit[p] = decrement[i] <= cfg.grad_tol**2 * max(segment[p], traces[p][-1])
+            hit[p] = decrement[i] <= cfg.grad_tol**2 * (scale := max(segment[p], traces[p][-1]))
+            sure[p] = (not last and ok[i] and decrement[i] <= cfg.grad_tol * scale
+                       and decrement[i]**3 <= (cfg.grad_tol * before[p])**2 * scale)
+            before[p] = decrement[i]
         moving = [i for i, p in enumerate(run) if not hit[p]]   # rows that step
         if not moving:
             break
@@ -365,6 +375,7 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
                 # when the Armijo bound rounds to the energy itself
                 if c < trace[-1] and c <= trace[-1] - _STEP_DECREASE * step * decrement[i]:
                     good.append(j)
+                    hit[run[i]] = step == 1.0 and sure[run[i]]
                     trace.append(c)
             if len(good) == len(run):
                 Z, mids, Y = candidate, cand_mids, cand_Y
@@ -374,8 +385,8 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig
             search = [i for j, i in enumerate(search) if j not in good]
             step *= _STEP_SHRINK
         # the rows still searching found no descent representable at this
-        # precision; they leave with the ones that met their stop
-        stays = [i for i in moving if i not in search]
+        # precision; they leave with the ones that met or predicted their stop
+        stays = [i for i in moving if i not in search and not hit[run[i]]]
         if not stays:
             break
         if len(stays) < len(run):
@@ -485,7 +496,7 @@ def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
     by_stage, converged = [], np.ones(k, dtype=bool)
     for tau in schedule:
         obj = _Objective(f, tau, X0, XD, dt, (c * L * L, L))
-        Z, hit, traces = _stage(obj, Z, cfg)
+        Z, hit, traces = _stage(obj, Z, cfg, tau == schedule[-1])
         by_stage.append(traces)
         converged &= hit
     energies = [tuple(map(tuple, path)) for path in zip(*by_stage)]
@@ -516,14 +527,15 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     Runs the tau-continuation schedule with warm starts; the schedule is
     fixed by delta and the modulus of f, and the result reports it with the
     energies of every stage; quadratic, indicator and squared_distance run
-    only its last tau, where E_tau is strictly convex.  Running out of
-    iterations is not an error (converged=False is returned instead), but a
-    resolvent solver failure (a resolvent iteration that runs out of its
-    iteration cap) propagates as SolverError.  Endpoints of the returned
-    path are bit-equal to the inputs.  For indicator functions the initial
-    segment and the final iterate are projected node-wise into the region;
-    for max_linear the final iterate is moved onto the kink faces its
-    midpoints identify when that lowers the true action.
+    only its last tau, where E_tau is strictly convex.  A stage before the
+    last may end on Newton's predicted stop, which converged counts as met.
+    Running out of iterations is not an error (converged=False is returned
+    instead), but a resolvent solver failure (a resolvent iteration that
+    runs out of its iteration cap) propagates as SolverError.  Endpoints of
+    the returned path are bit-equal to the inputs.  For indicator functions
+    the initial segment and the final iterate are projected node-wise into
+    the region; for max_linear the final iterate is moved onto the kink
+    faces its midpoints identify when that lowers the true action.
     """
     delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")

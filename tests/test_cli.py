@@ -257,6 +257,21 @@ def test_config_that_is_not_an_object_is_a_clean_error(capsys, quad_file, tmp_pa
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize("argv", [["prox", "--tau", "0.5", "--point", "2"],
+                                  ["slope", "--point", "2"],
+                                  ["verify", "--scope", "convex", "--samples", "2"]],
+                         ids=["prox", "slope", "verify"])
+def test_csv_dir_is_accepted_and_ignored_where_no_csv_is_written(capsys, quad_file,
+                                                                 tmp_path, argv):
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert "accepted and ignored" in " ".join(capsys.readouterr().out.split())
+    code, out, _ = run(capsys, argv + ["--function", quad_file,
+                                       "--csv-dir", str(tmp_path / "csv")])
+    assert code == 0 and json.loads(out)
+    assert not (tmp_path / "csv").exists()
+
+
 def test_garbled_point_is_an_argparse_error(capsys, quad_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["prox", "--function", quad_file,

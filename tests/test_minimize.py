@@ -12,6 +12,7 @@ from scipy.integrate import solve_bvp
 from scipy.linalg import solve_banded
 
 import actionlab
+from actionlab import minimize
 from actionlab.action import dubois_reymond_residual
 from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
                               SquaredDistance, prox, tau_cap)
@@ -258,6 +259,60 @@ def _stage_steps(results):
     return [tuple(len(t) - 1 for t in res.stage_energies) for res in results]
 
 
+class _NewtonLog:
+    """While installed, one list per stage run, with one [trials, fallback]
+    entry per Newton system the stage forms: the line-search trials that
+    followed it, and whether the exact Newton Hessian of some path was
+    indefinite, so that its step fell back to Gauss-Newton.  With
+    every_stage_last set, each stage runs as the schedule's last."""
+
+    def __init__(self, monkeypatch):
+        self.stages, self.every_stage_last = [], False
+        stage, system = minimize._stage, minimize._Objective.newton_system
+        evaluate, solve = minimize._Objective.evaluate, minimize._block_tridiagonal_solve
+
+        def logged_stage(obj, Z, cfg, last):
+            self.stages.append([])
+            return stage(obj, Z, cfg, last or self.every_stage_last)
+
+        def logged_system(obj, *args):
+            self.stages[-1].append([0, False])
+            return system(obj, *args)
+
+        def logged_evaluate(obj, Z, start=None):
+            if start is not None:       # a line-search trial
+                self.stages[-1][-1][0] += 1
+            return evaluate(obj, Z, start)
+
+        def logged_solve(diag, off, rhs, definite=False):
+            x, ok = solve(diag, off, rhs, definite)
+            self.stages[-1][-1][1] |= not ok.all()
+            return x, ok
+
+        monkeypatch.setattr(minimize, "_stage", logged_stage)
+        monkeypatch.setattr(minimize._Objective, "newton_system", logged_system)
+        monkeypatch.setattr(minimize._Objective, "evaluate", logged_evaluate)
+        monkeypatch.setattr(minimize, "_block_tridiagonal_solve", logged_solve)
+
+    def systems(self):
+        return sum(map(len, self.stages))
+
+    def predicted(self, res):
+        """Per stage of res, the last solve run, whether it ended on a
+        predicted stop: it formed no Newton system after its last step."""
+        stages = self.stages[-len(res.stage_energies):]
+        return [len(s) == len(t) - 1 for s, t in zip(stages, res.stage_energies)]
+
+
+# a smoothed-max solve whose exact Newton Hessian is indefinite at some
+# iterates (test_indefinite_newton_hessian_falls_back_to_gauss_newton)
+_PINNED_INDEFINITE = (
+    LogSumExp([[-0.49444450585153754, 1.4798528194875031],
+               [1.3806964913899755, -0.6978025109498175],
+               [1.1326671991485069, -1.5920459987975748]], 0.25),
+    [0.3286597671033301, -0.5602006706537357], [-2.653717049784881, -1.91228770000378],
+    1.0, MinimizeConfig(N=24, max_iters=60, grad_tol=1e-6))
+
 _LOCKSTEP_CASES = {
     "quadratic": (
         Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0]),
@@ -273,6 +328,11 @@ _LOCKSTEP_CASES = {
         LogSumExp(TRIANGLE, 0.1),
         [[-1.0, 0.0], [0.3, -0.2], [-0.6, 0.0]], [[1.0, 0.5], [1.2, 0.9], [0.5, 0.5]],
         1.0, MinimizeConfig(N=32)),
+    # the first path ends its first stage on a measured stop, the second on
+    # a predicted one (test_predicted_stop_follows_only_full_exact_steps)
+    "log_sum_exp_predicted": (
+        _PINNED_INDEFINITE[0], [_PINNED_INDEFINITE[1], [1.0, -1.0]],
+        [_PINNED_INDEFINITE[2], [-1.0, 1.0]], *_PINNED_INDEFINITE[3:]),
     # the first two paths end at the line search's no-descent exit
     "max_linear_1d": (
         MaxLinear([[3.197], [1.509], [3.038]]),
@@ -298,7 +358,7 @@ _LOCKSTEP_CASES = {
 
 
 @pytest.mark.parametrize("kind", list(_LOCKSTEP_CASES))
-def test_lockstep_paths_equal_one_path_solves(kind):
+def test_lockstep_paths_equal_one_path_solves(kind, monkeypatch):
     """Every path of a lockstep run is bit-equal to its own minimize_action
     run: nodes, both values, iterations, converged and stage energies.  Apart
     from the indicators, whose straight chords are already minimal, the
@@ -310,6 +370,11 @@ def test_lockstep_paths_equal_one_path_solves(kind):
         assert len(set(_stage_steps(results))) > 1
     if kind == "quadratic_negative":
         assert results[0].tau_schedule == pytest.approx((0.004 / 0.5 * tau_cap(f.lam),))
+    if kind == "log_sum_exp_predicted":
+        log = _NewtonLog(monkeypatch)
+        ends = [log.predicted(minimize_action(f, x0, xd, delta, cfg))[0]
+                for x0, xd in zip(X0, XD)]
+        assert ends == [False, True]
 
 
 def test_lockstep_path_that_exhausts_max_iters():
@@ -337,14 +402,95 @@ def test_indefinite_newton_hessian_falls_back_to_gauss_newton():
     # the exact Newton Hessian of this smoothed-max solve is indefinite at
     # some iterates; steps solved from it anyway stop at value_true 14.482
     # and report converged there
-    f = LogSumExp([[-0.49444450585153754, 1.4798528194875031],
-                   [1.3806964913899755, -0.6978025109498175],
-                   [1.1326671991485069, -1.5920459987975748]], 0.25)
-    res = minimize_action(f, [0.3286597671033301, -0.5602006706537357],
-                          [-2.653717049784881, -1.91228770000378], 1.0,
-                          MinimizeConfig(N=24, max_iters=60, grad_tol=1e-6))
+    res = minimize_action(*_PINNED_INDEFINITE)
     assert res.converged
     assert res.value_true == pytest.approx(14.262768636807207, rel=1e-6)
+
+
+def test_early_stages_end_on_the_predicted_stop(monkeypatch):
+    """On the N = 512 smoothed triangle solve every stage before the last
+    ends on Newton's predicted stop, so the solve forms 9 Newton systems
+    where confirming each stop takes 12, and ends bit-equal."""
+    log = _NewtonLog(monkeypatch)
+    f, cfg = LogSumExp(TRIANGLE, 0.1), MinimizeConfig(N=512)
+    res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, cfg)
+    assert log.systems() == 9
+    assert log.predicted(res) == [True, True, True, False]
+    log.stages, log.every_stage_last = [], True
+    confirmed = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, cfg)
+    assert log.systems() == 12
+    assert log.predicted(confirmed) == [False] * 4
+    assert np.array_equal(res.path.nodes, confirmed.path.nodes)
+    assert res.value_true == confirmed.value_true
+    assert res.stage_energies == confirmed.stage_energies
+    assert res.converged and confirmed.converged
+
+
+@pytest.mark.parametrize("f, x0, xd, delta, cfg", [
+    (LogSumExp(TRIANGLE, 0.1), [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=512)),
+    _PINNED_INDEFINITE,
+    (Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.3, -0.2]), [1.0, -0.5], [-0.5, 2.0],
+     1.0, MinimizeConfig(N=64)),
+], ids=["log_sum_exp", "pinned_indefinite", "quadratic"])
+def test_predicted_stop_never_ends_the_last_stage(f, x0, xd, delta, cfg, monkeypatch):
+    # the last stage, the only one of a quadratic, ends on a Newton system
+    # whose decrement met the stop: no line search followed it
+    log = _NewtonLog(monkeypatch)
+    res = minimize_action(f, x0, xd, delta, cfg)
+    assert res.converged
+    assert not log.predicted(res)[-1]
+    assert log.stages[-1][-1][0] == 0
+
+
+def test_predicted_stop_follows_only_full_exact_steps(monkeypatch):
+    """On the pinned indefinite case, a stage ends on a predicted stop only
+    after a full step (one line-search trial) of an exact Newton direction.
+    With every path's Newton Hessian reported indefinite, or every first
+    trial rejected, no stage ends on one."""
+    f, x0, xd, delta, cfg = _PINNED_INDEFINITE
+    log = _NewtonLog(monkeypatch)
+    res = minimize_action(f, x0, xd, delta, cfg)
+    predicted = log.predicted(res)
+    assert predicted == [False, True, True, False]
+    for stage, ended in zip(log.stages, predicted):
+        if ended:
+            assert stage[-1] == [1, False]
+    early = [entry for stage in log.stages[:-1] for entry in stage]
+    assert [1, True] in early and max(trials for trials, _ in early) > 1
+
+    logged_solve, logged_evaluate = minimize._block_tridiagonal_solve, minimize._Objective.evaluate
+
+    def indefinite(diag, off, rhs, definite=False):
+        x, ok = logged_solve(diag, off, rhs, definite)
+        return x, ok & (not definite)
+
+    monkeypatch.setattr(minimize, "_block_tridiagonal_solve", indefinite)
+    fallback = minimize_action(f, x0, xd, delta, cfg)
+    assert fallback.converged and not any(log.predicted(fallback))
+    monkeypatch.setattr(minimize, "_block_tridiagonal_solve", logged_solve)
+
+    def first_trial_rejected(obj, Z, start=None):
+        energy, resolved = logged_evaluate(obj, Z, start)
+        if start is not None and log.stages[-1][-1][0] == 1:
+            energy = np.full_like(energy, np.inf)
+        return energy, resolved
+
+    monkeypatch.setattr(minimize._Objective, "evaluate", first_trial_rejected)
+    backtracked = minimize_action(f, x0, xd, delta, cfg)
+    assert backtracked.converged and not any(log.predicted(backtracked))
+
+
+def test_predicted_stop_needs_newton_s_quadratic_rate():
+    # in this solve's second stage Newton converges only linearly (decrements
+    # 1.0e-4, 1.2e-5, 2.6e-6) towards an iterate whose Hessian is indefinite;
+    # a small decrement alone would end that stage after 3 steps, and the
+    # solve at 13.19; going on, it escapes in 55 steps to end at 10.215
+    f = LogSumExp([[-0.8532103694885715], [-2.0881189356839425]], 0.03)
+    res = minimize_action(f, [-1.3227835973529674], [-0.7376580223265896], 3.0,
+                          MinimizeConfig(N=16, grad_tol=1e-6))
+    assert res.converged
+    assert len(res.stage_energies[1]) - 1 == 55
+    assert res.value_true == pytest.approx(10.215017224230358, rel=1e-9)
 
 
 def test_indicator_path_stays_feasible():

@@ -12,8 +12,10 @@ Values of +inf are legal (indicator outside its region) and propagate through
 arithmetic; operations that need a finite subgradient raise instead.  Batched
 `*_many` methods take (k, d) arrays and are the primitives; `prox_many` and
 `envelope_derivatives_many` take tau as a scalar or as a (k,) array with one
-tau per row, so a sweep over (tau, x) pairs is one call.  The free functions
-at the bottom are the scalar-call surface.
+tau per row, so a sweep over (tau, x) pairs is one call.  Reductions over a
+kind's few vectors run across rows (`_row_reduce`), several times faster and
+bit-identical for max, min, logical ops and sums of fewer than 8 terms.  The
+free functions at the bottom are the scalar-call surface.
 """
 from __future__ import annotations
 
@@ -134,6 +136,14 @@ def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         inv = adj / (a * e - b * c)[..., None, None]
         return inv if B is None else inv @ B
     return np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
+
+
+def _row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(A, axis=1) bit for bit, as m passes over the k rows of a
+    transposed copy; a sum of 8 or more terms keeps numpy's pairwise axis=1."""
+    if ufunc is np.add and A.shape[1] >= 8:
+        return A.sum(axis=1)
+    return ufunc.reduce(np.ascontiguousarray(A.T), axis=0)
 
 
 def _row_norms(R: np.ndarray) -> np.ndarray:
@@ -333,8 +343,8 @@ def _project_hull_2d(H: np.ndarray, Z: np.ndarray) -> np.ndarray:
     nearest = np.argmin(D0 * D0 + D1 * D1, axis=1)
     proj = np.stack([P0[rows, nearest], P1[rows, nearest]], axis=1)
     if H.shape[0] > 2:
-        inside = (e[:, 0] * W1 - e[:, 1] * W0 >= 0.0).all(axis=1)
-        proj[inside] = Z[inside]
+        inside = _row_reduce(np.logical_and, e[:, 0] * W1 - e[:, 1] * W0 >= 0.0)
+        proj = np.where(inside[:, None], Z, proj)
     return proj
 
 
@@ -389,11 +399,11 @@ class MaxLinear(ConvexFunction):
         return self.vectors.shape[1]
 
     def value_many(self, X):
-        return (X @ self.vectors.T).max(axis=1)
+        return _row_reduce(np.maximum, X @ self.vectors.T)
 
     def _actives(self, X):
         dots = X @ self.vectors.T
-        fvals = dots.max(axis=1)
+        fvals = _row_reduce(np.maximum, dots)
         eta = ACTIVE_TOL * (1.0 + np.abs(fvals))
         return dots >= (fvals - eta)[:, None]
 
@@ -401,7 +411,7 @@ class MaxLinear(ConvexFunction):
         A = self.vectors
         active = self._actives(X)
         out = np.empty((X.shape[0], self.dim))
-        counts = active.sum(axis=1)
+        counts = _row_reduce(np.add, active)
         single = counts == 1
         if single.any():
             out[single] = A[np.argmax(active[single], axis=1)]
@@ -430,7 +440,8 @@ class MaxLinear(ConvexFunction):
             # Wolfe's exit gap |q|^2 - min_i <a_i - z, q> with q = p - z
             Q = proj - Z
             qq = np.einsum("ij,ij->i", Q, Q)
-            gaps = qq - ((Q @ self.vectors.T).min(axis=1) - np.einsum("ij,ij->i", Z, Q))
+            gaps = qq - (_row_reduce(np.minimum, Q @ self.vectors.T)
+                         - np.einsum("ij,ij->i", Z, Q))
         Y = X - t * proj
         return Y, (t * np.sqrt(np.maximum(gaps, 0.0))[:, None])[:, 0]
 
@@ -520,14 +531,13 @@ class LogSumExp(ConvexFunction):
 
     def _weights(self, X):
         s = self._scores(X)
-        s = s - s.max(axis=1, keepdims=True)
-        w = np.exp(s)
-        return w / w.sum(axis=1, keepdims=True)
+        w = np.exp(s - _row_reduce(np.maximum, s)[:, None])
+        return w / _row_reduce(np.add, w)[:, None]
 
     def value_many(self, X):
         s = self._scores(X)
-        m = s.max(axis=1)
-        lse = m + np.log(np.exp(s - m[:, None]).sum(axis=1))
+        m = _row_reduce(np.maximum, s)
+        lse = m + np.log(_row_reduce(np.add, np.exp(s - m[:, None])))
         return self.epsilon * (lse - np.log(self.vectors.shape[0]))
 
     def subgradient_many(self, X):
@@ -560,10 +570,12 @@ class LogSumExp(ConvexFunction):
         for _ in range(_NEWTON_CAP):
             if live.size == 0:
                 break
-            y, x, rn = Y[live], X[live], res[live]
-            tl = t[live]
-            M = eye + tl[:, :, None] * self._hessian_many(W[live])
-            step = _solve_blocks(M, -R[live, :, None])[..., 0]
+            # no copies while every row is live; take() beats fancy indexing
+            every = live.size == X.shape[0]
+            y, x, rn, tl, Wl, Rl = ((Y, X, res, t, W, R) if every else
+                                    (a.take(live, axis=0) for a in (Y, X, res, t, W, R)))
+            M = eye + tl[:, :, None] * self._hessian_many(Wl)
+            step = _solve_blocks(M, -Rl[:, :, None])[..., 0]
             snorm = _row_norms(step)
             # a step within rounding of y cannot lower |r|: such a row is at
             # the floating-point floor and stops with its residual
@@ -590,7 +602,11 @@ class LogSumExp(ConvexFunction):
                 back = back[~ok[back] & (0.5 * alpha[back] * snorm[back] > floor[back])]
             ok &= snorm > floor
             acc = live[ok]
-            Y[acc], W[acc], R[acc], res[acc] = trial[ok], Wt[ok], rt[ok], rtn[ok]
+            if every and ok.all():
+                Y, W, R, res = trial, Wt, rt, rtn
+            else:
+                Y[acc], W[acc], R[acc], res[acc] = (a.compress(ok, axis=0)
+                                                    for a in (trial, Wt, rt, rtn))
             # converged rows and rows at the floor leave; a row still
             # backtracking after 60 halvings stays
             live = np.concatenate([acc[rtn[ok] > target[acc]], live[back]])

@@ -54,9 +54,11 @@ def resolvent_convergence_table(family: MoscoFamily, tau: float,
                                 probes) -> ExperimentReport:
     """Gaps |J_{f_h,tau}(p) - J_{f,tau}(p)| per (member, probe).
 
-    All probes go through one resolvent batch per member and one for the
-    limit.  Each probe's gap column is audited for eventual decrease; final
-    gaps per probe land in the metadata.
+    All probes go through one resolvent batch for the limit, then one per
+    member started from the limit's resolvents: a smoothed max's own cold
+    start is that max-linear resolvent, and kinds with a closed-form resolvent
+    ignore the start.  Each probe's gap column is audited for eventual
+    decrease; final gaps per probe land in the metadata.
     """
     pts = _check_probes(family, probes)
     tau = family.limit.function.require_admissible(tau)
@@ -65,7 +67,8 @@ def resolvent_convergence_table(family: MoscoFamily, tau: float,
 
     P = np.array(pts)
     limit_points, _ = family.limit.function.prox_many(tau, P)
-    Y = np.array([mem.function.prox_many(tau, P)[0] for mem in family.members])
+    Y = np.array([mem.function.prox_many(tau, P, start=limit_points)[0]
+                  for mem in family.members])
     gaps = np.linalg.norm(Y - limit_points, axis=2).tolist()  # [member][probe]
     rows = [{"member": h, "probe": j, "gap": g}
             for h, member_gaps in enumerate(gaps) for j, g in enumerate(member_gaps)]

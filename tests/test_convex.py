@@ -9,10 +9,12 @@ from actionlab.convex import (ACTIVE_TOL, Indicator, LogSumExp, MaxLinear,
                               Quadratic, SquaredDistance, evaluate,
                               min_norm_subgradient,
                               moreau_gradient, prox, resolvent_slope,
-                              sampled_slope_lower_bound, slope, _row_norms, _unit_scale)
+                              sampled_slope_lower_bound, slope, _row_norms, _row_reduce,
+                              _unit_scale)
 from actionlab.errors import (ConfigError, DimensionMismatchError,
                               InadmissibleTauError, OutsideDomainError)
-from actionlab.families import permutation_vectors
+from actionlab.experiments import resolvent_convergence_table
+from actionlab.families import family_logsumexp_to_max, permutation_vectors
 from actionlab.minimize import MinimizeConfig, minimize_action
 from actionlab.minnorm import hull_projection_with_gap
 from actionlab.sets import Ball, Box, Halfspace
@@ -942,3 +944,81 @@ def test_maxlinear_face_projectors_match_per_row_svd(A):
         fd[:, :, j] = 0.5 * (fwd + bwd)
     assert smooth.mean() >= 0.8
     np.testing.assert_allclose(K[smooth], fd[smooth], rtol=0.0, atol=1e-5 / tau)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_row_reduce_is_bit_equal_to_the_row_axis_reduction(m):
+    # max, min and logical ops are exact in any order; numpy sums fewer than
+    # 8 terms left to right, so the transposed sum agrees there, and longer
+    # sums keep numpy's own pairwise order
+    rng = np.random.default_rng(m)
+    S = rng.normal(size=(257, m)) * rng.choice([1e-8, 1.0, 1e8], size=(257, m))
+    for ufunc in (np.maximum, np.minimum, np.add):
+        reduced = _row_reduce(ufunc, S)
+        assert reduced.tobytes() == ufunc.reduce(S, axis=1).tobytes(), ufunc
+    B = S > -0.5
+    assert np.array_equal(_row_reduce(np.logical_and, B), B.all(axis=1))
+    assert np.array_equal(_row_reduce(np.add, B), B.sum(axis=1))
+
+
+def test_weights_of_the_permutation_hull_keep_the_pairwise_sum():
+    f = LogSumExp(PERMUTATION_HULL, 0.08)
+    X = np.random.default_rng(0).normal(size=(64, PERMUTATION_HULL.shape[1]))
+    s = f._scores(X)
+    w = np.exp(s - s.max(axis=1, keepdims=True))
+    assert f._weights(X).tobytes() == (w / w.sum(axis=1, keepdims=True)).tobytes()
+
+
+def test_all_live_newton_rows_match_gathered_rows(monkeypatch):
+    """A batch whose rows are all live works on its arrays without copies; its
+    rows are bit-equal to the same rows of a batch with one extra row started
+    at its own resolvent, which never goes live, so every iteration gathers."""
+    f = LogSumExp(TRIANGLE, 1.0)
+    tau = 0.5
+    X = 2.0 * np.random.default_rng(1).normal(size=(300, 2))
+    extra = np.array([[0.3, -1.2]])
+    y_extra, res_extra = f.prox_many(tau, extra)
+    assert res_extra[0] <= 1e-11 * (1.0 + np.linalg.norm(extra))
+    hessians = []
+    hessian_many = LogSumExp._hessian_many
+
+    def counting(self, W):
+        hessians.append(W.shape[0])
+        return hessian_many(self, W)
+
+    monkeypatch.setattr(LogSumExp, "_hessian_many", counting)
+    Y, res = f.prox_many(tau, X)
+    assert hessians[0] == X.shape[0]
+    hessians.clear()
+    # the cold start of a smoothed max is the max-linear resolvent
+    start = np.vstack([MaxLinear(TRIANGLE).prox_many(tau, X)[0], y_extra])
+    Y2, res2 = f.prox_many(tau, np.vstack([X, extra]), start=start)
+    assert hessians[0] == X.shape[0]
+    assert Y2[:-1].tobytes() == Y.tobytes() and res2[:-1].tobytes() == res.tobytes()
+
+
+def test_permutation_table_starts_members_at_the_limit(monkeypatch):
+    """The members of a smoothed-max table start Newton from the limit's
+    resolvents, which is their own cold start, so the one hull projection is
+    the limit's and every member row is bit-equal to a cold prox_many."""
+    import actionlab.convex as convex
+    d = PERMUTATION_HULL.shape[1]
+    family = family_logsumexp_to_max(PERMUTATION_HULL, (0.5, 0.2, 0.08, 0.03),
+                                     np.zeros(d), np.linspace(-1.0, 1.0, d))
+    tau = 0.5
+    probes = np.random.default_rng(3).normal(size=(3, d))
+    calls = []
+    projection = convex._hull_projection
+
+    def counting(f, Z):
+        calls.append(Z.shape[0])
+        return projection(f, Z)
+
+    monkeypatch.setattr(convex, "_hull_projection", counting)
+    rep = resolvent_convergence_table(family, tau, probes)
+    assert calls == [3]
+    monkeypatch.undo()
+    limit = family.limit.function.prox_many(tau, probes)[0]
+    cold = [np.linalg.norm(mem.function.prox_many(tau, probes)[0] - limit, axis=1)
+            for mem in family.members]
+    assert [row["gap"] for row in rep.rows] == np.concatenate(cold).tolist()

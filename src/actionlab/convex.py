@@ -12,10 +12,9 @@ Values of +inf are legal (indicator outside its region) and propagate through
 arithmetic; operations that need a finite subgradient raise instead.  Batched
 `*_many` methods take (k, d) arrays and are the primitives; `prox_many` and
 `envelope_derivatives_many` take tau as a scalar or as a (k,) array with one
-tau per row, so a sweep over (tau, x) pairs is one call.  Reductions over a
-kind's few vectors run across rows (`_row_reduce`), several times faster and
-bit-identical for max, min, logical ops and sums of fewer than 8 terms.  The
-free functions at the bottom are the scalar-call surface.
+tau per row, so a sweep over (tau, x) pairs is one call; the free functions at
+the bottom are the scalar-call surface.  Short reductions run across rows
+(`_row_reduce`): bit-equal for max, min, logical ops and sums under 8 terms.
 """
 from __future__ import annotations
 
@@ -570,8 +569,8 @@ class LogSumExp(ConvexFunction):
         for _ in range(_NEWTON_CAP):
             if live.size == 0:
                 break
-            # no copies while every row is live; take() beats fancy indexing
-            every = live.size == X.shape[0]
+            # no copies while live is every row in order; take() beats fancy indexing
+            every = np.array_equal(live, np.arange(X.shape[0]))
             y, x, rn, tl, Wl, Rl = ((Y, X, res, t, W, R) if every else
                                     (a.take(live, axis=0) for a in (Y, X, res, t, W, R)))
             M = eye + tl[:, :, None] * self._hessian_many(Wl)

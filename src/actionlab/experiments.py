@@ -55,10 +55,12 @@ def resolvent_convergence_table(family: MoscoFamily, tau: float,
     """Gaps |J_{f_h,tau}(p) - J_{f,tau}(p)| per (member, probe).
 
     All probes go through one resolvent batch for the limit, then one per
-    member started from the limit's resolvents: a smoothed max's own cold
-    start is that max-linear resolvent, and kinds with a closed-form resolvent
-    ignore the start.  Each probe's gap column is audited for eventual
-    decrease; final gaps per probe land in the metadata.
+    member started from the limit's resolvents: the cold start of a smoothed
+    max over the limit's vectors and modulus (`family_logsumexp_to_max`), so
+    its gaps match cold solves bit for bit.  Other smoothed maxima converge
+    from it to within the Newton tolerance; closed-form kinds ignore it.
+    Each probe's gap column is audited for eventual decrease; final gaps per
+    probe land in the metadata.
     """
     pts = _check_probes(family, probes)
     tau = family.limit.function.require_admissible(tau)

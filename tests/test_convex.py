@@ -1022,3 +1022,43 @@ def test_permutation_table_starts_members_at_the_limit(monkeypatch):
     cold = [np.linalg.norm(mem.function.prox_many(tau, probes)[0] - limit, axis=1)
             for mem in family.members]
     assert [row["gap"] for row in rep.rows] == np.concatenate(cold).tolist()
+
+
+def test_a_row_kept_backtracking_keeps_every_row_in_place(monkeypatch):
+    """A row whose line search ends without sufficient decrease stays live,
+    moved to the end of the live list.  With every row still live, the next
+    iteration gathers in that order instead of working in row order, so each
+    row is bit-equal to the same row of a batch that always gathers and
+    close to the row solved alone."""
+    import builtins
+    import actionlab.convex as convex
+    f = LogSumExp(TRIANGLE, 0.01)
+    tau = 0.5
+    X = np.array([[-0.9022755659889229, 0.000888625001921776],
+                  [-0.07407088917588163, 0.46835463422376244]])
+    start = np.array([[-0.9661341507626876, -0.014776178593084006],
+                      [-1.0651666714040133, 0.4900584732834038]])
+    extra = np.array([[0.3, -1.2]])
+    y_extra = f.prox_many(tau, extra)[0]
+    alone = np.vstack([f.prox_many(tau, X[i:i + 1])[0] for i in range(2)])
+    calls, hessians = [], []
+    hessian_many = LogSumExp._hessian_many
+
+    def first_line_search_gives_up(*args):
+        # a solve's first range() is its Newton loop, the second its first
+        # line search: every row failing the full step stays backtracking
+        calls.append(args)
+        return builtins.range(0) if len(calls) == 2 else builtins.range(*args)
+
+    def counting(self, W):
+        hessians.append(W.shape[0])
+        return hessian_many(self, W)
+
+    monkeypatch.setattr(convex, "range", first_line_search_gives_up, raising=False)
+    monkeypatch.setattr(LogSumExp, "_hessian_many", counting)
+    Y, res = f.prox_many(tau, X, start=start)
+    assert hessians[:2] == [2, 2]
+    calls.clear()
+    Y2, res2 = f.prox_many(tau, np.vstack([X, extra]), start=np.vstack([start, y_extra]))
+    assert Y2[:-1].tobytes() == Y.tobytes() and res2[:-1].tobytes() == res.tobytes()
+    np.testing.assert_allclose(Y, alone, rtol=0.0, atol=1e-10)

@@ -45,7 +45,9 @@ face is read from its resolvent, and the kinetic energy is minimized with every
 midpoint held on its face (the slope is constant on a face, so this is the
 true discrete problem for that face set).  The result is kept when it lowers
 the true action, and the step repeats with every run of pinned midpoints
-grown by one chord at each end until the action stops dropping.
+grown by one chord at each end until the action stops dropping.  It solves
+the next w = 1, 2, 4, ... passes at once, as rows of one lockstep objective,
+and keeps those that a loop of one pass at a time would (`_polish_on_faces`).
 
 `_minimize_paths` runs k paths in lockstep, so that every resolvent batch
 covers all of them; `minimize_action` is its k = 1 case.  Path p may run on
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import Path, discrete_action
+from .action import Path, _midpoint_actions, discrete_action
 from .convex import (ConvexFunction, Indicator, MaxLinear, _scale, _solve_blocks,
                      as_point, tau_cap)
 from .errors import (ConfigError, malformed_input, real_array, real_number,
@@ -399,7 +401,8 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, last: bool
 
 def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Interior nodes of least kinetic energy with every midpoint on its face,
-    P_i m_i = 0, from the method of multipliers.
+    P_i m_i = 0, from the method of multipliers: row p (k, N-1, d) on the
+    faces P[p] (k, N, d, d), every row from the one path Z (1, N-1, d).
 
     Each round minimizes kinetic + dt kappa sum |P_i m_i + U_i|^2 exactly (it
     is quadratic, so one block-tridiagonal solve) and adds the violation P m
@@ -408,16 +411,16 @@ def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     stiffness 1/dt^2, so kappa = _FACE_PENALTY N^2/dt^2 cuts the violation by
     a factor of several hundred per round.
     """
-    kappa = _FACE_PENALTY * (P.shape[0] / obj.dt)**2
-    S = 2.0 * kappa * P
-    U = np.zeros((P.shape[0], P.shape[1]))
+    kappa = _FACE_PENALTY * (P.shape[1] / obj.dt)**2
     scale = 1.0 + float(np.abs(obj.full_nodes(Z)).max())
-    V = np.einsum("kij,kj->ki", P, obj.midpoints(Z)[0])
-    diag, off = obj.hessian(S[None])
+    obj, Z = obj.paths([0] * len(P)), np.repeat(Z, len(P), axis=0)
+    U = np.zeros(P.shape[:3])
+    V = np.einsum("pkij,pkj->pki", P, obj.midpoints(Z))
+    diag, off = obj.hessian(2.0 * kappa * P)
     for _ in range(_FACE_ROUNDS):
-        grad = obj.gradient(Z, 2.0 * kappa * (V + U)[None])
+        grad = obj.gradient(Z, 2.0 * kappa * (V + U))
         Z = Z - _block_tridiagonal_solve(diag, off, grad)[0]
-        V = np.einsum("kij,kj->ki", P, obj.midpoints(Z)[0])
+        V = np.einsum("pkij,pkj->pki", P, obj.midpoints(Z))
         U = U + V
         if np.abs(V).max() <= 1e-15 * scale:
             break
@@ -440,35 +443,54 @@ def _next_faces(P: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return G
 
 
-def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Z moved onto the max_linear faces its midpoints' resolvents identify.
+def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray
+                     ) -> tuple[np.ndarray, float]:
+    """Z moved onto the max_linear faces its midpoints' resolvents identify,
+    and its true action on f (a max_linear f is at unit scale).
 
     Passes repeat while the true action drops, each on the face set of the
     last one grown by `_next_faces`: a smoothed minimizer slows down near a
     kink and reaches it late, so the faces it identifies make too short a
-    rest there.
+    rest there.  A batch of w = 1, 2, 4, ... passes starts from one path and
+    grows each pass's faces by those that path reads.  It keeps its longest
+    prefix in which each pass lowers the true action of the one before and
+    has the faces that pass's own path grows it to (within 1e-9).
     """
-    def true_value(Z):
-        return discrete_action(obj.f, Path(times, obj.full_nodes(Z)[0])).total
+    def true_values(X):     # of the paths X (k, N+1, d)
+        return np.add(*_midpoint_actions(obj.f, times[None], X))
 
-    def faces(Z):
-        """Per midpoint, the projector P = tau K onto the directions its
-        resolvent pins: the midpoint is on its face exactly when P m = 0."""
-        return obj.tau * obj.envelope_derivatives(*obj.evaluate(Z)[1])[0]
+    def faces(X):
+        """Per path X (k, N+1, d) and midpoint, the projector P = tau K onto
+        the directions its resolvent pins: P m = 0 exactly on its face."""
+        M = (0.5 * (X[:, :-1] + X[:, 1:])).reshape(-1, X.shape[2])
+        K = obj.f.envelope_derivatives_many(obj.tau, M, obj.f.prox_many(obj.tau, M)[0])[0]
+        return obj.tau * K.reshape((len(X), -1) + K.shape[1:])
 
-    best = true_value(Z)
-    P = faces(Z)
-    for _ in range(_FACE_PASSES):
-        cand = _on_faces(obj, Z, P)
-        value = true_value(cand)
-        if not value < best:
+    best, seen = float(true_values(X := obj.full_nodes(Z))[0]), faces(X)[0]
+    P, passes, width = seen, 0, 1
+    while passes < _FACE_PASSES:
+        F = [P]
+        for _ in range(min(width, _FACE_PASSES - passes) - 1):
+            F.append(_next_faces(F[-1], seen))
+        cand = _on_faces(obj, Z, np.stack(F))
+        X = obj.paths([0] * len(F)).full_nodes(cand)
+        values = true_values(X).tolist()
+        before = [best] + values
+        drops = next((j for j in range(len(F)) if not values[j] < before[j]), len(F))
+        if not drops:
             break
-        Z, best = cand, value
-        P_next = _next_faces(P, faces(Z))
-        if np.allclose(P_next, P, rtol=0.0, atol=1e-9):
-            break
-        P = P_next
-    return Z
+        found = faces(X[:drops])
+        for j in range(drops):
+            Z, best, seen, passes = cand[j:j + 1], values[j], found[j], passes + 1
+            P = _next_faces(F[j], seen)
+            if np.abs(P - F[j]).max() <= 1e-9:
+                return Z, best      # the faces grow no further
+            if j + 1 == len(F) or np.abs(P - F[j + 1]).max() > 1e-9:
+                break               # pass j + 1 is not the next: a batch starts here
+            if j + 1 == drops:
+                return Z, best      # the next pass does not lower the action
+        width *= 2
+    return Z, best
 
 
 def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
@@ -504,20 +526,23 @@ def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
     value_smoothed = [path[-1][-1] for path in energies]
     if isinstance(f, Indicator):
         Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
+    polished = [None] * k   # the polish's true actions on f
     if isinstance(f, MaxLinear):    # the polish works on one path, (1, N-1, d)
-        Z = np.concatenate([_polish_on_faces(obj.paths([p]), Z[p:p + 1], times)
+        Z, polished = zip(*[_polish_on_faces(obj.paths([p]), Z[p:p + 1], times)
                             for p in range(k)])
+        Z = np.concatenate(Z)
     if isinstance(f, (Indicator, MaxLinear)):
         value_smoothed = obj.evaluate(Z)[0]
 
     paths = [Path(times, nodes) for nodes in obj.full_nodes(Z)]
     return [MinimizeResult(path=path, value_smoothed=float(value),
-                           value_true=discrete_action(g, path).total,
+                           value_true=(discrete_action(g, path).total
+                                       if true is None or g is not f else true),
                            iterations=sum(len(trace) - 1 for trace in stages),
                            converged=bool(done), tau_schedule=schedule,
                            stage_energies=stages)
-            for g, path, value, stages, done
-            in zip(fs, paths, value_smoothed, energies, converged)]
+            for g, path, value, true, stages, done
+            in zip(fs, paths, value_smoothed, polished, energies, converged)]
 
 
 def minimize_action(f: ConvexFunction, x0, xd, delta: float,

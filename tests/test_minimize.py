@@ -13,7 +13,7 @@ from scipy.linalg import solve_banded
 
 import actionlab
 from actionlab import minimize
-from actionlab.action import dubois_reymond_residual
+from actionlab.action import Path, discrete_action, dubois_reymond_residual
 from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic,
                               SquaredDistance, prox, tau_cap)
 from actionlab.errors import ConfigError, SolverError
@@ -750,6 +750,183 @@ def test_abs_rests_on_the_kink():
     assert res.converged
     assert res.value_true == pytest.approx(4.0, rel=1e-2)
     assert res.value_smoothed <= res.value_true + 1e-9
+
+
+def _projectors(*ranks):
+    """1-d face projectors (N, 1, 1): 1 on a pinned chord, 0 on a free one."""
+    return np.array(ranks, dtype=float)[:, None, None]
+
+
+def _ranks(P):
+    return np.trace(P, axis1=1, axis2=2).tolist()
+
+
+def test_next_faces_grows_a_1d_run_by_one_chord_at_each_end():
+    P = _projectors(0, 0, 0, 1, 1, 0, 0, 0)
+    assert _ranks(minimize._next_faces(P, np.zeros_like(P))) == [0, 0, 1, 1, 1, 1, 0, 0]
+
+
+def test_next_faces_merges_runs_one_chord_apart():
+    P = _projectors(0, 1, 1, 0, 1, 0, 0)
+    assert _ranks(minimize._next_faces(P, np.zeros_like(P))) == [1, 1, 1, 1, 1, 1, 0]
+
+
+def test_next_faces_takes_seen_where_it_pins_more():
+    P = _projectors(0, 1, 0, 0, 0, 0, 0)
+    seen = _projectors(1, 0, 0, 0, 0, 1, 0)
+    # chord 0 is pinned by both, chord 1 only by P, chord 5 only by seen
+    assert _ranks(minimize._next_faces(P, seen)) == [1, 1, 1, 0, 0, 1, 0]
+
+
+def test_next_faces_keeps_a_2d_vertex_beside_an_edge():
+    edge, vertex, free = np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2))
+    P = np.array([free, edge, vertex, free])
+    G = minimize._next_faces(P, np.zeros_like(P))
+    # the vertex keeps its rank and grows into the edge chord and the free
+    # one beyond it; the edge grows into the free chord on its other side
+    assert _ranks(G) == [1, 2, 2, 2]
+    assert np.array_equal(G, [edge, vertex, vertex, vertex])
+
+
+@pytest.mark.parametrize("P", [_projectors(1, 1, 1, 1), _projectors(0, 0, 0),
+                               np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0]),
+                                         np.diag([0.0, 1.0])])],
+                         ids=["all_pinned", "none_pinned", "equal_ranks"])
+def test_next_faces_returns_a_set_that_cannot_grow_unchanged(P):
+    G = minimize._next_faces(P, np.zeros_like(P))
+    assert np.array_equal(G, P)
+
+
+def _sequential_polish(on_faces, obj, Z, times):
+    """The kink-face polish one pass at a time: (Z, true action, passes
+    kept, faces of the last kept pass)."""
+    def true_value(Z):
+        return discrete_action(obj.f, Path(times, obj.full_nodes(Z)[0])).total
+
+    def faces(Z):
+        return obj.tau * obj.envelope_derivatives(*obj.evaluate(Z)[1])[0]
+
+    best, P, kept, last = true_value(Z), faces(Z), 0, None
+    for _ in range(minimize._FACE_PASSES):
+        cand = on_faces(obj, Z, P[None])
+        value = true_value(cand)
+        if not value < best:
+            break
+        Z, best, kept, last = cand, value, kept + 1, P
+        P_next = minimize._next_faces(P, faces(Z))
+        if np.allclose(P_next, P, rtol=0.0, atol=1e-9):
+            break
+        P = P_next
+    return Z, best, kept, last
+
+
+def _lockstep_polish(on_faces, obj, Z, times, monkeypatch):
+    """`_polish_on_faces` as (Z, true action, passes kept, faces of the last
+    kept pass, (width, passes kept) per batch), read from its `_on_faces`
+    batches: each batch starts from a row of the one before, its last kept
+    pass, and the polish returns such a row of the last batch, or the last
+    batch's start when that keeps none."""
+    batches = []
+
+    def recording(obj, Z, P):
+        batches.append((Z, P, on_faces(obj, Z, P)))
+        return batches[-1][2]
+
+    monkeypatch.setattr(minimize, "_on_faces", recording)
+    Z_end, best = minimize._polish_on_faces(obj, Z, times)
+    kept, last = [], None
+    for (_, P, cand), start in zip(batches, [b[0] for b in batches[1:]] + [Z_end]):
+        # where the faces grow no further the polish stops: no batch starts
+        # on the faces of the pass it starts from
+        assert last is None or np.abs(P[0] - last).max() > 1e-9
+        j = next((j for j in range(len(cand)) if start.ctypes.data == cand[j:].ctypes.data),
+                 None)
+        kept.append((len(P), 0 if j is None else j + 1))
+        last = last if j is None else P[j]
+    return Z_end, best, sum(k for _, k in kept), last, kept
+
+
+def _agrees_with_the_sequential_polish(on_faces, inputs, monkeypatch):
+    """The lockstep and sequential polishes of each input keep as many
+    passes, stop on the same faces and end within 1e-12 relative of each
+    other's true action; the lockstep ones' (width, kept) per batch."""
+    batches = []
+    for obj, Z, times in inputs:
+        want = _sequential_polish(on_faces, obj, Z, times)
+        got = _lockstep_polish(on_faces, obj, Z, times, monkeypatch)
+        assert got[2] == want[2]
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+        assert (got[3] is None) == (want[3] is None)
+        if want[3] is not None:
+            assert np.abs(got[3] - want[3]).max() <= 1e-9
+        batches.append(got[4])
+    return batches
+
+
+def _polish_sample():
+    """(f, X0, XD, delta, N) of 40 max_linear solves in 10 lockstep groups:
+    1-d and 2-d, N in (16, 64, 256), delta in (0.3, 1, 3), and |x| from -1
+    to 1 at delta = 3, N = 256 first in the last group."""
+    rng = np.random.default_rng(5)
+    for g, (N, delta) in enumerate([(N, delta) for N in (16, 64, 256)
+                                    for delta in (0.3, 1.0, 3.0)]):
+        d = 1 + g % 2
+        X0, XD = rng.uniform(-2.0, 2.0, size=(2, 4, d))
+        yield MaxLinear(rng.normal(size=(int(rng.integers(2, 4)), d))), X0, XD, delta, N
+    X0, XD = rng.uniform(-2.0, 2.0, size=(2, 4, 1))
+    X0[0], XD[0] = -1.0, 1.0
+    yield MaxLinear([[1.0], [-1.0]]), X0, XD, 3.0, 256
+
+
+def test_lockstep_polish_keeps_the_sequential_passes(monkeypatch):
+    """On every solve of the sample the batched polish keeps as many passes
+    as the one-at-a-time loop, on the same faces, and ends within 1e-12 of
+    its true action; so it does under a cap of 3 or 5 passes, which ends
+    the |x| solve's second or third batch.  That solve keeps its 12 passes
+    in 4 batches."""
+    on_faces, polish = minimize._on_faces, minimize._polish_on_faces
+    inputs = []
+    monkeypatch.setattr(minimize, "_polish_on_faces",
+                        lambda *args: inputs.append(args) or polish(*args))
+    for f, X0, XD, delta, N in _polish_sample():
+        _minimize_paths([f] * len(X0), X0, XD, delta, MinimizeConfig(N=N))
+    monkeypatch.setattr(minimize, "_polish_on_faces", polish)
+    assert len(inputs) == 40
+    batches = _agrees_with_the_sequential_polish(on_faces, inputs, monkeypatch)
+    assert [w for w, _ in batches[36]] == [1, 2, 4, 8]
+    assert sum(k for _, k in batches[36]) == 12
+    # so the sample is not only polishes that keep one pass or none
+    assert sum(sum(k for _, k in b) > 1 for b in batches) >= 5
+    for cap in (3, 5):
+        monkeypatch.setattr(minimize, "_FACE_PASSES", cap)
+        capped = _agrees_with_the_sequential_polish(on_faces, inputs, monkeypatch)
+        assert sum(k for _, k in capped[36]) == cap
+
+
+def test_lockstep_polish_starts_a_batch_where_the_faces_grow_apart(monkeypatch):
+    # at tau = 0.05 the resolvents pin chords within 0.05 |a| of the kink,
+    # so a pass that moves chords nearer to it pins more than the batch's
+    # start did: the pass after it is not the batch's next row, and a new
+    # batch starts there
+    f, X0, XD, N = MaxLinear([[2.0], [-0.5]]), np.array([[-1.0]]), np.array([[1.5]]), 64
+    obj = minimize._Objective(f, 0.05, X0, XD, 3.0 / N)
+    Z = X0 + np.linspace(0.0, 1.0, N + 1)[1:-1, None] * (XD - X0)
+    [batches] = _agrees_with_the_sequential_polish(
+        minimize._on_faces, [(obj, Z[None], np.linspace(0.0, 3.0, N + 1))], monkeypatch)
+    assert any(0 < k < w for w, k in batches[:-1])
+
+
+@pytest.mark.parametrize("f, X0, XD", [
+    (MaxLinear([[1.0], [-1.0]]), [[-1.0], [0.5], [2.0]], [[1.0], [-1.5], [1.0]]),
+    (MaxLinear(TRIANGLE), [[-1.0, 0.0], [0.5, 0.5]], [[1.0, 0.5], [-0.5, 1.0]]),
+], ids=["1d", "2d"])
+def test_polished_value_true_is_the_discrete_action_of_the_path(f, X0, XD):
+    # value_true of a polished path is the polish's last true action, which
+    # is bit-equal to a fresh midpoint-rule action of the returned path
+    for res in _minimize_paths([f] * len(X0), np.array(X0), np.array(XD), 3.0,
+                               MinimizeConfig(N=64)):
+        assert res.value_true == discrete_action(f, res.path).total
+        assert type(res.value_true) is float
 
 
 def test_huge_quadratic_converges():

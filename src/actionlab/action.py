@@ -166,12 +166,10 @@ def alt_action(f: ConvexFunction, path: Path) -> float:
     return float(_alt_actions(f, path.times[None], path.nodes[None])[0])
 
 
-def _upper_gradient(f: ConvexFunction, nodes: np.ndarray, bound: bool = True
-                    ) -> tuple[np.ndarray, np.ndarray | None]:
+def _upper_gradient(f: ConvexFunction, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and their quadrature bounds, (n,) each, of n paths with nodes
     (n, N+1, d), from one slope_many call over nodes, chord midpoints and
-    quarter points (none, and bound None, for bound=False); a residual is
-    nan where an endpoint value is infinite.
+    quarter points; a residual is nan where an endpoint value is infinite.
     The bound is the per-chord trapezoid-minus-midpoint gap plus twice the
     change under one refinement (smooth wiggle).  Where the slope is convex
     along a chord (norms of affine maps, distances to convex sets)
@@ -182,8 +180,8 @@ def _upper_gradient(f: ConvexFunction, nodes: np.ndarray, bound: bool = True
     refined = np.empty((n, 2 * k - 1, d))  # every chord midpoint inserted
     refined[:, 0::2] = nodes
     refined[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
-    points = [refined, 0.5 * (refined[:, :-1] + refined[:, 1:])] if bound else [refined]
-    s = f.slope_many(np.concatenate(points, axis=1).reshape(-1, d)).reshape(n, -1)
+    points = np.concatenate([refined, 0.5 * (refined[:, :-1] + refined[:, 1:])], axis=1)
+    s = f.slope_many(points.reshape(-1, d)).reshape(n, -1)
     s_nodes, s_mid = s[:, 0:2 * k - 1:2], s[:, 1:2 * k - 1:2]
     seg = np.linalg.norm(np.diff(nodes, axis=1), axis=2)
     ends = f.value_many(np.concatenate([nodes[:, 0], nodes[:, -1]]))
@@ -194,8 +192,6 @@ def _upper_gradient(f: ConvexFunction, nodes: np.ndarray, bound: bool = True
         coarse = np.where(seg > 0.0, s_mid * seg, 0.0).sum(axis=1)
         residual = np.where(np.isfinite(fa) & np.isfinite(fb), coarse - np.abs(fb - fa),
                             np.nan)
-        if not bound:
-            return residual, None
         half = np.linalg.norm(np.diff(refined, axis=1), axis=2)
         fine = np.where(half > 0.0, s[:, 2 * k - 1:] * half, 0.0).sum(axis=1)
         gap = np.maximum(0.5 * (s_nodes[:, :-1] + s_nodes[:, 1:]) - s_mid, 0.0)
@@ -208,7 +204,7 @@ def _upper_gradient(f: ConvexFunction, nodes: np.ndarray, bound: bool = True
 def upper_gradient_residual(f: ConvexFunction, path: Path) -> float:
     """int |grad f|(gamma) |gamma'| (midpoint rule) minus |f(x_N) - f(x_0)|."""
     _check_path(f, path)
-    residual = float(_upper_gradient(f, path.nodes[None], bound=False)[0][0])
+    residual = float(_upper_gradient(f, path.nodes[None])[0][0])
     if math.isnan(residual):
         raise OutsideDomainError("endpoint values must be finite")
     return residual

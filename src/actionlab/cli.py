@@ -101,7 +101,7 @@ def _cmd_prox(args, config) -> int:
     tau = _setting(args, config, "tau", required=True)
     x = _setting(args, config, "point", required=True)
     result = prox(f, tau, x)
-    _emit(serialize.prox_result_to_dict(result))
+    _emit(serialize.to_plain(result))
     return 0
 
 

@@ -710,19 +710,15 @@ class SquaredDistance(_RegionKind):
         return 2.0 * self.weight * self.region.distance_many(X)
 
 
-def _scale(f: ConvexFunction) -> tuple[float, float]:
-    """(c, L) with f = c g(L .) for g = `_unit_scale(f)[0]`, so J^f_tau(x) =
-    J^g_{c L^2 tau}(L x)/L and f's K, C at x are c L^2, c^2 L^4 times g's."""
-    return ((f.epsilon, 1.0 / f.epsilon) if type(f) is LogSumExp
-            else (f.weight, 1.0) if type(f) is SquaredDistance else (1.0, 1.0))
-
-
 def _unit_scale(f: ConvexFunction) -> tuple[ConvexFunction, float, float]:
-    """(g, *`_scale(f)`), g the unit member of f's built-in family (any other
-    f, subclasses too, is its own)."""
-    return ((LogSumExp(f.vectors, 1.0) if type(f) is LogSumExp
-             else SquaredDistance(f.region, 1.0) if type(f) is SquaredDistance else f),
-            *_scale(f))
+    """(g, c, L) with f = c g(L .), g the unit member of f's built-in family
+    (any other f, subclasses too, is its own, at c = L = 1), so J^f_tau(x) =
+    J^g_{c L^2 tau}(L x)/L and f's K, C at x are c L^2, c^2 L^4 times g's."""
+    if type(f) is LogSumExp:
+        return LogSumExp(f.vectors, 1.0), f.epsilon, 1.0 / f.epsilon
+    if type(f) is SquaredDistance:
+        return SquaredDistance(f.region, 1.0), f.weight, 1.0
+    return f, 1.0, 1.0
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ import numpy as np
 from . import serialize
 from .action import (Path, _check_path, discrete_action, recovery_action_bound,
                      recovery_path, recovery_tolerance)
-from .convex import _unit_scale, as_point, slope
+from .convex import as_point, slope
 from .errors import (ConfigError, malformed_input, real_number, real_schedule,
                      whole_number)
 from .families import MoscoFamily, eventually_decreasing
-from .minimize import MinimizeConfig, _config, _minimize_paths, minimize_action
+from .minimize import MinimizeConfig, _config, _minimize_paths
 
 _ENDPOINT_TOL = 1e-8
 
@@ -95,30 +95,20 @@ def gamma_value_experiment(family: MoscoFamily, delta: float,
 
     Rows report each member's optimized value, its absolute gap to the limit
     value, and the optimizer's convergence flag; non-convergence and a
-    non-decreasing gap tail both raise flags.  Members sharing a unit member
-    (`_unit_scale`) are one lockstep run; the limit is solved alone.
+    non-decreasing gap tail both raise flags.  The members and the limit are
+    solved in one `_minimize_paths` call.
     """
     cfg = _config(config)
     delta = real_number(delta, "delta", positive=True)
-    limit_res = minimize_action(family.limit.function, family.limit.start,
-                                family.limit.end, delta, cfg)
+    ends = [(m.function, m.start, m.end) for m in (*family.members, family.limit)]
+    fs, x0, xd = zip(*ends)
+    *results, limit_res = _minimize_paths(fs, np.array(x0), np.array(xd), delta, cfg)
     limit_value = float(limit_res.value_true)
-
-    groups, results = {}, {}
-    for h, mem in enumerate(family.members):
-        # mapped kinds (lambda 0) by unit member, others by identity: one schedule
-        g = _unit_scale(mem.function)[0]
-        key = id(g) if g is mem.function else repr(serialize.to_plain(g))
-        groups.setdefault(key, []).append(h)
-    for hs in groups.values():
-        fs, x0, xd = zip(*[(family.members[h].function, family.members[h].start,
-                            family.members[h].end) for h in hs])
-        results.update(zip(hs, _minimize_paths(fs, np.array(x0), np.array(xd), delta, cfg)))
 
     rows = []
     flags = []
     gaps = []
-    for h, res in sorted(results.items()):
+    for h, res in enumerate(results):
         gap = abs(float(res.value_true) - limit_value)
         gaps.append(gap)
         rows.append({

@@ -49,9 +49,9 @@ grown by one chord at each end until the action stops dropping.  It solves
 the next w = 1, 2, 4, ... passes at once, as rows of one lockstep objective,
 and keeps those that a loop of one pass at a time would (`_polish_on_faces`).
 
-`_minimize_paths` runs k paths in lockstep, so that every resolvent batch
-covers all of them; `minimize_action` is its k = 1 case.  Path p may run on
-f_p = c_p f(L_p .) (`convex._scale`), as a Mosco family's members do.
+`_minimize_paths` runs k paths, in lockstep where their functions f_p =
+c_p g(L_p .) share a unit member g (`convex._unit_scale`), as a Mosco family's
+members do; `minimize_action` is its k = 1 case.
 """
 from __future__ import annotations
 
@@ -62,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Path, _midpoint_actions, discrete_action
-from .convex import (ConvexFunction, Indicator, MaxLinear, _scale, _solve_blocks,
-                     as_point, tau_cap)
+from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks,
+                     _unit_scale, as_point, tau_cap)
 from .errors import (ConfigError, malformed_input, real_array, real_number,
                      whole_number)
 
@@ -496,53 +496,60 @@ def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray
 def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
                     config: MinimizeConfig | None = None) -> list[MinimizeResult]:
     """`minimize_action` of fs[p] from row p of X0 (k, d) to that of XD, in
-    lockstep.  The fs share a `_unit_scale` unit member (so a tau schedule);
-    path p runs on f = fs[0] at its unit scale over f's, bit-equal to its
-    one-path solve when that is 1 and f's batches round each row alike."""
+    input order.  Paths whose fs share a unit member (`_unit_scale`; an exact
+    log_sum_exp or squared_distance by value, others by identity) run in
+    lockstep on the group's first f, path p at its unit scale over f's: bit-equal
+    to its one-path solve when that is 1 and f's batches round each row alike."""
+    from .serialize import to_plain     # serialize imports this module
     cfg = _config(config)
-    f = fs[0]
-    if (delta / cfg.N < sys.float_info.min
-            or (schedule := _schedule(delta, f))[-1] < sys.float_info.min):
-        raise ConfigError(f"delta={delta!r} is too small: delta/N and every tau "
-                          f"must be normal floats")
-    c, L = (np.array([_scale(g) for g in fs]) / _scale(f)).T
-
-    k, n = X0.shape[0], cfg.N
-    times = np.linspace(0.0, delta, n + 1)
-    dt = delta / n
-    s = np.linspace(0.0, 1.0, n + 1)[1:-1]
-    Z = X0[:, None, :] + s[None, :, None] * (XD - X0)[:, None, :]
-    if isinstance(f, Indicator):
-        Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
-
-    by_stage, converged = [], np.ones(k, dtype=bool)
-    for tau in schedule:
-        obj = _Objective(f, tau, X0, XD, dt, (c * L * L, L))
-        Z, hit, traces = _stage(obj, Z, cfg, tau == schedule[-1])
-        by_stage.append(traces)
-        converged &= hit
-    energies = [tuple(map(tuple, path)) for path in zip(*by_stage)]
-    # value_smoothed is the last stage's energy while Z is its iterate
-    value_smoothed = [path[-1][-1] for path in energies]
-    if isinstance(f, Indicator):
-        Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
-    polished = [None] * k   # the polish's true actions on f
-    if isinstance(f, MaxLinear):    # the polish works on one path, (1, N-1, d)
-        Z, polished = zip(*[_polish_on_faces(obj.paths([p]), Z[p:p + 1], times)
-                            for p in range(k)])
-        Z = np.concatenate(Z)
-    if isinstance(f, (Indicator, MaxLinear)):
-        value_smoothed = obj.evaluate(Z)[0]
-
-    paths = [Path(times, nodes) for nodes in obj.full_nodes(Z)]
-    return [MinimizeResult(path=path, value_smoothed=float(value),
-                           value_true=(discrete_action(g, path).total
-                                       if true is None or g is not f else true),
-                           iterations=sum(len(trace) - 1 for trace in stages),
-                           converged=bool(done), tau_schedule=schedule,
-                           stage_energies=stages)
-            for g, path, value, true, stages, done
-            in zip(fs, paths, value_smoothed, polished, energies, converged)]
+    units, groups = {}, {}
+    for p, g in enumerate(fs):
+        if id(g) not in units:          # one unit member per function object
+            unit, c, L = _unit_scale(g)
+            units[id(g)] = id(g) if unit is g else repr(to_plain(unit)), c, L
+        groups.setdefault(units[id(g)][0], []).append(p)
+    times = np.linspace(0.0, delta, cfg.N + 1)
+    dt = delta / cfg.N
+    s = np.linspace(0.0, 1.0, cfg.N + 1)[1:-1]
+    results = [None] * len(fs)
+    for ps in groups.values():
+        f = fs[ps[0]]
+        if (dt < sys.float_info.min
+                or (schedule := _schedule(delta, f))[-1] < sys.float_info.min):
+            raise ConfigError(f"delta={delta!r} is too small: delta/N and every tau "
+                              f"must be normal floats")
+        c, L = (np.array([units[id(fs[p])][1:] for p in ps]) / units[id(f)][1:]).T
+        A, B = X0[ps], XD[ps]
+        Z = A[:, None, :] + s[None, :, None] * (B - A)[:, None, :]
+        if isinstance(f, Indicator):
+            Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
+        by_stage, converged = [], np.ones(len(ps), dtype=bool)
+        for tau in schedule:
+            obj = _Objective(f, tau, A, B, dt, (c * L * L, L))
+            Z, hit, traces = _stage(obj, Z, cfg, tau == schedule[-1])
+            by_stage.append(traces)
+            converged &= hit
+        energies = [tuple(map(tuple, path)) for path in zip(*by_stage)]
+        # value_smoothed is the last stage's energy while Z is its iterate
+        value_smoothed = [path[-1][-1] for path in energies]
+        if isinstance(f, Indicator):
+            Z = f.region.project_many(Z.reshape(-1, f.dim)).reshape(Z.shape)
+        polished = [None] * len(ps)     # the polish's true actions on f
+        if isinstance(f, MaxLinear):    # the polish works on one path, (1, N-1, d)
+            Z, polished = zip(*[_polish_on_faces(obj.paths([i]), Z[i:i + 1], times)
+                                for i in range(len(ps))])
+            Z = np.concatenate(Z)
+        if isinstance(f, (Indicator, MaxLinear)):
+            value_smoothed = obj.evaluate(Z)[0]
+        for p, nodes, value, true, stages, done in zip(
+                ps, obj.full_nodes(Z), value_smoothed, polished, energies, converged):
+            path = Path(times, nodes)
+            results[p] = MinimizeResult(
+                path=path, value_smoothed=float(value),
+                value_true=discrete_action(fs[p], path).total if true is None else true,
+                iterations=sum(len(trace) - 1 for trace in stages),
+                converged=bool(done), tau_schedule=schedule, stage_energies=stages)
+    return results
 
 
 def minimize_action(f: ConvexFunction, x0, xd, delta: float,

@@ -22,8 +22,8 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from .action import ActionBreakdown, Path
-from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
-                     ProxResult, Quadratic, SquaredDistance)
+from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear, Quadratic,
+                     SquaredDistance)
 from .errors import ConfigError, malformed_input, real_number
 from .minimize import MinimizeResult
 from .sets import Ball, Box, ConvexRegion, Halfspace
@@ -209,10 +209,6 @@ def breakdown_to_dict(b: ActionBreakdown) -> dict:
         "rule": b.rule,
         "N": int(b.intervals),
     }
-
-
-def prox_result_to_dict(r: ProxResult) -> dict:
-    return to_plain(r)
 
 
 def minimize_result_to_dict(res: MinimizeResult) -> dict:

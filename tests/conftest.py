@@ -1,6 +1,9 @@
 import re
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from actionlab import minimize
 
 settings.register_profile(
     "suite",
@@ -10,6 +13,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def lockstep_runs(monkeypatch) -> list[int]:
+    """The number of paths of each lockstep minimizer run the test makes, read
+    from the last-stage calls of `minimize._stage` (one per run)."""
+    runs = []
+    stage = minimize._stage
+
+    def counting(obj, Z, cfg, last):
+        if last:
+            runs.append(len(Z))
+        return stage(obj, Z, cfg, last)
+
+    monkeypatch.setattr(minimize, "_stage", counting)
+    return runs
+
 
 _CRITERION = re.compile(r"test_criterion_(\d+)\w*")
 _outcomes: dict[str, tuple[int, str]] = {}

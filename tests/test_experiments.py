@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from actionlab.action import Path
-from actionlab import experiments
 from actionlab.convex import LogSumExp, Quadratic, prox
 from actionlab.errors import ConfigError
 from actionlab.experiments import (gamma_limsup_experiment,
@@ -108,43 +107,34 @@ _VALUE_FAMILIES = {
 }
 
 
-def _count_lockstep_runs(monkeypatch) -> list[int]:
-    """The number of paths of each lockstep run the experiments module makes."""
-    runs = []
-    lockstep = experiments._minimize_paths
-    monkeypatch.setattr(experiments, "_minimize_paths",
-                        lambda fs, *a: runs.append(len(fs)) or lockstep(fs, *a))
-    return runs
-
-
 @pytest.mark.parametrize("name", list(_VALUE_FAMILIES))
-def test_value_experiment_members_match_their_own_solves(name, monkeypatch):
-    """The members run as one lockstep path each, on one base function with
-    a per-path (c, L) scale; every row matches the member's own solve."""
+def test_value_experiment_members_match_their_own_solves(name, lockstep_runs):
+    """A built-in family's members run as one lockstep run, on one base
+    function with a per-path (c, L) scale, and the limit joins them only when
+    it shares their unit function; every row matches its own solve."""
     build, n = _VALUE_FAMILIES[name]
     fam, cfg = build(), MinimizeConfig(N=n)
-    runs = _count_lockstep_runs(monkeypatch)
     rep = gamma_value_experiment(fam, 1.0, cfg)
-    assert runs == [fam.size]
-    for row, mem in zip(rep.rows, fam.members):
+    shared = fam.limit.function is fam.members[0].function
+    assert lockstep_runs == ([fam.size + 1] if shared else [fam.size, 1])
+    for row, mem in zip([*rep.rows, rep.limit_row], [*fam.members, fam.limit]):
         solo = minimize_action(mem.function, mem.start, mem.end, 1.0, cfg)
         assert row["value"] == pytest.approx(solo.value_true, rel=1e-9, abs=0.0)
         assert row["iterations"] == solo.iterations
         assert row["converged"] is solo.converged is True
 
 
-def test_value_experiment_groups_members_by_unit_function(monkeypatch):
+def test_value_experiment_groups_members_by_unit_function(lockstep_runs):
     """Members with different unit functions go to separate lockstep runs,
-    and the rows stay in member order."""
+    the limit to the run of its own, and the rows stay in member order."""
     f, g = Quadratic([[1.0]], [0.0]), Quadratic([[2.0]], [0.0])
     members = tuple(FamilyMember(h, [1.0], [2.0]) for h in (f, g, f, g))
     fam = MoscoFamily(members, FamilyMember(f, [1.0], [2.0]), 1.0, 4.0)
     cfg = MinimizeConfig(N=32)
-    runs = _count_lockstep_runs(monkeypatch)
     rep = gamma_value_experiment(fam, 1.0, cfg)
-    assert runs == [2, 2]
+    assert lockstep_runs == [3, 2]
     assert [r["member"] for r in rep.rows] == [0, 1, 2, 3]
-    for row, mem in zip(rep.rows, members):
+    for row, mem in zip([*rep.rows, rep.limit_row], [*members, fam.limit]):
         solo = minimize_action(mem.function, [1.0], [2.0], 1.0, cfg)
         assert row["value"] == solo.value_true
 

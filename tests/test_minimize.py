@@ -236,13 +236,15 @@ def test_block_tridiagonal_solve_flags_only_the_indefinite_path(n, d):
 
 
 def _solve_in_lockstep(f, X0, XD, delta, cfg):
-    """The lockstep results of the paths X0 -> XD, after checking that each
-    equals its own minimize_action run bit for bit."""
-    results = _minimize_paths([f] * len(X0), np.array(X0, dtype=float), np.array(XD, dtype=float),
+    """The lockstep results of the paths X0 -> XD on f (or on f[p] for a list
+    f), after checking that each equals its own minimize_action run bit for
+    bit."""
+    fs = f if isinstance(f, list) else [f] * len(X0)
+    results = _minimize_paths(fs, np.array(X0, dtype=float), np.array(XD, dtype=float),
                               delta, cfg)
     assert len(results) == len(X0)
-    for res, x0, xd in zip(results, X0, XD):
-        solo = minimize_action(f, x0, xd, delta, cfg)
+    for g, res, x0, xd in zip(fs, results, X0, XD):
+        solo = minimize_action(g, x0, xd, delta, cfg)
         assert np.array_equal(res.path.nodes, solo.path.nodes)
         assert np.array_equal(res.path.times, solo.path.times)
         assert type(res.value_smoothed) is float
@@ -396,6 +398,43 @@ def test_lockstep_path_that_finds_no_descent():
     results = _solve_in_lockstep(f, X0, XD, delta, cfg)
     assert [r.converged for r in results] == [False, False, True]
     assert max(_stage_steps(results)[0]) < cfg.max_iters
+
+
+_Q1, _Q4 = Quadratic([[1.0]], [0.0]), Quadratic([[4.0]], [0.0])
+_MIXED_CASES = {
+    "quadratics": ([_Q1, _Q4], [[1.0], [1.0]], [[2.0], [2.0]], 1.0),
+    "quadratics_interleaved": ([_Q1, _Q4, _Q1], [[1.0], [1.0], [0.5]],
+                               [[2.0], [2.0], [-1.0]], 1.0),
+    "max_linear": ([MaxLinear([[1.0], [-1.0]]), MaxLinear([[2.0], [-2.0]])],
+                   [[-1.0], [-1.0]], [[1.0], [1.0]], 3.0),
+    "log_sum_exp_and_quadratic": ([LogSumExp(TRIANGLE, 0.1), Quadratic(np.eye(2), np.zeros(2))],
+                                  [[-1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.5], [1.0, 0.5]], 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MIXED_CASES))
+def test_paths_on_unrelated_functions_are_their_own_solves(kind):
+    """_minimize_paths groups its paths by unit member itself, so a path whose
+    function shares none with the others' gets the bits of its own solve, in
+    input order (a single run on the first function gave the second quadratic
+    33.276 for 19.433, the second max_linear 10.189 for 8.017)."""
+    fs, X0, XD, delta = _MIXED_CASES[kind]
+    _solve_in_lockstep(fs, X0, XD, delta, MinimizeConfig(N=32))
+
+
+def test_one_unit_member_per_function_object(monkeypatch, lockstep_runs):
+    """Smoothed maxima over the same vectors share a unit member, so they run
+    as one lockstep run, and each function object builds its unit member once."""
+    calls, unit_scale = [], minimize._unit_scale
+    monkeypatch.setattr(minimize, "_unit_scale", lambda g: calls.append(g) or unit_scale(g))
+    f, g = LogSumExp(TRIANGLE, 0.1), LogSumExp(TRIANGLE, 0.2)
+    X0 = np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, 0.5], [0.5, 0.5], [1.0, 1.0]])
+    results = _minimize_paths([f, g, f, f, g], X0, -X0, 1.0, MinimizeConfig(N=16))
+    assert len(calls) == 2 and calls[0] is f and calls[1] is g
+    assert lockstep_runs == [5]
+    for h, res, x0 in zip([f, g, f, f, g], results, X0):
+        solo = minimize_action(h, x0, -x0, 1.0, MinimizeConfig(N=16))
+        assert res.value_true == pytest.approx(solo.value_true, rel=1e-9, abs=0.0)
 
 
 def test_indefinite_newton_hessian_falls_back_to_gauss_newton():

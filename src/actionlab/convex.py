@@ -15,6 +15,8 @@ arithmetic; operations that need a finite subgradient raise instead.  Batched
 tau per row, so a sweep over (tau, x) pairs is one call; the free functions at
 the bottom are the scalar-call surface.  Short reductions run across rows
 (`_row_reduce`): bit-equal for max, min, logical ops and sums under 8 terms.
+The log_sum_exp kernels go further: they work component-major, on (d, k)
+points and (m, k) weights, each per-row formula on contiguous rows.
 """
 from __future__ import annotations
 
@@ -97,29 +99,24 @@ def tau_cap(lam: float) -> float:
     return 0.45 / -lam if lam < 0 else math.inf
 
 
-def _row_taus(tau, k: int, lam: float) -> np.ndarray:
-    """tau as a (k, 1) column to broadcast against k rows, from one tau for
-    every row or a (k,) array of one tau per row.  Every tau must be
-    admissible for lambda."""
+def _tau_rows(tau, k: int, lam: float, ndim: int = 1):
+    """tau for k rows, from one tau for every row (returned as a float) or a
+    (k,) array of one tau per row (returned as a column of ndim axes, to
+    broadcast against k rows).  Every tau must be admissible for lambda."""
     if isinstance(tau, (int, float)):
         tau = float(tau)
-        _check_admissible(tau, lam)
-        return np.full((k, 1), tau)
-    try:
-        t = np.asarray(tau, dtype=float)
-    except (TypeError, ValueError):
-        raise InadmissibleTauError(f"tau must be a number or an array of numbers, "
-                                   f"got {tau!r}") from None
-    if t.ndim != 0 and t.shape != (k,):
-        raise DimensionMismatchError(
-            f"tau has shape {t.shape}, expected a scalar or ({k},) for {k} rows")
-    _check_admissible(t, lam)
-    return np.full((k, 1), t) if t.ndim == 0 else t[:, None]
-
-
-def _tau_rows(tau, ndim: int):
-    """One tau as it is, a (k,) array of them as a column of ndim axes."""
-    return tau if isinstance(tau, float) else np.reshape(tau, (-1,) + (1,) * (ndim - 1))
+    else:
+        try:
+            t = np.asarray(tau, dtype=float)
+        except (TypeError, ValueError):
+            raise InadmissibleTauError(f"tau must be a number or an array of numbers, "
+                                       f"got {tau!r}") from None
+        if t.ndim != 0 and t.shape != (k,):
+            raise DimensionMismatchError(
+                f"tau has shape {t.shape}, expected a scalar or ({k},) for {k} rows")
+        tau = float(t) if t.ndim == 0 else t.reshape((k,) + (1,) * (ndim - 1))
+    _check_admissible(tau, lam)
+    return tau
 
 
 def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -137,16 +134,31 @@ def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
 
 
+def _solve_columns(M: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
+    """`_solve_blocks` for blocks laid out component-major: M (d, d, k) and
+    R (d, k), the last axis the block; closed form on rows for d <= 2."""
+    d = len(M)
+    if d == 1:
+        return 1.0 / M if R is None else R / M[0]
+    if d == 2:
+        a, b, c, e = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+        return np.array([[e, -b], [-c, a]] if R is None else
+                        [e * R[0] - b * R[1], a * R[1] - c * R[0]]) / (a * e - b * c)
+    M = M.transpose(2, 0, 1)
+    return (np.linalg.inv(M).transpose(1, 2, 0) if R is None
+            else np.linalg.solve(M, R.T[..., None])[..., 0].T)
+
+
+def _column_norms(R: np.ndarray) -> np.ndarray:
+    return np.sqrt((R * R).sum(axis=0))
+
+
 def _row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
     """ufunc.reduce(A, axis=1) bit for bit, as m passes over the k rows of a
     transposed copy; a sum of 8 or more terms keeps numpy's pairwise axis=1."""
     if ufunc is np.add and A.shape[1] >= 8:
         return A.sum(axis=1)
     return ufunc.reduce(np.ascontiguousarray(A.T), axis=0)
-
-
-def _row_norms(R: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", R, R))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -180,7 +192,7 @@ class ConvexFunction:
         """Resolvents J_tau of the rows of X and a solver residual per row.
 
         tau is a scalar or a (k,) array giving row i its own tau; the
-        built-in kinds turn both into a (k, 1) column with `_row_taus`.
+        built-in kinds read both with `_tau_rows`.
         Subclasses, including those handed to
         `verify_suite(extra_functions=...)`, must accept both, because the
         verify checks resolve a whole sample block of (tau, x) pairs in one
@@ -281,7 +293,7 @@ class Quadratic(ConvexFunction):
 
     def prox_many(self, tau, X, start=None):
         X = _batch(X, self.dim)
-        t = _row_taus(tau, X.shape[0], self.lam)
+        t = _tau_rows(tau, X.shape[0], self.lam, 2)
         Y = self._inverse_apply(t, X - t * self.b)
         residual = np.linalg.norm(Y + t * self.subgradient_many(Y) - X, axis=1)
         return Y, residual
@@ -289,7 +301,7 @@ class Quadratic(ConvexFunction):
     def envelope_derivatives_many(self, tau, X, Y):
         # (I - (I + tau Q)^-1)/tau = V diag(w / (1 + tau w)) V^T, one per tau
         V, w = self._V, self._w
-        K = (V * (w / (1.0 + _tau_rows(tau, 3) * w))) @ V.T
+        K = (V * (w / (1.0 + _tau_rows(tau, len(X), self.lam, 3) * w))) @ V.T
         return np.broadcast_to(K, (X.shape[0],) + V.shape), None
 
 
@@ -430,7 +442,7 @@ class MaxLinear(ConvexFunction):
     def prox_many(self, tau, X, start=None):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
         X = _batch(X, self.dim)
-        t = _row_taus(tau, X.shape[0], self.lam)
+        t = _tau_rows(tau, X.shape[0], self.lam, 2)
         Z = X / t
         proj, gaps = _hull_projection(self, Z)
         if self.dim == 1:
@@ -449,7 +461,7 @@ class MaxLinear(ConvexFunction):
         # I - DP(z), so K = DP(z)/tau.  DP(z) projects onto the face exposed
         # by q = z - p = Y/tau: I inside the hull, 0 at a vertex.
         k, d = X.shape
-        t = _tau_rows(tau, 2)
+        t = _tau_rows(tau, k, self.lam, 2)
         Q = Y / t
         qn = np.linalg.norm(Q, axis=1)
         # q is rounding noise, not a direction, for rows inside the hull
@@ -488,7 +500,7 @@ class MaxLinear(ConvexFunction):
             _, sv, Vt = np.linalg.svd(E, full_matrices=False)
             V = Vt * (sv > tol)[:, :, None]
             P[outside] = V.transpose(0, 2, 1) @ V
-        return P / _tau_rows(tau, 3), None
+        return P / np.reshape(t, (-1, 1, 1)), None
 
 
 @dataclass(frozen=True)
@@ -516,74 +528,73 @@ class LogSumExp(ConvexFunction):
         A = _set_vectors(self)
         object.__setattr__(self, "epsilon",
                            real_number(self.epsilon, "epsilon", positive=True))
-        # rows a_i a_i^T, flattened, so the Hessian's first term is a matmul
+        # a_i a_i^T as (d d, m) rows: the Hessian's first term is one matmul
         m, d = A.shape
         object.__setattr__(self, "_outer", _frozen(
-            (A[:, :, None] * A[:, None, :]).reshape(m, d * d)))
+            (A.T[:, None, :] * A.T[None, :, :]).reshape(d * d, m)))
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def _scores(self, X):
-        return (X @ self.vectors.T) / self.epsilon
-
-    def _weights(self, X):
-        s = self._scores(X)
-        w = np.exp(s - _row_reduce(np.maximum, s)[:, None])
-        return w / _row_reduce(np.add, w)[:, None]
-
     def value_many(self, X):
-        s = self._scores(X)
+        s = (X @ self.vectors.T) / self.epsilon
         m = _row_reduce(np.maximum, s)
         lse = m + np.log(_row_reduce(np.add, np.exp(s - m[:, None])))
         return self.epsilon * (lse - np.log(self.vectors.shape[0]))
 
     def subgradient_many(self, X):
-        return self._weights(X) @ self.vectors
+        return self._softmax(X.T)[1].T
 
-    def _hessian_many(self, W):
-        # grad^2 f = (A^T diag(w) A - g g^T)/eps from the softmax weights W
-        d = self.dim
-        G = W @ self.vectors
-        H = (W @ self._outer).reshape(-1, d, d) - G[:, :, None] * G[:, None, :]
-        return H / self.epsilon
+    def _softmax(self, Y):
+        """Softmax weights W (m, k) and gradient A^T W (d, k) of f at the
+        columns of Y (d, k)."""
+        W = (self.vectors @ Y) / self.epsilon
+        W = np.exp(W - W.max(axis=0))
+        W /= W.sum(axis=0)
+        return W, self.vectors.T @ W
+
+    def _hessian(self, W, g):
+        """grad^2 f = (A^T diag(w) A - g g^T)/eps (d, d, k) from the
+        weights W (m, k) and gradients g (d, k) of `_softmax`."""
+        d = len(g)
+        return ((self._outer @ W).reshape(d, d, -1) - g[:, None] * g) / self.epsilon
 
     def prox_many(self, tau, X, start=None):
-        A = self.vectors
         X = _batch(X, self.dim)
-        t = _row_taus(tau, X.shape[0], self.lam)
+        k, d = X.shape
+        t = _tau_rows(tau, k, self.lam, 2)
         if start is None:
             Y = X - t * _hull_projection(self, X / t)[0]
         else:
-            Y = _batch(start, self.dim).copy()
+            Y = _batch(start, d)
             if Y.shape != X.shape:
                 raise DimensionMismatchError(
                     f"start has shape {Y.shape}, expected {X.shape}")
-        W = self._weights(Y)
-        R = Y + t * (W @ A) - X
-        res = _row_norms(R)
-        target = _NEWTON_TOL * (1.0 + _row_norms(X))
-        eye = np.eye(self.dim)
-        live = np.flatnonzero(res > target)
+        # component-major from here: row i of X is column i of x
+        Y, x, t = Y.T.copy(), X.T.copy(), np.broadcast_to(t, (k, 1))[:, 0]
+        W, g = self._softmax(Y)
+        R = Y + t * g - x
+        res = _column_norms(R)
+        target = _NEWTON_TOL * (1.0 + _column_norms(x))
+        # the rows not yet done, and their columns in that order
+        rows = np.flatnonzero(res > target)
+        x, t, target, y, W, g, R, rn = (a.take(rows, axis=-1)
+                                        for a in (x, t, target, Y, W, g, R, res))
+        eye = np.eye(d)[:, :, None]
         for _ in range(_NEWTON_CAP):
-            if live.size == 0:
+            if rows.size == 0:
                 break
-            # no copies while live is every row in order; take() beats fancy indexing
-            every = np.array_equal(live, np.arange(X.shape[0]))
-            y, x, rn, tl, Wl, Rl = ((Y, X, res, t, W, R) if every else
-                                    (a.take(live, axis=0) for a in (Y, X, res, t, W, R)))
-            M = eye + tl[:, :, None] * self._hessian_many(Wl)
-            step = _solve_blocks(M, -Rl[:, :, None])[..., 0]
-            snorm = _row_norms(step)
+            step = _solve_columns(eye + t * self._hessian(W, g), R)     # -step is Newton's
+            snorm = _column_norms(step)
             # a step within rounding of y cannot lower |r|: such a row is at
             # the floating-point floor and stops with its residual
-            floor = 1e-15 * (1.0 + _row_norms(y))
-            alpha = np.ones(live.size)
-            trial = y + step
-            Wt = self._weights(trial)
-            rt = trial + tl * (Wt @ A) - x
-            rtn = _row_norms(rt)
+            floor = 1e-15 * (1.0 + _column_norms(y))
+            alpha = np.ones(rows.size)
+            trial = y - step
+            Wt, gt = self._softmax(trial)
+            rt = trial + t * gt - x
+            rtn = _column_norms(rt)
             ok = rtn <= (1.0 - 1e-4) * rn
             back = np.flatnonzero(~ok & (0.5 * snorm > floor))
             # halve the step of each row without sufficient decrease; every
@@ -593,40 +604,46 @@ class LogSumExp(ConvexFunction):
                 if back.size == 0:
                     break
                 alpha[back] *= 0.5
-                trial[back] = y[back] + alpha[back, None] * step[back]
-                Wt[back] = self._weights(trial[back])
-                rt[back] = trial[back] + tl[back] * (Wt[back] @ A) - x[back]
-                rtn[back] = _row_norms(rt[back])
+                trial[:, back] = y[:, back] - alpha[back] * step[:, back]
+                Wt[:, back], gt[:, back] = self._softmax(trial[:, back])
+                rt[:, back] = trial[:, back] + t[back] * gt[:, back] - x[:, back]
+                rtn[back] = _column_norms(rt[:, back])
                 ok[back] = rtn[back] <= (1.0 - 1e-4 * alpha[back]) * rn[back]
                 back = back[~ok[back] & (0.5 * alpha[back] * snorm[back] > floor[back])]
             ok &= snorm > floor
-            acc = live[ok]
-            if every and ok.all():
-                Y, W, R, res = trial, Wt, rt, rtn
-            else:
-                Y[acc], W[acc], R[acc], res[acc] = (a.compress(ok, axis=0)
-                                                    for a in (trial, Wt, rt, rtn))
-            # converged rows and rows at the floor leave; a row still
-            # backtracking after 60 halvings stays
-            live = np.concatenate([acc[rtn[ok] > target[acc]], live[back]])
-        if live.size:
+            trial, Wt, gt, rt, rtn = (np.where(ok, a, b) for a, b in (
+                (trial, y), (Wt, W), (gt, g), (rt, R), (rtn, rn)))
+            # rows that converged or reached the floor leave with their
+            # columns written back; a row still backtracking after 60
+            # halvings stays, moved last
+            keep = np.concatenate([np.flatnonzero(ok & (rtn > target)), back])
+            if keep.size < rows.size or back.size:
+                Y[:, rows], res[rows] = trial, rtn
+                rows, x, t, target, trial, Wt, gt, rt, rtn = (a.take(keep, axis=-1) for a in (
+                    rows, x, t, target, trial, Wt, gt, rt, rtn))
+            y, W, g, R, rn = trial, Wt, gt, rt, rtn
+        if rows.size:
             raise SolverError(
                 f"smoothed-max resolvent Newton stalled at residual "
-                f"{float(res[live].max()):.3e} after {_NEWTON_CAP} iterations")
-        return Y, res
+                f"{float(rn.max()):.3e} after {_NEWTON_CAP} iterations")
+        return np.ascontiguousarray(Y.T), res
 
     def envelope_derivatives_many(self, tau, X, Y):
         # K = (I - B)/tau = (I + tau H)^-1 H with H = grad^2 f(Y) and
         # B = DJ_tau = (I + tau H)^-1.  grad f_tau(x) = grad f(J_tau x), so
         # C = B T[B G] B, T[z] = D^3 f(Y)[z] = sum_j w_j ((v_j . z)/eps^2)
         # v_j v_j^T with v_j = a_j - g, the third cumulant of the softmax.
-        # With u_j = B v_j that is sum_j w_j ((u_j . G)/eps^2) u_j u_j^T.
-        W = self._weights(Y)
-        H = self._hessian_many(W)
-        M = np.eye(self.dim) + _tau_rows(tau, 3) * H
-        U = (self.vectors - (W @ self.vectors)[:, None, :]) @ _solve_blocks(M)
-        c = W * (U @ ((X - Y) / _tau_rows(tau, 2))[:, :, None])[..., 0] / self.epsilon**2
-        return _solve_blocks(M, H), U.transpose(0, 2, 1) @ (c[:, :, None] * U)
+        # With u_j = B v_j that is sum_j w_j ((u_j . G)/eps^2) u_j u_j^T,
+        # here component-major as in prox_many: the last axis is the row.
+        t = _tau_rows(tau, len(X), self.lam)
+        W, g = self._softmax(Y.T)
+        H = self._hessian(W, g)
+        B = _solve_columns(np.eye(self.dim)[:, :, None] + t * H)
+        U = (B * (self.vectors[:, None, :, None] - g)).sum(axis=2)      # (m, d, k)
+        c = W * (U * ((X - Y).T / t)).sum(axis=1) / self.epsilon**2
+        K = (B[:, :, None] * H).sum(axis=1)
+        C = ((c[:, None] * U)[:, :, None] * U[:, None]).sum(axis=0)
+        return K.transpose(2, 0, 1), C.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -653,7 +670,7 @@ class _RegionKind(ConvexFunction):
 
     def prox_many(self, tau, X, start=None):
         X = _batch(X, self.dim)
-        t = _row_taus(tau, X.shape[0], self.lam)
+        t = _tau_rows(tau, X.shape[0], self.lam, 2)
         Y = self.region.project_many(X)
         if self._offset:
             Y = X + t / (t + self._offset) * (Y - X)
@@ -661,7 +678,7 @@ class _RegionKind(ConvexFunction):
 
     def envelope_derivatives_many(self, tau, X, Y):
         J = self.region.project_jacobian_many(X)
-        step = _tau_rows(tau, 3) + self._offset
+        step = _tau_rows(tau, len(X), self.lam, 3) + self._offset
         K = (np.eye(self.dim) - J) / step
         return K, (J - J @ J) / step / step if isinstance(self.region, Ball) else None
 

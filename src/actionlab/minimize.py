@@ -35,8 +35,10 @@ iterations, and the closed-form kinds ignore the start.  Armijo backtracking
 starts from the full step.  A stage stops when the decrement g^T H^-1 g, in
 the Hessian that made the step, falls to
 grad_tol^2 * max(|xd - x0|^2/delta, E_tau), a rule that does not depend on the
-scale of the problem.  A stage before the last also stops, with no Newton
-system formed to confirm it, where Newton's quadratic convergence (Nocedal and
+scale of the problem.  Where C = None, H dominates its kinetic part H_kin, so
+a stop that g^T H_kin^-1 g (Boyd and Vandenberghe, sec. 9.5.1) meets needs no
+Newton system.  A stage before the last also stops, with no Newton system
+formed to confirm it, where Newton's quadratic convergence (Nocedal and
 Wright, ch. 3) predicts it (see `_stage`); `converged` counts such stops.
 
 For max_linear the slope jumps across kinks, which the smoothed minimizer
@@ -154,16 +156,6 @@ class _Objective:
         """The points A (k, n, d) of the paths as rows of f's, L A."""
         return (self.L[:, None, None] * A).reshape(-1, A.shape[2])
 
-    def envelope_derivatives(self, mids: np.ndarray, Y: np.ndarray):
-        """K and C (k n, d, d) of each path's own function at (k, n, d) mids, Y."""
-        n = mids.shape[1]
-        K, C = self.f.envelope_derivatives_many(self._f_taus(n), self._f_rows(mids),
-                                                self._f_rows(Y))
-        if self.unit:   # a kind's broadcast K stays a view
-            return K, C
-        s = np.repeat(self.s, n)[:, None, None]     # f_p's K and C: s K, s^2 C
-        return s * K, None if C is None else s * s * C
-
     def full_nodes(self, Z: np.ndarray) -> np.ndarray:
         return np.concatenate([self.X0[:, None], Z, self.XD[:, None]], axis=1)
 
@@ -201,28 +193,41 @@ class _Objective:
         return ((4.0 / dt) * eye + 0.25 * dt * (S[:, :-1] + S[:, 1:]),
                 -(2.0 / dt) * eye + 0.25 * dt * S[:, 1:-1])
 
-    def newton_system(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
-        """Derivatives of the objective at Z from the (midpoints, resolvents)
-        of evaluate(Z), with K and C from one `envelope_derivatives_many`
-        call over every path's rows: the exact gradient, the Gauss-Newton
-        Hessian blocks (diag, off) from 2 K^2, the exact Newton blocks from
-        2 K^2 + 2 C (None when the kind gives C = 0, so Gauss-Newton is
-        exact), and the envelope Hessians K (k N, d, d) at the midpoints."""
-        k, n, d = resolved[0].shape
-        K, C = self.envelope_derivatives(*resolved)
-        mids, Y = (a.reshape(k * n, d) for a in resolved)
-        G = (mids - Y) / self.tau
-        dphi = 2.0 * np.einsum("kij,kj->ki", K, G)
+    def derivatives(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
+        """The exact gradient of the objective at Z from the (midpoints,
+        resolvents) (k, N, d) of evaluate(Z), and K and C (k N, d, d) of each
+        path's own function at the midpoints, from one
+        `envelope_derivatives_many` call over every path's rows."""
+        mids, Y = resolved
+        k, n, d = mids.shape
+        K, C = self.f.envelope_derivatives_many(self._f_taus(n), self._f_rows(mids),
+                                                self._f_rows(Y))
+        if not self.unit:   # f_p's K and C: s K, s^2 C (else a broadcast K stays a view)
+            s = np.repeat(self.s, n)[:, None, None]
+            K, C = s * K, None if C is None else s * s * C
+        dphi = 2.0 * np.einsum("kij,kj->ki", K, ((mids - Y) / self.tau).reshape(k * n, d))
+        return self.gradient(Z, dphi.reshape(k, n, d)), K, C
+
+    def kinetic_decrement(self, grad: np.ndarray) -> np.ndarray:
+        """Per path, g^T H_kin^-1 g, H_kin = (2/dt) D^T D (x) I the kinetic
+        Hessian: (dt/2) sum_c N Var(U_c), U_c the prefix sums of g_c, 0 first."""
+        U = np.zeros((grad.shape[0], grad.shape[1] + 1, grad.shape[2]))
+        np.cumsum(grad, axis=1, out=U[:, 1:])
+        U -= U.mean(axis=1, keepdims=True)
+        return 0.5 * self.dt * np.einsum("pij,pij->p", U, U)
+
+    def newton_system(self, K: np.ndarray, C: np.ndarray | None):
+        """Gauss-Newton Hessian blocks (diag, off) from 2 K^2, and exact Newton
+        ones from 2 K^2 + 2 C, None where C is (Gauss-Newton is then exact)."""
+        k, d = len(self.X0), K.shape[-1]
         S = 2.0 * np.einsum("kij,kil->kjl", K, K)
-        grad = self.gradient(Z, dphi.reshape(k, n, d))
-        diag, off = self.hessian(S.reshape(k, n, d, d))
-        newton = None
-        if C is not None:
-            # the slope Hessian S + 2 C enters the blocks as S does, times dt/4
-            C = C.reshape(k, n, d, d)
-            newton = (diag + 0.5 * self.dt * (C[:, :-1] + C[:, 1:]),
-                      off + 0.5 * self.dt * C[:, 1:-1])
-        return grad, (diag, off), newton, K
+        diag, off = self.hessian(S.reshape(k, -1, d, d))
+        if C is None:
+            return (diag, off), None
+        # the slope Hessian S + 2 C enters the blocks as S does, times dt/4
+        C = C.reshape(k, -1, d, d)
+        return (diag, off), (diag + 0.5 * self.dt * (C[:, :-1] + C[:, 1:]),
+                             off + 0.5 * self.dt * C[:, 1:-1])
 
 
 def _definite_blocks(A: np.ndarray) -> np.ndarray:
@@ -326,7 +331,8 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, last: bool
 
     A step solves the exact Newton system when the kind gives a curvature
     term and that path's Hessian is positive definite, else the Gauss-Newton
-    one; the stop measures the decrement in the Hessian that made the step.
+    one; the stop measures the decrement in the Hessian that made the step,
+    or the kinetic bound over it where C = None, before any Newton system.
     The paths still searching share a step length and a resolvent batch per
     trial, each with its own Armijo test.  Unless last, a path also stops
     after a full step that was not a Gauss-Newton fallback, when its
@@ -341,7 +347,14 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, last: bool
     # the paths still stepping; obj, Z, mids and Y hold their rows in order
     run = list(range(len(traces)))
     for _ in range(cfg.max_iters):
-        grad, gauss_newton, newton, K = obj.newton_system(Z, (mids, Y))
+        grad, K, C = obj.derivatives(Z, (mids, Y))
+        scale = [max(segment[p], traces[p][-1]) for p in run]
+        # without C, H = H_kin + PSD blocks: a stop g^T H_kin^-1 g meets is met
+        if C is None and all(r <= cfg.grad_tol**2 * s for r, s in
+                             zip(obj.kinetic_decrement(grad).tolist(), scale)):
+            hit = [h or p in run for p, h in enumerate(hit)]
+            break
+        gauss_newton, newton = obj.newton_system(K, C)
         direction, ok = _block_tridiagonal_solve(*(newton or gauss_newton), grad,
                                                  definite=newton is not None)
         if not ok.all():
@@ -349,9 +362,9 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, last: bool
                                                       grad[~ok])[0]
         decrement = (grad * direction).reshape(len(run), -1).sum(axis=1).tolist()
         for i, p in enumerate(run):
-            hit[p] = decrement[i] <= cfg.grad_tol**2 * (scale := max(segment[p], traces[p][-1]))
-            sure[p] = (not last and ok[i] and decrement[i] <= cfg.grad_tol * scale
-                       and decrement[i]**3 <= (cfg.grad_tol * before[p])**2 * scale)
+            hit[p] = decrement[i] <= cfg.grad_tol**2 * scale[i]
+            sure[p] = (not last and ok[i] and decrement[i] <= cfg.grad_tol * scale[i]
+                       and decrement[i]**3 <= (cfg.grad_tol * before[p])**2 * scale[i])
             before[p] = decrement[i]
         moving = [i for i, p in enumerate(run) if not hit[p]]   # rows that step
         if not moving:

@@ -479,7 +479,7 @@ def objective_gradient_failures(f: ConvexFunction, rng, trials: int) -> list[dic
         h = 1e-5 * (1.0 + float(np.abs(Z).max()))
         obj = _Objective(f, tau, np.tile(x0, (3, 1)), np.tile(xd, (3, 1)), 1.0 / n)
         values, (mids, Y) = obj.evaluate(np.stack([Z, Z + h * D, Z - h * D]))
-        G = obj.paths([0]).newton_system(Z[None], (mids[:1], Y[:1]))[0][0]
+        G = obj.paths([0]).derivatives(Z[None], (mids[:1], Y[:1]))[0][0]
         fd[t] = float(values[1] - values[2]) / (2.0 * h)
         dd[t] = float((G * D).sum())
     return _failed(f, ~(np.abs(dd - fd) <= 1e-6 * (1.0 + np.abs(fd))), n=sizes,

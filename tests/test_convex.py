@@ -9,7 +9,7 @@ from actionlab.convex import (ACTIVE_TOL, Indicator, LogSumExp, MaxLinear,
                               Quadratic, SquaredDistance, evaluate,
                               min_norm_subgradient,
                               moreau_gradient, prox, resolvent_slope,
-                              sampled_slope_lower_bound, slope, _row_norms, _row_reduce,
+                              sampled_slope_lower_bound, slope, _row_reduce,
                               _unit_scale)
 from actionlab.errors import (ConfigError, DimensionMismatchError,
                               InadmissibleTauError, OutsideDomainError)
@@ -455,18 +455,18 @@ def test_log_sum_exp_derivatives_form_weights_and_hessian_once(monkeypatch):
     X = np.random.default_rng(3).normal(size=(20, 2))
     Y, _ = f.prox_many(0.3, X)
     counts = {"weights": 0, "hessian": 0}
-    weights, hessian = LogSumExp._weights, LogSumExp._hessian_many
+    softmax, hessian = LogSumExp._softmax, LogSumExp._hessian
 
     def counting_weights(self, Z):
         counts["weights"] += 1
-        return weights(self, Z)
+        return softmax(self, Z)
 
-    def counting_hessian(self, W):
+    def counting_hessian(self, W, g):
         counts["hessian"] += 1
-        return hessian(self, W)
+        return hessian(self, W, g)
 
-    monkeypatch.setattr(LogSumExp, "_weights", counting_weights)
-    monkeypatch.setattr(LogSumExp, "_hessian_many", counting_hessian)
+    monkeypatch.setattr(LogSumExp, "_softmax", counting_weights)
+    monkeypatch.setattr(LogSumExp, "_hessian", counting_hessian)
     f.envelope_derivatives_many(0.3, X, Y)
     assert counts == {"weights": 1, "hessian": 1}
 
@@ -507,6 +507,40 @@ def test_prox_many_rejects_inadmissible_tau_per_row(f):
             f.prox_many(tau, X)
         with pytest.raises(InadmissibleTauError):
             f.prox_many(np.array([0.5, tau, 0.5]), X)
+
+
+@pytest.mark.parametrize("f", _gradient_cases())
+def test_envelope_derivatives_reject_bad_tau_as_prox_many_does(f):
+    """envelope_derivatives_many reads tau by prox_many's rules: an
+    inadmissible tau, scalar or in one row, raises InadmissibleTauError, a tau
+    of the wrong shape DimensionMismatchError, and a non-number
+    InadmissibleTauError."""
+    X = 1.5 * np.random.default_rng(7).normal(size=(3, f.dim))
+    Y, _ = f.prox_many(0.3, X)
+    bad = [0.0, -0.1, math.nan, math.inf]
+    if f.lam < 0:
+        bad.append(-1.0 / f.lam)
+    for tau in bad:
+        with pytest.raises(InadmissibleTauError):
+            f.envelope_derivatives_many(tau, X, Y)
+        with pytest.raises(InadmissibleTauError):
+            f.envelope_derivatives_many(np.array([0.3, tau, 0.3]), X, Y)
+    with pytest.raises(DimensionMismatchError):
+        f.envelope_derivatives_many(np.array([0.3, 0.3]), X, Y)
+    with pytest.raises(InadmissibleTauError):
+        f.envelope_derivatives_many("abc", X, Y)
+    K, _ = f.envelope_derivatives_many(np.array([0.3, 0.3, 0.3]), X, Y)
+    assert np.array_equal(K, f.envelope_derivatives_many(0.3, X, Y)[0])
+
+
+def test_envelope_derivatives_tau_examples():
+    # 1 + tau*lambda = 0 divided by zero; a scalar tau keeps the broadcast K
+    f = Quadratic(np.diag([1.0, -2.0]), np.zeros(2))
+    X = np.zeros((4, 2))
+    with pytest.raises(InadmissibleTauError, match="lambda"):
+        f.envelope_derivatives_many(0.5, X, X)
+    K, C = f.envelope_derivatives_many(0.2, X, X)
+    assert K.shape == (4, 2, 2) and K.strides[0] == 0 and C is None
 
 
 def test_prox_many_inadmissible_tau_examples():
@@ -578,7 +612,8 @@ def test_unit_scale_identities(f):
     # an iterative resolvent is within its residual of the exact one
     Y, res = f.prox_many(taus, X)
     Yg, res_g = g.prox_many(c * L * L * taus, L * X)
-    assert (_row_norms(Yg / L - Y) <= res + res_g / L + 1e-12 * _row_norms(Y)).all()
+    assert (np.linalg.norm(Yg / L - Y, axis=1)
+            <= res + res_g / L + 1e-12 * np.linalg.norm(Y, axis=1)).all()
     K, C = f.envelope_derivatives_many(taus, X, Y)
     Kg, Cg = g.envelope_derivatives_many(c * L * L * taus, L * X, L * Y)
     s = c * L * L
@@ -730,18 +765,18 @@ def test_smoothed_max_resolvent_iterations(monkeypatch):
     f = LogSumExp(TRIANGLE, 1e-4)
     X = 2.0 * np.random.default_rng(0).normal(size=(2000, 2))
     hessians, passes = [], []
-    hessian_many, weights = LogSumExp._hessian_many, LogSumExp._weights
+    hessian, softmax = LogSumExp._hessian, LogSumExp._softmax
 
-    def counting_hessian(self, W):
-        hessians.append(W.shape[0])
-        return hessian_many(self, W)
+    def counting_hessian(self, W, g):
+        hessians.append(W.shape[1])
+        return hessian(self, W, g)
 
-    def recording_weights(self, P):
-        passes.append(P.copy())
-        return weights(self, P)
+    def recording_weights(self, P):     # P holds the points as columns
+        passes.append(P.T.copy())
+        return softmax(self, P)
 
-    monkeypatch.setattr(LogSumExp, "_hessian_many", counting_hessian)
-    monkeypatch.setattr(LogSumExp, "_weights", recording_weights)
+    monkeypatch.setattr(LogSumExp, "_hessian", counting_hessian)
+    monkeypatch.setattr(LogSumExp, "_softmax", recording_weights)
     f.prox_many(0.5, X)
     assert 1 <= len(hessians) <= 12
     assert passes[0].shape == X.shape
@@ -771,13 +806,13 @@ def test_smoothed_max_resolvent_is_start_independent(d, eps, monkeypatch):
     starts = {"answer": Y0, "near": Y0 + 1e-3 * rng.normal(size=X.shape),
               "far": Y0 + 10.0 * U / np.linalg.norm(U, axis=1, keepdims=True)}
     hessians = []
-    hessian_many = LogSumExp._hessian_many
+    hessian = LogSumExp._hessian
 
-    def counting(self, W):
-        hessians.append(W.shape[0])
-        return hessian_many(self, W)
+    def counting(self, W, g):
+        hessians.append(W.shape[1])
+        return hessian(self, W, g)
 
-    monkeypatch.setattr(LogSumExp, "_hessian_many", counting)
+    monkeypatch.setattr(LogSumExp, "_hessian", counting)
     for name, start in starts.items():
         hessians.clear()
         Y, res = f.prox_many(tau, X, start=start)
@@ -961,18 +996,24 @@ def test_row_reduce_is_bit_equal_to_the_row_axis_reduction(m):
     assert np.array_equal(_row_reduce(np.add, B), B.sum(axis=1))
 
 
-def test_weights_of_the_permutation_hull_keep_the_pairwise_sum():
-    f = LogSumExp(PERMUTATION_HULL, 0.08)
-    X = np.random.default_rng(0).normal(size=(64, PERMUTATION_HULL.shape[1]))
-    s = f._scores(X)
+def test_softmax_of_the_permutation_hull_matches_the_row_softmax():
+    # the 120 weights of a column are summed in order, not pairwise as numpy
+    # sums a row: they agree to rounding, weights and gradient alike
+    A = PERMUTATION_HULL
+    f = LogSumExp(A, 0.08)
+    X = np.random.default_rng(0).normal(size=(64, A.shape[1]))
+    s = X @ A.T / 0.08
     w = np.exp(s - s.max(axis=1, keepdims=True))
-    assert f._weights(X).tobytes() == (w / w.sum(axis=1, keepdims=True)).tobytes()
+    w /= w.sum(axis=1, keepdims=True)
+    W, g = f._softmax(X.T)
+    np.testing.assert_allclose(W.T, w, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(g.T, w @ A, rtol=1e-13, atol=1e-15)
 
 
 def test_all_live_newton_rows_match_gathered_rows(monkeypatch):
-    """A batch whose rows are all live works on its arrays without copies; its
-    rows are bit-equal to the same rows of a batch with one extra row started
-    at its own resolvent, which never goes live, so every iteration gathers."""
+    """The rows of a batch that are all live are bit-equal to the same rows
+    of a batch with one extra row started at its own resolvent, which never
+    goes live, so the Newton iterations work on a gathered subset."""
     f = LogSumExp(TRIANGLE, 1.0)
     tau = 0.5
     X = 2.0 * np.random.default_rng(1).normal(size=(300, 2))
@@ -980,13 +1021,13 @@ def test_all_live_newton_rows_match_gathered_rows(monkeypatch):
     y_extra, res_extra = f.prox_many(tau, extra)
     assert res_extra[0] <= 1e-11 * (1.0 + np.linalg.norm(extra))
     hessians = []
-    hessian_many = LogSumExp._hessian_many
+    hessian = LogSumExp._hessian
 
-    def counting(self, W):
-        hessians.append(W.shape[0])
-        return hessian_many(self, W)
+    def counting(self, W, g):
+        hessians.append(W.shape[1])
+        return hessian(self, W, g)
 
-    monkeypatch.setattr(LogSumExp, "_hessian_many", counting)
+    monkeypatch.setattr(LogSumExp, "_hessian", counting)
     Y, res = f.prox_many(tau, X)
     assert hessians[0] == X.shape[0]
     hessians.clear()
@@ -1042,7 +1083,7 @@ def test_a_row_kept_backtracking_keeps_every_row_in_place(monkeypatch):
     y_extra = f.prox_many(tau, extra)[0]
     alone = np.vstack([f.prox_many(tau, X[i:i + 1])[0] for i in range(2)])
     calls, hessians = [], []
-    hessian_many = LogSumExp._hessian_many
+    hessian = LogSumExp._hessian
 
     def first_line_search_gives_up(*args):
         # a solve's first range() is its Newton loop, the second its first
@@ -1050,15 +1091,126 @@ def test_a_row_kept_backtracking_keeps_every_row_in_place(monkeypatch):
         calls.append(args)
         return builtins.range(0) if len(calls) == 2 else builtins.range(*args)
 
-    def counting(self, W):
-        hessians.append(W.shape[0])
-        return hessian_many(self, W)
+    def counting(self, W, g):
+        hessians.append(W.shape[1])
+        return hessian(self, W, g)
 
     monkeypatch.setattr(convex, "range", first_line_search_gives_up, raising=False)
-    monkeypatch.setattr(LogSumExp, "_hessian_many", counting)
+    monkeypatch.setattr(LogSumExp, "_hessian", counting)
     Y, res = f.prox_many(tau, X, start=start)
     assert hessians[:2] == [2, 2]
     calls.clear()
     Y2, res2 = f.prox_many(tau, np.vstack([X, extra]), start=np.vstack([start, y_extra]))
     assert Y2[:-1].tobytes() == Y.tobytes() and res2[:-1].tobytes() == res.tobytes()
     np.testing.assert_allclose(Y, alone, rtol=0.0, atol=1e-10)
+
+
+def _row_major_lse(f, tau, X, start=None, first_halvings=60):
+    """The row-major smoothed-max kernels the component-major ones replaced,
+    kept as their reference: the resolvents and residuals of prox_many, K
+    and C at them, and the rows the first line search, capped at
+    first_halvings, left backtracking."""
+    A, eps = f.vectors, f.epsilon
+    k, d = X.shape
+    t = np.full((k, 1), tau) if np.ndim(tau) == 0 else np.asarray(tau)[:, None]
+
+    def weights(P):
+        s = P @ A.T / eps
+        w = np.exp(s - s.max(axis=1, keepdims=True))
+        return w / w.sum(axis=1, keepdims=True)
+
+    def hessian(W):
+        G = W @ A
+        return (np.einsum("km,mi,mj->kij", W, A, A) - G[:, :, None] * G[:, None, :]) / eps
+
+    def norms(R):
+        return np.linalg.norm(R, axis=1)
+
+    # the cold start is the max-linear resolvent
+    Y = MaxLinear(A).prox_many(t[:, 0], X)[0] if start is None else start.copy()
+    W = weights(Y)
+    R = Y + t * (W @ A) - X
+    res = norms(R)
+    target = 1e-11 * (1.0 + norms(X))
+    live = np.flatnonzero(res > target)
+    for it in range(60):
+        if live.size == 0:
+            break
+        y, x, rn, tl, Wl, Rl = (a[live] for a in (Y, X, res, t, W, R))
+        step = np.linalg.solve(np.eye(d) + tl[:, :, None] * hessian(Wl), -Rl[:, :, None])[..., 0]
+        snorm = norms(step)
+        floor = 1e-15 * (1.0 + norms(y))
+        alpha = np.ones(live.size)
+        trial = y + step
+        Wt = weights(trial)
+        rt = trial + tl * (Wt @ A) - x
+        rtn = norms(rt)
+        ok = rtn <= (1.0 - 1e-4) * rn
+        back = np.flatnonzero(~ok & (0.5 * snorm > floor))
+        for _ in range(first_halvings if it == 0 else 60):
+            if back.size == 0:
+                break
+            alpha[back] *= 0.5
+            trial[back] = y[back] + alpha[back, None] * step[back]
+            Wt[back] = weights(trial[back])
+            rt[back] = trial[back] + tl[back] * (Wt[back] @ A) - x[back]
+            rtn[back] = norms(rt[back])
+            ok[back] = rtn[back] <= (1.0 - 1e-4 * alpha[back]) * rn[back]
+            back = back[~ok[back] & (0.5 * alpha[back] * snorm[back] > floor[back])]
+        kept = back.size if it == 0 else kept
+        ok &= snorm > floor
+        acc = live[ok]
+        Y[acc], W[acc], R[acc], res[acc] = trial[ok], Wt[ok], rt[ok], rtn[ok]
+        live = np.concatenate([acc[rtn[ok] > target[acc]], live[back]])
+    assert live.size == 0
+    H = hessian(W)
+    M = np.eye(d) + t[:, :, None] * H
+    U = (A - (W @ A)[:, None, :]) @ np.linalg.inv(M)
+    c = W * (U @ ((X - Y) / t)[:, :, None])[..., 0] / eps**2
+    return Y, res, np.linalg.solve(M, H), U.transpose(0, 2, 1) @ (c[:, :, None] * U), kept
+
+
+@pytest.mark.parametrize("started, gives_up", [(False, False), (True, False), (True, True)],
+                         ids=["cold", "started", "started_gives_up"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar_tau", "row_taus"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_component_major_lse_kernels_match_the_row_major_ones(d, per_row, started,
+                                                               gives_up, monkeypatch):
+    """prox_many and envelope_derivatives_many work on (d, k) columns; Y, K
+    and C agree with the row-major reference within 1e-13 relative plus
+    1e-13 absolute, also where the first line search gives up on its rows
+    (as after 60 failed halvings), and a lone row is bit-equal to the same
+    row inside the batch."""
+    import builtins
+    import actionlab.convex as convex
+    A = SMOOTHED_MAX_3D if d == 3 else SMOOTHED_MAX_VECTORS[d]
+    f = LogSumExp(A, 0.05)
+    rng = np.random.default_rng([d, per_row, started])
+    X = 2.0 * rng.normal(size=(60, d))
+    tau = rng.uniform(0.1, 1.0, size=60) if per_row else 0.5
+    start = (f.prox_many(tau, X)[0] + 0.3 * rng.normal(size=X.shape)) if started else None
+    calls = []
+
+    def first_line_search_gives_up(*args):
+        calls.append(args)
+        return builtins.range(0) if gives_up and len(calls) == 2 else builtins.range(*args)
+
+    def prox(tau, X, start):
+        calls.clear()
+        return f.prox_many(tau, X, start=start)
+
+    monkeypatch.setattr(convex, "range", first_line_search_gives_up, raising=False)
+    Y, res = prox(tau, X, start)
+    K, C = f.envelope_derivatives_many(tau, X, Y)
+    Y_ref, _, K_ref, C_ref, kept = _row_major_lse(f, tau, X, start, 0 if gives_up else 60)
+    assert (kept > 0) == gives_up      # from a start some full steps fail
+    for got, want in ((Y, Y_ref), (K, K_ref), (C, C_ref)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert Y.shape == X.shape and K.shape == C.shape == (60, d, d)
+    for i in range(0, 60, 7):
+        one = slice(i, i + 1)
+        t = tau[one] if per_row else tau
+        y, r = prox(t, X[one], None if start is None else start[one])
+        k, c = f.envelope_derivatives_many(t, X[one], Y[one])
+        assert y.tobytes() == Y[one].tobytes() and r.tobytes() == res[one].tobytes()
+        assert k.tobytes() == K[one].tobytes() and c.tobytes() == C[one].tobytes()

@@ -263,22 +263,29 @@ def _stage_steps(results):
 
 class _NewtonLog:
     """While installed, one list per stage run, with one [trials, fallback]
-    entry per Newton system the stage forms: the line-search trials that
+    entry per stop test the stage makes: the line-search trials that
     followed it, and whether the exact Newton Hessian of some path was
-    indefinite, so that its step fell back to Gauss-Newton.  With
-    every_stage_last set, each stage runs as the schedule's last."""
+    indefinite, so that its step fell back to Gauss-Newton.  A stop test
+    reads the kinetic bound or forms a Newton system; `systems` counts the
+    systems.  With every_stage_last set, each stage runs as the schedule's
+    last."""
 
     def __init__(self, monkeypatch):
-        self.stages, self.every_stage_last = [], False
-        stage, system = minimize._stage, minimize._Objective.newton_system
-        evaluate, solve = minimize._Objective.evaluate, minimize._block_tridiagonal_solve
+        self.stages, self.every_stage_last, self.formed = [], False, 0
+        stage, derivatives = minimize._stage, minimize._Objective.derivatives
+        system, evaluate = minimize._Objective.newton_system, minimize._Objective.evaluate
+        solve = minimize._block_tridiagonal_solve
 
         def logged_stage(obj, Z, cfg, last):
             self.stages.append([])
             return stage(obj, Z, cfg, last or self.every_stage_last)
 
-        def logged_system(obj, *args):
+        def logged_derivatives(obj, *args):
             self.stages[-1].append([0, False])
+            return derivatives(obj, *args)
+
+        def logged_system(obj, *args):
+            self.formed += 1
             return system(obj, *args)
 
         def logged_evaluate(obj, Z, start=None):
@@ -292,16 +299,17 @@ class _NewtonLog:
             return x, ok
 
         monkeypatch.setattr(minimize, "_stage", logged_stage)
+        monkeypatch.setattr(minimize._Objective, "derivatives", logged_derivatives)
         monkeypatch.setattr(minimize._Objective, "newton_system", logged_system)
         monkeypatch.setattr(minimize._Objective, "evaluate", logged_evaluate)
         monkeypatch.setattr(minimize, "_block_tridiagonal_solve", logged_solve)
 
     def systems(self):
-        return sum(map(len, self.stages))
+        return self.formed
 
     def predicted(self, res):
         """Per stage of res, the last solve run, whether it ended on a
-        predicted stop: it formed no Newton system after its last step."""
+        predicted stop: it made no stop test after its last step."""
         stages = self.stages[-len(res.stage_energies):]
         return [len(s) == len(t) - 1 for s, t in zip(stages, res.stage_energies)]
 
@@ -455,7 +463,7 @@ def test_early_stages_end_on_the_predicted_stop(monkeypatch):
     res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, cfg)
     assert log.systems() == 9
     assert log.predicted(res) == [True, True, True, False]
-    log.stages, log.every_stage_last = [], True
+    log.stages, log.every_stage_last, log.formed = [], True, 0
     confirmed = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, cfg)
     assert log.systems() == 12
     assert log.predicted(confirmed) == [False] * 4
@@ -463,6 +471,70 @@ def test_early_stages_end_on_the_predicted_stop(monkeypatch):
     assert res.value_true == confirmed.value_true
     assert res.stage_energies == confirmed.stage_energies
     assert res.converged and confirmed.converged
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kinetic_bound_dominates_the_gauss_newton_decrement(d):
+    """g^T H_kin^-1 g from prefix sums is at least the decrement g^T H^-1 g of
+    a dense Gauss-Newton Hessian H = H_kin + PSD chord blocks, and equals it
+    when every chord block is zero; N = 1 has no unknowns and reads 0."""
+    rng = np.random.default_rng(d)
+    for N in (1, 2, 3, 8, 17, 64):
+        dt = rng.uniform(0.01, 1.0) / N
+        obj = minimize._Objective(HALF_SQ, 0.1, np.zeros((1, d)), np.ones((1, d)), dt)
+        B = rng.normal(size=(1, N, d, d)) * rng.uniform(0.0, 10.0, size=(1, N, 1, 1))
+        S = B @ B.swapaxes(-1, -2) * (rng.random(size=(1, N, 1, 1)) < 0.7)
+        g = rng.normal(size=(1, N - 1, d))
+        for slopes in (S, np.zeros_like(S)):
+            diag, off = obj.hessian(slopes)
+            H = np.zeros((N - 1, d, N - 1, d))
+            for j in range(N - 1):
+                H[j, :, j] = diag[0, j]
+                if j + 1 < N - 1:
+                    H[j, :, j + 1] = off[0, j]
+                    H[j + 1, :, j] = off[0, j].T
+            n = (N - 1) * d
+            exact = float(g.ravel() @ np.linalg.solve(H.reshape(n, n), g.ravel())) if n else 0.0
+            bound = obj.kinetic_decrement(g)
+            assert bound.shape == (1,)
+            if slopes is S:
+                assert bound[0] >= exact * (1.0 - 1e-12)
+            else:
+                assert bound[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_certified_stop_forms_no_newton_system(monkeypatch):
+    """Where the kind has no curvature term, a stop that the kinetic bound
+    certifies ends the stage without a Newton system: a quadratic solve forms
+    one system and makes one block solve (two before), and the stages of
+    the N = 32 max_linear triangle solve form 5 systems (9 before)."""
+    log = _NewtonLog(monkeypatch)
+    solves, logged_solve = [], minimize._block_tridiagonal_solve
+    monkeypatch.setattr(minimize, "_block_tridiagonal_solve",
+                        lambda *args, **kw: solves.append(1) or logged_solve(*args, **kw))
+    res = minimize_action(HALF_SQ, [1.0], [2.0], 1.0, MinimizeConfig(N=64))
+    assert res.converged and res.iterations == 1
+    assert log.systems() == 1 and len(solves) == 1
+    assert log.predicted(res) == [False]
+    log.formed = 0
+    res = minimize_action(MaxLinear(TRIANGLE), [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=32))
+    assert log.systems() == 5
+    assert res.iterations == 5 and len(res.stage_energies) == 4
+
+
+@pytest.mark.parametrize("f, x0, xd, delta, N", [
+    (HALF_SQ, [1.0], [2.0], 1.0, 1),
+    (Quadratic(np.zeros((2, 2)), np.zeros(2)), [0.3, -1.2], [1.7, 0.4], 0.7, 64),
+], ids=["one_interval", "free_2d_straight"])
+def test_certified_stop_at_the_start(f, x0, xd, delta, N, monkeypatch):
+    # N = 1 has no interior node, and the straight segment is the free
+    # minimizer: both stop at their first stop test, with no solve and no warning
+    log = _NewtonLog(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_action(f, x0, xd, delta, MinimizeConfig(N=N))
+    assert res.converged and res.iterations == 0
+    assert log.systems() == 0 and log.stages == [[[0, False]]]
 
 
 @pytest.mark.parametrize("f, x0, xd, delta, cfg", [
@@ -710,7 +782,7 @@ def test_line_search_resolvents_start_from_the_prediction(monkeypatch):
     Hessians formed outside prox_many, by the envelope derivatives, do not
     count."""
     f = LogSumExp(TRIANGLE, 0.1)
-    prox_many, hessian_many = LogSumExp.prox_many, LogSumExp._hessian_many
+    prox_many, hessian_of = LogSumExp.prox_many, LogSumExp._hessian
 
     def solve(keep_start):
         counts = {"batches": 0, "hessians": 0}
@@ -724,12 +796,12 @@ def test_line_search_resolvents_start_from_the_prediction(monkeypatch):
             finally:
                 in_prox.pop()
 
-        def hessian(self, W):
+        def hessian(self, W, g):
             counts["hessians"] += bool(in_prox)
-            return hessian_many(self, W)
+            return hessian_of(self, W, g)
 
         monkeypatch.setattr(LogSumExp, "prox_many", counting)
-        monkeypatch.setattr(LogSumExp, "_hessian_many", hessian)
+        monkeypatch.setattr(LogSumExp, "_hessian", hessian)
         res = minimize_action(f, [-1.0, 0.0], [1.0, 0.5], 1.0, MinimizeConfig(N=512))
         return res, [len(t) for t in res.stage_energies], counts
 
@@ -843,7 +915,7 @@ def _sequential_polish(on_faces, obj, Z, times):
         return discrete_action(obj.f, Path(times, obj.full_nodes(Z)[0])).total
 
     def faces(Z):
-        return obj.tau * obj.envelope_derivatives(*obj.evaluate(Z)[1])[0]
+        return obj.tau * obj.derivatives(Z, obj.evaluate(Z)[1])[1]
 
     best, P, kept, last = true_value(Z), faces(Z), 0, None
     for _ in range(minimize._FACE_PASSES):

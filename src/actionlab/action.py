@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (ConvexFunction, _check_admissible, as_point, min_norm_subgradient,
-                     slope)
+from .convex import ConvexFunction, _check_admissible, min_norm_subgradient, slope
 from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
-                     real_array, real_number, whole_number)
+                     as_point, frozen, real_number, real_vector, real_vectors,
+                     whole_number)
 
 RULES = ("midpoint", "node-trapezoid")
 
@@ -37,22 +37,14 @@ class Path:
     nodes: np.ndarray
 
     def __post_init__(self):
-        t = real_array(self.times, "times")
-        X = real_array(self.nodes, "nodes")
-        if X.ndim == 1:
-            X = X[:, None]
-        if t.ndim != 1 or t.size < 2:
+        t = frozen(real_vector(self.times, "times"))
+        X = frozen(real_vectors(self.nodes, "nodes"))
+        if t.size < 2:
             raise ConfigError("need at least two time samples")
-        if X.ndim != 2 or X.shape[0] != t.size:
+        if X.shape[0] != t.size:
             raise ConfigError("nodes must be an (N+1, d) array matching times")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(X))):
-            raise ConfigError("times and nodes must be finite")
         if not np.all(np.diff(t) > 0):
             raise ConfigError("times must be strictly increasing")
-        t = t.copy()
-        X = X.copy()
-        t.setflags(write=False)
-        X.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "nodes", X)
 
@@ -79,10 +71,8 @@ class Path:
     @staticmethod
     def straight(x0, xd, *, intervals: int = 1) -> "Path":
         """The segment from x0 to xd on [0, 1], in `intervals` equal chords."""
-        x0 = np.atleast_1d(real_array(x0, "x0"))
-        xd = np.atleast_1d(real_array(xd, "xd"))
-        if x0.shape != xd.shape:
-            raise DimensionMismatchError("endpoints must share a dimension")
+        x0 = as_point(x0, name="x0")
+        xd = as_point(xd, x0.size, "xd")
         intervals = whole_number(intervals, "intervals")
         s = np.linspace(0.0, 1.0, intervals + 1)
         nodes = x0[None, :] + s[:, None] * (xd - x0)[None, :]

@@ -17,8 +17,8 @@ import sys
 from . import serialize
 from .action import (Path, coarsened_interpolation_bound, discrete_action,
                      interpolation_bound, interpolation_path)
-from .convex import as_point, prox, slope
-from .errors import ActionLabError, ConfigError, malformed_input, real_number
+from .convex import prox, slope
+from .errors import ActionLabError, ConfigError, as_point, malformed_input, real_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
                           slope_semicontinuity_table)
@@ -193,11 +193,9 @@ def _cmd_gamma(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
-    scope = _setting(args, config, "scope")
-    scopes = None
-    if scope:
-        scopes = tuple(s.strip() for s in scope.split(",")) \
-            if isinstance(scope, str) else tuple(scope)
+    scopes = _setting(args, config, "scope")
+    if isinstance(scopes, str):
+        scopes = tuple(s.strip() for s in scopes.split(","))
     joins = args.function or "function" in config
     extra = [_document(args, config, "function")] if joins else []
     report = verify_suite(scopes=scopes, seed=_setting(args, config, "seed", 0),

@@ -31,8 +31,12 @@ from .errors import (
     InadmissibleTauError,
     OutsideDomainError,
     SolverError,
+    as_point,
+    frozen,
     real_array,
     real_number,
+    real_points,
+    real_vectors,
     whole_number,
 )
 from .minnorm import hull_projection_with_gap, min_norm_point
@@ -41,30 +45,6 @@ from .sets import Ball, Box, ConvexRegion, Halfspace
 ACTIVE_TOL = 1e-9       # relative active-set tolerance for piecewise-linear slopes
 _NEWTON_TOL = 1e-11     # absolute scale for the smoothed-max resolvent residual
 _NEWTON_CAP = 60
-
-
-def as_point(x, dim: int | None = None, name: str = "x") -> np.ndarray:
-    arr = real_array(x, name)
-    if arr.ndim == 0:
-        arr = arr[None]
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be a 1-D point")
-    if not np.all(np.isfinite(arr)):
-        raise OutsideDomainError(f"{name} must be finite")
-    if dim is not None and arr.size != dim:
-        raise DimensionMismatchError(f"{name} has dimension {arr.size}, expected {dim}")
-    return arr
-
-
-def _batch(X, dim: int) -> np.ndarray:
-    arr = real_array(X, "points")
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DimensionMismatchError(f"expected points of dimension {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise OutsideDomainError("points must be finite")
-    return arr
 
 
 def _tau_number(tau) -> float:
@@ -161,12 +141,6 @@ def _row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
     return ufunc.reduce(np.ascontiguousarray(A.T), axis=0)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 class ConvexFunction:
     """Common surface for the built-in kinds; subclasses provide the math."""
 
@@ -230,7 +204,7 @@ class ConvexFunction:
         raise NotImplementedError
 
     def value(self, x) -> float:
-        return float(self.value_many(_batch(x, self.dim))[0])
+        return float(self.value_many(real_points(x, self.dim))[0])
 
     def require_admissible(self, tau: float, *, envelope_lipschitz: bool = False) -> float:
         tau = _tau_number(tau)
@@ -268,12 +242,12 @@ class Quadratic(ConvexFunction):
             raise ConfigError("Q must be symmetric")
         Q = 0.5 * (Q + Q.T)
         b = as_point(self.b, Q.shape[0], "b")
-        object.__setattr__(self, "Q", _frozen(Q))
-        object.__setattr__(self, "b", _frozen(b))
+        object.__setattr__(self, "Q", frozen(Q))
+        object.__setattr__(self, "b", frozen(b))
         object.__setattr__(self, "c", real_number(self.c, "c"))
         w, V = np.linalg.eigh(Q)
-        object.__setattr__(self, "_w", _frozen(w))
-        object.__setattr__(self, "_V", _frozen(V))
+        object.__setattr__(self, "_w", frozen(w))
+        object.__setattr__(self, "_V", frozen(V))
         object.__setattr__(self, "lam", float(w.min()))
 
     @property
@@ -292,7 +266,7 @@ class Quadratic(ConvexFunction):
         return ((R @ V) / (1.0 + t * self._w)) @ V.T
 
     def prox_many(self, tau, X, start=None):
-        X = _batch(X, self.dim)
+        X = real_points(X, self.dim)
         t = _tau_rows(tau, X.shape[0], self.lam, 2)
         Y = self._inverse_apply(t, X - t * self.b)
         residual = np.linalg.norm(Y + t * self.subgradient_many(Y) - X, axis=1)
@@ -360,19 +334,12 @@ def _project_hull_2d(H: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _set_vectors(f) -> np.ndarray:
-    """Validate the vectors of a max-linear or smoothed-max kind as a finite
-    nonempty (m, d) array (a 1-D array is m vectors in one dimension), freeze
-    them, and build the hull that d = 2 projects onto."""
-    A = real_array(f.vectors, "vectors")
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.ndim != 2 or A.shape[0] == 0:
-        raise ConfigError("vectors must be a nonempty (m, d) array")
-    if not np.all(np.isfinite(A)):
-        raise ConfigError("vectors must be finite")
-    object.__setattr__(f, "vectors", _frozen(A))
+    """Read the vectors of a max-linear or smoothed-max kind (`real_vectors`),
+    freeze them, and build the hull that d = 2 projects onto."""
+    A = real_vectors(f.vectors, "vectors")
+    object.__setattr__(f, "vectors", frozen(A))
     if A.shape[1] == 2:
-        object.__setattr__(f, "_hull", _frozen(_hull_2d(A)))
+        object.__setattr__(f, "_hull", frozen(_hull_2d(A)))
     return A
 
 
@@ -441,7 +408,7 @@ class MaxLinear(ConvexFunction):
 
     def prox_many(self, tau, X, start=None):
         # Moreau decomposition: J_tau(x) = x - tau * proj_{conv a_i}(x / tau)
-        X = _batch(X, self.dim)
+        X = real_points(X, self.dim)
         t = _tau_rows(tau, X.shape[0], self.lam, 2)
         Z = X / t
         proj, gaps = _hull_projection(self, Z)
@@ -490,11 +457,10 @@ class MaxLinear(ConvexFunction):
             tol = ACTIVE_TOL * (1.0 + np.abs(A).max())
             s = U @ A.T
             face = s >= s.max(axis=1, keepdims=True) - tol
-            # each row's face directions a_j - a_0 as rows, zero-padded to the
-            # widest face: zero rows change neither the singular values nor
+            # each row's face directions a_j - a_0 as rows, zero-padded to all
+            # m vectors: zero rows change neither the singular values nor
             # the right singular vectors of the nonzero ones
-            order = np.argsort(~face, axis=1, kind="stable")[
-                :, :int(face.sum(axis=1).max(initial=1))]
+            order = np.argsort(~face, axis=1, kind="stable")
             E = np.where(np.take_along_axis(face, order, axis=1)[:, :, None],
                          A[order] - A[order[:, :1]], 0.0)
             _, sv, Vt = np.linalg.svd(E, full_matrices=False)
@@ -530,7 +496,7 @@ class LogSumExp(ConvexFunction):
                            real_number(self.epsilon, "epsilon", positive=True))
         # a_i a_i^T as (d d, m) rows: the Hessian's first term is one matmul
         m, d = A.shape
-        object.__setattr__(self, "_outer", _frozen(
+        object.__setattr__(self, "_outer", frozen(
             (A.T[:, None, :] * A.T[None, :, :]).reshape(d * d, m)))
 
     @property
@@ -561,13 +527,13 @@ class LogSumExp(ConvexFunction):
         return ((self._outer @ W).reshape(d, d, -1) - g[:, None] * g) / self.epsilon
 
     def prox_many(self, tau, X, start=None):
-        X = _batch(X, self.dim)
+        X = real_points(X, self.dim)
         k, d = X.shape
         t = _tau_rows(tau, k, self.lam, 2)
         if start is None:
             Y = X - t * _hull_projection(self, X / t)[0]
         else:
-            Y = _batch(start, d)
+            Y = real_points(start, d)
             if Y.shape != X.shape:
                 raise DimensionMismatchError(
                     f"start has shape {Y.shape}, expected {X.shape}")
@@ -669,7 +635,7 @@ class _RegionKind(ConvexFunction):
         return self.region.dim
 
     def prox_many(self, tau, X, start=None):
-        X = _batch(X, self.dim)
+        X = real_points(X, self.dim)
         t = _tau_rows(tau, X.shape[0], self.lam, 2)
         Y = self.region.project_many(X)
         if self._offset:
@@ -791,7 +757,7 @@ def sampled_slope_lower_bound(f: ConvexFunction, x, samples) -> float:
     A certified lower bound for the slope; samples must exclude x itself.
     """
     x = as_point(x, f.dim)
-    Y = _batch(samples, f.dim)
+    Y = real_points(samples, f.dim)
     if Y.shape[0] == 0:
         raise ConfigError("need at least one sample point")
     if np.any(np.linalg.norm(Y - x, axis=1) == 0.0):

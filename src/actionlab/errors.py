@@ -1,16 +1,19 @@
 """Exception types shared across the package, and the readers that turn a
 caller's values into numbers or raise them.
 
-Every public entry point reads its own parameters: `real_number` for a
-finite (optionally positive) number, `real_array` for an array of numbers,
-`real_schedule` for a monotone sequence of positive numbers, `whole_number`
-for a count.  Each raises a ConfigError naming the parameter, so callers
-(the serializers, the CLI) pass raw values through instead of converting
-them first.  A tau keeps its own check (`InadmissibleTauError`),
-a non-finite point raises `OutsideDomainError` and a wrong shape
-`DimensionMismatchError`.  `malformed_input` reports a missing key of a
-document, or a value of the wrong type such as a number where a collection
-belongs, as a ConfigError.
+Every public entry point reads its own inputs through these readers, so
+callers (the serializers, the CLI) pass raw values through instead of
+converting them first; each error names the input.  A parameter raises
+ConfigError: `real_number` reads a finite (optionally positive) number,
+`real_array` an array of numbers, `real_vector` a finite nonempty 1-D
+vector, `real_vectors` a finite nonempty (m, d) vector set,
+`real_schedule` a monotone sequence of positive numbers and `whole_number`
+a count.  A point raises `DimensionMismatchError` for a wrong shape and
+`OutsideDomainError` for a non-finite coordinate: `as_point` reads one
+point, `real_points` a (k, d) batch.  `frozen` is the read-only float copy
+every stored array is kept as.  A tau keeps its own check
+(`InadmissibleTauError`).  `malformed_input` reports a missing key of a document, or a value of the
+wrong type such as a number where a collection belongs, as a ConfigError.
 """
 
 import contextlib
@@ -80,6 +83,65 @@ def real_array(value, name: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an array of numbers, "
                           f"got {reprlib.repr(value)}") from None
+
+
+def real_vector(value, name: str) -> np.ndarray:
+    """value as a finite nonempty 1-D float array (a number is a vector of
+    one entry), or a ConfigError."""
+    arr = real_array(value, name)
+    if arr.ndim == 0:
+        arr = arr[None]
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be a finite nonempty 1-D vector")
+    return arr
+
+
+def real_vectors(value, name: str) -> np.ndarray:
+    """value as a finite nonempty (m, d) float array, a 1-D array being m
+    vectors of one entry each, or a ConfigError."""
+    arr = real_array(value, name)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be a finite nonempty (m, d) array")
+    return arr
+
+
+def as_point(x, dim: int | None = None, name: str = "x") -> np.ndarray:
+    """x as a finite 1-D float point (a number is a point of one coordinate),
+    of dimension dim when given: a wrong shape raises DimensionMismatchError
+    and a non-finite coordinate OutsideDomainError.  A float ndarray comes
+    back as itself, not a copy."""
+    arr = real_array(x, name)
+    if arr.ndim == 0:
+        arr = arr[None]
+    if arr.ndim != 1:
+        raise DimensionMismatchError(f"{name} must be a 1-D point")
+    if not np.all(np.isfinite(arr)):
+        raise OutsideDomainError(f"{name} must be finite")
+    if dim is not None and arr.size != dim:
+        raise DimensionMismatchError(f"{name} has dimension {arr.size}, expected {dim}")
+    return arr
+
+
+def real_points(X, dim: int) -> np.ndarray:
+    """X as a (k, dim) batch of points (a 1-D X is one point), with the
+    errors of `as_point`."""
+    arr = real_array(X, "points")
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatchError(f"expected points of dimension {dim}")
+    if not np.all(np.isfinite(arr)):
+        raise OutsideDomainError("points must be finite")
+    return arr
+
+
+def frozen(arr) -> np.ndarray:
+    """A read-only float copy of arr."""
+    arr = np.array(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def real_schedule(values, name: str, order: int = 0) -> tuple[float, ...]:

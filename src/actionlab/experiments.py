@@ -17,8 +17,8 @@ import numpy as np
 from . import serialize
 from .action import (Path, _check_path, discrete_action, recovery_action_bound,
                      recovery_path, recovery_tolerance)
-from .convex import as_point, slope
-from .errors import (ConfigError, malformed_input, real_number, real_schedule,
+from .convex import slope
+from .errors import (ConfigError, as_point, malformed_input, real_number, real_schedule,
                      whole_number)
 from .families import MoscoFamily, eventually_decreasing
 from .minimize import MinimizeConfig, _config, _minimize_paths

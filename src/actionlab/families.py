@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
-                     SquaredDistance, as_point, slope)
+                     SquaredDistance, slope)
 from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
-                     malformed_input, real_array, real_number, real_schedule,
-                     whole_number)
+                     as_point, frozen, malformed_input, real_array, real_number,
+                     real_schedule, real_vectors, whole_number)
 from .sets import ConvexRegion, contains
 
 # member endpoint slopes may exceed the declared bound by this much
@@ -57,10 +57,8 @@ class FamilyMember:
 
     def __post_init__(self):
         d = self.function.dim
-        start = as_point(self.start, d, "start")
-        end = as_point(self.end, d, "end")
-        start.setflags(write=False)
-        end.setflags(write=False)
+        start = frozen(as_point(self.start, d, "start"))
+        end = frozen(as_point(self.end, d, "end"))
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "_slopes", (slope(self.function, start),
@@ -160,13 +158,7 @@ def permutation_vectors(points) -> np.ndarray:
     the concatenation (p_{sigma(1)}, ..., p_{sigma(N)}), giving an
     (N!, N*d) array in lexicographic permutation order.
     """
-    P = real_array(points, "points")
-    if P.ndim == 1:
-        P = P[:, None]
-    if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 1:
-        raise ConfigError("points must form a nonempty (N, d) array")
-    if not np.all(np.isfinite(P)):
-        raise ConfigError("points must be finite")
+    P = real_vectors(points, "points")
     n = P.shape[0]
     if n > 7:
         raise ConfigError("permutation families cap at 7 points (7! rows)")

@@ -65,8 +65,8 @@ import numpy as np
 
 from .action import Path, _midpoint_actions, discrete_action
 from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks,
-                     _unit_scale, as_point, tau_cap)
-from .errors import (ConfigError, malformed_input, real_array, real_number,
+                     _unit_scale, tau_cap)
+from .errors import (ConfigError, as_point, malformed_input, real_number,
                      whole_number)
 
 _TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)   # the tau schedule, times delta
@@ -599,10 +599,10 @@ def closed_form_value(case: str, **params) -> float:
     if case == "free":
         delta = real_number(params["delta"], "delta", positive=True)
         if "displacement" in params:
-            disp = np.atleast_1d(real_array(params["displacement"], "displacement"))
+            disp = as_point(params["displacement"], name="displacement")
         else:
-            disp = (np.atleast_1d(real_array(params["xd"], "xd"))
-                    - np.atleast_1d(real_array(params["x0"], "x0")))
+            x0 = as_point(params["x0"], name="x0")
+            disp = as_point(params["xd"], x0.size, "xd") - x0
         return float(disp @ disp) / delta
     if case == "quadratic_1d":
         a = real_number(params["a"], "a")

@@ -19,21 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, real_array, whole_number
+from .errors import ConfigError, real_array, real_vectors, whole_number
 
 _DROP_TOL = 1e-14
 _COEFF_TOL = 1e-12
-
-
-def _as_points(points) -> np.ndarray:
-    P = real_array(points, "hull points")
-    if P.ndim == 1:
-        P = P[:, None]
-    if P.ndim != 2 or P.shape[0] == 0:
-        raise ConfigError("need a nonempty 2-D array of points")
-    if not np.all(np.isfinite(P)):
-        raise ConfigError("hull points must be finite")
-    return P
 
 
 def _affine_weights(Pc: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -141,7 +130,7 @@ def min_norm_point_with_gap(points, *, mask=None, max_iter: int | None = None):
     """Minimum-norm point of conv{points} plus the certified duality gap;
     with a (k, m) boolean `mask`, (k, d) points and (k,) gaps, row i over the
     points that mask[i] allows."""
-    P = _as_points(points)
+    P = real_vectors(points, "hull points")
     k = 1 if mask is None else np.atleast_2d(mask).shape[0]
     Q, gaps = _min_norm_rows(P, np.zeros((k, P.shape[1])), mask, max_iter)
     return (Q[0], float(gaps[0])) if mask is None else (Q, gaps)
@@ -157,7 +146,7 @@ def hull_projection_with_gap(points, z):
     z is one point (d,) or a batch (k, d); a batch gives (k, d) projections
     and (k,) gaps.
     """
-    P = _as_points(points)
+    P = real_vectors(points, "hull points")
     single = np.ndim(z) <= 1
     Z = np.atleast_2d(real_array(z, "projection target"))
     if Z.ndim != 2 or Z.shape[1] != P.shape[1] or not np.all(np.isfinite(Z)):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexFunction, as_point
-from .errors import (ConfigError, DimensionMismatchError, real_array,
-                     real_number, whole_number)
+from .convex import ConvexFunction
+from .errors import (ConfigError, DimensionMismatchError, as_point, frozen,
+                     real_number, real_vector, whole_number)
 from .sets import ConvexRegion
 
 _SNAP_TOL = 1e-6   # largest distance from an endpoint to its grid node
@@ -30,20 +30,16 @@ class GridSpec:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        lo = np.atleast_1d(real_array(self.lo, "grid lo"))
-        hi = np.atleast_1d(real_array(self.hi, "grid hi"))
+        lo = frozen(real_vector(self.lo, "grid lo"))
+        hi = frozen(real_vector(self.hi, "grid hi"))
         cells = tuple(whole_number(c, "cells")
                       for c in np.atleast_1d(self.cells).tolist())
-        if lo.shape != hi.shape or lo.ndim != 1:
+        if lo.shape != hi.shape:
             raise ConfigError("grid corners must be matching vectors")
         if len(cells) != lo.size:
             raise ConfigError("cells must give one count per dimension")
         if not np.all(hi > lo):
             raise ConfigError("grid needs hi > lo componentwise")
-        lo = lo.copy()
-        hi = hi.copy()
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "cells", cells)

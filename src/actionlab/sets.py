@@ -10,21 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatchError, real_array,
-                     real_number)
+from .errors import ConfigError, as_point, frozen, real_number, real_vector
 
 BALL_REL_TOL = 1e-12
-
-
-def _vector(v, name: str) -> np.ndarray:
-    arr = real_array(v, name)
-    if arr.ndim == 0:
-        arr = arr[None]
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be a finite 1-D vector")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -33,7 +21,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vector(self.center, "ball center"))
+        object.__setattr__(self, "center", frozen(real_vector(self.center, "ball center")))
         object.__setattr__(self, "radius",
                            real_number(self.radius, "ball radius", positive=True))
 
@@ -75,8 +63,8 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _vector(self.lo, "box lo"))
-        object.__setattr__(self, "hi", _vector(self.hi, "box hi"))
+        object.__setattr__(self, "lo", frozen(real_vector(self.lo, "box lo")))
+        object.__setattr__(self, "hi", frozen(real_vector(self.hi, "box hi")))
         if self.lo.size != self.hi.size:
             raise ConfigError("box corners must share a dimension")
         if not np.all(self.lo <= self.hi):
@@ -110,7 +98,8 @@ class Halfspace:
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", _vector(self.normal, "halfspace normal"))
+        object.__setattr__(self, "normal",
+                           frozen(real_vector(self.normal, "halfspace normal")))
         object.__setattr__(self, "offset", real_number(self.offset, "halfspace offset"))
         if np.linalg.norm(self.normal) == 0.0:
             raise ConfigError("halfspace normal must be nonzero")
@@ -153,18 +142,9 @@ class Halfspace:
 ConvexRegion = Ball | Box | Halfspace
 
 
-def _row(region: ConvexRegion, x) -> np.ndarray:
-    """x as a (1, d) row in region's dimension."""
-    arr = np.atleast_1d(real_array(x, "point"))
-    if arr.shape != (region.dim,):
-        raise DimensionMismatchError(
-            f"point has shape {arr.shape}, expected ({region.dim},)")
-    return arr[None, :]
-
-
 def contains(region: ConvexRegion, x: np.ndarray) -> bool:
-    return bool(region.contains_many(_row(region, x))[0])
+    return bool(region.contains_many(as_point(x, region.dim, "point")[None, :])[0])
 
 
 def project(region: ConvexRegion, x: np.ndarray) -> np.ndarray:
-    return region.project_many(_row(region, x))[0]
+    return region.project_many(as_point(x, region.dim, "point")[None, :])[0]

@@ -697,11 +697,12 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
     """Run the registered checks for the requested scopes.
 
     scopes defaults to all of ("convex", "action", "minimize", "gamma");
-    a bare string is accepted for one scope.  samples overrides each
-    sample-driven check's per-function count (a whole number >= 1; seed is
-    a whole number >= 0).  extra_functions join the sampled pool of the
-    convex-scope checks and of the action scope's upper_gradient check,
-    which is how a deliberately corrupted descriptor gets flushed out.
+    a bare string is accepted for one scope, and an empty collection is a
+    ConfigError.  samples overrides each sample-driven check's per-function
+    count (a whole number >= 1; seed is a whole number >= 0).
+    extra_functions join the sampled pool of the convex-scope checks and of
+    the action scope's upper_gradient check, which is how a deliberately
+    corrupted descriptor gets flushed out.
     """
     seed = whole_number(seed, "seed", 0)
     if samples is not None:
@@ -716,6 +717,8 @@ def verify_suite(scopes=None, seed: int = 0, samples: int | None = None,
             if not isinstance(f, ConvexFunction):
                 raise ConfigError(f"extra_functions items must be ConvexFunctions, "
                                   f"got {type(f).__name__}")
+    if not scopes:
+        raise ConfigError(f"scopes must name at least one of {SCOPES}")
     for s in scopes:
         if s not in SCOPES:
             raise ConfigError(f"unknown scope {s!r}; choose from {SCOPES}")

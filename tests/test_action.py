@@ -80,6 +80,8 @@ GRID = GridSpec([0.0], [1.0], (8,))
     lambda: resolvent_convergence_table(LSE_FAMILY, 0.5, 5),
     lambda: slope_semicontinuity_table(LSE_FAMILY, 5),
     lambda: verify_suite(scopes=5),
+    lambda: verify_suite(scopes=()),     # would run no check and report ok
+    lambda: verify_suite(scopes=[]),
     lambda: verify_suite(scopes="gamma", extra_functions=5),
     lambda: MoscoFamily(5, LSE_FAMILY.limit, 0.0, 1.0),
     lambda: discrete_action(HALF_SQ, "x"),
@@ -115,7 +117,8 @@ GRID = GridSpec([0.0], [1.0], (8,))
         "recovery_action_bound-action", "recovery_action_bound-nan",
         "recovery_tolerance-tau", "recovery_tolerance-nan",
         "resolvent_table-probes", "slope_semicontinuity_table-probes",
-        "verify_suite-scopes", "verify_suite-extra_functions", "family-members",
+        "verify_suite-scopes", "verify_suite-empty_scopes",
+        "verify_suite-empty_scope_list", "verify_suite-extra_functions", "family-members",
         "discrete_action-path", "alt_action-path", "upper_gradient_residual-path",
         "dubois_reymond_residual-path", "recovery_path-gamma", "limsup-gamma",
         "grid_oracle-obstacle", "minimize_action-config",

@@ -380,6 +380,9 @@ BAD_CONFIG = {
                         {"family": LSE_FAMILY, "gamma-intervals": "x"}),
     "prox-point": (["prox"], {"function": QUAD, "tau": 0.5, "point": ["a"]}),
     "verify-seed": (["verify", "--scope", "gamma"], {"seed": "x"}),
+    # an empty scope list once ran every scope
+    "verify-no-scope": (["verify"], {"scope": []}),
+    "verify-empty-scope": (["verify", "--scope", ""], {}),
     "minimize-delta": (["minimize"], {"function": QUAD, "delta": "x",
                                       "x0": [1.0], "xd": [2.0]}),
     "minimize-no-function": (["minimize"], {"delta": 1.0, "x0": [1.0],

@@ -352,6 +352,14 @@ _LOCKSTEP_CASES = {
         MaxLinear(TRIANGLE),
         [[-1.0, 0.0], [0.3, -0.2], [-0.6, 0.0]], [[1.0, 0.5], [1.2, 0.9], [0.5, 0.5]],
         1.0, MinimizeConfig(N=32)),
+    # the second path matches its one-path solve only when every row pads its
+    # face matrix to all five vectors, whatever faces the other rows touch
+    "max_linear_3d": (
+        MaxLinear([[-0.853, 0.413, 1.11], [0.864, 1.662, 1.442], [1.673, -1.894, -0.251],
+                   [-0.06, -1.739, -1.977], [1.322, 1.933, 1.138]]),
+        [[-0.738, 0.821, -0.803], [0.963, -0.881, 1.13], [1.951, 1.945, 1.531]],
+        [[1.651, 0.833, 0.218], [1.693, -1.641, -0.519], [0.424, -0.089, 1.171]],
+        1.0, MinimizeConfig(N=32)),
     "indicator_ball": (
         Indicator(Ball(np.zeros(2), 1.0)),
         [[1.0, 0.0], [-0.6, -0.8]], [[-1.0, 0.0], [0.0, 1.0]],

@@ -99,24 +99,11 @@ def _tau_rows(tau, k: int, lam: float, ndim: int = 1):
     return tau
 
 
-def _solve_blocks(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """A[..., :, :]^-1 B[..., :, :] per block, or A^-1 when B is None, over
-    any leading axes; 1x1 and 2x2 blocks in closed form, which is several
-    times faster than a batched LAPACK call on blocks this small."""
-    d = A.shape[-1]
-    if d == 1:
-        return 1.0 / A if B is None else B / A
-    if d == 2:
-        a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-        adj = np.stack([e, -b, -c, a], axis=-1).reshape(A.shape)
-        inv = adj / (a * e - b * c)[..., None, None]
-        return inv if B is None else inv @ B
-    return np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
-
-
 def _solve_columns(M: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
-    """`_solve_blocks` for blocks laid out component-major: M (d, d, k) and
-    R (d, k), the last axis the block; closed form on rows for d <= 2."""
+    """M^-1 R per block, or M^-1 when R is None, for blocks laid out
+    component-major: M (d, d, k) and R (d, k), the last axis the block; 1x1
+    and 2x2 blocks in closed form on rows, which is several times faster than
+    a batched LAPACK call on blocks this small."""
     d = len(M)
     if d == 1:
         return 1.0 / M if R is None else R / M[0]

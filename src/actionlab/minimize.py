@@ -45,11 +45,13 @@ For max_linear the slope jumps across kinks, which the smoothed minimizer
 approaches but does not rest on.  After the last stage each midpoint's active
 face is read from its resolvent, and the kinetic energy is minimized with every
 midpoint held on its face (the slope is constant on a face, so this is the
-true discrete problem for that face set).  The result is kept when it lowers
-the true action, and the step repeats with every run of pinned midpoints
-grown by one chord at each end until the action stops dropping.  It solves
-the next w = 1, 2, 4, ... passes at once, as rows of one lockstep objective,
-and keeps those that a loop of one pass at a time would (`_polish_on_faces`).
+true discrete problem for that face set).  That minimum is exact: along a
+run of chords on one face the nodes alternate across the face and move
+straight along it, so only the runs' end nodes are unknown, in one small
+equality-constrained least-squares problem (`_on_faces`).  The result is kept
+when it lowers the true action, and the step repeats, one pass at a time,
+with every run of pinned midpoints grown by one chord at each end until the
+action stops dropping (`_polish_on_faces`).
 
 `_minimize_paths` runs k paths, in lockstep where their functions f_p =
 c_p g(L_p .) share a unit member g (`convex._unit_scale`), as a Mosco family's
@@ -64,8 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Path, _midpoint_actions, discrete_action
-from .convex import (ConvexFunction, Indicator, MaxLinear, _solve_blocks,
-                     _unit_scale, tau_cap)
+from .convex import ConvexFunction, Indicator, MaxLinear, _unit_scale, tau_cap
 from .errors import (ConfigError, as_point, malformed_input, real_number,
                      whole_number)
 
@@ -73,9 +74,7 @@ _TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)   # the tau schedule, times delta
 _STEP_SHRINK = 0.5      # Armijo backtracking from the full Newton step: shrink
 _STEP_DECREASE = 1e-4   # factor and sufficient-decrease constant
 _DENSE_SIZE = 32        # block cyclic reduction solves densely at n*d <= this
-_FACE_PENALTY = 1e3     # kink-face polish: multiplier-method penalty factor,
-_FACE_ROUNDS = 8        # its rounds per solve,
-_FACE_PASSES = 64       # and identify-then-solve passes
+_FACE_PASSES = 64       # kink-face polish: identify-then-solve passes
 
 
 @dataclass(frozen=True)
@@ -158,10 +157,6 @@ class _Objective:
 
     def full_nodes(self, Z: np.ndarray) -> np.ndarray:
         return np.concatenate([self.X0[:, None], Z, self.XD[:, None]], axis=1)
-
-    def midpoints(self, Z: np.ndarray) -> np.ndarray:
-        X = self.full_nodes(Z)
-        return 0.5 * (X[:, :-1] + X[:, 1:])
 
     def evaluate(self, Z: np.ndarray, start: np.ndarray | None = None
                  ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -262,6 +257,20 @@ def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
     """
     x, ok = _reduce(diag.swapaxes(0, 1), off.swapaxes(0, 1), rhs.swapaxes(0, 1), definite)
     return x.swapaxes(0, 1), ok
+
+
+def _solve_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[..., :, :]^-1 B[..., :, :] per block, over any leading axes; 1x1 and
+    2x2 blocks in closed form, which is several times faster than a batched
+    LAPACK call on blocks this small."""
+    d = A.shape[-1]
+    if d == 1:
+        return B / A
+    if d == 2:
+        a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        adj = np.stack([e, -b, -c, a], axis=-1).reshape(A.shape)
+        return (adj / (a * e - b * c)[..., None, None]) @ B
+    return np.linalg.solve(A, B)
 
 
 def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
@@ -412,32 +421,44 @@ def _stage(obj: _Objective, Z: np.ndarray, cfg: MinimizeConfig, last: bool
     return Z_end, hit, traces
 
 
-def _on_faces(obj: _Objective, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Interior nodes of least kinetic energy with every midpoint on its face,
-    P_i m_i = 0, from the method of multipliers: row p (k, N-1, d) on the
-    faces P[p] (k, N, d, d), every row from the one path Z (1, N-1, d).
+def _on_faces(x0: np.ndarray, xd: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Interior nodes (N-1, d) of least kinetic energy from x0 to xd with every
+    chord midpoint on its face, P_i (x_i + x_{i+1}) = 0 for the projectors P
+    (N, d, d): exact, by the null-space method (Nocedal and Wright, sec. 16.2)
+    over the end nodes b_0 = x0, ..., b_S = xd of the runs of equal P.
 
-    Each round minimizes kinetic + dt kappa sum |P_i m_i + U_i|^2 exactly (it
-    is quadratic, so one block-tridiagonal solve) and adds the violation P m
-    to the multipliers U.  The stiffest pattern of violations, alternating
-    along a run of N pinned midpoints, costs about N^2 times the kinetic
-    stiffness 1/dt^2, so kappa = _FACE_PENALTY N^2/dt^2 cuts the violation by
-    a factor of several hundred per round.
+    On a run of L chords with projector P from u to v, P x alternates, so
+    P v = (-1)^L P u, and (I - P) x runs straight: the run's energy is
+    (|(I - P)(v - u)|^2 / L + 4 L |P u|^2) / dt.  The projectors of
+    neighbouring runs need not commute; the constraints may repeat where they
+    overlap, or fail to meet where every chord is pinned, and the SVD of the
+    constraints gives them their least-squares point.
     """
-    kappa = _FACE_PENALTY * (P.shape[1] / obj.dt)**2
-    scale = 1.0 + float(np.abs(obj.full_nodes(Z)).max())
-    obj, Z = obj.paths([0] * len(P)), np.repeat(Z, len(P), axis=0)
-    U = np.zeros(P.shape[:3])
-    V = np.einsum("pkij,pkj->pki", P, obj.midpoints(Z))
-    diag, off = obj.hessian(2.0 * kappa * P)
-    for _ in range(_FACE_ROUNDS):
-        grad = obj.gradient(Z, 2.0 * kappa * (V + U))
-        Z = Z - _block_tridiagonal_solve(diag, off, grad)[0]
-        V = np.einsum("pkij,pkj->pki", P, obj.midpoints(Z))
-        U = U + V
-        if np.abs(V).max() <= 1e-15 * scale:
-            break
-    return Z
+    N, d = P.shape[:2]
+    ends = np.flatnonzero(np.concatenate([[True], (P[1:] != P[:-1]).any(axis=(1, 2)), [True]]))
+    L, R = np.diff(ends), P[ends[:-1]]          # per run: its chords and projector
+    S, s, root = len(L), np.arange(len(L)), np.sqrt(L)[:, None, None]
+    A = np.zeros((S, 2, d, S + 1, d))           # the energy |A b|^2 (times dt)
+    A[s, 0, :, s + 1] = (np.eye(d) - R) / root
+    A[s, 0, :, s] = -A[s, 0, :, s + 1]
+    A[s, 1, :, s] = 2.0 * root * R
+    C = np.zeros((S + 2, d, S + 1, d))          # the constraints C b = (0, x0, xd)
+    C[s, :, s], C[s, :, s + 1] = -((-1.0) ** L)[:, None, None] * R, R
+    C[S, :, 0] = C[S + 1, :, S] = np.eye(d)
+    A, C = A.reshape(-1, (S + 1) * d), C.reshape(-1, (S + 1) * d)
+    U, sv, Vt = np.linalg.svd(C)
+    r = int((sv > sv[0] * np.finfo(float).eps * max(C.shape)).sum())   # numpy's rank
+    b = Vt[:r].T @ (U[-2 * d:, :r].T @ np.concatenate([x0, xd]) / sv[:r])
+    free = Vt[r:].T                             # C's null space
+    b = (b + free @ np.linalg.lstsq(A @ free, -(A @ b))[0]).reshape(S + 1, d)
+    W = b[1:] - b[:-1]
+    step = (W - np.einsum("sij,sj->si", R, W)) / L[:, None]
+    Pb = np.einsum("sij,sj->si", R, b[:-1])
+    run = np.repeat(s, L)                       # chord i's run, and its place in it
+    j = np.arange(N) - ends[run]
+    # node i, where chord i starts: j steps along the face from b_s, and
+    # -P b_s across it where j is odd
+    return (b[run] + j[:, None] * step[run] - 2.0 * (j % 2)[:, None] * Pb[run])[1:]
 
 
 def _next_faces(P: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -458,51 +479,35 @@ def _next_faces(P: np.ndarray, seen: np.ndarray) -> np.ndarray:
 
 def _polish_on_faces(obj: _Objective, Z: np.ndarray, times: np.ndarray
                      ) -> tuple[np.ndarray, float]:
-    """Z moved onto the max_linear faces its midpoints' resolvents identify,
-    and its true action on f (a max_linear f is at unit scale).
+    """Z (1, N-1, d) moved onto the max_linear faces its midpoints' resolvents
+    identify, and its true action on f (a max_linear f is at unit scale).
 
     Passes repeat while the true action drops, each on the face set of the
     last one grown by `_next_faces`: a smoothed minimizer slows down near a
     kink and reaches it late, so the faces it identifies make too short a
-    rest there.  A batch of w = 1, 2, 4, ... passes starts from one path and
-    grows each pass's faces by those that path reads.  It keeps its longest
-    prefix in which each pass lowers the true action of the one before and
-    has the faces that pass's own path grows it to (within 1e-9).
+    rest there.  The polish stops where the faces grow no further, or after
+    _FACE_PASSES passes.
     """
-    def true_values(X):     # of the paths X (k, N+1, d)
-        return np.add(*_midpoint_actions(obj.f, times[None], X))
+    def true_value(Z):
+        return float(np.add(*_midpoint_actions(obj.f, times[None], obj.full_nodes(Z)))[0])
 
-    def faces(X):
-        """Per path X (k, N+1, d) and midpoint, the projector P = tau K onto
-        the directions its resolvent pins: P m = 0 exactly on its face."""
-        M = (0.5 * (X[:, :-1] + X[:, 1:])).reshape(-1, X.shape[2])
-        K = obj.f.envelope_derivatives_many(obj.tau, M, obj.f.prox_many(obj.tau, M)[0])[0]
-        return obj.tau * K.reshape((len(X), -1) + K.shape[1:])
+    def faces(Z):
+        """Per midpoint of Z, the projector P = tau K onto the directions its
+        resolvent pins: P m = 0 exactly on its face."""
+        mids, Y = obj.evaluate(Z)[1]
+        return obj.tau * obj.f.envelope_derivatives_many(obj.tau, mids[0], Y[0])[0]
 
-    best, seen = float(true_values(X := obj.full_nodes(Z))[0]), faces(X)[0]
-    P, passes, width = seen, 0, 1
-    while passes < _FACE_PASSES:
-        F = [P]
-        for _ in range(min(width, _FACE_PASSES - passes) - 1):
-            F.append(_next_faces(F[-1], seen))
-        cand = _on_faces(obj, Z, np.stack(F))
-        X = obj.paths([0] * len(F)).full_nodes(cand)
-        values = true_values(X).tolist()
-        before = [best] + values
-        drops = next((j for j in range(len(F)) if not values[j] < before[j]), len(F))
-        if not drops:
+    best, P = true_value(Z), faces(Z)
+    for _ in range(_FACE_PASSES):
+        cand = _on_faces(obj.X0[0], obj.XD[0], P)[None]
+        value = true_value(cand)
+        if not value < best:
             break
-        found = faces(X[:drops])
-        for j in range(drops):
-            Z, best, seen, passes = cand[j:j + 1], values[j], found[j], passes + 1
-            P = _next_faces(F[j], seen)
-            if np.abs(P - F[j]).max() <= 1e-9:
-                return Z, best      # the faces grow no further
-            if j + 1 == len(F) or np.abs(P - F[j + 1]).max() > 1e-9:
-                break               # pass j + 1 is not the next: a batch starts here
-            if j + 1 == drops:
-                return Z, best      # the next pass does not lower the action
-        width *= 2
+        Z, best = cand, value
+        grown = _next_faces(P, faces(Z))
+        if np.abs(grown - P).max() <= 1e-9:
+            break                   # the faces grow no further
+        P = grown
     return Z, best
 
 

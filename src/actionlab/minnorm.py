@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, real_array, real_vectors, whole_number
+from .errors import ConfigError, real_points, real_vectors, whole_number
 
 _DROP_TOL = 1e-14
 _COEFF_TOL = 1e-12
@@ -148,9 +148,7 @@ def hull_projection_with_gap(points, z):
     """
     P = real_vectors(points, "hull points")
     single = np.ndim(z) <= 1
-    Z = np.atleast_2d(real_array(z, "projection target"))
-    if Z.ndim != 2 or Z.shape[1] != P.shape[1] or not np.all(np.isfinite(Z)):
-        raise ConfigError("projection target must be finite, of the hull's dimension")
+    Z = real_points(z, P.shape[1])
     Q, gaps = _min_norm_rows(P, Z)
     Y = Z + Q
     return (Y[0], float(gaps[0])) if single else (Y, gaps)

@@ -916,7 +916,95 @@ def test_next_faces_returns_a_set_that_cannot_grow_unchanged(P):
     assert np.array_equal(G, P)
 
 
-def _sequential_polish(on_faces, obj, Z, times):
+def _dense_face_solve(x0, xd, P):
+    """The face solve's reference: interior nodes (N-1, d) minimizing the
+    kinetic energy |D x|^2 subject to the midpoint constraints C x = c,
+    P_i (x_i + x_{i+1}) = 0, over all N-1 interior nodes at once, by the
+    null space of C from numpy's SVD."""
+    N, d = P.shape[:2]
+    diff = np.eye(N + 1, k=1)[:-1] - np.eye(N + 1)[:-1]        # (N, N+1)
+    D = np.kron(diff, np.eye(d))
+    C = np.einsum("iab,ij->iajb", P, np.abs(diff)).reshape(N * d, (N + 1) * d)
+    ends = np.concatenate([x0, np.zeros((N - 1) * d), xd])
+    inner = slice(d, N * d)
+    U, sv, Vt = np.linalg.svd(C[:, inner], full_matrices=False)
+    rank = int((sv > 1e-10 * sv.max(initial=0.0)).sum())
+    z = Vt[:rank].T @ (U[:, :rank].T @ -(C @ ends) / sv[:rank])
+    free = Vt[rank:].T
+    z = z + free @ np.linalg.lstsq(D[:, inner] @ free, -(D @ ends) - D[:, inner] @ z)[0]
+    return z.reshape(N - 1, d)
+
+
+def _random_face_set(rng):
+    """(x0, xd, P) of a random face set in d = 1, 2, 3 with N <= 128 chords
+    and at most 128 interior unknowns, built from runs of random length: a
+    run is free, a vertex (P = I) or a random-rank projector Q Q^T."""
+    d = int(rng.integers(1, 4))
+    N = int(np.exp(rng.uniform(0.0, np.log(min(128, 128 // d + 1) + 1))))
+    P, i = np.zeros((N, d, d)), 0
+    while i < N:
+        length = int(rng.integers(1, N + 1 if rng.random() < 0.5 else 4))
+        kind = rng.integers(4)
+        if kind == 1:
+            P[i:i + length] = np.eye(d)
+        elif kind > 1:
+            Q = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :int(rng.integers(1, d + 1))]
+            P[i:i + length] = Q @ Q.T
+        i += length
+    return *rng.uniform(-2.0, 2.0, size=(2, d)), P
+
+
+def test_face_solve_matches_a_dense_reference():
+    # every solve leaves a chord free, so its face set is feasible; the
+    # sample holds runs at an endpoint and neighbouring runs whose
+    # projectors do not commute, the case a shared basis would miss
+    rng = np.random.default_rng(32)
+    solved = at_an_end = apart = 0
+    while solved < 1000:
+        x0, xd, P = _random_face_set(rng)
+        if not (P == 0.0).all(axis=(1, 2)).any():
+            continue
+        ref = _dense_face_solve(x0, xd, P)
+        scale = max(np.abs(ref).max(initial=0.0), np.abs(x0).max(), np.abs(xd).max())
+        assert np.abs(minimize._on_faces(x0, xd, P) - ref).max(initial=0.0) <= 1e-10 * scale
+        solved += 1
+        at_an_end += bool(P[0].any() or P[-1].any())
+        apart += bool(np.abs(P[:-1] @ P[1:] - P[1:] @ P[:-1]).max(initial=0.0) > 1e-6)
+    assert at_an_end >= 500 and apart >= 50
+
+
+@pytest.mark.parametrize("N", [7, 8], ids=["odd", "even"])
+@pytest.mark.parametrize("x0, xd", [(-1.0, 1.0), (0.0, 0.0)], ids=["across", "at_0"])
+def test_face_solve_with_every_chord_pinned(x0, xd, N):
+    # |x|'s kink pins every midpoint to 0: the zig-zag -1, 1, -1, ... meets
+    # the constraints for an odd N, no path does for an even one, and the
+    # path that stays at 0 does from 0 to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = minimize._on_faces(np.array([x0]), np.array([xd]), np.ones((N, 1, 1)))
+    assert Z.shape == (N - 1, 1) and np.isfinite(Z).all()
+    if xd == 0.0:
+        np.testing.assert_allclose(Z, 0.0, rtol=0.0, atol=1e-15)
+    elif N % 2:
+        np.testing.assert_allclose(Z[:, 0], -x0 * (-1.0) ** np.arange(N - 1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("N", [7, 8], ids=["odd", "even"])
+@pytest.mark.parametrize("x0, xd", [(-1.0, 1.0), (0.0, 0.0)], ids=["across", "at_0"])
+def test_polish_keeps_no_pass_that_does_not_lower_the_action(x0, xd, N):
+    # at tau = 10 every midpoint of the straight line lies inside 10 [-1, 1],
+    # so its resolvent pins it: the face solve of the one pass is the
+    # zig-zag, a least-squares path, or 0 itself, none below the line
+    f = MaxLinear([[1.0], [-1.0]])
+    obj = minimize._Objective(f, 10.0, np.array([[x0]]), np.array([[xd]]), 1.0 / N)
+    times = np.linspace(0.0, 1.0, N + 1)
+    Z = x0 + np.linspace(0.0, 1.0, N + 1)[None, 1:-1, None] * (xd - x0)
+    Z_end, best = minimize._polish_on_faces(obj, Z, times)
+    assert Z_end is Z
+    assert best == discrete_action(f, Path(times, obj.full_nodes(Z)[0])).total
+
+
+def _sequential_polish(obj, Z, times):
     """The kink-face polish one pass at a time: (Z, true action, passes
     kept, faces of the last kept pass)."""
     def true_value(Z):
@@ -927,7 +1015,7 @@ def _sequential_polish(on_faces, obj, Z, times):
 
     best, P, kept, last = true_value(Z), faces(Z), 0, None
     for _ in range(minimize._FACE_PASSES):
-        cand = on_faces(obj, Z, P[None])
+        cand = minimize._on_faces(obj.X0[0], obj.XD[0], P)[None]
         value = true_value(cand)
         if not value < best:
             break
@@ -939,47 +1027,38 @@ def _sequential_polish(on_faces, obj, Z, times):
     return Z, best, kept, last
 
 
-def _lockstep_polish(on_faces, obj, Z, times, monkeypatch):
-    """`_polish_on_faces` as (Z, true action, passes kept, faces of the last
-    kept pass, (width, passes kept) per batch), read from its `_on_faces`
-    batches: each batch starts from a row of the one before, its last kept
-    pass, and the polish returns such a row of the last batch, or the last
-    batch's start when that keeps none."""
-    batches = []
+def _recorded_polish(obj, Z, times, monkeypatch):
+    """`_polish_on_faces` as (Z, true action, passes kept, faces of each
+    pass), read from its `_on_faces` calls: it keeps every pass but perhaps
+    the last, which it keeps when it returns that pass's path."""
+    on_faces, passes = minimize._on_faces, []
 
-    def recording(obj, Z, P):
-        batches.append((Z, P, on_faces(obj, Z, P)))
-        return batches[-1][2]
+    def recording(x0, xd, P):
+        passes.append((P, on_faces(x0, xd, P)))
+        return passes[-1][1]
 
     monkeypatch.setattr(minimize, "_on_faces", recording)
     Z_end, best = minimize._polish_on_faces(obj, Z, times)
-    kept, last = [], None
-    for (_, P, cand), start in zip(batches, [b[0] for b in batches[1:]] + [Z_end]):
-        # where the faces grow no further the polish stops: no batch starts
-        # on the faces of the pass it starts from
-        assert last is None or np.abs(P[0] - last).max() > 1e-9
-        j = next((j for j in range(len(cand)) if start.ctypes.data == cand[j:].ctypes.data),
-                 None)
-        kept.append((len(P), 0 if j is None else j + 1))
-        last = last if j is None else P[j]
-    return Z_end, best, sum(k for _, k in kept), last, kept
+    monkeypatch.setattr(minimize, "_on_faces", on_faces)
+    kept = len(passes) - (not np.shares_memory(Z_end, passes[-1][1]))
+    return Z_end, best, kept, [P for P, _ in passes]
 
 
-def _agrees_with_the_sequential_polish(on_faces, inputs, monkeypatch):
-    """The lockstep and sequential polishes of each input keep as many
-    passes, stop on the same faces and end within 1e-12 relative of each
-    other's true action; the lockstep ones' (width, kept) per batch."""
-    batches = []
+def _agrees_with_the_sequential_polish(inputs, monkeypatch):
+    """The polish and the one-pass loop of each input keep as many passes,
+    stop on the same faces and end on the same path and true action, bit for
+    bit; the polish's (passes kept, faces of each pass) per input."""
+    out = []
     for obj, Z, times in inputs:
-        want = _sequential_polish(on_faces, obj, Z, times)
-        got = _lockstep_polish(on_faces, obj, Z, times, monkeypatch)
+        want = _sequential_polish(obj, Z, times)
+        got = _recorded_polish(obj, Z, times, monkeypatch)
         assert got[2] == want[2]
-        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
-        assert (got[3] is None) == (want[3] is None)
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0])
         if want[3] is not None:
-            assert np.abs(got[3] - want[3]).max() <= 1e-9
-        batches.append(got[4])
-    return batches
+            assert np.array_equal(got[3][want[2] - 1], want[3])
+        out.append(got[2:])
+    return out
 
 
 def _polish_sample():
@@ -997,42 +1076,40 @@ def _polish_sample():
     yield MaxLinear([[1.0], [-1.0]]), X0, XD, 3.0, 256
 
 
-def test_lockstep_polish_keeps_the_sequential_passes(monkeypatch):
-    """On every solve of the sample the batched polish keeps as many passes
-    as the one-at-a-time loop, on the same faces, and ends within 1e-12 of
-    its true action; so it does under a cap of 3 or 5 passes, which ends
-    the |x| solve's second or third batch.  That solve keeps its 12 passes
-    in 4 batches."""
-    on_faces, polish = minimize._on_faces, minimize._polish_on_faces
-    inputs = []
+def test_polish_keeps_the_sequential_passes(monkeypatch):
+    """On every solve of the sample the polish keeps as many passes as the
+    one-at-a-time loop, on the same faces, and ends on its path and true
+    action; so it does under a cap of 3 or 5 passes.  The |x| solve keeps
+    its 12 passes."""
+    polish, inputs = minimize._polish_on_faces, []
     monkeypatch.setattr(minimize, "_polish_on_faces",
                         lambda *args: inputs.append(args) or polish(*args))
     for f, X0, XD, delta, N in _polish_sample():
         _minimize_paths([f] * len(X0), X0, XD, delta, MinimizeConfig(N=N))
     monkeypatch.setattr(minimize, "_polish_on_faces", polish)
     assert len(inputs) == 40
-    batches = _agrees_with_the_sequential_polish(on_faces, inputs, monkeypatch)
-    assert [w for w, _ in batches[36]] == [1, 2, 4, 8]
-    assert sum(k for _, k in batches[36]) == 12
+    kept = [k for k, _ in _agrees_with_the_sequential_polish(inputs, monkeypatch)]
+    assert kept[36] == 12
     # so the sample is not only polishes that keep one pass or none
-    assert sum(sum(k for _, k in b) > 1 for b in batches) >= 5
+    assert sum(k > 1 for k in kept) >= 5
     for cap in (3, 5):
         monkeypatch.setattr(minimize, "_FACE_PASSES", cap)
-        capped = _agrees_with_the_sequential_polish(on_faces, inputs, monkeypatch)
-        assert sum(k for _, k in capped[36]) == cap
+        capped = _agrees_with_the_sequential_polish(inputs, monkeypatch)
+        assert capped[36][0] == cap
 
 
-def test_lockstep_polish_starts_a_batch_where_the_faces_grow_apart(monkeypatch):
+def test_polish_keeps_the_sequential_passes_where_the_faces_grow_apart(monkeypatch):
     # at tau = 0.05 the resolvents pin chords within 0.05 |a| of the kink,
-    # so a pass that moves chords nearer to it pins more than the batch's
-    # start did: the pass after it is not the batch's next row, and a new
-    # batch starts there
+    # so a pass that moves chords nearer to it pins more than one chord of
+    # growth at each end: the next pass takes faces its resolvents read
     f, X0, XD, N = MaxLinear([[2.0], [-0.5]]), np.array([[-1.0]]), np.array([[1.5]]), 64
     obj = minimize._Objective(f, 0.05, X0, XD, 3.0 / N)
     Z = X0 + np.linspace(0.0, 1.0, N + 1)[1:-1, None] * (XD - X0)
-    [batches] = _agrees_with_the_sequential_polish(
-        minimize._on_faces, [(obj, Z[None], np.linspace(0.0, 3.0, N + 1))], monkeypatch)
-    assert any(0 < k < w for w, k in batches[:-1])
+    [(kept, faces)] = _agrees_with_the_sequential_polish(
+        [(obj, Z[None], np.linspace(0.0, 3.0, N + 1))], monkeypatch)
+    assert kept >= 2
+    assert any(not np.array_equal(b, minimize._next_faces(a, np.zeros_like(a)))
+               for a, b in zip(faces, faces[1:]))
 
 
 @pytest.mark.parametrize("f, X0, XD", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 import actionlab
-from actionlab.errors import ConfigError
+from actionlab.errors import ConfigError, DimensionMismatchError, OutsideDomainError
 from actionlab.minnorm import (_affine_weights, hull_projection,
                                hull_projection_with_gap, min_norm_point,
                                min_norm_point_with_gap)
@@ -213,9 +213,10 @@ def test_mask_is_validated():
         min_norm_point(pts, mask=np.ones((2, 4), dtype=bool))
     with pytest.raises(ConfigError):
         min_norm_point(pts, mask=np.array([[True, False, False], [False] * 3]))
-    with pytest.raises(ConfigError):
+    # the target is a point, read as every point is (`errors.real_points`)
+    with pytest.raises(DimensionMismatchError):
         hull_projection_with_gap(pts, np.ones((2, 2)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(OutsideDomainError):
         hull_projection_with_gap(pts, [[np.nan, 0.0, 0.0]])
 
 

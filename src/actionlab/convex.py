@@ -463,13 +463,13 @@ class LogSumExp(ConvexFunction):
     It is the smoothing of max_i <a_i, x> with the same vectors, and its
     resolvent lies within sqrt(tau eps log m) of that max-linear resolvent.
     The resolvent is damped Newton on r(y) = y + tau grad f(y) - x started
-    there: from the max-linear resolvent (see `MaxLinear`), or from the
-    caller's `start` when one is given (the minimizer passes each line-search
-    trial the first-order prediction of its resolvents from the last accepted
-    iterate).  A row stops when |r| <= 1e-11 (1 + |x|) or when its step no
-    longer moves y by more than rounding; near a kink at small eps the slope
-    of r is of order tau |A|^2 / eps, so the reachable |r| can be above the
-    target there.
+    there (see `MaxLinear`), or at the caller's `start` (the minimizer passes
+    each line-search trial a first-order prediction from the last accepted
+    iterate).  A row halves its step until |r| drops enough (Armijo); an
+    iteration whose rows all take the full step skips that bookkeeping.  A
+    row stops when |r| <= 1e-11 (1 + |x|) or when its step no longer moves y
+    by more than rounding; near a kink at small eps the slope of r is of
+    order tau |A|^2 / eps, so the reachable |r| can be above the target there.
     The returned residual is |r| itself: tau f(y) + |y - x|^2/2 is 1-strongly
     convex and r is its gradient, so |r| bounds |y - J_tau(x)|.
     """
@@ -543,34 +543,35 @@ class LogSumExp(ConvexFunction):
             # a step within rounding of y cannot lower |r|: such a row is at
             # the floating-point floor and stops with its residual
             floor = 1e-15 * (1.0 + _column_norms(y))
-            alpha = np.ones(rows.size)
             trial = y - step
             Wt, gt = self._softmax(trial)
             rt = trial + t * gt - x
             rtn = _column_norms(rt)
-            ok = rtn <= (1.0 - 1e-4) * rn
-            back = np.flatnonzero(~ok & (0.5 * snorm > floor))
-            # halve the step of each row without sufficient decrease; every
-            # trial costs one softmax pass over its rows, and the floor test
-            # ends the halving first unless |step| > 1e3 (1 + |y|)
-            for _ls in range(60):
-                if back.size == 0:
-                    break
-                alpha[back] *= 0.5
-                trial[:, back] = y[:, back] - alpha[back] * step[:, back]
-                Wt[:, back], gt[:, back] = self._softmax(trial[:, back])
-                rt[:, back] = trial[:, back] + t[back] * gt[:, back] - x[:, back]
-                rtn[back] = _column_norms(rt[:, back])
-                ok[back] = rtn[back] <= (1.0 - 1e-4 * alpha[back]) * rn[back]
-                back = back[~ok[back] & (0.5 * alpha[back] * snorm[back] > floor[back])]
-            ok &= snorm > floor
-            trial, Wt, gt, rt, rtn = (np.where(ok, a, b) for a, b in (
-                (trial, y), (Wt, W), (gt, g), (rt, R), (rtn, rn)))
+            ok = (rtn <= (1.0 - 1e-4) * rn) & (snorm > floor)
+            if ok.all():    # every row takes its full step: nothing to merge
+                keep, back = np.flatnonzero(rtn > target), ()
+            else:
+                # halve each step without sufficient decrease, one softmax pass per trial;
+                # the floor test ends the halving first unless |step| > 1e3 (1 + |y|)
+                alpha = np.ones(rows.size)
+                back = np.flatnonzero(~ok & (0.5 * snorm > floor))
+                for _ls in range(60):
+                    if back.size == 0:
+                        break
+                    alpha[back] *= 0.5
+                    trial[:, back] = y[:, back] - alpha[back] * step[:, back]
+                    Wt[:, back], gt[:, back] = self._softmax(trial[:, back])
+                    rt[:, back] = trial[:, back] + t[back] * gt[:, back] - x[:, back]
+                    rtn[back] = _column_norms(rt[:, back])
+                    ok[back] = rtn[back] <= (1.0 - 1e-4 * alpha[back]) * rn[back]
+                    back = back[~ok[back] & (0.5 * alpha[back] * snorm[back] > floor[back])]
+                trial, Wt, gt, rt, rtn = (np.where(ok, a, b) for a, b in (
+                    (trial, y), (Wt, W), (gt, g), (rt, R), (rtn, rn)))
+                keep = np.concatenate([np.flatnonzero(ok & (rtn > target)), back])
             # rows that converged or reached the floor leave with their
             # columns written back; a row still backtracking after 60
             # halvings stays, moved last
-            keep = np.concatenate([np.flatnonzero(ok & (rtn > target)), back])
-            if keep.size < rows.size or back.size:
+            if keep.size < rows.size or len(back):
                 Y[:, rows], res[rows] = trial, rtn
                 rows, x, t, target, trial, Wt, gt, rt, rtn = (a.take(keep, axis=-1) for a in (
                     rows, x, t, target, trial, Wt, gt, rt, rtn))
@@ -744,9 +745,9 @@ def sampled_slope_lower_bound(f: ConvexFunction, x, samples) -> float:
     A certified lower bound for the slope; samples must exclude x itself.
     """
     x = as_point(x, f.dim)
-    Y = real_points(samples, f.dim)
-    if Y.shape[0] == 0:
+    if real_array(samples, "points").size == 0:     # real_points reads [] as one point
         raise ConfigError("need at least one sample point")
+    Y = real_points(samples, f.dim)
     if np.any(np.linalg.norm(Y - x, axis=1) == 0.0):
         raise ConfigError("sample points must differ from x")
     return float(_slope_lower_bounds(f, x[None, :], Y[None])[0])

@@ -116,7 +116,8 @@ class MinimizeResult:
     """The minimizing path and its smoothed and true actions.  stage_energies
     holds, per continuation stage (one where phi_tau is convex), the
     objective at the stage's start and after each accepted step; iterations
-    counts those steps.  converged counts a predicted stop as met (`_stage`)."""
+    counts those steps.  converged counts a predicted stop as met (`_stage`)
+    and is False whenever value_true is infinite: there is no minimum."""
 
     path: Path
     value_smoothed: float
@@ -225,18 +226,6 @@ class _Objective:
                              off + 0.5 * self.dt * C[:, 1:-1])
 
 
-def _definite_blocks(A: np.ndarray) -> np.ndarray:
-    """Per path p, whether every symmetric block A[j, p] is positive definite:
-    by its leading minors for 1x1 and 2x2 blocks, by its eigenvalues above."""
-    d = A.shape[-1]
-    if d == 1:
-        return (A[..., 0, 0] > 0.0).all(axis=0)
-    if d == 2:
-        a = A[..., 0, 0]
-        return ((a > 0.0) & (a * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0] > 0.0)).all(axis=0)
-    return (np.linalg.eigvalsh(A)[..., 0] > 0.0).all(axis=0)
-
-
 def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
                              definite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Solve k symmetric block-tridiagonal systems: path p's diagonal blocks
@@ -249,28 +238,38 @@ def _block_tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
     in the even ones; once n*d <= _DENSE_SIZE it solves densely.  `_reduce`
     does it with the block axis first, where numpy slices cheapest.
 
-    With definite set, the solve also tests that each matrix is positive
-    definite, and leaves unsolved a path whose matrix is not.  A level's
-    matrix is positive definite exactly when the odd unknowns' diagonal
-    blocks and the reduced system, their Schur complement, are; so each level
-    tests those blocks and the dense base case tests by Cholesky.
+    With definite set, a path whose matrix is not positive definite is left
+    unsolved.  A level's matrix is positive definite exactly when the odd
+    unknowns' diagonal blocks and the reduced system, their Schur complement,
+    are: each level tests those blocks by the pivots `_solve_blocks` forms,
+    the dense base case tests by Cholesky, and a level where some path fails
+    solves the others again.
     """
     x, ok = _reduce(diag.swapaxes(0, 1), off.swapaxes(0, 1), rhs.swapaxes(0, 1), definite)
     return x.swapaxes(0, 1), ok
 
 
-def _solve_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[..., :, :]^-1 B[..., :, :] per block, over any leading axes; 1x1 and
-    2x2 blocks in closed form, which is several times faster than a batched
-    LAPACK call on blocks this small."""
+def _solve_blocks(A: np.ndarray, B: np.ndarray, definite: bool = False):
+    """(A^-1 B per block over any leading axes, False): 1x1 and 2x2 blocks in
+    closed form, several times faster than a batched LAPACK call on blocks
+    this small.  With definite set, False becomes a mask over the second axis:
+    whether every symmetric block along the first is positive definite, by
+    the leading minors the closed forms use (eigenvalues above 2x2).  Unless
+    all are, nothing is solved and the solution is None."""
     d = A.shape[-1]
-    if d == 1:
-        return B / A
     if d == 2:
         a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        det = a * e - b * c
+    ok = definite and (A[..., 0, 0] > 0.0 if d == 1 else (a > 0.0) & (det > 0.0) if d == 2
+                       else np.linalg.eigvalsh(A)[..., 0] > 0.0).all(axis=0)
+    if definite and not ok.all():
+        return None, ok
+    if d == 1:
+        return B / A, ok
+    if d == 2:
         adj = np.stack([e, -b, -c, a], axis=-1).reshape(A.shape)
-        return (adj / (a * e - b * c)[..., None, None]) @ B
-    return np.linalg.solve(A, B)
+        return (adj / det[..., None, None]) @ B, ok
+    return np.linalg.solve(A, B), ok
 
 
 def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
@@ -284,9 +283,8 @@ def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
         A[:, j[:-1], :, j[1:], :] = off
         A[:, j[1:], :, j[:-1], :] = off.swapaxes(-1, -2)
         A = A.reshape(k, n * d, n * d)
-    if definite:
         ok = np.ones(k, dtype=bool)
-        if dense:
+        if definite:
             try:
                 np.linalg.cholesky(A)
             except np.linalg.LinAlgError:   # find the paths that failed
@@ -295,23 +293,22 @@ def _reduce(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray, definite: bool):
                         np.linalg.cholesky(A[p])
                     except np.linalg.LinAlgError:
                         ok[p] = False
-        else:
-            ok = _definite_blocks(diag[1::2])
-        if not ok.all():
-            # the paths that passed go on alone (a dense pass needs no retest)
-            x = np.zeros_like(rhs)
-            x[:, ok], ok[ok] = _reduce(diag[:, ok], off[:, ok], rhs[:, ok], not dense)
-            return x, ok
+    else:
+        n_odd, n_even = n // 2, n - n // 2
+        left = off[0::2]                        # couples odd unknown 2o+1 to 2o
+        right = np.zeros((n_odd, k, d, d))      # couples it to 2o+2 (none for the
+        right[:n_even - 1] = off[1::2]          # last odd unknown when n is even)
+        # odd unknown 2o+1 is w - Wl x_{2o} - Wr x_{2o+2}, W = [Wl | Wr | w]
+        W, ok = _solve_blocks(diag[1::2], np.concatenate(
+            [left.swapaxes(-1, -2), right, rhs[1::2, ..., None]], axis=-1), definite)
+    if definite and not ok.all():
+        # the paths that passed go on alone (a dense pass needs no retest)
+        x = np.zeros_like(rhs)
+        x[:, ok], ok[ok] = _reduce(diag[:, ok], off[:, ok], rhs[:, ok], not dense)
+        return x, ok
     if dense:
         x = np.linalg.solve(A, rhs.swapaxes(0, 1).reshape(k, n * d, 1))
-        return x.reshape(k, n, d).swapaxes(0, 1), np.ones(k, dtype=bool)
-    n_odd, n_even = n // 2, n - n // 2
-    left = off[0::2]                        # couples odd unknown 2o+1 to 2o
-    right = np.zeros((n_odd, k, d, d))      # couples it to 2o+2 (none for the
-    right[:n_even - 1] = off[1::2]          # last odd unknown when n is even)
-    # odd unknown 2o+1 is w - Wl x_{2o} - Wr x_{2o+2}, W = [Wl | Wr | w]
-    W = _solve_blocks(diag[1::2], np.concatenate(
-        [left.swapaxes(-1, -2), right, rhs[1::2, ..., None]], axis=-1))
+        return x.reshape(k, n, d).swapaxes(0, 1), ok
     # substituted into the even rows beside it: 2e+1 on the right of even e
     # (e < n_odd) and 2e+1 on the left of even e+1 (e < n_even - 1)
     LW = left @ W
@@ -562,11 +559,11 @@ def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
         for p, nodes, value, true, stages, done in zip(
                 ps, obj.full_nodes(Z), value_smoothed, polished, energies, converged):
             path = Path(times, nodes)
+            true = discrete_action(fs[p], path).total if true is None else true
             results[p] = MinimizeResult(
-                path=path, value_smoothed=float(value),
-                value_true=discrete_action(fs[p], path).total if true is None else true,
-                iterations=sum(len(trace) - 1 for trace in stages),
-                converged=bool(done), tau_schedule=schedule, stage_energies=stages)
+                path=path, value_smoothed=float(value), value_true=true,
+                iterations=sum(len(trace) - 1 for trace in stages), tau_schedule=schedule,
+                converged=bool(done) and math.isfinite(true), stage_energies=stages)
     return results
 
 
@@ -579,9 +576,10 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
     energies of every stage; quadratic, indicator and squared_distance run
     only its last tau, where E_tau is strictly convex.  A stage before the
     last may end on Newton's predicted stop, which converged counts as met.
-    Running out of iterations is not an error (converged=False is returned
-    instead), but a resolvent solver failure (a resolvent iteration that
-    runs out of its iteration cap) propagates as SolverError.  Endpoints of
+    Running out of iterations, or an indicator endpoint outside its region
+    (value_true = inf), is not an error (converged=False is returned instead),
+    but a resolvent solver failure (a resolvent iteration that runs out of
+    its iteration cap) propagates as SolverError.  Endpoints of
     the returned path are bit-equal to the inputs.  For indicator functions
     the initial segment and the final iterate are projected node-wise into
     the region; for max_linear the final iterate is moved onto the kink

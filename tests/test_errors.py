@@ -125,6 +125,16 @@ _REJECTIONS = {
     "slope_bound-no_samples": (
         lambda: sampled_slope_lower_bound(HALF_SQ, [0.5], np.zeros((0, 1))),
         ConfigError, "need at least one sample point"),
+    "slope_bound-empty_list": (     # [] is no points, not one point of width 0
+        lambda: sampled_slope_lower_bound(HALF_SQ, [0.5], []),
+        ConfigError, "need at least one sample point"),
+    "slope_bound-no_samples_2d": (
+        lambda: sampled_slope_lower_bound(Quadratic(np.eye(2), [0.0, 0.0]), [0.5, 0.5],
+                                          np.zeros((0, 2))),
+        ConfigError, "need at least one sample point"),
+    "slope_bound-empty_list_2d": (
+        lambda: sampled_slope_lower_bound(Quadratic(np.eye(2), [0.0, 0.0]), [0.5, 0.5], []),
+        ConfigError, "need at least one sample point"),
     "slope_bound-sample_at_x": (
         lambda: sampled_slope_lower_bound(HALF_SQ, [0.5], [[1.0], [0.5]]),
         ConfigError, "sample points must differ from x"),

@@ -235,6 +235,71 @@ def test_block_tridiagonal_solve_flags_only_the_indefinite_path(n, d):
         assert np.array_equal(got[p], one)
 
 
+def _first_indefinite_level(A, d):
+    """Block cyclic reduction of the dense symmetric A with d x d blocks,
+    written out on dense Schur complements: the level whose odd diagonal
+    blocks, or whose dense base case, first fail to be positive definite (0
+    for A's own odd blocks), or None when A is positive definite."""
+    level = 0
+    while len(A) > minimize._DENSE_SIZE:
+        blocks = np.arange(len(A)).reshape(-1, d)
+        odd, even = blocks[1::2].ravel(), blocks[0::2].ravel()
+        D = A[np.ix_(odd, odd)]
+        if any(np.linalg.eigvalsh(D[i:i + d, i:i + d])[0] <= 0.0 for i in range(0, len(D), d)):
+            return level
+        A = A[np.ix_(even, even)] - A[np.ix_(even, odd)] @ np.linalg.solve(D, A[np.ix_(odd, even)])
+        level += 1
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return level
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_tridiagonal_solve_finds_indefiniteness_in_a_schur_complement(d):
+    """A lockstep batch whose odd diagonal blocks are positive definite, with
+    paths whose indefiniteness first shows in a reduced level's Schur
+    complement or in the dense base case, and two uncoupled paths (off = 0)
+    with one odd block that only its own test can see: indefinite with a
+    positive leading entry, or negative definite.  The mask equals a
+    per-path dense Cholesky test, nothing warns, and every definite path
+    keeps the bits of its one-path solve."""
+    n = 100
+    rng = np.random.default_rng([n, d, 29])
+    K = rng.normal(size=(7, n + 1, d, d))
+    S = K @ K.transpose(0, 1, 3, 2)
+    eye = np.eye(d)
+    diag = 2.0 * eye + S[:, :-1] + S[:, 1:]
+    off = -eye + S[:, 1:-1]
+    for p, shift in enumerate((0.5, 1.01, 1.5, 2.0, 0.0, 0.0, 0.5)):
+        diag[p] -= shift * np.linalg.eigvalsh(_dense(diag[p], off[p]))[0] * eye
+    assert np.linalg.eigvalsh(diag[:, 1::2])[..., 0].min() > 0.0
+    off[4:6] = 0.0
+    diag[4, 1] = 2.0 - eye if d > 1 else -eye     # d > 1: 1 on, 2 off the diagonal
+    diag[5, 3] = -eye
+    rhs = rng.normal(size=(7, n, d))
+    dense = [_dense(diag[p], off[p]) for p in range(7)]
+    levels = [_first_indefinite_level(A, d) for A in dense]
+    assert levels[0] is levels[6] is None and levels[4] == levels[5] == 0
+    assert min(levels[1:4]) >= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ok = _block_tridiagonal_solve(diag, off, rhs, definite=True)
+    cholesky = []
+    for A in dense:
+        try:
+            np.linalg.cholesky(A)
+            cholesky.append(True)
+        except np.linalg.LinAlgError:
+            cholesky.append(False)
+    assert ok.tolist() == cholesky == [True, False, False, False, False, False, True]
+    for p in (0, 6):
+        one = _block_tridiagonal_solve(diag[p:p + 1], off[p:p + 1], rhs[p:p + 1],
+                                       definite=True)[0][0]
+        assert np.array_equal(got[p], one)
+
+
 def _solve_in_lockstep(f, X0, XD, delta, cfg):
     """The lockstep results of the paths X0 -> XD on f (or on f[p] for a list
     f), after checking that each equals its own minimize_action run bit for
@@ -620,6 +685,18 @@ def test_indicator_path_stays_feasible():
     # the chord is interior, so nothing obstructs the free optimum
     want = closed_form_value("free", delta=1.0, displacement=[-1.0, 1.0])
     assert res.value_true == pytest.approx(want, rel=1e-6)
+
+
+def test_indicator_endpoint_outside_its_region_is_not_converged():
+    # every path from outside the region has infinite action, so there is no
+    # minimum to reach however the stages end; a feasible path in the same
+    # lockstep run still converges
+    f = Indicator(Ball(np.zeros(2), 1.5))
+    out, inside = _solve_in_lockstep(f, [[-2.0, 0.0], [-1.0, 0.0]], [[1.0, 0.5]] * 2, 1.0,
+                                     MinimizeConfig(N=32))
+    assert out.value_true == math.inf and math.isfinite(out.value_smoothed)
+    assert not out.converged
+    assert inside.converged and inside.value_true == pytest.approx(4.25, rel=1e-6)
 
 
 # the kinds whose phi_tau is convex, made to run the four-stage continuation

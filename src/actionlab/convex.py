@@ -132,7 +132,9 @@ class ConvexFunction:
     """Common surface for the built-in kinds; subclasses provide the math."""
 
     lam: float = 0.0
-    _convex_objective = False   # phi_tau = |grad f_tau|^2 convex for every tau
+    # the minimizer's tau schedule, times delta: it ends at 0 (on f) where f is
+    # C^{1,1}, and is one stage where every |grad f_tau|^2 is convex
+    _tau_factors = (0.5, 0.1, 0.02, 0.004)
 
     @property
     def dim(self) -> int:
@@ -187,8 +189,11 @@ class ConvexFunction:
         C is None when it is 0: K is constant near every row, as it is for a
         quadratic and wherever the resolvent is piecewise affine, so the
         Gauss-Newton Hessian 2 K^2 is already exact.
+
+        Built-in kinds compute them in `_derivatives` from the checked tau,
+        which takes tau = 0 too where f is C^{1,1}: f's own K and C (J_0 = I).
         """
-        raise NotImplementedError
+        return self._derivatives(_tau_rows(tau, len(X), self.lam, 3), X)
 
     def value(self, x) -> float:
         return float(self.value_many(real_points(x, self.dim))[0])
@@ -214,7 +219,7 @@ class Quadratic(ConvexFunction):
     b: np.ndarray
     c: float = 0.0
     lam: float = field(init=False)
-    _convex_objective = True    # grad f_tau is affine
+    _tau_factors = (0.0,)       # grad f_tau is affine
 
     def __post_init__(self):
         Q = real_array(self.Q, "Q")
@@ -259,10 +264,10 @@ class Quadratic(ConvexFunction):
         residual = np.linalg.norm(Y + t * self.subgradient_many(Y) - X, axis=1)
         return Y, residual
 
-    def envelope_derivatives_many(self, tau, X, Y):
-        # (I - (I + tau Q)^-1)/tau = V diag(w / (1 + tau w)) V^T, one per tau
+    def _derivatives(self, t, X):
+        # (I - (I + t Q)^-1)/t = V diag(w / (1 + t w)) V^T, one per t: Q at t = 0
         V, w = self._V, self._w
-        K = (V * (w / (1.0 + _tau_rows(tau, len(X), self.lam, 3) * w))) @ V.T
+        K = (V * (w / (1.0 + t * w))) @ V.T
         return np.broadcast_to(K, (X.shape[0],) + V.shape), None
 
 
@@ -476,6 +481,7 @@ class LogSumExp(ConvexFunction):
 
     vectors: np.ndarray
     epsilon: float
+    _tau_factors = (0.5, 0.1, 0.02, 0.0)
 
     def __post_init__(self):
         A = _set_vectors(self)
@@ -583,18 +589,22 @@ class LogSumExp(ConvexFunction):
         return np.ascontiguousarray(Y.T), res
 
     def envelope_derivatives_many(self, tau, X, Y):
-        # K = (I - B)/tau = (I + tau H)^-1 H with H = grad^2 f(Y) and
-        # B = DJ_tau = (I + tau H)^-1.  grad f_tau(x) = grad f(J_tau x), so
+        t = _tau_rows(tau, len(X), self.lam)
+        return self._derivatives(t, Y, (X - Y).T / t)
+
+    def _derivatives(self, t, Y, G=None):
+        # K = (I - B)/t = (I + t H)^-1 H with H = grad^2 f(Y) and
+        # B = DJ_t = (I + t H)^-1.  G = grad f_t(x) = grad f(J_t x), so
         # C = B T[B G] B, T[z] = D^3 f(Y)[z] = sum_j w_j ((v_j . z)/eps^2)
         # v_j v_j^T with v_j = a_j - g, the third cumulant of the softmax.
         # With u_j = B v_j that is sum_j w_j ((u_j . G)/eps^2) u_j u_j^T,
         # here component-major as in prox_many: the last axis is the row.
-        t = _tau_rows(tau, len(X), self.lam)
+        # At t = 0, B = I and G (None) is the softmax gradient g.
         W, g = self._softmax(Y.T)
         H = self._hessian(W, g)
         B = _solve_columns(np.eye(self.dim)[:, :, None] + t * H)
         U = (B * (self.vectors[:, None, :, None] - g)).sum(axis=2)      # (m, d, k)
-        c = W * (U * ((X - Y).T / t)).sum(axis=1) / self.epsilon**2
+        c = W * (U * (g if G is None else G)).sum(axis=1) / self.epsilon**2
         K = (B[:, :, None] * H).sum(axis=1)
         C = ((c[:, None] * U)[:, :, None] * U[:, None]).sum(axis=0)
         return K.transpose(2, 0, 1), C.transpose(2, 0, 1)
@@ -612,7 +622,7 @@ class _RegionKind(ConvexFunction):
 
     region: ConvexRegion
     _offset = 0.0
-    _convex_objective = True    # |grad f_tau|^2 = dist^2/(tau+s)^2
+    _tau_factors = (0.004,)     # |grad f_tau|^2 = dist^2/(tau+s)^2
 
     def __post_init__(self):
         if not isinstance(self.region, (Ball, Box, Halfspace)):
@@ -630,9 +640,9 @@ class _RegionKind(ConvexFunction):
             Y = X + t / (t + self._offset) * (Y - X)
         return Y, np.zeros(X.shape[0])
 
-    def envelope_derivatives_many(self, tau, X, Y):
+    def _derivatives(self, t, X):
         J = self.region.project_jacobian_many(X)
-        step = _tau_rows(tau, len(X), self.lam, 3) + self._offset
+        step = t + self._offset     # s at t = 0
         K = (np.eye(self.dim) - J) / step
         return K, (J - J @ J) / step / step if isinstance(self.region, Ball) else None
 
@@ -664,6 +674,7 @@ class SquaredDistance(_RegionKind):
     """
 
     weight: float
+    _tau_factors = (0.0,)
 
     def __post_init__(self):
         super().__post_init__()

@@ -4,36 +4,38 @@ The discretized objective on a uniform grid with pinned endpoints is
 
     E_tau(x_1..x_{N-1}) = sum |x_{i+1} - x_i|^2 / dt + dt * sum phi_tau(m_i),
 
-with phi_tau = |grad f_tau|^2 evaluated at chord midpoints m_i through the
-resolvent, and tau run through a decreasing continuation schedule with warm
-starts.  Where phi_tau is convex (quadratic, indicator, squared_distance),
-E_tau is strictly convex and the schedule is only its last tau.
+with phi_tau = |grad f_tau|^2 at chord midpoints m_i, and tau run through a
+decreasing continuation schedule with warm starts, ending at 0 (f itself, no
+resolvent) where f is C^{1,1}: quadratic, squared_distance and log_sum_exp.
+Where phi_tau is convex (quadratic, indicator, squared_distance), E_tau is
+strictly convex and the schedule is only its last tau.
 
 Each step is damped Newton, the minimum action method of E, Ren and
 Vanden-Eijnden (2004) in the semismooth setting of Qi and Sun (1993).  With
 G_i = grad f_tau(m_i), phi_tau has gradient 2 K_i G_i and Hessian
 2 K_i^2 + 2 C_i, where K_i = grad^2 f_tau(m_i) and
 C_i = sum_j G_ij grad^2 (d_j f_tau)(m_i) both come from one call of the
-kind's `envelope_derivatives_many`.  C vanishes for quadratics and for
-piecewise-affine resolvents (max_linear, and indicator and squared_distance on
-boxes and halfspaces); those kinds return C = None, and their step is
-Gauss-Newton, which is exact for them.  For log_sum_exp and ball regions K varies and C does not
-vanish; with it the step is exact Newton, which converges quadratically near
-the minimizer where Gauss-Newton converges only linearly.  The Hessian of E_tau
-is the kinetic part (2/dt) tridiag(-1, 2, -1) plus (dt/4) times the slope
-Hessian of chord i on the four blocks that chord couples: block tridiagonal,
-and solved by block cyclic reduction.  The Gauss-Newton Hessian is positive
-definite by construction; the Newton one need not be (C of log_sum_exp is
-indefinite), so the reduction tests its pivots, and an iteration whose Newton
-Hessian is not positive definite takes the Gauss-Newton step instead.  K and
-C are computed once per accepted iterate from the midpoint resolvents of its
-line-search trial, so each trial costs one resolvent batch and nothing else.
-That batch starts from the first-order prediction Y - s (I - tau K) dM of its
-resolvents, with Y those of the accepted iterate and dM the midpoints of the
-step s D; the iterative log_sum_exp resolvent then takes fewer Newton
-iterations, and the closed-form kinds ignore the start.  Armijo backtracking
-starts from the full step.  A stage stops when the decrement g^T H^-1 g, in
-the Hessian that made the step, falls to
+kind's `envelope_derivatives_many` (at tau = 0, of its `_derivatives`).  C
+vanishes for quadratics and for piecewise-affine resolvents (max_linear, and
+indicator and squared_distance on boxes and halfspaces); those kinds return
+C = None, and their step is Gauss-Newton, which is exact for them.  For
+log_sum_exp and ball regions K varies and C does not vanish; with it the step
+is exact Newton, which converges quadratically near the minimizer where
+Gauss-Newton converges only linearly.  The Hessian of E_tau is the kinetic
+part (2/dt) tridiag(-1, 2, -1) plus (dt/4) times the slope Hessian of chord i
+on the four blocks that chord couples: block tridiagonal, and solved by block
+cyclic reduction.  The Gauss-Newton Hessian is positive definite by
+construction; the Newton one need not be (C of log_sum_exp is indefinite), so
+the reduction tests its pivots, and an iteration whose Newton Hessian is not
+positive definite takes the Gauss-Newton step instead.  K and C are computed
+once per accepted iterate from the midpoint resolvents (gradients at tau = 0)
+of its line-search trial, so each trial costs one batch of them and nothing
+else.  A resolvent batch starts from the first-order prediction
+Y - s (I - tau K) dM, with Y the accepted iterate's resolvents and dM the
+midpoints of the step s D; the iterative log_sum_exp resolvent then takes
+fewer Newton iterations, and the closed-form kinds ignore the start.  Armijo
+backtracking starts from the full step.  A stage stops when the decrement
+g^T H^-1 g, in the Hessian that made the step, falls to
 grad_tol^2 * max(|xd - x0|^2/delta, E_tau), a rule that does not depend on the
 scale of the problem.  Where C = None, H dominates its kinetic part H_kin, so
 a stop that g^T H_kin^-1 g (Boyd and Vandenberghe, sec. 9.5.1) meets needs no
@@ -70,7 +72,6 @@ from .convex import ConvexFunction, Indicator, MaxLinear, _unit_scale, tau_cap
 from .errors import (ConfigError, as_point, malformed_input, real_number,
                      whole_number)
 
-_TAU_FACTORS = (0.5, 0.1, 0.02, 0.004)   # the tau schedule, times delta
 _STEP_SHRINK = 0.5      # Armijo backtracking from the full Newton step: shrink
 _STEP_DECREASE = 1e-4   # factor and sufficient-decrease constant
 _DENSE_SIZE = 32        # block cyclic reduction solves densely at n*d <= this
@@ -96,12 +97,11 @@ class MinimizeConfig:
 
 
 def _schedule(delta: float, f: ConvexFunction) -> tuple[float, ...]:
-    """The tau continuation schedule for horizon delta and f, scaled down as a
-    whole where needed to keep every tau within tau_cap(f.lam); only its last
-    tau where f's phi_tau is convex, as then no earlier stage can help."""
-    factor = min(1.0, tau_cap(f.lam) / (_TAU_FACTORS[0] * delta))
-    taus = tuple(t * delta * factor for t in _TAU_FACTORS)
-    return taus[-1:] if f._convex_objective else taus
+    """f's tau schedule (`ConvexFunction._tau_factors`) for horizon delta,
+    scaled down as a whole where needed to keep every tau, and the full
+    continuation's first, 0.5 delta, within tau_cap(f.lam)."""
+    factor = min(1.0, tau_cap(f.lam) / (0.5 * delta))
+    return tuple(t * delta * factor for t in f._tau_factors)
 
 
 def _config(config) -> MinimizeConfig:
@@ -113,11 +113,12 @@ def _config(config) -> MinimizeConfig:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """The minimizing path and its smoothed and true actions.  stage_energies
-    holds, per continuation stage (one where phi_tau is convex), the
-    objective at the stage's start and after each accepted step; iterations
-    counts those steps.  converged counts a predicted stop as met (`_stage`)
-    and is False whenever value_true is infinite: there is no minimum."""
+    """The minimizing path and its smoothed and true actions, equal up to
+    rounding where the last tau is 0.  stage_energies holds, per stage (one
+    where phi_tau is convex), the objective at the stage's start and after
+    each accepted step; iterations counts those steps.  converged counts a
+    predicted stop as met (`_stage`) and is False whenever value_true is
+    infinite: there is no minimum."""
 
     path: Path
     value_smoothed: float
@@ -162,16 +163,20 @@ class _Objective:
     def evaluate(self, Z: np.ndarray, start: np.ndarray | None = None
                  ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Objective values (k,) at Z, with the midpoints and their resolvents
-        (k, N, d) from one `prox_many` call over every path's rows; start,
-        when given, is a guess of those resolvents."""
+        (k, N, d) from one `prox_many` call over every path's rows (at tau = 0
+        f_p's gradients, from `subgradient_many`); start guesses resolvents."""
         X = self.full_nodes(Z)
         diffs = X[:, 1:] - X[:, :-1]
         kinetic = np.einsum("pij,pij->pi", diffs, diffs).sum(axis=1) / self.dt
         mids = 0.5 * (X[:, :-1] + X[:, 1:])
-        Y = self.f.prox_many(self._f_taus(mids.shape[1]), self._f_rows(mids),
-                             start=None if start is None else self._f_rows(start))[0]
-        Y = Y.reshape(mids.shape) / self.L[:, None, None]
-        G = (mids - Y) / self.tau
+        if self.tau:
+            Y = self.f.prox_many(self._f_taus(mids.shape[1]), self._f_rows(mids),
+                                 start=None if start is None else self._f_rows(start))[0]
+            Y = Y.reshape(mids.shape) / self.L[:, None, None]
+            G = (mids - Y) / self.tau
+        else:   # grad f_p(m) = c L grad f(L m) = (s/L) grad f(L m)
+            Y = G = (self.f.subgradient_many(self._f_rows(mids)).reshape(mids.shape)
+                     * (self.s / self.L)[:, None, None])
         return kinetic + self.dt * np.einsum("pij,pij->pi", G, G).sum(axis=1), (mids, Y)
 
     def kinetic_gradient(self, Z: np.ndarray) -> np.ndarray:
@@ -191,17 +196,19 @@ class _Objective:
 
     def derivatives(self, Z: np.ndarray, resolved: tuple[np.ndarray, np.ndarray]):
         """The exact gradient of the objective at Z from the (midpoints,
-        resolvents) (k, N, d) of evaluate(Z), and K and C (k N, d, d) of each
-        path's own function at the midpoints, from one
-        `envelope_derivatives_many` call over every path's rows."""
+        resolvents or gradients) (k, N, d) of evaluate(Z), and K and C
+        (k N, d, d) of each path's own function at the midpoints, from one
+        `envelope_derivatives_many` (tau = 0: `_derivatives`) call."""
         mids, Y = resolved
         k, n, d = mids.shape
-        K, C = self.f.envelope_derivatives_many(self._f_taus(n), self._f_rows(mids),
-                                                self._f_rows(Y))
+        K, C = (self.f.envelope_derivatives_many(self._f_taus(n), self._f_rows(mids),
+                                                 self._f_rows(Y))
+                if self.tau else self.f._derivatives(0.0, self._f_rows(mids)))
+        G = (mids - Y) / self.tau if self.tau else Y
         if not self.unit:   # f_p's K and C: s K, s^2 C (else a broadcast K stays a view)
             s = np.repeat(self.s, n)[:, None, None]
             K, C = s * K, None if C is None else s * s * C
-        dphi = 2.0 * np.einsum("kij,kj->ki", K, ((mids - Y) / self.tau).reshape(k * n, d))
+        dphi = 2.0 * np.einsum("kij,kj->ki", K, G.reshape(k * n, d))
         return self.gradient(Z, dphi.reshape(k, n, d)), K, C
 
     def kinetic_decrement(self, grad: np.ndarray) -> np.ndarray:
@@ -529,10 +536,10 @@ def _minimize_paths(fs, X0: np.ndarray, XD: np.ndarray, delta: float,
     results = [None] * len(fs)
     for ps in groups.values():
         f = fs[ps[0]]
-        if (dt < sys.float_info.min
-                or (schedule := _schedule(delta, f))[-1] < sys.float_info.min):
-            raise ConfigError(f"delta={delta!r} is too small: delta/N and every tau "
-                              f"must be normal floats")
+        schedule = _schedule(delta, f) if dt >= sys.float_info.min else ()  # (it divides by delta)
+        if not schedule or any(0.0 < t < sys.float_info.min for t in schedule):
+            raise ConfigError(f"delta={delta!r} is too small: delta/N and every positive "
+                              f"tau must be normal floats")
         c, L = (np.array([units[id(fs[p])][1:] for p in ps]) / units[id(f)][1:]).T
         A, B = X0[ps], XD[ps]
         Z = A[:, None, :] + s[None, :, None] * (B - A)[:, None, :]
@@ -571,19 +578,20 @@ def minimize_action(f: ConvexFunction, x0, xd, delta: float,
                     config: MinimizeConfig | None = None) -> MinimizeResult:
     """Minimize the smoothed action over paths from x0 to xd on [0, delta].
 
-    Runs the tau-continuation schedule with warm starts; the schedule is
-    fixed by delta and the modulus of f, and the result reports it with the
-    energies of every stage; quadratic, indicator and squared_distance run
-    only its last tau, where E_tau is strictly convex.  A stage before the
-    last may end on Newton's predicted stop, which converged counts as met.
-    Running out of iterations, or an indicator endpoint outside its region
-    (value_true = inf), is not an error (converged=False is returned instead),
-    but a resolvent solver failure (a resolvent iteration that runs out of
-    its iteration cap) propagates as SolverError.  Endpoints of
-    the returned path are bit-equal to the inputs.  For indicator functions
-    the initial segment and the final iterate are projected node-wise into
-    the region; for max_linear the final iterate is moved onto the kink
-    faces its midpoints identify when that lowers the true action.
+    Runs the tau-continuation schedule with warm starts; the schedule is fixed
+    by delta and the modulus of f, and the result reports it with the energies
+    of every stage.  It ends at tau = 0, on the true discrete action, for
+    quadratic, squared_distance and log_sum_exp; quadratic, indicator and
+    squared_distance run only its last tau, where E_tau is strictly convex.  A
+    stage before the last may end on Newton's predicted stop, which converged
+    counts as met.  Running out of iterations, or an indicator endpoint outside
+    its region (value_true = inf), is not an error (converged=False is
+    returned instead), but a resolvent solver failure (a resolvent iteration
+    that runs out of its iteration cap) propagates as SolverError.  Endpoints
+    of the returned path are bit-equal to the inputs.  For indicator functions
+    the initial segment and the final iterate are projected node-wise into the
+    region; for max_linear the final iterate is moved onto the kink faces its
+    midpoints identify when that lowers the true action.
     """
     delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")

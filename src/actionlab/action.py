@@ -6,10 +6,11 @@ node-trapezoid as the alternative).  The module also builds the two explicit
 curves the estimates are proved with: the resolvent image of a tilted segment
 (`interpolation_path`) and the patched recovery curve (`recovery_path`).
 
-The scalar entry points are the one-path case of batched primitives, which
-each action-scope verify check calls once per function with every trial as
-a row: a coarse path is its fine path's even nodes, and the endpoint
-residuals are rows of that same resolvent batch.
+The scalar entry points, curves and interpolation bounds included, are the
+one-row case of batched primitives, which each action-scope verify check
+calls once per function with every trial as a row: a coarse path is its fine
+path's even nodes, the endpoint residuals are rows of that same resolvent
+batch, and the recovery curves' patches are one batch per patch count.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexFunction, _check_admissible, min_norm_subgradient, slope
+from .convex import ConvexFunction, _check_admissible
 from .errors import (ConfigError, DimensionMismatchError, OutsideDomainError,
                      as_point, frozen, real_number, real_vector, real_vectors,
                      whole_number)
@@ -256,6 +257,23 @@ def interpolation_path(f: ConvexFunction, tau: float, delta: float, x0, xd,
     return Path(np.linspace(0.0, delta, M + 1), nodes[0])
 
 
+def _interpolation_bounds(f: ConvexFunction, taus: np.ndarray, deltas: np.ndarray,
+                          X0: np.ndarray, XD: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The interpolation bound and its delta = tau coarsening, (n,) each, of
+    n instances (taus[i], deltas[i], X0[i], XD[i]), from one slope_many and
+    one subgradient_many call over the stacked endpoints."""
+    n = X0.shape[0]
+    ends = np.concatenate([X0, XD])
+    s0, sd = f.slope_many(ends).reshape(2, n)
+    G = f.subgradient_many(ends)
+    dx2 = np.sum((XD - X0) ** 2, axis=1)
+    dg2 = np.sum((G[n:] - G[:n]) ** 2, axis=1)
+    sharp = (2.0 * deltas * np.minimum(s0, sd) ** 2
+             + (40.0 / deltas + 12.0 * deltas / taus**2) * dx2
+             + (12.0 * deltas + 40.0 * taus**2 / deltas) * dg2)
+    return sharp, 52.0 / taus * dx2 + 210.0 * taus * np.maximum(s0, sd) ** 2
+
+
 def interpolation_bound(f: ConvexFunction, tau: float, delta: float, x0, xd) -> float:
     """Upper bound on the action between x0 and xd over horizon delta:
 
@@ -268,32 +286,64 @@ def interpolation_bound(f: ConvexFunction, tau: float, delta: float, x0, xd) -> 
     delta = real_number(delta, "delta", positive=True)
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
-    s0 = slope(f, x0)
-    sd = slope(f, xd)
-    g0 = min_norm_subgradient(f, x0)
-    gd = min_norm_subgradient(f, xd)
-    dx2 = float(np.sum((xd - x0) ** 2))
-    dg2 = float(np.sum((gd - g0) ** 2))
-    return (2.0 * delta * min(s0, sd) ** 2
-            + (40.0 / delta + 12.0 * delta / tau**2) * dx2
-            + (12.0 * delta + 40.0 * tau**2 / delta) * dg2)
+    return float(_interpolation_bounds(f, np.array([tau]), np.array([delta]),
+                                       x0[None], xd[None])[0][0])
 
 
 def coarsened_interpolation_bound(f: ConvexFunction, tau: float, x0, xd) -> float:
     """Matched-horizon (delta = tau) coarsening of the interpolation bound:
 
-    52/tau |xd - x0|^2 + 210 tau max_i slope^2(x_i).
+    52/tau |xd - x0|^2 + 210 tau max_i slope^2(x_i); it raises outside the
+    domain, as the sharp bound does.
     """
     tau = f.require_admissible(tau, envelope_lipschitz=True)
     x0 = as_point(x0, f.dim, "x0")
     xd = as_point(xd, f.dim, "xd")
-    s0 = slope(f, x0)
-    sd = slope(f, xd)
-    dx2 = float(np.sum((xd - x0) ** 2))
-    return 52.0 / tau * dx2 + 210.0 * tau * max(s0, sd) ** 2
+    return float(_interpolation_bounds(f, np.array([tau]), np.array([tau]),
+                                       x0[None], xd[None])[1][0])
 
 
 _JUNCTION_TOL = 1e-8
+_JUNCTIONS = ("entry", "exit", "start", "end")
+
+
+def _check_unit_path(f: ConvexFunction, gamma) -> None:
+    _check_path(f, gamma, "gamma")
+    if abs(gamma.times[0]) > 1e-9 or abs(gamma.times[-1] - 1.0) > 1e-9:
+        raise ConfigError("gamma must be parametrized on [0, 1]")
+
+
+def _recovery_nodes(f: ConvexFunction, taus: np.ndarray, times: np.ndarray,
+                    nodes: np.ndarray, XH0: np.ndarray, XH1: np.ndarray,
+                    M: int | None = None) -> list[tuple]:
+    """Recovery curves of n paths on shared times (N+1,) with nodes
+    (n, N+1, d), row i at tau taus[i] from XH0[i] to XH1[i], grouped by patch
+    count m (M, or max(16, ceil(tau N))): (rows, times (g, N+1+2m), nodes,
+    junction audit messages, "" where it passes) per group.  The core nodes
+    are one prox_many call, each group's patches one _interpolation_nodes."""
+    n, k, d = nodes.shape
+    core = f.prox_many(np.repeat(taus, k), nodes.reshape(-1, d))[0].reshape(n, k, d)
+    ms = np.maximum(16, np.ceil(taus * (k - 1))).astype(int) if M is None else np.full(n, M)
+    groups = []
+    for m in sorted(set(ms.tolist())):
+        rows = np.flatnonzero(ms == m)
+        t, c, x0, x1 = taus[rows], core[rows], XH0[rows], XH1[rows]
+        patches, _ = _interpolation_nodes(f, np.concatenate([t, t]),
+                                          np.concatenate([x0, c[:, -1]]),
+                                          np.concatenate([c[:, 0], x1]), m)
+        a, b = patches[:rows.size], patches[rows.size:]
+        gaps = np.linalg.norm(np.stack([a[:, -1] - c[:, 0], b[:, 0] - c[:, -1],
+                                        a[:, 0] - x0, b[:, -1] - x1], axis=1), axis=2)
+        first = np.argmax(gaps > _JUNCTION_TOL, axis=1)
+        junction = [f"recovery {_JUNCTIONS[j]} junction mismatch {row[j]:.3e}"
+                    if row[j] > _JUNCTION_TOL else "" for row, j in zip(gaps, first)]
+        s = np.linspace(0.0, t, m + 1, axis=1)
+        T = np.concatenate([s - t[:, None], np.broadcast_to(times[1:], (rows.size, k - 1)),
+                            s[:, 1:] + 1.0], axis=1)    # [-tau, 0], (0, 1], (1, 1+tau]
+        X = np.concatenate([a[:, :-1], c, b[:, 1:]], axis=1)
+        X[:, 0], X[:, -1] = x0, x1
+        groups.append((rows, (T + t[:, None]) / (1.0 + 2.0 * t[:, None]), X, junction))
+    return groups
 
 
 def recovery_path(f_h: ConvexFunction, tau: float, gamma: Path, xh0, xh1,
@@ -305,46 +355,19 @@ def recovery_path(f_h: ConvexFunction, tau: float, gamma: Path, xh0, xh1,
     The concatenation lives on [-tau, 1+tau] and is affinely rescaled to
     [0, 1]; endpoints are welded exactly to xh0 and xh1 after a 1e-8
     junction-continuity audit.  M overrides the patch sampling density
-    (default max(16, ceil(tau * N)) with N the core interval count).
+    (default max(16, ceil(tau * N)) with N the core interval count).  It is
+    the one-row case of `_recovery_nodes`.
     """
     tau = f_h.require_admissible(tau, envelope_lipschitz=True)
-    _check_path(f_h, gamma, "gamma")
-    if abs(gamma.times[0]) > 1e-9 or abs(gamma.times[-1] - 1.0) > 1e-9:
-        raise ConfigError("gamma must be parametrized on [0, 1]")
+    _check_unit_path(f_h, gamma)
     xh0 = as_point(xh0, f_h.dim, "xh0")
     xh1 = as_point(xh1, f_h.dim, "xh1")
-
-    core_nodes, _ = f_h.prox_many(tau, gamma.nodes)
-    m_patch = (max(16, math.ceil(tau * gamma.intervals)) if M is None
-               else whole_number(M, "M"))
-
-    (patch_a, patch_b), _ = _interpolation_nodes(
-        f_h, np.array([tau, tau]), np.array([xh0, core_nodes[-1]]),
-        np.array([core_nodes[0], xh1]), m_patch)
-    for gap, what in (
-        (np.linalg.norm(patch_a[-1] - core_nodes[0]), "entry"),
-        (np.linalg.norm(patch_b[0] - core_nodes[-1]), "exit"),
-        (np.linalg.norm(patch_a[0] - xh0), "start"),
-        (np.linalg.norm(patch_b[-1] - xh1), "end"),
-    ):
-        if gap > _JUNCTION_TOL:
-            raise ConfigError(f"recovery {what} junction mismatch {gap:.3e}")
-
-    patch_times = np.linspace(0.0, tau, m_patch + 1)
-    times = np.concatenate([
-        patch_times - tau,            # [-tau, 0]
-        gamma.times[1:],              # (0, 1]
-        patch_times[1:] + 1.0,        # (1, 1+tau]
-    ])
-    nodes = np.concatenate([
-        patch_a[:-1],
-        core_nodes,
-        patch_b[1:],
-    ])
-    nodes[0] = xh0
-    nodes[-1] = xh1
-    times = (times + tau) / (1.0 + 2.0 * tau)
-    return Path(times, nodes)
+    M = None if M is None else whole_number(M, "M")
+    [(_, times, nodes, junction)] = _recovery_nodes(
+        f_h, np.array([tau]), gamma.times, gamma.nodes[None], xh0[None], xh1[None], M)
+    if junction[0]:
+        raise ConfigError(junction[0])
+    return Path(times[0], nodes[0])
 
 
 def recovery_action_bound(action_limit: float, tau: float, lam: float, S: float) -> float:

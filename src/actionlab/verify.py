@@ -14,20 +14,20 @@ corrupted function can be handed straight to one of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
-from .action import (Path, _alt_actions, _interpolation_nodes,
-                     _midpoint_actions, _upper_gradient,
-                     coarsened_interpolation_bound, discrete_action,
-                     dubois_reymond_residual, interpolation_bound,
-                     recovery_action_bound, recovery_path, recovery_tolerance)
+from .action import (Path, _alt_actions, _interpolation_bounds,
+                     _interpolation_nodes, _midpoint_actions, _recovery_nodes,
+                     _upper_gradient, dubois_reymond_residual,
+                     recovery_action_bound, recovery_tolerance)
 from .convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                      Quadratic, SquaredDistance, _slope_lower_bounds, tau_cap)
-from .errors import ConfigError, malformed_input, whole_number
+from .errors import ConfigError, frozen, malformed_input, whole_number
 from .experiments import (gamma_limsup_experiment, gamma_value_experiment,
                           resolvent_convergence_table,
                           slope_semicontinuity_table)
@@ -147,6 +147,15 @@ def _sample_domain_xs(rng, f: ConvexFunction, n: int) -> np.ndarray:
     return f.region.project_many(X) if isinstance(f, Indicator) else X
 
 
+@functools.cache
+def _walk_weights(segments: int) -> np.ndarray:
+    """The read-only (segments+1, 6) matrix of linear interpolation between 6
+    uniform knots on [0, 1], at segments+1 uniform times."""
+    s = np.linspace(0.0, 1.0, segments + 1)
+    return frozen(np.column_stack([np.interp(s, np.linspace(0.0, 1.0, 6), e)
+                                   for e in np.eye(6)]))
+
+
 def _random_nodes(rng, f: ConvexFunction, n: int, segments: int) -> np.ndarray:
     """Nodes (n, segments+1, d) of n piecewise-linear paths on uniform times
     over [0, 1], each a random start and walk of five steps sampled at the
@@ -154,11 +163,7 @@ def _random_nodes(rng, f: ConvexFunction, n: int, segments: int) -> np.ndarray:
     d = f.dim
     knots = np.cumsum(np.concatenate([rng.normal(size=(n, 1, d)) * 0.8,
                                       rng.normal(size=(n, 5, d)) * 0.24], axis=1), axis=1)
-    # linear interpolation between the 6 knots is a fixed (segments+1, 6) matrix
-    s = np.linspace(0.0, 1.0, segments + 1)
-    weights = np.column_stack([np.interp(s, np.linspace(0.0, 1.0, 6), e)
-                               for e in np.eye(6)])
-    nodes = weights @ knots
+    nodes = _walk_weights(segments) @ knots
     if isinstance(f, Indicator):
         nodes = f.region.project_many(nodes.reshape(-1, d)).reshape(nodes.shape)
     return nodes
@@ -331,8 +336,7 @@ def interpolation_bound_failures(f: ConvexFunction, rng, trials: int) -> list[di
     up to a per-instance refinement-difference quadrature allowance."""
     taus, deltas, X0, XD = _interp_instances(rng, f, trials)
     act, act_fine = _coarse_and_fine_actions(f, taus, deltas, X0, XD)
-    bound = np.array([interpolation_bound(f, *row)
-                      for row in zip(taus, deltas, X0, XD)])
+    bound, _ = _interpolation_bounds(f, taus, deltas, X0, XD)
     quad = 2.0 * np.abs(act_fine - act) + 1e-9 * (1.0 + np.abs(bound))
     return _failed(f, ~(act <= bound + quad), tau=taus, delta=deltas, x0=X0, xd=XD,
                    action=act, bound=bound, quadrature=quad)
@@ -343,9 +347,7 @@ def coarsened_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     coarsened bound over the sharp one."""
     taus, _, X0, XD = _interp_instances(rng, f, trials)
     act, act_fine = _coarse_and_fine_actions(f, taus, taus, X0, XD)
-    rows = list(zip(taus, X0, XD))
-    coarse = np.array([coarsened_interpolation_bound(f, *row) for row in rows])
-    sharp = np.array([interpolation_bound(f, t, t, x0, xd) for t, x0, xd in rows])
+    sharp, coarse = _interpolation_bounds(f, taus, taus, X0, XD)
     quad = 2.0 * np.abs(act_fine - act) + 1e-9 * (1.0 + np.abs(coarse))
     return (_failed(f, ~(act <= coarse + quad), tau=taus, x0=X0, xd=XD, action=act,
                     bound=coarse, quadrature=quad)
@@ -394,26 +396,25 @@ def interpolation_endpoint_failures(f: ConvexFunction, rng,
 
 def recovery_bound_failures(f: ConvexFunction, rng, trials: int) -> list[dict]:
     """Action of the patched resolvent pushforward obeys the recovery bound
-    when the same function plays member and limit.  The endpoint slopes and
-    the limit actions are one batch each; every trial audits the public
-    recovery_path and discrete_action, and a trial whose path fails its
-    junction audit is reported with the audit's message."""
+    when the same function plays member and limit.  The endpoint slopes, the
+    limit actions and the recovery curves (`_recovery_nodes`) are one batch
+    each, and the curves' actions one batch per patch count; a trial whose
+    curve fails its junction audit is reported with recovery_path's
+    message."""
     taus = np.minimum(_sample_taus(rng, f, trials), 0.35)
     nodes = _random_nodes(rng, f, trials, 48)
     times = np.linspace(0.0, 1.0, 49)
     ends = np.concatenate([nodes[:, 0], nodes[:, -1]])
     S = f.slope_many(ends).reshape(2, -1).max(axis=0)
     A = sum(_midpoint_actions(f, np.broadcast_to(times, nodes.shape[:2]), nodes))
-    audited, junction = np.isfinite(S), np.full(trials, "", dtype=object)
     act, bound, tol = np.full((3, trials), np.nan)
+    junction = np.empty(trials, dtype=object)
+    # _random_nodes keeps every node in the domain, where S is finite
+    for rows, T, X, messages in _recovery_nodes(f, taus, times, nodes,
+                                                nodes[:, 0], nodes[:, -1]):
+        act[rows], junction[rows] = sum(_midpoint_actions(f, T, X)), messages
+    audited = junction == ""
     for i in np.flatnonzero(audited):
-        try:
-            rp = recovery_path(f, taus[i], Path(times, nodes[i]),
-                               nodes[i, 0], nodes[i, -1])
-        except ConfigError as err:    # a junction mismatch
-            audited[i], junction[i] = False, str(err)
-            continue
-        act[i] = discrete_action(f, rp).total
         bound[i] = recovery_action_bound(A[i], taus[i], f.lam, S[i])
         tol[i] = recovery_tolerance(A[i], taus[i], f.lam, S[i])
     return (_failed(f, audited & ~(act <= bound + tol), tau=taus, S=S, action=act,

@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from actionlab.action import (Path, _midpoint_actions, alt_action,
+from actionlab.action import (Path, _interpolation_bounds, _midpoint_actions,
+                              _recovery_nodes, alt_action,
                               coarsened_interpolation_bound,
                               discrete_action, dubois_reymond_residual,
                               interpolation_bound, interpolation_path,
@@ -25,7 +26,8 @@ from actionlab.minimize import MinimizeConfig, closed_form_value, minimize_actio
 from actionlab.minnorm import hull_projection, min_norm_point_with_gap
 from actionlab.oracle import GridSpec, grid_oracle, speed_quantization_bias
 from actionlab.sets import Ball, Halfspace, project
-from actionlab.verify import verify_suite
+from actionlab.verify import (_random_nodes, _sample_domain_xs, _sample_taus,
+                              verify_suite)
 
 HALF_SQ = Quadratic(np.array([[1.0]]), np.zeros(1), 0.0)
 ABS = MaxLinear(np.array([[1.0], [-1.0]]))
@@ -449,6 +451,99 @@ def test_recovery_path_resolves_core_and_both_patches_in_two_calls(monkeypatch):
     t = np.linspace(0.0, 1.0, 33)
     recovery_path(HALF_SQ, 0.25, Path(t, (1.0 + t)[:, None]), [1.05], [2.1], M=8)
     assert calls == [33, 2 * 9]
+
+
+_BATCH_KINDS = [
+    Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2])),
+    LogSumExp(np.array([[1.0, 0.2], [-0.4, 1.0], [0.0, -1.0]]), 0.3),
+    MaxLinear(np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])),
+    SquaredDistance(Ball(np.array([0.2, -0.1]), 1.0), 1.5),
+    Indicator(Ball(np.zeros(2), 1.5)),
+]
+_BATCH_IDS = ["quadratic", "log_sum_exp", "max_linear", "squared_distance", "indicator"]
+
+
+@pytest.mark.parametrize("f", _BATCH_KINDS, ids=_BATCH_IDS)
+def test_batched_recovery_rows_are_each_rows_recovery_path(f):
+    # at N = 48 the taus on either side of 16/48 mix patch counts 16 and 17
+    taus = np.array([0.05, 0.34, 1.0 / 3.0, 0.2, 0.35])
+    t = np.linspace(0.0, 1.0, 49)
+    nodes = _random_nodes(np.random.default_rng(11), f, 5, 48)
+    groups = _recovery_nodes(f, taus, t, nodes, nodes[:, 1], nodes[:, -2])
+    assert [T.shape[1] for _, T, _, _ in groups] == [49 + 2 * 16, 49 + 2 * 17]
+    assert sorted(np.concatenate([rows for rows, *_ in groups])) == list(range(5))
+    for rows, T, X, junction in groups:
+        kinetic, slope_term = _midpoint_actions(f, T, X)
+        for j, i in enumerate(rows):
+            rp = recovery_path(f, taus[i], Path(t, nodes[i]), nodes[i, 1], nodes[i, -2])
+            assert junction[j] == ""
+            np.testing.assert_array_equal(T[j], rp.times)
+            np.testing.assert_allclose(X[j], rp.nodes, rtol=1e-15, atol=0.0)
+            b = discrete_action(f, rp)
+            assert kinetic[j] == pytest.approx(b.kinetic, rel=1e-15, abs=0.0)
+            assert slope_term[j] == pytest.approx(b.slope_term, rel=1e-15, abs=0.0)
+
+
+class _OffAboveTauProx(Quadratic):
+    """A quadratic whose resolvent is off by 1e-6 where tau > 0.3."""
+
+    def prox_many(self, tau, X, start=None):
+        Y, res = super().prox_many(tau, X, start)
+        return Y + 1e-6 * (np.broadcast_to(tau, len(X)) > 0.3)[:, None], res
+
+
+def test_a_failed_recovery_junction_leaves_the_other_rows_whole():
+    f = _OffAboveTauProx(np.array([[1.0]]), np.zeros(1), 0.0)
+    taus = np.array([0.2, 0.34, 0.1, 0.32])     # patch counts 16, 17, 16, 16
+    t = np.linspace(0.0, 1.0, 49)
+    nodes = (0.5 + t[None, :, None]) * np.array([1.0, 1.5, -1.0, 2.0])[:, None, None]
+    groups = _recovery_nodes(f, taus, t, nodes, nodes[:, 0], nodes[:, -1])
+    assert [rows.tolist() for rows, *_ in groups] == [[0, 2, 3], [1]]
+    for rows, T, X, junction in groups:
+        for j, i in enumerate(rows):
+            gamma = Path(t, nodes[i])
+            if taus[i] > 0.3:
+                with pytest.raises(ConfigError) as err:
+                    recovery_path(f, taus[i], gamma, nodes[i, 0], nodes[i, -1])
+                assert junction[j] == str(err.value)
+                assert junction[j].startswith("recovery entry junction mismatch")
+            else:
+                rp = recovery_path(f, taus[i], gamma, nodes[i, 0], nodes[i, -1])
+                assert junction[j] == ""
+                np.testing.assert_array_equal(T[j], rp.times)
+                np.testing.assert_array_equal(X[j], rp.nodes)
+
+
+@pytest.mark.parametrize("f", _BATCH_KINDS + [Quadratic([[-0.6]], [0.3])],
+                         ids=_BATCH_IDS + ["quadratic_negative"])
+def test_interpolation_bounds_rows_are_the_scalar_bounds(f):
+    rng = np.random.default_rng(12)
+    taus, deltas = _sample_taus(rng, f, 6), rng.uniform(0.2, 1.5, size=6)
+    X0, XD = _sample_domain_xs(rng, f, 6), _sample_domain_xs(rng, f, 6)
+    sharp, coarse = _interpolation_bounds(f, taus, deltas, X0, XD)
+    for i in range(6):
+        assert sharp[i] == pytest.approx(
+            interpolation_bound(f, taus[i], deltas[i], X0[i], XD[i]), rel=1e-15, abs=0.0)
+        assert coarse[i] == pytest.approx(
+            coarsened_interpolation_bound(f, taus[i], X0[i], XD[i]), rel=1e-15, abs=0.0)
+
+
+def test_limsup_rows_are_each_members_recovery_path():
+    fam = family_logsumexp_to_max([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]],
+                                  (0.5, 0.2, 0.08), [-1.0, 0.0], [1.0, 0.5])
+    gamma = Path.straight(fam.limit.start, fam.limit.end, intervals=48)
+    taus = (0.35, 0.2, 0.34, 0.05)      # patch counts 17, 16, 17, 16
+    rep = gamma_limsup_experiment(fam, gamma, taus)
+    # tau-major, as one recovery_path per (tau, member) would give them
+    assert [(r["tau"], r["member"]) for r in rep.rows] == [
+        (tau, h) for tau in taus for h in range(fam.size)]
+    for row in rep.rows:
+        mem = fam.members[row["member"]]
+        rp = recovery_path(mem.function, row["tau"], gamma, mem.start, mem.end)
+        assert row["action"] == pytest.approx(discrete_action(mem.function, rp).total,
+                                              rel=1e-14, abs=0.0)
+        assert row["ok"] is (row["action"] <= row["bound"] + row["tolerance"])
+    assert rep.ok
 
 
 def test_recovery_rejects_zero_patch_density():

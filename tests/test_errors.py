@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from actionlab.action import Path, discrete_action, dubois_reymond_residual
+from actionlab.action import (Path, coarsened_interpolation_bound, discrete_action,
+                              dubois_reymond_residual)
 from actionlab.cli import main
 from actionlab.convex import (Indicator, LogSumExp, MaxLinear, Quadratic, prox,
                               sampled_slope_lower_bound, slope)
@@ -170,6 +171,9 @@ _REJECTIONS = {
     "family-infinite_endpoint_slope": (
         lambda: constant_family(Indicator(Ball([0.0], 1.0)), [3.0], [0.0]),
         OutsideDomainError, "member 0 endpoint has infinite slope"),
+    "coarsened_bound-outside_domain": (     # it reads g(x0) and g(xd), as the sharp bound does
+        lambda: coarsened_interpolation_bound(Indicator(Ball([0.0], 1.0)), 0.5, [3.0], [0.0]),
+        OutsideDomainError, "minimal subgradient undefined outside the region"),
 }
 
 

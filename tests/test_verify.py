@@ -7,7 +7,8 @@ from actionlab.action import (Path, _alt_actions, alt_action, discrete_action,
 from actionlab.convex import (ConvexFunction, Indicator, LogSumExp, MaxLinear,
                               Quadratic, SquaredDistance)
 from actionlab.errors import ConfigError
-from actionlab.verify import (SCOPES, _failed, _random_nodes, coarsened_bound_failures,
+from actionlab.verify import (SCOPES, _failed, _random_nodes, _sample_taus,
+                              _walk_weights, coarsened_bound_failures,
                               descent_monotonicity_failures,
                               endpoint_pinning_failures,
                               envelope_gradient_lipschitz_failures,
@@ -324,9 +325,12 @@ def test_recovery_bound_reads_its_endpoint_slopes_in_one_call(monkeypatch):
     f = Quadratic(np.array([[2.0, 0.3], [0.3, -0.4]]), np.array([0.1, -0.2]))
     assert recovery_bound_failures(f, np.random.default_rng(0), 17) == []
     # both endpoints of every path, the limit actions of its 48 chords, then
-    # one public discrete_action of each trial's recovery path
-    assert calls[:2] == [("slope", 2 * 17), ("slope", 17 * 48)]
-    assert len(calls) == 2 + 17 and all(rows > 48 for _, rows in calls[2:])
+    # one action batch per patch count m = max(16, ceil(48 tau)): the 48 + 2m
+    # chords of each of its trials' recovery curves
+    m = np.maximum(16, np.ceil(48 * np.minimum(
+        _sample_taus(np.random.default_rng(0), f, 17), 0.35)))
+    assert calls == [("slope", 2 * 17), ("slope", 17 * 48)] + [
+        ("slope", int(np.sum(m == k)) * (48 + 2 * int(k))) for k in np.unique(m)]
 
 
 @pytest.mark.parametrize("f", [
@@ -355,6 +359,22 @@ def test_random_nodes_shape_and_domain(f):
     assert np.isfinite(nodes).all()
     if isinstance(f, Indicator):
         assert f.region.contains_many(nodes.reshape(-1, f.dim)).all()
+
+
+def test_random_nodes_reuse_one_read_only_weight_matrix_per_segment_count():
+    W = _walk_weights(48)
+    assert W is _walk_weights(48) and not W.flags.writeable
+    assert W.shape == (49, 6)
+    # against the matrix rebuilt on every call: the nodes are bit-identical
+    f = Quadratic(np.eye(2), np.zeros(2))
+    nodes = _random_nodes(np.random.default_rng(5), f, 7, 64)
+    rng = np.random.default_rng(5)
+    knots = np.cumsum(np.concatenate([rng.normal(size=(7, 1, 2)) * 0.8,
+                                      rng.normal(size=(7, 5, 2)) * 0.24], axis=1), axis=1)
+    s = np.linspace(0.0, 1.0, 65)
+    weights = np.column_stack([np.interp(s, np.linspace(0.0, 1.0, 6), e)
+                               for e in np.eye(6)])
+    np.testing.assert_array_equal(nodes, weights @ knots)
 
 
 class _ShiftedQuadratic(Quadratic):
